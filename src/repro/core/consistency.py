@@ -32,6 +32,9 @@ from __future__ import annotations
 import inspect
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.core.framework import SelectionResult
 from repro.core.tables import NeighborTable
@@ -88,6 +91,32 @@ class ConsistencyMechanism(ABC):
         version:
             Global Hello version a packet mandates (proactive/reactive).
         """
+
+    def decide_many(
+        self,
+        protocol: TopologyControlProtocol,
+        tables: Sequence[NeighborTable],
+        now: float,
+        current_hellos: Sequence[Hello],
+        version: int | None = None,
+    ) -> list[SelectionResult | None]:
+        """:meth:`decide` for many owners at once, in order.
+
+        An owner whose view cannot be built (:class:`ViewError`, e.g. it
+        has not advertised the requested version) gets None; the others
+        are unaffected.  The default loops over :meth:`decide`; a
+        mechanism whose views the protocol can take as arrays overrides
+        it with one batched pass.
+        """
+        results: list[SelectionResult | None] = []
+        for table, current_hello in zip(tables, current_hellos):
+            try:
+                results.append(
+                    self.decide(protocol, table, now, current_hello, version=version)
+                )
+            except ViewError:
+                results.append(None)
+        return results
 
     def decision_fingerprint(
         self,
@@ -149,10 +178,35 @@ class ViewSynchronization(ConsistencyMechanism):
         view = table.latest_view(now, own_hello=own)
         return protocol.select(view)
 
+    def decide_many(self, protocol, tables, now, current_hellos, version=None):
+        # Packet-time redecision: the owners' latest live positions are
+        # gathered into one padded batch (owner in column 0, NaN padding)
+        # and the protocol selects for all of them in one array pass.
+        if not protocol.supports_batch:
+            return super().decide_many(
+                protocol, tables, now, current_hellos, version=version
+            )
+        if not tables:
+            return []
+        members = [table.latest_positions(now) for table in tables]
+        width = 1 + max(len(ids) for ids, _ in members)
+        ids = np.full((len(tables), width), -1, dtype=np.int64)
+        pts = np.full((len(tables), width, 2), np.nan)
+        for b, (table, current_hello, (nids, xy)) in enumerate(
+            zip(tables, current_hellos, members)
+        ):
+            own = table.last_advertised or current_hello
+            ids[b, 0] = table.owner
+            pts[b, 0] = own.position
+            ids[b, 1 : 1 + len(nids)] = nids
+            pts[b, 1 : 1 + len(nids)] = xy
+        ranges = np.array([table.normal_range for table in tables])
+        return protocol.select_batch(ids, pts, ranges)
+
     def decision_fingerprint(self, table, now, current_hello, version=None):
         # The own position is the *last advertised* one, which only changes
-        # with a table mutation — this is what makes packet-time
-        # recomputation (redecide_all) near-free between Hello generations.
+        # with a table mutation — this is what makes a packet-time
+        # recomputation hit while no Hello arrived since the last one.
         own = table.last_advertised or current_hello
         return (self.name, table.live_view_token(now), own.position)
 

@@ -25,6 +25,7 @@ import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,15 @@ __all__ = [
     "mst_removable_batch",
     "apply_removal_condition",
 ]
+
+
+@lru_cache(maxsize=256)
+def _triu_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(m, k=1)``, built once per view size."""
+    iu, iv = np.triu_indices(m, k=1)
+    iu.flags.writeable = False
+    iv.flags.writeable = False
+    return iu, iv
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +152,7 @@ class LocalCostGraph:
         the measured hot spot, nothing else).
         """
         m = len(self.ids)
-        iu, iv = np.triu_indices(m, k=1)
+        iu, iv = _triu_indices(m)
         ids_arr = np.asarray(self.ids)
         lo_ids = np.minimum(ids_arr[iu], ids_arr[iv])
         hi_ids = np.maximum(ids_arr[iu], ids_arr[iv])

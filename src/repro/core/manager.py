@@ -29,10 +29,12 @@ rules.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import BaselineConsistency, ConsistencyMechanism
+from repro.core.framework import SelectionResult
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
@@ -159,29 +161,85 @@ class MobilitySensitiveTopologyControl:
         is returned with a refreshed ``decided_at`` — bit-identical to a
         recomputation, without building the cost graph.
         """
-        tel = self._telemetry
-        fingerprint: tuple | None = None
-        if self.decision_cache_enabled:
-            inputs = self.mechanism.decision_fingerprint(
-                table, now, current_hello, version=version
-            )
-            if inputs is None:
-                self.cache_uncacheable += 1
-            else:
-                fingerprint = (inputs, self.buffer_policy, self.physical_neighbor_mode)
-                cached = self._decision_cache.get(table.owner)
-                if cached is not None and cached[0] == fingerprint:
-                    self.cache_hits += 1
-                    if tel is not None:
-                        tel.count("decision_cache", outcome="hit")
-                        tel.event("decision_cache_hit", t=now, node=table.owner)
-                    decision = cached[1]
-                    if decision.decided_at == now:
-                        return decision
-                    return replace(decision, decided_at=now)
+        fingerprint, cached = self._lookup(table, now, current_hello, version)
+        if cached is not None:
+            return cached
         result = self.mechanism.decide(
             self.protocol, table, now, current_hello, version=version
         )
+        return self._store(table.owner, result, now, fingerprint)
+
+    def decide_many(
+        self,
+        tables: Sequence[NeighborTable],
+        now: float,
+        current_hellos: Sequence[Hello],
+        version: int | None = None,
+    ) -> list[NodeDecision | None]:
+        """:meth:`decide` for many owners at once — packet-time redecision.
+
+        Fingerprints and hit/miss accounting are exactly those of one
+        :meth:`decide` per owner, in order; every owner that misses the
+        cache is then handed to the mechanism in one
+        :meth:`~repro.core.consistency.ConsistencyMechanism.decide_many`
+        call, which batches them where the mechanism and protocol can.
+        An owner whose view cannot be built gets None and counts nothing,
+        as if its :meth:`decide` had raised :class:`ViewError`.
+        """
+        decisions: list[NodeDecision | None] = [None] * len(tables)
+        pending: list[tuple[int, tuple | None]] = []
+        for i, (table, current_hello) in enumerate(zip(tables, current_hellos)):
+            fingerprint, cached = self._lookup(table, now, current_hello, version)
+            if cached is None:
+                pending.append((i, fingerprint))
+            else:
+                decisions[i] = cached
+        results = self.mechanism.decide_many(
+            self.protocol,
+            [tables[i] for i, _ in pending],
+            now,
+            [current_hellos[i] for i, _ in pending],
+            version=version,
+        )
+        for (i, fingerprint), result in zip(pending, results):
+            if result is not None:
+                decisions[i] = self._store(tables[i].owner, result, now, fingerprint)
+        return decisions
+
+    def _lookup(
+        self, table: NeighborTable, now: float, current_hello: Hello, version: int | None
+    ) -> tuple[tuple | None, NodeDecision | None]:
+        """``(fingerprint, standing decision on a cache hit or None)``."""
+        if not self.decision_cache_enabled:
+            return None, None
+        inputs = self.mechanism.decision_fingerprint(
+            table, now, current_hello, version=version
+        )
+        if inputs is None:
+            self.cache_uncacheable += 1
+            return None, None
+        fingerprint = (inputs, self.buffer_policy, self.physical_neighbor_mode)
+        cached = self._decision_cache.get(table.owner)
+        if cached is None or cached[0] != fingerprint:
+            return fingerprint, None
+        self.cache_hits += 1
+        tel = self._telemetry
+        if tel is not None:
+            tel.count("decision_cache", outcome="hit")
+            tel.event("decision_cache_hit", t=now, node=table.owner)
+        decision = cached[1]
+        if decision.decided_at != now:
+            decision = replace(decision, decided_at=now)
+        return fingerprint, decision
+
+    def _store(
+        self,
+        owner: int,
+        result: SelectionResult,
+        now: float,
+        fingerprint: tuple | None,
+    ) -> NodeDecision:
+        """Turn a fresh selection into the owner's standing decision."""
         decision = NodeDecision(
             owner=result.owner,
             logical_neighbors=result.logical_neighbors,
@@ -191,7 +249,8 @@ class MobilitySensitiveTopologyControl:
         )
         if fingerprint is not None:
             self.cache_misses += 1
-            self._decision_cache[table.owner] = (fingerprint, decision)
+            self._decision_cache[owner] = (fingerprint, decision)
+        tel = self._telemetry
         if tel is not None:
             if fingerprint is not None:
                 outcome = "miss"
@@ -200,7 +259,7 @@ class MobilitySensitiveTopologyControl:
             else:
                 outcome = "disabled"
             tel.count("decision_cache", outcome=outcome)
-            tel.event("decision_cache_miss", t=now, node=table.owner, outcome=outcome)
+            tel.event("decision_cache_miss", t=now, node=owner, outcome=outcome)
         return decision
 
     # ------------------------------------------------------------------ #

@@ -33,6 +33,8 @@ path that feeds it lives in :mod:`repro.sim.world`.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from repro.core.views import Hello
@@ -71,6 +73,7 @@ class NeighborState:
         "_n_slots",
         "_slot_cache",
         "_memo",
+        "_latest_memo",
     )
 
     def __init__(self, n_nodes: int, history_depth: int) -> None:
@@ -100,6 +103,8 @@ class NeighborState:
         self._slot_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: per-slot materialisation memo: ``slot -> (writes, tuple[Hello])``
         self._memo: dict[int, tuple[int, tuple[Hello, ...]]] = {}
+        #: per-slot newest-Hello memo: ``slot -> (writes, Hello)``
+        self._latest_memo: dict[int, tuple[int, Hello]] = {}
 
     # ------------------------------------------------------------------ #
     # storage management
@@ -219,6 +224,7 @@ class NeighborState:
         for s in stale:
             slot = d.pop(s)
             self._memo.pop(slot, None)
+            self._latest_memo.pop(slot, None)
             self._slot_cache.pop(s, None)
         self.mutations[receiver] += 1
         return True
@@ -252,6 +258,23 @@ class NeighborState:
         self._memo[slot] = (writes, hellos)
         return hellos
 
+    def _newest(self, slot: int) -> Hello:
+        """The most recent Hello of *slot*, built alone (no history)."""
+        writes = int(self._writes[slot])
+        memo = self._latest_memo.get(slot)
+        if memo is not None and memo[0] == writes:
+            return memo[1]
+        j = (writes - 1) % self.k
+        hello = Hello(
+            sender=int(self._slot_sender[slot]),
+            version=int(self._version[slot, j]),
+            position=(float(self._x[slot, j]), float(self._y[slot, j])),
+            sent_at=float(self._sent[slot, j]),
+            timestamp=float(self._ts[slot, j]),
+        )
+        self._latest_memo[slot] = (writes, hello)
+        return hello
+
     def senders(self, receiver: int) -> list[int]:
         """Sender ids recorded at *receiver*, in insertion order."""
         return list(self._directory[receiver])
@@ -263,12 +286,9 @@ class NeighborState:
 
     def live_ids(self, receiver: int, now: float, expiry: float) -> tuple[int, ...]:
         """Sender ids with a live (non-expired) Hello, insertion order."""
-        latest = self._latest_sent
-        return tuple(
-            s
-            for s, slot in self._directory[receiver].items()
-            if now - latest[slot] <= expiry
-        )
+        d = self._directory[receiver]
+        slots = np.fromiter(d.values(), dtype=np.intp, count=len(d))
+        return tuple(compress(d, (now - self._latest_sent[slots] <= expiry).tolist()))
 
     def latest_live(
         self, receiver: int, now: float, expiry: float
@@ -278,8 +298,25 @@ class NeighborState:
         out: dict[int, Hello] = {}
         for s, slot in self._directory[receiver].items():
             if now - latest[slot] <= expiry:
-                out[s] = self._materialize(slot)[-1]
+                out[s] = self._newest(slot)
         return out
+
+    def latest_positions(
+        self, receiver: int, now: float, expiry: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """IDs and ``(m, 2)`` positions of :meth:`latest_live`'s Hellos.
+
+        Read straight from the columns, with no Hello built, in the same
+        insertion order.
+        """
+        d = self._directory[receiver]
+        slots = np.fromiter(d.values(), dtype=np.intp, count=len(d))
+        slots = slots[now - self._latest_sent[slots] <= expiry]
+        head = (self._writes[slots] - 1) % self.k
+        xy = np.empty((slots.size, 2))
+        xy[:, 0] = self._x[slots, head]
+        xy[:, 1] = self._y[slots, head]
+        return self._slot_sender[slots], xy
 
     def live_histories(
         self, receiver: int, now: float, expiry: float

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
+
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
@@ -177,6 +179,19 @@ class NeighborTable:
             sampled_at=now,
         )
 
+    def latest_positions(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+        """IDs and ``(m, 2)`` positions of :meth:`latest_view`'s neighbors.
+
+        Same members in the same record order, as arrays: the form batched
+        selection reads instead of Hello objects.
+        """
+        live = [
+            q[-1] for q in self._records.values() if now - q[-1].sent_at <= self.expiry
+        ]
+        ids = np.array([h.sender for h in live], dtype=np.int64)
+        xy = np.array([h.position for h in live], dtype=np.float64).reshape(-1, 2)
+        return ids, xy
+
     def versioned_view(self, now: float, version: int) -> LocalView:
         """View built *only* from Hellos carrying the given global version.
 
@@ -324,6 +339,9 @@ class ColumnarNeighborTable(NeighborTable):
             normal_range=self.normal_range,
             sampled_at=now,
         )
+
+    def latest_positions(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+        return self._state.latest_positions(self.owner, now, self.expiry)
 
     def versioned_view(self, now: float, version: int) -> LocalView:
         own = next((h for h in self._own if h.version == version), None)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.core.costs import CostModel, DistanceCost
 from repro.core.framework import LocalCostGraph, SelectionResult, apply_removal_condition
 from repro.core.views import LocalView, MultiVersionView
@@ -75,6 +77,8 @@ class TopologyControlProtocol(ABC):
     name: str = ""
     #: True if select_conservative implements the enhanced conditions
     supports_conservative: bool = False
+    #: True if select_batch evaluates many views in one array pass
+    supports_batch: bool = False
 
     @abstractmethod
     def select(self, view: LocalView) -> SelectionResult:
@@ -90,6 +94,21 @@ class TopologyControlProtocol(ABC):
         raise ProtocolError(
             f"protocol {self.name!r} does not support conservative (weak-consistency) mode"
         )
+
+    def select_batch(
+        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
+    ) -> list[SelectionResult]:
+        """Choose for a padded batch of single-version views at once.
+
+        Row ``b`` is one owner's view: ``ids[b]`` (shape ``(B, M)``) holds
+        the member IDs with the owner in column 0, ``pts[b]`` (shape
+        ``(B, M, 2)``) their advertised positions, and ``normal_range[b]``
+        the view's link threshold.  Rows shorter than ``M`` are padded
+        with ID ``-1`` at NaN positions.  Result ``b`` equals
+        :meth:`select` on the matching :class:`LocalView`.  The default
+        raises; protocols that set :attr:`supports_batch` override it.
+        """
+        raise ProtocolError(f"protocol {self.name!r} has no batched selection")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

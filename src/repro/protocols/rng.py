@@ -6,24 +6,115 @@ Link (u, v) is removed when a third node w, visible to both, satisfies
 
 from __future__ import annotations
 
-from repro.core.framework import rng_removable_batch
+from itertools import compress
+
+import numpy as np
+
+from repro.core.framework import SelectionResult, rng_removable_batch
+from repro.core.views import LocalView
 from repro.protocols.base import ConditionProtocol, register_protocol
 
 __all__ = ["RngProtocol"]
+
+
+def _pair_below(a1, b1, a2, b2) -> np.ndarray:
+    """Elementwise ``(min, max)`` ID-pair order: link (a1, b1) before (a2, b2)."""
+    lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
+    lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
+    return (lo1 < lo2) | ((lo1 == lo2) & (hi1 < hi2))
 
 
 @register_protocol
 class RngProtocol(ConditionProtocol):
     """Relative neighborhood graph protocol (removal condition 1).
 
-    Selection runs the batched form (one broadcast witness mask over all
-    of the owner's links per decision) — semantics identical to the
-    per-edge :func:`repro.core.framework.rng_removable` on both exact and
-    interval cost graphs, verified by equivalence tests.
+    Single-version selection runs :meth:`select_batch`, which evaluates
+    condition 1 for every owner link of many views in one array pass;
+    :meth:`select` is a batch of one.  Conservative selection on interval
+    cost graphs keeps the rank-based
+    :func:`repro.core.framework.rng_removable_batch`, which is also the
+    reference the batched kernel is tested against.
     """
 
     name = "rng"
+    supports_batch = True
 
     @property
     def _removable(self):
         return rng_removable_batch
+
+    def select(self, view: LocalView) -> SelectionResult:
+        ids, pts = view.positions()
+        return self.select_batch(
+            np.array([ids], dtype=np.int64),
+            pts[np.newaxis],
+            np.array([view.normal_range]),
+        )[0]
+
+    def select_batch(
+        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
+    ) -> list[SelectionResult]:
+        """Condition 1 for every owner link of a padded batch of views.
+
+        On a single-version view the total order of link keys
+        ``(cost, min id, max id)`` needs no rank matrices: a witness link
+        is below the direct link if its cost is lower, and the ID pair is
+        compared only where the two costs are exactly equal.
+        """
+        m = ids.shape[1]
+        x, y = pts[..., 0], pts[..., 1]
+        # sqrt(dx*dx + dy*dy), the IEEE sequence of from_local_view's
+        # einsum, in place: the batch holds two (B, M, M) floats at most.
+        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
+        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
+        dist *= dist
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        # NaN padding compares False, so padded members are never adjacent.
+        adj = dist <= normal_range[:, np.newaxis, np.newaxis]
+        diag = np.arange(m)
+        adj[:, diag, diag] = False
+        cost = np.asarray(self.cost_model.from_distance(dist), dtype=np.float64)
+        owner_adj = adj[:, 0, :]
+        # Axis 1 is the owner's neighbor v, axis 2 the witness w.
+        candidate = adj & owner_adj[:, np.newaxis, :] & owner_adj[:, :, np.newaxis]
+        direct = cost[:, 0, :, np.newaxis]
+        removable = (
+            candidate & (cost[:, np.newaxis, 0, :] < direct) & (cost < direct)
+        ).any(axis=2)
+        # Exact cost ties: only a link that survived the strict test can
+        # still fall to a witness whose ID pair orders below it.
+        b, v = np.nonzero(owner_adj & ~removable)
+        c_direct = cost[b, 0, v][:, np.newaxis]
+        c_owner, c_vw = cost[b, 0, :], cost[b, v, :]
+        tied = candidate[b, v] & (
+            ((c_owner == c_direct) & (c_vw <= c_direct))
+            | ((c_vw == c_direct) & (c_owner <= c_direct))
+        )
+        if tied.any():
+            k, w = np.nonzero(tied)
+            b, v, c_direct = b[k], v[k], c_direct[k, 0]
+            c_owner, c_vw = c_owner[k, w], c_vw[k, w]
+            owner, iv, iw = ids[b, 0], ids[b, v], ids[b, w]
+            witness = (
+                (c_owner < c_direct)
+                | ((c_owner == c_direct) & _pair_below(owner, iw, owner, iv))
+            ) & (
+                (c_vw < c_direct)
+                | ((c_vw == c_direct) & _pair_below(iv, iw, owner, iv))
+            )
+            removable[b[witness], v[witness]] = True
+        survivors = owner_adj & ~removable
+        ranges = np.where(survivors, dist[:, 0, :], 0.0).max(axis=1)
+        return [
+            SelectionResult(
+                owner=row[0],
+                logical_neighbors=frozenset(compress(row, keep)),
+                actual_range=reach,
+            )
+            for row, keep, reach in zip(
+                ids.tolist(), survivors.tolist(), ranges.tolist()
+            )
+        ]

@@ -23,7 +23,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.manager import MobilitySensitiveTopologyControl
+from repro.core.manager import MobilitySensitiveTopologyControl, NodeDecision
 from repro.core.neighbor_state import NeighborState
 from repro.core.tables import ColumnarNeighborTable, NeighborTable
 from repro.core.views import Hello
@@ -52,6 +52,12 @@ __all__ = ["NetworkWorld", "WorldSnapshot", "DENSE_MATERIALIZE_LIMIT", "SPARSE_S
 # from precollected index arrays; below it, per-element scalar writes are
 # faster (measured crossover ~400 at paper densities).
 _SCATTER_SWITCH = 400
+
+# Nodes per ``decide_many`` call in packet-time redecision.  A block's
+# padded selection temporaries are (block, M, M) floats, about a
+# megabyte at the paper's density, and at 10k nodes only one block's
+# current Hellos and fresh selections are alive at once.
+_REDECIDE_BLOCK = 32
 
 #: Largest snapshot for which the lazy dense ``dist`` / ``logical``
 #: properties will materialize an ``(n, n)`` matrix on demand.  Above it
@@ -1033,6 +1039,32 @@ class NetworkWorld:
             return self._oracle.node_position(node_id, t)
         return self._geometry(t)[0][node_id]
 
+    def _current_hello(self, node_id: int, t: float) -> Hello:
+        """A Hello at the node's true position *now* (not advertised)."""
+        pos = self._node_position(node_id, t)
+        return Hello(
+            sender=node_id,
+            version=self.nodes[node_id].next_version,
+            position=(float(pos[0]), float(pos[1])),
+            sent_at=t,
+            timestamp=self.clocks.local_time(node_id, t),
+        )
+
+    def _adopt(self, node: SimNode, decision: NodeDecision, t: float) -> None:
+        """Install a new standing decision, tracing a range change."""
+        previous = node.decision
+        node.decision = decision
+        tel = self._tel
+        if tel is not None and (
+            previous is None or previous.extended_range != decision.extended_range
+        ):
+            tel.count("range_changes")
+            tel.event(
+                "range_change", t=t, node=node.node_id,
+                old=None if previous is None else previous.extended_range,
+                new=decision.extended_range,
+            )
+
     def decide_node(
         self,
         node_id: int,
@@ -1043,35 +1075,18 @@ class NetworkWorld:
         node = self.nodes[node_id]
         t = self.engine.now
         if current_hello is None:
-            # The per-tick memo makes packet-time recomputation share one
-            # vectorized mobility evaluation across all n redecisions.
-            pos = self._node_position(node_id, t)
-            current_hello = Hello(
-                sender=node_id,
-                version=node.next_version,
-                position=(float(pos[0]), float(pos[1])),
-                sent_at=t,
-                timestamp=self.clocks.local_time(node_id, t),
-            )
+            current_hello = self._current_hello(node_id, t)
         tel = self._tel
         if tel is None:
             node.decision = self.manager.decide(
                 node.table, t, current_hello, version=version
             )
             return
-        previous = node.decision
         with tel.span("decide"):
-            node.decision = self.manager.decide(
+            decision = self.manager.decide(
                 node.table, t, current_hello, version=version
             )
-        new = node.decision
-        if previous is None or previous.extended_range != new.extended_range:
-            tel.count("range_changes")
-            tel.event(
-                "range_change", t=t, node=node_id,
-                old=None if previous is None else previous.extended_range,
-                new=new.extended_range,
-            )
+        self._adopt(node, decision, t)
 
     def redecide_all(self, version: int | None = None) -> None:
         """Re-decide every node *now* — packet-time recomputation.
@@ -1081,7 +1096,11 @@ class NetworkWorld:
         forwarding node refreshes its logical set when it sends, and under
         the proactive scheme every node decides on the packet's *version*.
         Recomputing all nodes (not only eventual forwarders) is equivalent
-        for reachability and keeps the hot path vectorizable.
+        for reachability and keeps the hot path vectorizable: the live
+        nodes go to
+        :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.decide_many`
+        in blocks of 32, traced as one ``redecide`` span with no per-node
+        ``decide`` spans.
         """
         tel = self._tel
         if tel is None:
@@ -1093,20 +1112,29 @@ class NetworkWorld:
     def _redecide_all_impl(self, version: int | None) -> None:
         inj = self.fault_injector
         now = self.engine.now
-        # Warm the per-tick geometry memo once: every decide below shares
-        # the single vectorized mobility evaluation (in batched mode the
-        # per-node position route would otherwise run n single-row evals).
+        # Warm the per-tick geometry memo once: every current Hello below
+        # shares the single vectorized mobility evaluation.
         self._geometry(now)
-        for node in self.nodes:
-            if inj is not None and inj.node_down(node.node_id, now):
-                continue  # a crashed node forwards nothing and decides nothing
-            try:
-                self.decide_node(node.node_id, version=version)
-                node.packet_decisions += 1
-            except ViewError:
-                # A node that has never advertised cannot decide; it keeps
-                # (the absence of) its standing decision.
-                continue
+        # A crashed node forwards nothing and decides nothing.
+        nodes = [
+            node
+            for node in self.nodes
+            if inj is None or not inj.node_down(node.node_id, now)
+        ]
+        for lo in range(0, len(nodes), _REDECIDE_BLOCK):
+            block = nodes[lo : lo + _REDECIDE_BLOCK]
+            decisions = self.manager.decide_many(
+                [node.table for node in block],
+                now,
+                [self._current_hello(node.node_id, now) for node in block],
+                version=version,
+            )
+            for node, decision in zip(block, decisions):
+                # None: a node that has never advertised cannot decide; it
+                # keeps (the absence of) its standing decision.
+                if decision is not None:
+                    self._adopt(node, decision, now)
+                    node.packet_decisions += 1
 
     # ------------------------------------------------------------------ #
     # running & observing

@@ -6,7 +6,9 @@ make that a property of the build rather than a review checklist:
 - every module in the package has a module docstring;
 - every public class and function reachable from package ``__all__``
   exports has a docstring;
-- the doctest examples embedded in docstrings actually run.
+- the doctest examples embedded in docstrings actually run;
+- the prose in ``docs/`` makes none of the claims known to have gone
+  stale.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import doctest
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +117,35 @@ def test_doctests_run_clean(module_name):
     module = importlib.import_module(module_name)
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0, f"{module_name}: {result.failed} doctest failures"
+
+
+# --------------------------------------------------------------------- #
+# prose drift: claims in docs/ that the code has stopped making true
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
+
+#: (pattern, why the claim is stale); patterns match across line breaks
+STALE_CLAIMS = [
+    (
+        r"(?<!no longer\s)forces\s+`--workers\s+1`",
+        "the CLI traces multi-worker runs and absorbs each worker's "
+        "telemetry summary (cli._with_telemetry)",
+    ),
+    (
+        r"all[-\s]hits",
+        "packet-time redecision misses the decision cache for most owners "
+        "at the paper's 10 samples/s (about ten Hellos arrive per probe)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern, why", STALE_CLAIMS, ids=["workers-forced", "redecide-all-hits"]
+)
+def test_docs_make_no_stale_claim(pattern, why):
+    offenders = [
+        path.name
+        for path in sorted(DOCS.glob("*.md"))
+        if re.search(pattern, path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders, f"{offenders} still claim {pattern!r}, but {why}"
