@@ -50,7 +50,7 @@ from repro.core import (
 from repro.protocols import available_protocols, make_protocol
 from repro.sim import NetworkWorld, ScenarioConfig, flood
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

@@ -9,10 +9,10 @@ confidence intervals — the paper's reporting protocol (20 repetitions,
 10 samples/s, 95 % CIs).
 
 Repetitions are embarrassingly parallel (independent seeds, independent
-worlds); pass ``workers > 1`` to fan them out over processes.  Specs are
-plain picklable dataclasses, and each worker runs one complete simulation,
-so the parallel efficiency is essentially linear until the machine runs
-out of cores.
+worlds); pass ``workers > 1`` to fan them out over processes.  Every
+batch runs through an :class:`~repro.orchestrator.OrchestrationContext`,
+and each worker runs one complete simulation, so the parallel efficiency
+is essentially linear until the machine runs out of cores.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +41,7 @@ from repro.sim.flood import flood
 from repro.sim.world import NetworkWorld
 from repro.telemetry.core import Telemetry, TelemetrySummary
 from repro.telemetry.runtime import current_telemetry
-from repro.util.errors import WorkUnitError
+from repro.util.errors import OrchestrationError, WorkUnitError
 from repro.util.randomness import SeedSequenceFactory
 from repro.util.validate import check_int_range, check_non_negative
 
@@ -54,6 +53,7 @@ __all__ = [
     "run_once",
     "run_repetitions",
     "run_repetitions_many",
+    "collect_runs",
     "aggregate_runs",
 ]
 
@@ -252,9 +252,8 @@ class RunStats:
     The typed replacement for the free-form ``channel_stats`` dict —
     every counter the run produced, as a named field with a fixed type.
     :meth:`as_dict` reproduces the legacy dict shape exactly (``fault_*``
-    keys present only when a schedule was armed, telemetry excluded), so
-    existing dict-shaped consumers keep working through the deprecated
-    :attr:`RunResult.channel_stats` view.
+    keys present only when a schedule was armed, telemetry excluded) for
+    dict-shaped consumers.
 
     Attributes
     ----------
@@ -379,9 +378,8 @@ class RunResult:
 
     ``stats`` is the typed :class:`RunStats` record — channel message
     counters, the manager's decision-cache counters, fault-injection
-    counters, and (when the run was traced) the telemetry summary.  The
-    pre-1.1 free-form dict is still reachable through the deprecated
-    :attr:`channel_stats` property.
+    counters, and (when the run was traced) the telemetry summary;
+    ``stats.as_dict()`` gives the pre-1.1 free-form dict.
     """
 
     spec: ExperimentSpec
@@ -393,18 +391,6 @@ class RunResult:
     mean_physical_degrees: np.ndarray
     strict_connected: np.ndarray
     stats: RunStats
-
-    @property
-    def channel_stats(self) -> dict:
-        """Deprecated dict view of :attr:`stats` (use the typed fields)."""
-        warnings.warn(
-            "RunResult.channel_stats is deprecated and will be removed in "
-            "repro 2.0; use RunResult.stats (typed RunStats) — .as_dict() "
-            "reproduces this dict exactly",
-            FutureWarning,
-            stacklevel=2,
-        )
-        return self.stats.as_dict()
 
     @property
     def connectivity_ratio(self) -> float:
@@ -524,28 +510,6 @@ class AggregateResult:
         }
 
 
-def _run_once_star(args: tuple[ExperimentSpec, int, bool]) -> RunResult:
-    """Top-level helper so ProcessPoolExecutor can pickle the call.
-
-    Failures are wrapped in :class:`~repro.util.errors.WorkUnitError`
-    naming the failing ``(spec, seed)`` unit, so the parent sees which
-    repetition died instead of a bare pickled traceback.  When
-    *collect_telemetry* is set, the run is traced with a process-local
-    collector and the frozen summary rides back on ``result.stats`` for
-    the parent to merge (see :meth:`repro.telemetry.Telemetry.absorb`).
-    """
-    spec, seed, collect_telemetry = args
-    telemetry = Telemetry() if collect_telemetry else None
-    try:
-        return run_once(spec, seed=seed, telemetry=telemetry)
-    except WorkUnitError:
-        raise
-    except Exception as exc:
-        raise WorkUnitError(
-            spec.describe(), seed, f"{type(exc).__name__}: {exc}"
-        ) from exc
-
-
 def default_workers() -> int:
     """Worker count from ``REPRO_WORKERS`` (default 1 = sequential)."""
     raw = os.environ.get("REPRO_WORKERS", "1")
@@ -583,6 +547,57 @@ def aggregate_runs(
     )
 
 
+def collect_runs(
+    specs: list[ExperimentSpec],
+    repetitions: int = 5,
+    base_seed: int = 1000,
+    workers: int | None = None,
+) -> list[list[RunResult]]:
+    """Run *repetitions* seeds of every spec; one seed-ordered list each.
+
+    The one route every sweep takes.  With an ambient
+    :class:`~repro.orchestrator.OrchestrationContext` (see
+    :func:`repro.orchestrator.use_orchestrator`) the batch runs through
+    it: completed units are loaded from its store, failures are retried
+    and quarantined per unit, fresh results are persisted incrementally,
+    and *workers* is ignored in favour of the context's.  Otherwise a
+    store-less context with *workers* (default ``REPRO_WORKERS``) runs
+    the whole batch, then the first failing unit in (spec, seed) order
+    raises :class:`~repro.util.errors.WorkUnitError` naming its (spec,
+    seed).
+
+    Seeds are ``base_seed + i`` per spec, and the whole batch fans out at
+    once, so results are bit-identical to per-spec calls at any worker
+    count.  An ambient telemetry collector receives every unit's
+    summary — and, for units run in this process, its events.
+    """
+    from repro.orchestrator.runner import OrchestrationContext
+
+    check_int_range("repetitions", repetitions, 1)
+    orchestrator = current_orchestrator()
+    if orchestrator is not None:
+        return orchestrator.run_spec_batch(specs, repetitions, base_seed)
+    workers = default_workers() if workers is None else max(1, int(workers))
+    context = OrchestrationContext(workers=workers, retries=0)
+    try:
+        grouped = context.run_spec_batch(specs, repetitions, base_seed)
+    except OrchestrationError:
+        if not context.quarantined:
+            raise
+    if context.quarantined:
+        # The first failure in (spec, seed) order, not completion order,
+        # so the named unit does not depend on scheduling.
+        labels = [spec.describe() for spec in specs]
+        failed = min(
+            context.quarantined, key=lambda q: (labels.index(q.label), q.seed)
+        )
+        prefix = str(WorkUnitError(failed.label, failed.seed, ""))
+        raise WorkUnitError(
+            failed.label, failed.seed, failed.error.removeprefix(prefix)
+        )
+    return grouped
+
+
 def run_repetitions_many(
     specs: list[ExperimentSpec],
     repetitions: int = 5,
@@ -593,54 +608,11 @@ def run_repetitions_many(
 
     The whole batch — every ``(spec, seed)`` pair — is fanned out at
     once, so a multi-point sweep keeps all workers busy instead of
-    barriering between sweep points.  Seeds are ``base_seed + i`` per
-    spec, exactly as :func:`run_repetitions` assigns them, so results are
-    bit-identical to per-spec calls at any worker count.
-
-    When an :class:`~repro.orchestrator.OrchestrationContext` is ambient
-    (see :func:`repro.orchestrator.use_orchestrator`), the batch routes
-    through its checkpointed work-unit pipeline instead: completed units
-    are loaded from the :class:`~repro.orchestrator.RunStore`, failures
-    are retried and quarantined per unit, and fresh results are persisted
-    incrementally.
-
-    When an ambient telemetry collector is armed and the batch runs in
-    worker processes, each worker traces its own runs and the parent
-    merges the per-unit summaries into the collector — telemetry no
-    longer forces single-worker execution.
+    barriering between sweep points; see :func:`collect_runs` for how it
+    runs and how ambient orchestration / telemetry contexts are honoured.
     """
-    check_int_range("repetitions", repetitions, 1)
-    orchestrator = current_orchestrator()
-    if orchestrator is not None:
-        runs_per_spec = orchestrator.run_spec_batch(specs, repetitions, base_seed)
-        return [
-            aggregate_runs(spec, runs)
-            for spec, runs in zip(specs, runs_per_spec)
-        ]
-    workers = default_workers() if workers is None else max(1, int(workers))
-    telemetry = current_telemetry()
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
-    parallel = workers > 1 and len(specs) * repetitions > 1
-    collect = telemetry is not None and parallel
-    jobs = [
-        (spec, base_seed + i, collect)
-        for spec in specs
-        for i in range(repetitions)
-    ]
-    if not parallel:
-        runs = [run_once(s, seed=seed) for s, seed, _ in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            runs = list(pool.map(_run_once_star, jobs))
-        if collect:
-            for run in runs:
-                if run.stats.telemetry is not None:
-                    telemetry.absorb(run.stats.telemetry, source=run.seed)
-    return [
-        aggregate_runs(spec, runs[k * repetitions : (k + 1) * repetitions])
-        for k, spec in enumerate(specs)
-    ]
+    grouped = collect_runs(specs, repetitions, base_seed, workers)
+    return [aggregate_runs(spec, runs) for spec, runs in zip(specs, grouped)]
 
 
 def run_repetitions(

@@ -16,16 +16,9 @@ The result duck-types the CLI figure protocol (``figure_id`` / ``rows()``
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.analysis.experiment import (
-    ExperimentSpec,
-    RunResult,
-    _run_once_star,
-    default_workers,
-    run_once,
-)
+from repro.analysis.experiment import ExperimentSpec, RunResult, collect_runs
 from repro.analysis.report import format_table
 from repro.analysis.scales import QUICK, Scale
 
@@ -101,10 +94,11 @@ def generate_overhead_study(
 
     All mechanisms share the same protocol (``rng``), buffer width, speed
     and seed set, so the rows differ *only* in the consistency mechanism —
-    the message-rate columns are directly comparable.  Repetitions fan out
-    over processes exactly like the other figures (``workers`` defaulting
-    to ``REPRO_WORKERS``); results are bit-identical at any worker count
-    because seeds, not schedulers, define each run.
+    the message-rate columns are directly comparable.  Repetitions run
+    through :func:`~repro.analysis.experiment.collect_runs` exactly like
+    the other figures (``workers`` defaulting to ``REPRO_WORKERS``);
+    results are bit-identical at any worker count because seeds, not
+    schedulers, define each run.
     """
     specs = [
         ExperimentSpec(
@@ -116,22 +110,8 @@ def generate_overhead_study(
         )
         for mechanism in STUDY_MECHANISMS
     ]
-    jobs = [
-        (spec, base_seed + i, False)
-        for spec in specs
-        for i in range(scale.repetitions)
-    ]
-    workers = default_workers() if workers is None else max(1, int(workers))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            runs = list(pool.map(_run_once_star, jobs))
-    else:
-        runs = [run_once(spec, seed=seed) for spec, seed, _ in jobs]
-    reps = scale.repetitions
-    table = tuple(
-        _fold(spec, runs[k * reps : (k + 1) * reps])
-        for k, spec in enumerate(specs)
-    )
+    grouped = collect_runs(specs, scale.repetitions, base_seed, workers)
+    table = tuple(_fold(spec, runs) for spec, runs in zip(specs, grouped))
     return OverheadStudyResult(
         figure_id="overhead",
         title="consistency benefit vs control-message overhead",

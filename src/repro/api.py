@@ -219,7 +219,7 @@ def submit_campaign(
     repetitions: int = 5,
     base_seed: int = 1000,
     *,
-    backend: "str | ExecutionBackend" = "local",
+    backend: "str | ExecutionBackend | None" = None,
     store: str | None = None,
     workers: int = 1,
     retries: int = 1,
@@ -231,17 +231,18 @@ def submit_campaign(
     """Run a durable sweep through an execution backend; return a handle.
 
     Every ``(spec, seed)`` pair becomes a content-hashed work unit
-    executed by *backend* (``"inprocess"`` — synchronous reference;
-    ``"local"`` — the fault-contained worker pool, the default;
-    ``"queue"`` — work-stealing worker processes over the shared
-    *store*; or a ready :class:`ExecutionBackend` instance).  Results
-    are bit-identical across backends and worker counts — seeds, not
-    schedulers, define every simulation.
+    executed by *backend* (``"inprocess"`` — synchronous, in this
+    process; ``"queue"`` — work-stealing worker processes over the
+    *store*; or a ready :class:`ExecutionBackend` instance).  None picks
+    ``inprocess`` when ``min(workers, units)`` is 1, else ``queue``.
+    Results are bit-identical across backends and worker counts — seeds,
+    not schedulers, define every simulation.
 
     With *store* set, units checkpoint as they complete and *resume*
     skips ones already done — a cancelled or crashed campaign picks up
-    where it left off.  ``backend="queue"`` requires a store (the store
-    *is* the queue).
+    where it left off.  Without one, a queue campaign runs on a
+    throw-away store.  The campaign thread is not the main thread, so
+    *unit_timeout* binds queue workers only.
 
     The campaign runs on a daemon thread; use the returned
     :class:`CampaignHandle` to poll :meth:`~CampaignHandle.status`,
@@ -306,34 +307,3 @@ def submit_campaign(
     handle = CampaignHandle(context, spec_list, thread)
     thread.start()
     return handle
-
-
-_DEPRECATED = {
-    "run_repetitions_many": (
-        "repro.api.run_repetitions_many is deprecated; use "
-        "repro.api.submit_campaign(specs, ...).result() — same batched "
-        "fan-out, plus checkpointing, resume, and backend choice"
-    ),
-    "WorkerPool": (
-        "repro.api.WorkerPool is deprecated; use "
-        "repro.api.submit_campaign(..., backend='local') — the pool still "
-        "powers the 'local' backend, but campaigns add checkpointing and "
-        "cancel; for the raw pool, import repro.orchestrator.pool.WorkerPool"
-    ),
-}
-
-
-def __getattr__(name: str):
-    message = _DEPRECATED.get(name)
-    if message is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import warnings
-
-    warnings.warn(message, DeprecationWarning, stacklevel=2)
-    if name == "WorkerPool":
-        from repro.orchestrator.pool import WorkerPool
-
-        return WorkerPool
-    from repro.analysis.experiment import run_repetitions_many
-
-    return run_repetitions_many

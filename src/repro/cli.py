@@ -94,9 +94,10 @@ def _orchestration_parent() -> argparse.ArgumentParser:
         "--backend",
         choices=available_backends(),
         default=None,
-        help="execution backend: inprocess (synchronous), local "
-        "(fault-contained worker pool; default), queue (work-stealing "
-        "worker processes over the shared --store)",
+        help="execution backend: inprocess (synchronous, in this process) "
+        "or queue (work-stealing worker processes over --store, or over a "
+        "throw-away store); default: inprocess when min(--workers, units) "
+        "is 1, else queue",
     )
     parent.add_argument(
         "--store",
@@ -392,8 +393,9 @@ def _with_orchestrator(args: argparse.Namespace, fn) -> int:
     """Run *fn* under an armed :class:`OrchestrationContext` when asked.
 
     Armed by any of ``--store``, ``--backend``, ``--max-units``,
-    ``--unit-timeout``, or a non-default ``--retries``; otherwise *fn*
-    runs on the plain in-memory fan-out path.  Sweeps reach the context ambiently through
+    ``--unit-timeout``, or a non-default ``--retries``; otherwise each
+    sweep opens its own store-less context (no retries; a failing unit
+    raises).  Sweeps reach the context ambiently through
     :func:`repro.orchestrator.use_orchestrator`, so figure generators and
     campaigns need no parameter threading.  Exit code 3 means the unit
     budget was exhausted (work so far is checkpointed; rerun to continue).
@@ -722,7 +724,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
     service = ExperimentService(
         data_dir=args.data_dir,
-        default_backend=args.backend or "local",
+        default_backend=args.backend,
         default_workers=max(1, args.workers or 1),
     )
     return run_service(service, host=args.host, port=args.port)

@@ -1,4 +1,4 @@
-"""Durable campaign orchestration: units, store, pool, resumable sweeps.
+"""Durable campaign orchestration: units, store, backends, resumable sweeps.
 
 Public surface:
 
@@ -6,14 +6,12 @@ Public surface:
   — content-hashed identity of one (spec, seed) repetition;
 - :class:`~repro.orchestrator.store.RunStore` — SQLite-WAL checkpoint
   database with idempotent upserts and JSONL/CSV export;
-- :class:`~repro.orchestrator.backend.ExecutionBackend` and its
-  implementations (``inprocess`` / ``local`` / ``queue``) — the pluggable
-  execution engines behind every campaign (the fault-contained
-  :class:`~repro.orchestrator.pool.WorkerPool` powers the default
-  ``local`` backend);
+- :class:`~repro.orchestrator.backend.ExecutionBackend` and its two
+  implementations — ``inprocess`` (the default at a fan-out of 1) and
+  ``queue`` (the only parallel engine);
 - :class:`~repro.orchestrator.runner.OrchestrationContext` +
-  :func:`~repro.orchestrator.context.use_orchestrator` — the ambient
-  campaign pipeline every sweep routes through;
+  :func:`~repro.orchestrator.context.use_orchestrator` — the campaign
+  pipeline every sweep routes through;
 - :class:`~repro.orchestrator.runner.CampaignInterrupted` — the budgeted
   interruption used by resumable/CI smoke runs.
 
@@ -38,15 +36,14 @@ __all__ = [
     "RunStore",
     "UnitRow",
     "STORE_SCHEMA_VERSION",
-    "WorkerPool",
     "QuarantinedUnit",
     "ExecutionBackend",
     "BackendCapabilities",
     "UnitOutcome",
     "InProcessBackend",
-    "LocalPoolBackend",
     "QueueBackend",
     "available_backends",
+    "default_backend",
     "make_backend",
     "OrchestrationContext",
     "CampaignInterrupted",
@@ -65,14 +62,14 @@ _LAZY = {
     "RunStore": "repro.orchestrator.store",
     "UnitRow": "repro.orchestrator.store",
     "STORE_SCHEMA_VERSION": "repro.orchestrator.store",
-    "QuarantinedUnit": "repro.orchestrator.pool",
+    "QuarantinedUnit": "repro.orchestrator.runner",
     "ExecutionBackend": "repro.orchestrator.backend",
     "BackendCapabilities": "repro.orchestrator.backend",
     "UnitOutcome": "repro.orchestrator.backend",
     "InProcessBackend": "repro.orchestrator.backend",
-    "LocalPoolBackend": "repro.orchestrator.backend",
     "QueueBackend": "repro.orchestrator.backend",
     "available_backends": "repro.orchestrator.backend",
+    "default_backend": "repro.orchestrator.backend",
     "make_backend": "repro.orchestrator.backend",
     "OrchestrationContext": "repro.orchestrator.runner",
     "CampaignInterrupted": "repro.orchestrator.runner",
@@ -83,23 +80,6 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    if name == "WorkerPool":
-        # Still fully supported as the engine of the "local" backend —
-        # but driving it directly skips checkpointing, resume, and the
-        # backend taxonomy, so steer new code to the campaign surface.
-        import warnings
-
-        warnings.warn(
-            "importing WorkerPool from repro.orchestrator is deprecated; "
-            "use repro.api.submit_campaign(..., backend='local') or "
-            "OrchestrationContext(backend=...) — for the raw pool, import "
-            "repro.orchestrator.pool.WorkerPool explicitly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.orchestrator.pool import WorkerPool
-
-        return WorkerPool
     module_name = _LAZY.get(name)
     if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

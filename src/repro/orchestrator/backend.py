@@ -1,50 +1,44 @@
-"""Pluggable execution backends for campaign orchestration.
+"""Execution backends for campaign orchestration.
 
-The :class:`~repro.orchestrator.runner.OrchestrationContext` used to be
-welded to the :class:`~repro.orchestrator.pool.WorkerPool`.  This module
-generalises the execution step behind one small protocol —
-:class:`ExecutionBackend` — with three implementations spanning the
-deployment spectrum:
+The :class:`~repro.orchestrator.runner.OrchestrationContext` runs every
+campaign unit through one small protocol — :class:`ExecutionBackend` —
+with two implementations:
 
 :class:`InProcessBackend`
     Executes one unit per :meth:`~ExecutionBackend.poll` call, inline,
-    with no threads or processes.  The reference implementation: tests
-    step it deterministically, and cancellation is exact (nothing is in
-    flight between polls).
-
-:class:`LocalPoolBackend`
-    Wraps today's fault-contained :class:`WorkerPool` (per-unit SIGALRM
-    timeout, bounded retry, quarantine, broken-pool rebuild) unchanged,
-    running it on a feeder thread so the caller keeps a poll/cancel
-    handle.  This is the default backend — ``workers == 1`` reproduces
-    the historical inline behaviour bit for bit.
+    with no threads or processes.  The default whenever the effective
+    fan-out ``min(workers, units)`` is 1: tests step it
+    deterministically, and cancellation is exact (nothing is in flight
+    between polls).
 
 :class:`QueueBackend`
-    Multi-worker work-stealing over a shared :class:`RunStore`: worker
-    processes claim pending units by content-hash ID under a lease
-    (schema v2), execute them, and record outcomes straight into the
-    store.  Stalled or crashed workers lose their leases and other
-    workers reclaim the units, so the campaign converges regardless of
-    which worker dies.  Results remain bit-identical to a cold run —
-    seeds, not schedulers, define every simulation.
+    The only parallel engine: work stealing over a shared
+    :class:`RunStore`.  Worker processes claim pending units by
+    content-hash ID under a lease (schema v2), execute them, and record
+    outcomes straight into the store.  Stalled or crashed workers lose
+    their leases and other workers reclaim the units, so the campaign
+    converges regardless of which worker dies.  Results remain
+    bit-identical to a cold run — seeds, not schedulers, define every
+    simulation.
 
 Backends are registered by name (``available_backends`` /
 ``make_backend``) so the CLI ``--backend`` flag, the HTTP service, and
-``repro.api.submit_campaign`` all share one taxonomy.
+``repro.api.submit_campaign`` all share one taxonomy;
+:func:`default_backend` picks between the two when none is named.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import queue
 import threading
 import time
+import uuid
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.orchestrator.pool import WorkerPool
 from repro.orchestrator.store import RunStore
 from repro.util.errors import ConfigurationError
 
@@ -53,9 +47,9 @@ __all__ = [
     "UnitOutcome",
     "ExecutionBackend",
     "InProcessBackend",
-    "LocalPoolBackend",
     "QueueBackend",
     "available_backends",
+    "default_backend",
     "make_backend",
 ]
 
@@ -81,7 +75,9 @@ class UnitOutcome:
     """One finished unit as reported by a backend.
 
     Either ``result`` (the JSON-ready result document) or ``error`` (the
-    final failure string after retries) is set, never both.
+    final failure string after retries) is set, never both.  ``events``
+    holds the retained telemetry events of a traced unit that ran in
+    this process; units run elsewhere ship only their summary.
     """
 
     unit_id: str
@@ -89,6 +85,7 @@ class UnitOutcome:
     attempts: int
     result: dict | None = None
     error: str | None = None
+    events: tuple = ()
 
 
 class ExecutionBackend(ABC):
@@ -138,18 +135,21 @@ class ExecutionBackend(ABC):
 class InProcessBackend(ExecutionBackend):
     """Synchronous reference backend: one unit per :meth:`poll` call.
 
-    No threads, no processes, no timeout enforcement — execution happens
-    inside ``poll`` itself, so tests can single-step a campaign and
-    cancellation between polls is exact.  Retry/quarantine semantics
-    match the :class:`WorkerPool` inline path.
+    No threads, no processes — execution happens inside ``poll`` itself,
+    so tests can single-step a campaign and cancellation between polls
+    is exact.  A failing unit is retried up to ``retries`` more times,
+    then reported as failed (quarantined); the rest of the batch still
+    runs.  The per-unit timeout holds only when ``poll`` runs on the
+    main thread.
     """
 
-    def __init__(self, retries: int = 1, backoff: float = 0.0) -> None:
-        from repro.orchestrator.runner import execute_unit
+    def __init__(self, retries: int = 1) -> None:
+        from repro.orchestrator.runner import run_unit
 
-        self._execute = execute_unit
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        self._run = run_unit
         self.retries = int(retries)
-        self.backoff = float(backoff)
         self._pending: deque[tuple[str, dict]] = deque()
         self._cancelled = False
 
@@ -165,16 +165,15 @@ class InProcessBackend(ExecutionBackend):
         while True:
             attempts += 1
             try:
-                result = self._execute(payload)
+                result, telemetry = self._run(payload)
             except Exception as exc:
                 if attempts <= self.retries:
-                    if self.backoff:
-                        time.sleep(self.backoff * attempts)
                     continue
                 return [UnitOutcome(uid, ok=False, attempts=attempts,
                                     error=str(exc))]
+            events = tuple(telemetry.events) if telemetry is not None else ()
             return [UnitOutcome(uid, ok=True, attempts=attempts,
-                                result=result)]
+                                result=result, events=events)]
 
     def cancel(self) -> None:
         self._cancelled = True
@@ -193,176 +192,107 @@ class InProcessBackend(ExecutionBackend):
 # --------------------------------------------------------------------- #
 
 
-class LocalPoolBackend(ExecutionBackend):
-    """The :class:`WorkerPool` behind the backend protocol (default).
-
-    ``pool.run`` executes on a feeder thread whose callbacks push
-    :class:`UnitOutcome` objects onto a queue the caller drains via
-    :meth:`poll`; :meth:`cancel` trips the pool's cooperative
-    ``should_stop`` probe.  All fault-containment behaviour (per-unit
-    timeout, retry with backoff, quarantine, broken-pool rebuild) is the
-    pool's, unchanged.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        retries: int = 1,
-        backoff: float = 0.05,
-    ) -> None:
-        from repro.orchestrator.runner import execute_unit
-
-        self._execute = execute_unit
-        self.workers = int(workers)
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self._outcomes: queue.Queue[UnitOutcome] = queue.Queue()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._submitted = 0
-        self._reported = 0
-
-    def submit_units(self, payloads: dict[str, dict]) -> None:
-        if self._thread is not None:
-            raise ConfigurationError(
-                "LocalPoolBackend serves one batch per instance"
-            )
-        self._submitted = len(payloads)
-        pool = WorkerPool(
-            self._execute,
-            workers=self.workers,
-            retries=self.retries,
-            backoff=self.backoff,
-            should_stop=self._stop.is_set,
-        )
-
-        def on_result(uid: str, result: dict, attempts: int) -> None:
-            self._outcomes.put(
-                UnitOutcome(uid, ok=True, attempts=attempts, result=result)
-            )
-
-        def on_failure(uid: str, error: str, attempts: int) -> None:
-            self._outcomes.put(
-                UnitOutcome(uid, ok=False, attempts=attempts, error=error)
-            )
-
-        self._thread = threading.Thread(
-            target=pool.run,
-            args=(dict(payloads), on_result, on_failure),
-            name="repro-local-pool",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def poll(self, timeout: float = 0.1) -> list[UnitOutcome]:
-        out: list[UnitOutcome] = []
-        try:
-            out.append(self._outcomes.get(timeout=timeout))
-            while True:
-                out.append(self._outcomes.get_nowait())
-        except queue.Empty:
-            pass
-        self._reported += len(out)
-        return out
-
-    def cancel(self) -> None:
-        self._stop.set()
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name="local", parallel=self.workers > 1,
-            supports_cancel=True, writes_store=False,
-        )
-
-    def done(self) -> bool:
-        if self._thread is None:
-            return True
-        if self._reported >= self._submitted:
-            return True
-        # The feeder thread exits early on cancel (or after quarantining
-        # everything); once it is gone and the queue is drained, we are
-        # as done as we will ever be.
-        return not self._thread.is_alive() and self._outcomes.empty()
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-
-
 # --------------------------------------------------------------------- #
 # QueueBackend: work-stealing workers over a shared RunStore
+
+
+def _run_one_claim(
+    store: RunStore,
+    owner: str,
+    unit_ids: list[str],
+    unit_timeout: float | None,
+    telemetry: bool,
+    retries: int,
+    lease_seconds: float,
+) -> bool:
+    """Claim one pending unit of *unit_ids*, execute it, record the outcome.
+
+    Returns False when nothing was claimable.  While the unit runs, a
+    heartbeat thread keeps its lease fresh.  On a failure within the
+    retry budget the lease is released so any worker (this one included)
+    can reclaim the unit; past the budget the unit is quarantined.
+    """
+    from repro.orchestrator.runner import execute_unit
+
+    max_attempts = retries + 1
+    claimed = store.claim_units(
+        owner, limit=1, lease_seconds=lease_seconds,
+        max_attempts=max_attempts, unit_ids=unit_ids,
+    )
+    if not claimed:
+        return False
+    row = claimed[0]
+    payload = {
+        "spec_json": row.spec_json,
+        "seed": row.seed,
+        "timeout": unit_timeout,
+        "telemetry": telemetry,
+    }
+    beat_done = threading.Event()
+
+    def _beat() -> None:
+        # SQLite connections are per-thread: the heartbeat opens its own,
+        # and only once the unit outlives its first beat interval.
+        beats = None
+        while not beat_done.wait(lease_seconds / 3.0):
+            beats = beats or RunStore(store.path)
+            beats.heartbeat(owner, [row.unit_id], lease_seconds)
+        if beats is not None:
+            beats.close()
+
+    beater = threading.Thread(target=_beat, daemon=True)
+    beater.start()
+    try:
+        document, failure = execute_unit(payload), None
+    except Exception as exc:
+        document, failure = None, exc
+    finally:
+        beat_done.set()
+        beater.join(timeout=5.0)
+    if failure is None:
+        store.record_result(_row_unit(row), document, attempts=row.attempts)
+    elif row.attempts >= max_attempts:
+        store.record_quarantine(
+            _row_unit(row), str(failure), attempts=row.attempts
+        )
+    else:
+        store.release_unit(row.unit_id)
+    return True
 
 
 def _queue_worker_main(
     store_path: str,
     owner: str,
+    batch: str,
+    unit_ids: list[str],
     unit_timeout: float | None,
     telemetry: bool,
     retries: int,
     lease_seconds: float,
 ) -> None:
-    """Worker process body: claim → execute → record, until drained.
+    """Worker process body: :func:`_run_one_claim` until drained.
 
-    Runs against its *own* store connection (never the parent's).  On a
-    unit failure within the retry budget the lease is released so any
-    worker (this one included) can reclaim it; past the budget the unit
-    is quarantined.  A worker that dies mid-unit simply lets its lease
-    expire — :meth:`RunStore.claim_units` hands the unit to someone else
-    and quarantines it once it has burned ``retries + 1`` claims.
+    Runs against its *own* store connection (never the parent's) and
+    claims only the batch's *unit_ids*, until the batch is drained or
+    *batch* is cancelled.  A worker that dies mid-unit simply lets its
+    lease expire — :meth:`RunStore.claim_units` hands the unit to someone
+    else and quarantines it once it has burned ``retries + 1`` claims.
     """
-    from repro.orchestrator.runner import execute_unit
-
     store = RunStore(store_path)
-    max_attempts = retries + 1
     try:
-        while True:
-            if store.cancel_requested():
-                return
-            claimed = store.claim_units(
-                owner, limit=1, lease_seconds=lease_seconds,
-                max_attempts=max_attempts,
-            )
-            if not claimed:
-                # Nothing claimable right now.  Exit only once the
-                # pending pool is empty; otherwise some other worker
-                # holds live leases — linger so this worker can steal
-                # them if that worker stalls and the leases expire.
-                if store.counts().get("pending", 0) == 0:
-                    return
-                time.sleep(min(1.0, lease_seconds / 4.0))
+        while not store.cancel_requested(batch):
+            if _run_one_claim(
+                store, owner, unit_ids, unit_timeout, telemetry,
+                retries, lease_seconds,
+            ):
                 continue
-            row = claimed[0]
-            payload = {
-                "spec_json": row.spec_json,
-                "seed": row.seed,
-                "timeout": unit_timeout,
-                "telemetry": telemetry,
-            }
-            beat_done = threading.Event()
-
-            def _beat() -> None:
-                while not beat_done.wait(lease_seconds / 3.0):
-                    store.heartbeat(owner, [row.unit_id], lease_seconds)
-
-            beater = threading.Thread(target=_beat, daemon=True)
-            beater.start()
-            try:
-                document = execute_unit(payload)
-            except Exception as exc:
-                if row.attempts >= max_attempts:
-                    store.record_quarantine(
-                        _row_unit(row), str(exc), attempts=row.attempts
-                    )
-                else:
-                    store.release_unit(row.unit_id)
-            else:
-                store.record_result(
-                    _row_unit(row), document, attempts=row.attempts
-                )
-            finally:
-                beat_done.set()
-                beater.join(timeout=1.0)
+            # Nothing claimable right now.  Exit only once the batch has
+            # no pending unit; otherwise some other worker holds live
+            # leases — linger so this worker can steal them if that
+            # worker stalls and the leases expire.
+            if store.counts(unit_ids)["pending"] == 0:
+                return
+            time.sleep(min(1.0, lease_seconds / 4.0))
     finally:
         store.close()
 
@@ -384,15 +314,16 @@ class QueueBackend(ExecutionBackend):
 
     ``workers`` processes each run :func:`_queue_worker_main`: claim a
     pending unit under a lease, execute it, record the outcome directly
-    into the store (``writes_store``), repeat until the queue drains or
-    cancellation is flagged through the store's control table.  The
+    into the store (``writes_store``), repeat until the batch drains or
+    its cancel flag is set in the store's control table.  Submission
+    resets the submitted rows to ``pending``, so every submitted unit
+    executes afresh, whatever an earlier campaign left in its row.  The
     parent's :meth:`poll` watches the store for newly-settled unit IDs
     and reports them as :class:`UnitOutcome` objects.
 
     ``workers=0`` is the *inline drain* mode: ``poll`` runs one
-    claim-execute-record cycle in the calling process — the exact worker
-    code path, minus process spawn — which is what the conformance tests
-    step through.
+    :func:`_run_one_claim` cycle — the worker's own step — in the
+    calling process, which is what the conformance tests step through.
 
     Duplicate execution (two workers racing one unit across a lease
     expiry) is harmless by construction: units are content-addressed and
@@ -411,16 +342,15 @@ class QueueBackend(ExecutionBackend):
     ) -> None:
         if store is None:
             raise ConfigurationError(
-                "QueueBackend needs a RunStore (or its path): the shared "
-                "store IS the work queue — pass --store/store="
+                "QueueBackend needs a RunStore (or its path): the store "
+                "is the work queue"
             )
-        self._store = store if isinstance(store, RunStore) else RunStore(store)
-        if not isinstance(store, RunStore):
-            self._owns_store = True
-        else:
-            self._owns_store = False
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        self._owns_store = not isinstance(store, RunStore)
+        self._store = RunStore(store) if self._owns_store else store
         self.workers = int(workers)
         self.retries = int(retries)
         self.lease_seconds = float(lease_seconds)
@@ -430,6 +360,9 @@ class QueueBackend(ExecutionBackend):
             else max(2, 2 * max(1, self.workers))
         )
         self._procs: list = []
+        # Scopes this backend's cancel flag in the store, so cancelling
+        # one batch never stops another batch sharing the store.
+        self._batch = uuid.uuid4().hex
         self._watch: dict[str, bool] = {}
         self._telemetry = False
         self._cancelled = False
@@ -440,23 +373,28 @@ class QueueBackend(ExecutionBackend):
         # Units are already registered as pending rows by the context;
         # the store is the queue, so submission is just bookkeeping plus
         # worker spawn.  Per-batch execution knobs ride on the backend.
+        if self._cancelled:
+            return
+        self._store.reset_units(list(payloads))
         for uid, payload in payloads.items():
             self._watch.setdefault(uid, False)
             self._telemetry = bool(payload.get("telemetry"))
             if payload.get("timeout") is not None:
                 self.unit_timeout = payload["timeout"]
         if self.workers > 0 and not self._procs:
-            self._spawn(self.workers)
+            self._spawn(min(self.workers, len(payloads)))
 
     def _spawn(self, n: int) -> None:
         import multiprocessing as mp
 
-        for i in range(n):
+        for _ in range(n):
             owner = f"worker-{os.getpid()}-{len(self._procs)}"
             proc = mp.Process(
                 target=_queue_worker_main,
                 args=(
-                    str(self._store.path), owner, self.unit_timeout,
+                    str(self._store.path), owner, self._batch,
+                    list(self._watch),
+                    self.unit_timeout,
                     self._telemetry, self.retries, self.lease_seconds,
                 ),
                 daemon=True,
@@ -464,48 +402,22 @@ class QueueBackend(ExecutionBackend):
             proc.start()
             self._procs.append(proc)
 
-    def _inline_drain_step(self) -> None:
-        """workers=0: run one claim-execute-record cycle in-process."""
-        from repro.orchestrator.runner import execute_unit
-
-        if self._store.cancel_requested():
-            return
-        claimed = self._store.claim_units(
-            f"inline-{os.getpid()}", limit=1,
-            lease_seconds=self.lease_seconds,
-            max_attempts=self.retries + 1,
-        )
-        if not claimed:
-            return
-        row = claimed[0]
-        payload = {
-            "spec_json": row.spec_json,
-            "seed": row.seed,
-            "timeout": self.unit_timeout,
-            "telemetry": self._telemetry,
-        }
-        try:
-            document = execute_unit(payload)
-        except Exception as exc:
-            if row.attempts >= self.retries + 1:
-                self._store.record_quarantine(
-                    _row_unit(row), str(exc), attempts=row.attempts
-                )
-            else:
-                self._store.release_unit(row.unit_id)
-        else:
-            self._store.record_result(
-                _row_unit(row), document, attempts=row.attempts
-            )
-
     def poll(self, timeout: float = 0.1) -> list[UnitOutcome]:
-        if self.workers == 0:
-            self._inline_drain_step()
+        if self.workers == 0 and not self._store.cancel_requested(self._batch):
+            _run_one_claim(
+                self._store, f"inline-{os.getpid()}", list(self._watch),
+                self.unit_timeout, self._telemetry, self.retries,
+                self.lease_seconds,
+            )
         out = self._collect_settled()
         if self.workers > 0:
             self._reap_and_respawn()
             if not out and not self.done():
-                time.sleep(min(timeout, 0.1))
+                # A worker exits right after recording the batch's last
+                # unit: wake on that instead of sleeping out the window.
+                from multiprocessing.connection import wait
+
+                wait([p.sentinel for p in self._procs], min(timeout, 0.1))
                 out = self._collect_settled()
         return out
 
@@ -514,16 +426,12 @@ class QueueBackend(ExecutionBackend):
         out: list[UnitOutcome] = []
         if not fresh:
             return out
-        for row in self._store.units():
-            if row.unit_id not in self._watch or self._watch[row.unit_id]:
-                continue
+        for row in self._store.units(unit_ids=fresh):
             if row.status == "done":
-                import json as _json
-
                 out.append(
                     UnitOutcome(
                         row.unit_id, ok=True, attempts=row.attempts,
-                        result=_json.loads(row.result_json),
+                        result=json.loads(row.result_json),
                     )
                 )
                 self._watch[row.unit_id] = True
@@ -543,14 +451,14 @@ class QueueBackend(ExecutionBackend):
         self._procs = live
         if died and not self._cancelled and self.respawn_budget > 0:
             remaining = any(not seen for seen in self._watch.values())
-            if remaining and not self._store.cancel_requested():
+            if remaining and not self._store.cancel_requested(self._batch):
                 n = min(died, self.respawn_budget)
                 self.respawn_budget -= n
                 self._spawn(n)
 
     def cancel(self) -> None:
         self._cancelled = True
-        self._store.request_cancel()
+        self._store.request_cancel(self._batch)
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
@@ -566,7 +474,7 @@ class QueueBackend(ExecutionBackend):
         if self.workers == 0:
             # Inline mode is done when nothing is claimable any more
             # (cancelled, or every watched unit settled — handled above).
-            return self._store.cancel_requested()
+            return self._store.cancel_requested(self._batch)
         if any(p.is_alive() for p in self._procs):
             return False
         # No live workers and unsettled units remain: done only once the
@@ -574,7 +482,14 @@ class QueueBackend(ExecutionBackend):
         return self.respawn_budget <= 0
 
     def close(self) -> None:
+        # Once every watched unit has settled, live workers are idle
+        # lingerers holding no lease of this batch: stop them rather
+        # than wait out their poll sleep.  Otherwise (a cancel) let
+        # in-flight units finish and checkpoint.
+        settled = all(self._watch.values())
         for proc in self._procs:
+            if settled and proc.is_alive():
+                proc.terminate()
             if proc.is_alive():
                 proc.join(timeout=30.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
@@ -589,7 +504,6 @@ class QueueBackend(ExecutionBackend):
 
 _BACKENDS = {
     "inprocess": InProcessBackend,
-    "local": LocalPoolBackend,
     "queue": QueueBackend,
 }
 
@@ -597,6 +511,15 @@ _BACKENDS = {
 def available_backends() -> tuple[str, ...]:
     """Registered backend names, stable order (CLI choices, docs)."""
     return tuple(_BACKENDS)
+
+
+def default_backend(workers: int, n_units: int) -> str:
+    """The backend used when none is named, from the effective fan-out.
+
+    ``inprocess`` when ``min(workers, n_units)`` is 1 (nothing to fan
+    out), else ``queue``.
+    """
+    return "queue" if min(workers, n_units) > 1 else "inprocess"
 
 
 def make_backend(name: str, **options) -> ExecutionBackend:

@@ -1,25 +1,26 @@
 """Campaign orchestration: checkpointed, resumable, fault-contained sweeps.
 
-An :class:`OrchestrationContext` is the durable replacement for the old
-in-memory ``ProcessPoolExecutor.map`` sweep loop.  Arm one with
-:func:`~repro.orchestrator.context.use_orchestrator` and every sweep that
-reaches :func:`repro.analysis.experiment.run_repetitions_many` decomposes
-into content-hashed :class:`~repro.orchestrator.units.WorkUnit` objects and
-flows through this pipeline:
+An :class:`OrchestrationContext` is the one way campaign units run.
+Every sweep that reaches :func:`repro.analysis.experiment.run_repetitions_many`
+goes through one: the ambient context armed with
+:func:`~repro.orchestrator.context.use_orchestrator` when there is one,
+else a store-less context the sweep opens itself.  The sweep decomposes
+into content-hashed :class:`~repro.orchestrator.units.WorkUnit` objects
+that flow through this pipeline:
 
 1. **Resume** — units whose ID is already ``done`` in the
    :class:`~repro.orchestrator.store.RunStore` are loaded, not re-run.
-2. **Execute** — the rest flow through a pluggable
-   :class:`~repro.orchestrator.backend.ExecutionBackend` (the default
-   ``local`` backend wraps the fault-contained
-   :class:`~repro.orchestrator.pool.WorkerPool`: per-unit timeout,
-   bounded retry, quarantine); each completed unit is upserted into the
-   store *immediately*, so a kill at any instant loses at most the
-   in-flight units.  ``backend="queue"`` instead lets several worker
-   processes steal leased units from the shared store.
+2. **Execute** — the rest flow through an
+   :class:`~repro.orchestrator.backend.ExecutionBackend`:
+   ``inprocess`` when the effective fan-out ``min(workers, units)`` is
+   1, else ``queue`` (worker processes stealing leased units from the
+   store — a throw-away one in a temporary directory when the context
+   has none).  Each completed unit is upserted into the store
+   *immediately*, so a kill at any instant loses at most the in-flight
+   units; failures are retried, then quarantined.
 3. **Merge** — results are returned in seed order; per-unit telemetry
-   summaries are absorbed into the ambient collector when one is armed,
-   which is what lifts the old ``--telemetry ⇒ --workers 1`` restriction.
+   summaries (and, for in-process units, their retained events) are
+   absorbed into the ambient collector when one is armed.
 
 Aggregates are bit-identical to a cold, store-less run at any worker
 count: unit results always pass through the exact JSON round trip of
@@ -29,29 +30,37 @@ every simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+import tempfile
+import threading
+import time
 from collections.abc import Callable
+from contextlib import ExitStack
+from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.analysis.experiment import ExperimentSpec, RunResult, run_once
-from repro.orchestrator.backend import ExecutionBackend, make_backend
-from repro.orchestrator.context import current_orchestrator, use_orchestrator
-from repro.orchestrator.pool import (
-    QuarantinedUnit,
-    clear_unit_timeout,
-    install_unit_timeout,
+from repro.orchestrator.backend import (
+    ExecutionBackend,
+    default_backend,
+    make_backend,
 )
+from repro.orchestrator.context import use_orchestrator
 from repro.orchestrator.results import result_from_dict, result_to_dict
 from repro.orchestrator.store import RunStore
 from repro.orchestrator.units import WorkUnit
 from repro.telemetry.core import Telemetry, TelemetrySummary
+from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.runtime import current_telemetry
-from repro.util.errors import OrchestrationError, WorkUnitError
+from repro.util.errors import OrchestrationError, UnitTimeoutError, WorkUnitError
 
 __all__ = [
     "CampaignInterrupted",
     "OrchestrationContext",
+    "QuarantinedUnit",
     "execute_unit",
+    "run_unit",
+    "install_unit_timeout",
+    "clear_unit_timeout",
 ]
 
 
@@ -65,22 +74,88 @@ class CampaignInterrupted(OrchestrationError):
     """
 
 
-def execute_unit(payload: dict) -> dict:
-    """Worker entry point: run one unit, return its result document.
+@dataclass(frozen=True)
+class QuarantinedUnit:
+    """One unit that exhausted its retry budget, with its final error."""
+
+    unit_id: str
+    label: str
+    seed: int
+    attempts: int
+    error: str
+
+    def __str__(self) -> str:
+        return (
+            f"{self.label} (seed {self.seed}, unit {self.unit_id[:12]}): "
+            f"{self.error} [after {self.attempts} attempt(s)]"
+        )
+
+
+def _on_main_thread() -> bool:
+    return threading.current_thread() is threading.main_thread()
+
+
+def _timeout_error(timeout: float) -> UnitTimeoutError:
+    return UnitTimeoutError(
+        "<unit>", -1, f"exceeded per-unit timeout of {timeout:g}s"
+    )
+
+
+def install_unit_timeout(timeout: float | None) -> bool:
+    """Arm a SIGALRM-based wall-clock bound in the *current* process.
+
+    Called at the top of each unit; returns whether a timer was armed.
+    No-op when *timeout* is falsy, the platform lacks ``SIGALRM``, or the
+    caller is not the main thread (signal handlers can only be installed
+    there): such units run unbounded rather than failing.
+    """
+    if not timeout or not _on_main_thread():
+        return False
+    import signal
+
+    if not hasattr(signal, "SIGALRM"):  # pragma: no cover - non-POSIX
+        return False
+
+    def _on_timeout(signum: int, frame: object) -> None:
+        raise _timeout_error(timeout)
+
+    signal.signal(signal.SIGALRM, _on_timeout)
+    signal.setitimer(signal.ITIMER_REAL, float(timeout))
+    return True
+
+
+def clear_unit_timeout() -> None:
+    """Disarm a previously installed per-unit timer (unit epilogue)."""
+    if not _on_main_thread():
+        return
+    import signal
+
+    if hasattr(signal, "SIGALRM"):
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+
+
+def run_unit(payload: dict) -> tuple[dict, Telemetry | None]:
+    """Run one unit; return its result document and per-unit collector.
 
     *payload* is ``{"spec_json", "seed", "timeout", "telemetry"}``.  Runs
-    under a SIGALRM wall-clock bound when a timeout is set, traces the run
-    with a process-local collector when asked, and wraps any failure in a
+    under a SIGALRM wall-clock bound when a timeout is set, traces the
+    run with a collector of its own when asked (so the stored result is
+    the same on every backend), and wraps any failure in a
     :class:`~repro.util.errors.WorkUnitError` naming the (spec, seed)
-    unit.  Top-level and payload-picklable by construction so it crosses
-    the ``ProcessPoolExecutor`` boundary.
+    unit.
     """
     spec = ExperimentSpec.from_json(payload["spec_json"])
     seed = int(payload["seed"])
     telemetry = Telemetry() if payload.get("telemetry") else None
-    install_unit_timeout(payload.get("timeout"))
+    timeout = payload.get("timeout")
+    started = time.monotonic()
+    armed = install_unit_timeout(timeout)
     try:
         result = run_once(spec, seed=seed, telemetry=telemetry)
+        if armed and time.monotonic() - started > timeout:
+            # The alarm went off inside a finalizer, where Python prints
+            # and drops exceptions: the unit ran over all the same.
+            raise _timeout_error(timeout)
     except WorkUnitError:
         raise
     except Exception as exc:
@@ -89,12 +164,21 @@ def execute_unit(payload: dict) -> dict:
         ) from exc
     finally:
         clear_unit_timeout()
-    return result_to_dict(result)
+    return result_to_dict(result), telemetry
+
+
+def execute_unit(payload: dict) -> dict:
+    """Worker entry point: :func:`run_unit`'s result document alone.
+
+    Top-level and payload-picklable by construction, so queue worker
+    processes can run it.
+    """
+    return run_unit(payload)[0]
 
 
 @dataclass
 class OrchestrationContext:
-    """One durable campaign: a store, a pool policy, and its live tallies.
+    """One durable campaign: a store, an execution policy, live tallies.
 
     Parameters
     ----------
@@ -102,12 +186,13 @@ class OrchestrationContext:
         Checkpoint database; None runs the same fault-contained pipeline
         without persistence (retry/quarantine still apply).
     workers:
-        Process fan-out (1 = inline).
+        Process fan-out (1 = in-process).
     retries:
         Extra attempts per unit before quarantine.
     unit_timeout:
-        Per-unit wall-clock bound in seconds (enforced in worker
-        processes; inline execution is unbounded).
+        Per-unit wall-clock bound in seconds (enforced in queue worker
+        processes and on the main thread; units run in-process on any
+        other thread are unbounded).
     resume:
         Skip units already ``done`` in the store.  Off, every unit
         re-executes (and idempotently overwrites its row).
@@ -115,13 +200,11 @@ class OrchestrationContext:
         Execute at most this many *fresh* units, then raise
         :class:`CampaignInterrupted` (budgeted runs; the interrupted-
         resume tests and CI smoke use it to kill campaigns mid-sweep).
-    backoff:
-        Linear retry backoff factor, seconds.
     backend:
-        Execution engine: a registry name (``"inprocess"``, ``"local"``,
+        Execution engine: a registry name (``"inprocess"``,
         ``"queue"``) or a ready :class:`ExecutionBackend` instance.
-        None resolves to ``"local"`` — the historical WorkerPool
-        behaviour, bit for bit.
+        None picks per batch: ``inprocess`` when the effective fan-out
+        ``min(workers, units)`` is 1, else ``queue``.
     on_progress:
         Optional hook called (with this context) after each settled
         unit batch — the HTTP service hangs live telemetry snapshots
@@ -143,7 +226,6 @@ class OrchestrationContext:
     unit_timeout: float | None = None
     resume: bool = True
     max_units: int | None = None
-    backoff: float = 0.05
     backend: "str | ExecutionBackend | None" = None
     on_progress: Callable[["OrchestrationContext"], None] | None = None
     executed_units: int = 0
@@ -237,7 +319,9 @@ class OrchestrationContext:
                 for unit in to_run
             }
             by_id = {unit.unit_id: unit for unit in to_run}
-            self._drive_backend(payloads, by_id, results, telemetry)
+            with ExitStack() as cleanup:
+                backend = self._resolve_backend(to_run, cleanup)
+                self._drive_backend(backend, payloads, by_id, results, telemetry)
 
         if self.cancelled:
             raise CampaignInterrupted(
@@ -255,27 +339,30 @@ class OrchestrationContext:
 
     # ------------------------------------------------------------------ #
 
-    def _resolve_backend(self) -> ExecutionBackend:
-        """Build (or pass through) the execution backend for one batch."""
+    def _resolve_backend(
+        self, to_run: list[WorkUnit], cleanup: ExitStack
+    ) -> ExecutionBackend:
+        """Build (or pass through) the execution backend for one batch.
+
+        A queue batch without a context store runs on a throw-away
+        store in a temporary directory, removed by *cleanup*.
+        """
         if isinstance(self.backend, ExecutionBackend):
             return self.backend
-        name = self.backend or "local"
-        if name == "queue":
-            if self.store is None:
-                raise OrchestrationError(
-                    "backend='queue' needs a store: the shared RunStore is "
-                    "the work queue — pass store=/--store"
-                )
-            return make_backend(
-                "queue", store=self.store, workers=self.workers,
-                retries=self.retries, unit_timeout=self.unit_timeout,
+        name = self.backend or default_backend(self.workers, len(to_run))
+        if name != "queue":
+            return make_backend(name, retries=self.retries)
+        store = self.store
+        if store is None:
+            tmp = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-queue-")
             )
-        if name == "local":
-            return make_backend(
-                "local", workers=self.workers, retries=self.retries,
-                backoff=self.backoff,
-            )
-        return make_backend(name, retries=self.retries, backoff=self.backoff)
+            store = cleanup.enter_context(RunStore(Path(tmp) / "queue.db"))
+            store.register(to_run)
+        return make_backend(
+            "queue", store=store, workers=self.workers,
+            retries=self.retries, unit_timeout=self.unit_timeout,
+        )
 
     def cancel(self) -> None:
         """Stop the in-flight campaign (thread-safe, cooperative).
@@ -292,13 +379,13 @@ class OrchestrationContext:
 
     def _drive_backend(
         self,
+        backend: ExecutionBackend,
         payloads: dict[str, dict],
         by_id: dict[str, WorkUnit],
         results: dict[str, RunResult],
         telemetry: Telemetry | None,
     ) -> None:
         """Submit one batch and drain outcomes until the backend is done."""
-        backend = self._resolve_backend()
         record = not backend.capabilities().writes_store
         self._active_backend = backend
         try:
@@ -318,7 +405,9 @@ class OrchestrationContext:
                             unit.spec, unit.seed, outcome.result
                         )
                         self.executed_units += 1
-                        self._absorb(telemetry, results[outcome.unit_id])
+                        self._absorb(
+                            telemetry, results[outcome.unit_id], outcome.events
+                        )
                     else:
                         if self.store is not None and record:
                             self.store.record_quarantine(
@@ -344,12 +433,16 @@ class OrchestrationContext:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _absorb(telemetry: Telemetry | None, result: RunResult) -> None:
+    def _absorb(
+        telemetry: Telemetry | None,
+        result: RunResult,
+        events: tuple[TelemetryEvent, ...] = (),
+    ) -> None:
         summary = result.stats.telemetry
         if telemetry is not None and isinstance(summary, TelemetrySummary):
             # The seed orders gauge resolution: merged gauges are then a
             # pure function of the unit set, not of completion order.
-            telemetry.absorb(summary, source=result.seed)
+            telemetry.absorb(summary, source=result.seed, events=events)
 
     def summary_line(self) -> str:
         """One-line progress digest for CLI epilogues."""

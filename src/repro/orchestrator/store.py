@@ -58,6 +58,20 @@ _MIGRATABLE_VERSIONS = ("1",)
 _STATUSES = ("pending", "done", "quarantined")
 
 
+def _id_filter(unit_ids: list[str] | None) -> tuple[str, list]:
+    """SQL ``AND`` clause (plus parameters) restricting rows to *unit_ids*.
+
+    The IDs travel as one JSON-array parameter, so any batch size stays
+    under SQLite's bound-parameter cap.
+    """
+    if unit_ids is None:
+        return "", []
+    return (
+        " AND unit_id IN (SELECT value FROM json_each(?))",
+        [json.dumps(list(unit_ids))],
+    )
+
+
 @dataclass(frozen=True)
 class UnitRow:
     """One stored work unit, as read back from the database."""
@@ -313,12 +327,15 @@ class RunStore:
         limit: int = 1,
         lease_seconds: float = 60.0,
         max_attempts: int | None = None,
+        unit_ids: list[str] | None = None,
     ) -> list[UnitRow]:
         """Atomically lease up to *limit* pending units to *owner*.
 
         A unit is claimable when it is ``pending`` and unleased — or its
         lease has expired, which is how a crashed or stalled worker's
-        units flow back into the pool.  Each claim increments the row's
+        units flow back into the pool — and, when *unit_ids* is given,
+        one of them (a batch never runs another batch's units).  Each
+        claim increments the row's
         attempt counter; when *max_attempts* is set, candidates that have
         already burned that many claims are quarantined here instead of
         leased (their worker evidently never lived long enough to report
@@ -327,14 +344,15 @@ class RunStore:
         """
         now = time.time()
         claimed: list[UnitRow] = []
+        where, params = _id_filter(unit_ids)
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             rows = self._conn.execute(
                 "SELECT unit_id, attempts FROM units"
                 " WHERE status = 'pending'"
                 "   AND (lease_owner IS NULL OR lease_expires < ?)"
-                " ORDER BY rowid LIMIT ?",
-                (now, limit),
+                f"{where} ORDER BY rowid LIMIT ?",
+                (now, *params, limit),
             ).fetchall()
             for unit_id, attempts in rows:
                 if max_attempts is not None and attempts >= max_attempts:
@@ -378,6 +396,23 @@ class RunStore:
                 (now + lease_seconds, now, owner, *unit_ids),
             )
 
+    def reset_units(self, unit_ids: list[str]) -> None:
+        """Return units to ``pending``: result, error, attempts and lease cleared.
+
+        A work queue runs only pending rows, so this is how a batch that
+        re-executes units (``--no-resume``, or quarantined units rerun)
+        enqueues them again.
+        """
+        where, params = _id_filter(unit_ids)
+        with self._conn:
+            self._conn.execute(
+                "UPDATE units SET status = 'pending', attempts = 0,"
+                " result_json = NULL, error = NULL, lease_owner = NULL,"
+                " lease_expires = NULL, updated_at = datetime('now')"
+                f" WHERE 1{where}",
+                params,
+            )
+
     def release_unit(self, unit_id: str) -> None:
         """Return a leased unit to the pool without recording an outcome."""
         with self._conn:
@@ -406,13 +441,25 @@ class RunStore:
         ).fetchone()
         return row[0] if row is not None else None
 
-    def request_cancel(self) -> None:
-        """Ask every worker sharing this store to stop claiming units."""
-        self.set_control("cancel", "1")
+    def request_cancel(self, batch: str | None = None) -> None:
+        """Ask workers to stop claiming units: those serving one *batch*,
+        or — with no *batch* — every worker sharing this store."""
+        self.set_control("cancel" if batch is None else f"cancel:{batch}", "1")
 
-    def cancel_requested(self) -> bool:
-        """Whether :meth:`request_cancel` has been called on this store."""
-        return self.get_control("cancel") == "1"
+    def cancel_requested(self, batch: str | None = None) -> bool:
+        """Whether workers serving *batch* must stop (a store-wide or that
+        batch's cancel); with no *batch*, whether any cancel was requested."""
+        if batch is None:
+            query = "key = 'control:cancel' OR key LIKE 'control:cancel:%'"
+            params: tuple = ()
+        else:
+            query = "key IN ('control:cancel', ?)"
+            params = (f"control:cancel:{batch}",)
+        row = self._conn.execute(
+            f"SELECT 1 FROM meta WHERE ({query}) AND value = '1' LIMIT 1",
+            params,
+        ).fetchone()
+        return row is not None
 
     # ------------------------------------------------------------------ #
     # reads
@@ -453,32 +500,37 @@ class RunStore:
         return UnitRow(*row) if row is not None else None
 
     def units(
-        self, status: str | None = None, kind: str | None = None
+        self,
+        status: str | None = None,
+        kind: str | None = None,
+        unit_ids: list[str] | None = None,
     ) -> list[UnitRow]:
         """Every stored unit (optionally filtered), in insertion order."""
+        where, params = _id_filter(unit_ids)
         query = (
             "SELECT unit_id, kind, label, seed, status, attempts, spec_json,"
             " result_json, error, created_at, updated_at FROM units"
+            f" WHERE 1{where}"
         )
-        clauses, params = [], []
         if status is not None:
-            clauses.append("status = ?")
+            query += " AND status = ?"
             params.append(status)
         if kind is not None:
-            clauses.append("kind = ?")
+            query += " AND kind = ?"
             params.append(kind)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY rowid"
         return [
             UnitRow(*row) for row in self._conn.execute(query, params).fetchall()
         ]
 
-    def counts(self) -> dict[str, int]:
-        """Unit tally per status (statuses with zero units included)."""
+    def counts(self, unit_ids: list[str] | None = None) -> dict[str, int]:
+        """Unit tally per status (statuses with zero units included),
+        over every unit or only *unit_ids*."""
         out = {status: 0 for status in _STATUSES}
+        where, params = _id_filter(unit_ids)
         for status, n in self._conn.execute(
-            "SELECT status, COUNT(*) FROM units GROUP BY status"
+            f"SELECT status, COUNT(*) FROM units WHERE 1{where} GROUP BY status",
+            params,
         ).fetchall():
             out[status] = n
         return out

@@ -11,8 +11,9 @@ backend) holds for service campaigns too.
 Endpoints (all JSON unless noted):
 
 - ``POST /campaigns`` — submit ``{"specs": [...], "repetitions": N,
-  "base_seed": S, "backend": "local"|"inprocess"|"queue", ...}``;
-  returns 201 with the campaign document.
+  "base_seed": S, "backend": "inprocess"|"queue", ...}``; without a
+  backend, ``inprocess`` runs when ``min(workers, units)`` is 1, else
+  ``queue``.  Returns 201 with the campaign document.
 - ``GET /campaigns`` / ``GET /campaigns/{id}`` — status.
 - ``GET /campaigns/{id}/events`` — **chunked** live feed of
   ``repro-telemetry/1`` JSONL blocks: one header-to-summary block per
@@ -240,7 +241,7 @@ class ExperimentService:
     def __init__(
         self,
         data_dir: str | Path | None = None,
-        default_backend: str = "local",
+        default_backend: str | None = None,
         default_workers: int = 1,
     ) -> None:
         self.data_dir = Path(
@@ -267,9 +268,13 @@ class ExperimentService:
             specs = [ExperimentSpec.from_dict(d) for d in specs_doc]
         except Exception as exc:  # noqa: BLE001 - surface the parse error
             raise HttpError(400, f"bad experiment spec: {exc}")
-        from repro.orchestrator.backend import available_backends
+        from repro.orchestrator.backend import available_backends, default_backend
 
-        backend = document.get("backend", self.default_backend)
+        workers = int(document.get("workers", self.default_workers))
+        repetitions = int(document.get("repetitions", 1))
+        backend = document.get("backend", self.default_backend) or default_backend(
+            workers, len(specs) * repetitions
+        )
         if backend not in available_backends():
             raise HttpError(
                 400,
@@ -287,10 +292,10 @@ class ExperimentService:
         record = CampaignRecord(
             campaign_id=campaign_id,
             specs=specs,
-            repetitions=int(document.get("repetitions", 1)),
+            repetitions=repetitions,
             base_seed=int(document.get("base_seed", 0)),
             backend=backend,
-            workers=int(document.get("workers", self.default_workers)),
+            workers=workers,
             retries=int(document.get("retries", 1)),
             unit_timeout=document.get("unit_timeout"),
             max_units=document.get("max_units"),

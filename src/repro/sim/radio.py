@@ -25,7 +25,6 @@ lossless — they are the measurement instrument, not the system under test.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -82,9 +81,7 @@ class IdealChannel:
         Probability an individual Hello delivery is lost (independent per
         receiver); requires *rng* when positive.
     rng:
-        Randomness source for loss draws.  The pre-1.1 keyword spelling
-        ``loss_rng`` is still accepted but deprecated (every
-        generator-typed argument in the package is now spelled ``rng``).
+        Randomness source for loss draws.
     fault_filter:
         Optional injection seam: called as ``fault_filter(now, sender,
         receivers)`` after the i.i.d. loss model and expected to return
@@ -107,8 +104,6 @@ class IdealChannel:
         ``hello_dropped`` series when armed, at zero cost otherwise.
     """
 
-    _SENTINEL = object()
-
     def __init__(
         self,
         propagation_delay: float = 5e-4,
@@ -117,18 +112,7 @@ class IdealChannel:
         stats: ChannelStats | None = None,
         fault_filter: Callable[[float, int, np.ndarray], np.ndarray] | None = None,
         propagation=None,
-        loss_rng: object = _SENTINEL,
     ) -> None:
-        if loss_rng is not IdealChannel._SENTINEL:
-            if rng is not None:
-                raise TypeError("pass either rng or the deprecated loss_rng, not both")
-            warnings.warn(
-                "IdealChannel(loss_rng=...) is deprecated and will be removed "
-                "in repro 2.0; use rng=...",
-                FutureWarning,
-                stacklevel=2,
-            )
-            rng = loss_rng  # type: ignore[assignment]
         self.propagation_delay = propagation_delay
         self.hello_loss_rate = hello_loss_rate
         self.rng = rng
@@ -151,17 +135,6 @@ class IdealChannel:
                 "model (ScenarioConfig(propagation=...); see "
                 "repro.sim.propagation and docs/PROPAGATION.md)"
             )
-
-    @property
-    def loss_rng(self) -> np.random.Generator | None:
-        """Deprecated alias of :attr:`rng` (read-only)."""
-        warnings.warn(
-            "IdealChannel.loss_rng is deprecated and will be removed in "
-            "repro 2.0; use .rng",
-            FutureWarning,
-            stacklevel=2,
-        )
-        return self.rng
 
     def __repr__(self) -> str:
         return (

@@ -254,7 +254,10 @@ class Telemetry:
         return _Span(self, name)
 
     def absorb(
-        self, summary: TelemetrySummary, source: int | float | None = None
+        self,
+        summary: TelemetrySummary,
+        source: int | float | None = None,
+        events: tuple[TelemetryEvent, ...] = (),
     ) -> None:
         """Merge a worker's frozen summary into this live collector.
 
@@ -268,7 +271,10 @@ class Telemetry:
         back to folding the worker's spread at its mean — the old lower
         bound).  Individual worker events are not shipped (summaries are
         bounded); they appear in ``events_dropped`` rather than the
-        retained ring buffer.
+        retained ring buffer — unless the collector that wrote *summary*
+        lived in this process and passes its retained *events*, which
+        are then appended in order, exactly as if they had been
+        recorded here.
 
         *source* orders gauge resolution: when given (the orchestrator
         passes the unit's seed), each gauge keeps the value of the
@@ -315,7 +321,7 @@ class Telemetry:
             agg.min_s = min(agg.min_s, values["min_s"])
             agg.max_s = max(agg.max_s, values["max_s"])
         self.events.absorb_counts(
-            dict(summary.event_counts), summary.events_recorded
+            dict(summary.event_counts), summary.events_recorded, events
         )
 
     # ------------------------------------------------------------------ #
@@ -377,7 +383,10 @@ class NullTelemetry(Telemetry):
         """No-op."""
 
     def absorb(
-        self, summary: TelemetrySummary, source: int | float | None = None
+        self,
+        summary: TelemetrySummary,
+        source: int | float | None = None,
+        events: tuple[TelemetryEvent, ...] = (),
     ) -> None:
         """No-op."""
 

@@ -125,15 +125,28 @@ class EventLog:
         """Exact per-kind event totals (including evicted events)."""
         return dict(sorted(self._tally.items()))
 
-    def absorb_counts(self, counts: dict[str, int], recorded: int) -> None:
+    def absorb_counts(
+        self,
+        counts: dict[str, int],
+        recorded: int,
+        retained: tuple[TelemetryEvent, ...] = (),
+    ) -> None:
         """Fold another log's per-kind tallies into this one.
 
         The merge seam for multi-process telemetry: worker collectors ship
         frozen summaries, not event objects, so absorbed events count as
         recorded-but-not-retained (``dropped``) here — kind totals stay
         exact while the retained ring buffer holds only local events.
+        *retained* are that log's own retained events, when it has them
+        (an in-process unit): they join this ring in order, with
+        eviction accounted as in :meth:`append`, so retention and
+        ``dropped`` match a log that had recorded every event itself.
         """
         for kind, n in counts.items():
             self._tally[kind] += int(n)
         self.recorded += int(recorded)
-        self.dropped += int(recorded)
+        self.dropped += int(recorded) - len(retained)
+        for event in retained:
+            if len(self._events) == self.maxsize:
+                self.dropped += 1
+            self._events.append(event)

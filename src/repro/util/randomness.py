@@ -10,14 +10,11 @@ draw order.
 
 from __future__ import annotations
 
-import warnings
 import zlib
 
 import numpy as np
 
 __all__ = ["SeedSequenceFactory", "child_rng"]
-
-_SENTINEL = object()
 
 
 class SeedSequenceFactory:
@@ -26,9 +23,7 @@ class SeedSequenceFactory:
     Parameters
     ----------
     seed:
-        Root entropy for the whole simulation run.  The pre-1.1 keyword
-        spelling ``root_seed`` is still accepted but deprecated (every
-        seed-typed argument in the package is now spelled ``seed``).
+        Root entropy for the whole simulation run.
 
     Examples
     --------
@@ -43,39 +38,12 @@ class SeedSequenceFactory:
     True
     """
 
-    def __init__(
-        self, seed: int | None = None, *, root_seed: object = _SENTINEL
-    ) -> None:
-        if root_seed is not _SENTINEL:
-            if seed is not None:
-                raise TypeError(
-                    "pass either seed or the deprecated root_seed, not both"
-                )
-            warnings.warn(
-                "SeedSequenceFactory(root_seed=...) is deprecated and will be "
-                "removed in repro 2.0; use seed=...",
-                FutureWarning,
-                stacklevel=2,
-            )
-            seed = root_seed  # type: ignore[assignment]
-        if seed is None:
-            raise TypeError("SeedSequenceFactory() missing required argument: seed")
+    def __init__(self, seed: int) -> None:
         self._root_seed = int(seed)
 
     @property
     def seed(self) -> int:
         """The root seed this factory was created with."""
-        return self._root_seed
-
-    @property
-    def root_seed(self) -> int:
-        """Deprecated alias of :attr:`seed` (read-only)."""
-        warnings.warn(
-            "SeedSequenceFactory.root_seed is deprecated and will be removed "
-            "in repro 2.0; use .seed",
-            FutureWarning,
-            stacklevel=2,
-        )
         return self._root_seed
 
     def _spawn_key(self, *name_parts: object) -> tuple[int, ...]:

@@ -69,12 +69,9 @@ class TestRunStats:
         assert isinstance(stats.hello_messages, int)
         assert stats.hello_messages > 0
 
-    def test_channel_stats_dict_view_deprecated_but_identical(self):
-        result = simulate(_spec(), seed=1)
-        with pytest.warns(FutureWarning, match="channel_stats is deprecated"):
-            legacy = result.channel_stats
-        assert legacy == result.stats.as_dict()
-        # legacy dict spells out exactly the channel + cache counters
+    def test_as_dict_spells_channel_and_cache_counters(self):
+        legacy = simulate(_spec(), seed=1).stats.as_dict()
+        # the pre-1.1 dict shape: exactly the channel + cache counters
         assert set(legacy) == {
             "hello_messages", "data_transmissions", "sync_messages",
             "deliveries", "hello_losses", "collisions",

@@ -22,13 +22,12 @@ from repro.orchestrator import OrchestrationContext, RunStore, WorkUnit
 from repro.orchestrator.backend import (
     BackendCapabilities,
     InProcessBackend,
-    LocalPoolBackend,
     QueueBackend,
     UnitOutcome,
     available_backends,
+    default_backend,
     make_backend,
 )
-from repro.orchestrator.pool import WorkerPool
 from repro.orchestrator.runner import CampaignInterrupted
 from repro.orchestrator.store import STORE_SCHEMA_VERSION
 from repro.sim.config import ScenarioConfig
@@ -68,11 +67,22 @@ def cold():
 
 class TestRegistry:
     def test_taxonomy(self):
-        assert available_backends() == ("inprocess", "local", "queue")
+        assert available_backends() == ("inprocess", "queue")
 
     def test_unknown_name_teaches_choices(self):
-        with pytest.raises(ConfigurationError, match="inprocess, local, queue"):
+        with pytest.raises(ConfigurationError, match="inprocess, queue"):
             make_backend("threads")
+
+    def test_removed_local_backend_is_unknown(self):
+        with pytest.raises(ConfigurationError, match="'local'"):
+            OrchestrationContext(backend="local").run_spec_batch(
+                [SPEC], repetitions=1, base_seed=50
+            )
+
+    def test_default_follows_effective_fan_out(self):
+        assert default_backend(workers=1, n_units=8) == "inprocess"
+        assert default_backend(workers=8, n_units=1) == "inprocess"
+        assert default_backend(workers=2, n_units=8) == "queue"
 
     def test_queue_requires_store(self):
         with pytest.raises(ConfigurationError, match="store"):
@@ -83,7 +93,7 @@ class TestRegistry:
         assert isinstance(caps, BackendCapabilities)
         assert caps.name == "inprocess"
         assert not caps.writes_store
-        assert LocalPoolBackend(workers=2).capabilities().parallel
+        assert not caps.parallel
 
 
 class TestBitIdentity:
@@ -95,10 +105,13 @@ class TestBitIdentity:
             got = ctx.run_spec_batch(SPECS, repetitions=2, base_seed=50)
         assert _series(got) == cold
 
-    def test_local_pooled_matches_cold(self, cold):
-        with OrchestrationContext(backend="local", workers=2) as ctx:
+    def test_storeless_pooled_matches_cold(self, cold):
+        """Two workers and no store: the default queue backend runs on
+        a throw-away store."""
+        with OrchestrationContext(workers=2) as ctx:
             got = ctx.run_spec_batch(SPECS, repetitions=2, base_seed=50)
         assert _series(got) == cold
+        assert ctx.store is None
 
     def test_queue_inline_matches_cold(self, cold, tmp_path):
         store = RunStore(tmp_path / "queue.db")
@@ -115,15 +128,15 @@ class TestBitIdentity:
         store.close()
 
     def test_exports_byte_identical_across_backends(self, tmp_path):
-        """The acceptance contract: queue × 2 workers and local × 1
-        worker settle on byte-identical deterministic exports."""
+        """The acceptance contract: queue × 2 workers and inprocess
+        settle on byte-identical deterministic exports."""
         qstore = RunStore(tmp_path / "q.db")
         with OrchestrationContext(backend="queue", workers=2, store=qstore) as ctx:
             ctx.run_spec_batch(SPECS, repetitions=2, base_seed=50)
         qstore.export_jsonl(tmp_path / "q.jsonl", deterministic=True)
         qstore.close()
         lstore = RunStore(tmp_path / "l.db")
-        with OrchestrationContext(backend="local", workers=1, store=lstore) as ctx:
+        with OrchestrationContext(backend="inprocess", store=lstore) as ctx:
             ctx.run_spec_batch(SPECS, repetitions=2, base_seed=50)
         lstore.export_jsonl(tmp_path / "l.jsonl", deterministic=True)
         lstore.close()
@@ -134,7 +147,7 @@ class TestBitIdentity:
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("inprocess", 1), ("local", 1), ("queue", 0),
+    ("inprocess", 1), ("queue", 0), ("queue", 2),
 ])
 class TestResume:
     def test_interrupt_then_resume_is_bit_identical(
@@ -162,7 +175,7 @@ class TestResume:
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("inprocess", 1), ("local", 1), ("queue", 0),
+    ("inprocess", 1), ("queue", 0), ("queue", 2),
 ])
 class TestQuarantine:
     def test_failing_units_quarantine_not_abort(
@@ -231,6 +244,60 @@ class TestCancel:
         assert _series(got) == cold
         store.close()
 
+    def test_cancelled_queue_campaign_resumes_to_identical_results(
+        self, tmp_path
+    ):
+        with OrchestrationContext() as ref:
+            cold = _series(ref.run_spec_batch(SPECS, repetitions=3, base_seed=50))
+        store = RunStore(tmp_path / "qresume.db")
+        backend = QueueBackend(store=store, workers=2)
+        ctx = OrchestrationContext(store=store, backend=backend)
+        original_poll = backend.poll
+
+        def poll_then_cancel(timeout=0.1):
+            out = original_poll(timeout)
+            if out:
+                ctx.cancel()
+            return out
+
+        backend.poll = poll_then_cancel
+        with ctx, pytest.raises(CampaignInterrupted, match="cancelled"):
+            ctx.run_spec_batch(SPECS, repetitions=3, base_seed=50)
+        checkpointed = store.counts()["done"]
+        assert 0 < checkpointed < 6
+
+        resumed = OrchestrationContext(store=store, backend="queue", workers=2)
+        with resumed:
+            got = resumed.run_spec_batch(SPECS, repetitions=3, base_seed=50)
+        assert _series(got) == cold
+        assert resumed.resumed_units == checkpointed
+        assert resumed.executed_units == 6 - checkpointed
+        store.close()
+
+    def test_queue_cancel_is_scoped_to_its_batch(self, tmp_path):
+        store = RunStore(tmp_path / "qshared.db")
+        units = [
+            WorkUnit(spec=SPEC, seed=seed, spec_json=SPEC.to_json())
+            for seed in (1, 2, 3, 4)
+        ]
+        store.register(units)
+        mine, theirs = units[:2], units[2:]
+        cancelled = QueueBackend(store=store, workers=0)
+        cancelled.submit_units({u.unit_id: {} for u in mine})
+        cancelled.cancel()
+        # A later batch on the same store runs to completion ...
+        other = QueueBackend(store=store, workers=0)
+        other.submit_units({u.unit_id: {} for u in theirs})
+        while not other.done():
+            other.poll()
+        other.close()
+        # ... and does not lift the cancel of the first one.
+        assert cancelled.poll() == []
+        assert cancelled.done()
+        assert store.counts([u.unit_id for u in theirs])["done"] == 2
+        assert store.counts([u.unit_id for u in mine])["pending"] == 2
+        store.close()
+
     def test_queue_cancel_flags_store(self, tmp_path):
         store = RunStore(tmp_path / "qcancel.db")
         backend = QueueBackend(store=store, workers=0)
@@ -238,26 +305,6 @@ class TestCancel:
         assert store.cancel_requested()
         assert backend.done()
         store.close()
-
-    def test_local_pool_should_stop_halts_inline_run(self):
-        executed = []
-        stop = threading.Event()
-
-        def worker(payload):
-            executed.append(payload["n"])
-            stop.set()
-            return payload
-
-        pool = WorkerPool(worker, workers=1, should_stop=stop.is_set)
-        results, failures = [], []
-        pool.run(
-            {f"u{i}": {"n": i} for i in range(5)},
-            lambda uid, r, a: results.append(uid),
-            lambda uid, e, a: failures.append(uid),
-        )
-        # First unit set the stop flag; the rest never launched.
-        assert executed == [0]
-        assert len(results) == 1 and not failures
 
 
 class TestLeaseReclaim:
@@ -444,29 +491,30 @@ class TestDeterministicExport:
         store.close()
 
 
-class TestDeprecatedEntryPoints:
-    def test_package_root_workerpool_warns(self):
+class TestRemovedIn2:
+    """The 2.0 removals: the old entry points are gone, not shimmed."""
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.api", "WorkerPool"),
+        ("repro.api", "run_repetitions_many"),
+        ("repro.orchestrator", "WorkerPool"),
+        ("repro.orchestrator", "LocalPoolBackend"),
+    ])
+    def test_entry_point_is_gone(self, module, name):
         import importlib
 
-        orchestrator = importlib.import_module("repro.orchestrator")
-        with pytest.warns(DeprecationWarning, match="submit_campaign"):
-            pool_cls = orchestrator.WorkerPool
-        assert pool_cls is WorkerPool
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
 
-    def test_api_run_repetitions_many_warns(self):
-        from repro import api
+    def test_pool_module_is_gone(self):
+        import importlib
 
-        with pytest.warns(DeprecationWarning, match="submit_campaign"):
-            fn = api.run_repetitions_many
-        from repro.analysis.experiment import run_repetitions_many
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.orchestrator.pool")
 
-        assert fn is run_repetitions_many
-
-    def test_api_workerpool_warns(self):
-        from repro import api
-
-        with pytest.warns(DeprecationWarning, match="backend='local'"):
-            assert api.WorkerPool is WorkerPool
+    def test_backoff_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            OrchestrationContext(backoff=0.0)
 
 
 class TestSubmitCampaign:

@@ -99,6 +99,61 @@ class TestTelemetryFlag:
         doc = json.loads(phases.read_text())
         assert "engine_run" in doc["phases"]
 
+    def test_one_worker_run_keeps_event_stream(self, capsys, tmp_path):
+        """A 1-worker ``run --telemetry`` streams every retained event.
+
+        The reference traces the same seeds straight into one ambient
+        collector (how a 1-worker run traced before every sweep went
+        through an orchestration context); the CLI's in-process units
+        trace per unit and forward their events, so the JSONL must hold
+        the same record kinds and the same per-kind event records.
+        """
+        import json
+        from collections import Counter
+
+        from repro.analysis.experiment import ExperimentSpec, run_once
+        from repro.analysis.scales import Scale
+        from repro.telemetry import Telemetry, use_telemetry, write_jsonl
+
+        path = tmp_path / "cli.jsonl"
+        code = main(
+            [
+                "run", "--protocol", "rng", "--speed", "5", "--nodes", "12",
+                "--duration", "5", "--sample-rate", "1", "--repetitions", "2",
+                "--seed", "7", "--workers", "1", "--telemetry", str(path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        scale = Scale(
+            name="custom", n_nodes=12, duration=5.0, sample_rate=1.0,
+            repetitions=2,
+        )
+        spec = ExperimentSpec(
+            protocol="rng", mean_speed=5.0,
+            config=scale.config(propagation="unit-disk", propagation_params={}),
+        )
+        reference = Telemetry()
+        with use_telemetry(reference):
+            for seed in (7, 8):
+                run_once(spec, seed=seed)
+        ref_path = tmp_path / "reference.jsonl"
+        write_jsonl(ref_path, reference)
+
+        def tally(jsonl):
+            records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+            kinds = Counter(r["record"] for r in records)
+            events = Counter(r["kind"] for r in records if r["record"] == "event")
+            summary = [r for r in records if r["record"] == "summary"][0]
+            return kinds, events, summary
+
+        kinds, events, summary = tally(path)
+        ref_kinds, ref_events, ref_summary = tally(ref_path)
+        assert kinds == ref_kinds
+        assert events == ref_events
+        assert events["run_start"] == 2 and events["flood"] > 0
+        assert summary == ref_summary
+
     def test_telemetry_multi_worker_merges(self, capsys, tmp_path):
         path = tmp_path / "out.jsonl"
         code = main(

@@ -1,16 +1,9 @@
-"""FutureWarning shims slated for removal in repro 2.0.
+"""The repro 2.0 removals stay removed, and the modern spellings are quiet.
 
-Each shim must (a) warn exactly once per call site with a message naming
-the 2.0 removal and the replacement, and (b) delegate to the replacement
-bit-for-bit.  Pinning both here keeps the deprecation surface honest
-until the 2.0 break actually lands: a shim that silently stops warning —
-or silently stops delegating — fails loudly.
-
-Covered shims:
-
-- ``RunResult.channel_stats``  →  ``RunResult.stats`` / ``.as_dict()``
-- ``IdealChannel(loss_rng=...)`` and ``IdealChannel.loss_rng``  →  ``rng``
-- ``SeedSequenceFactory(root_seed=...)`` and ``.root_seed``  →  ``seed``
+Repro 2.0 deleted the pre-1.1 aliases ``IdealChannel(loss_rng=...)`` /
+``.loss_rng`` and ``SeedSequenceFactory(root_seed=...)`` /
+``.root_seed``: the old keywords are plain unknown arguments now, and
+the replacements (``rng`` / ``seed``) never warn.
 """
 
 from __future__ import annotations
@@ -20,59 +13,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis.experiment import ExperimentSpec, run_once
-from repro.mobility.base import Area
-from repro.sim.config import ScenarioConfig
 from repro.sim.radio import IdealChannel
 from repro.util.randomness import SeedSequenceFactory
 
-TINY = ScenarioConfig(
-    n_nodes=6,
-    area=Area(200.0, 200.0),
-    normal_range=250.0,
-    duration=3.0,
-    warmup=1.0,
-    sample_rate=1.0,
-)
-
-
-def _single_future_warning(record) -> warnings.WarningMessage:
-    future = [w for w in record if issubclass(w.category, FutureWarning)]
-    assert len(future) == 1, [str(w.message) for w in record]
-    return future[0]
-
-
-class TestChannelStatsShim:
-    def test_warns_once_and_delegates(self):
-        spec = ExperimentSpec(protocol="rng", mean_speed=10.0, config=TINY)
-        result = run_once(spec, seed=4)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            legacy = result.channel_stats
-        warning = _single_future_warning(record)
-        assert "repro 2.0" in str(warning.message)
-        assert "RunResult.stats" in str(warning.message)
-        assert legacy == result.stats.as_dict()
-
 
 class TestIdealChannelShims:
-    def test_loss_rng_kwarg_warns_and_delegates(self):
-        rng = np.random.default_rng(7)
-        with pytest.warns(FutureWarning, match="repro 2.0") as record:
-            channel = IdealChannel(loss_rng=rng)
-        assert len(record) == 1
-        assert "rng=" in str(record[0].message)
-        assert channel.rng is rng
-
-    def test_loss_rng_property_warns_and_delegates(self):
-        rng = np.random.default_rng(7)
-        channel = IdealChannel(rng=rng)
-        with pytest.warns(FutureWarning, match="repro 2.0") as record:
-            alias = channel.loss_rng
-        assert len(record) == 1
-        assert ".rng" in str(record[0].message)
-        assert alias is rng
-
     def test_both_kwargs_rejected(self):
         rng = np.random.default_rng(7)
         with pytest.raises(TypeError):
@@ -87,30 +32,6 @@ class TestIdealChannelShims:
 
 
 class TestSeedSequenceFactoryShims:
-    def test_root_seed_kwarg_warns_and_delegates(self):
-        with pytest.warns(FutureWarning, match="repro 2.0") as record:
-            factory = SeedSequenceFactory(root_seed=99)
-        assert len(record) == 1
-        assert "seed=" in str(record[0].message)
-        assert factory.seed == 99
-
-    def test_root_seed_property_warns_and_delegates(self):
-        factory = SeedSequenceFactory(99)
-        with pytest.warns(FutureWarning, match="repro 2.0") as record:
-            alias = factory.root_seed
-        assert len(record) == 1
-        assert ".seed" in str(record[0].message)
-        assert alias == factory.seed == 99
-
-    def test_shimmed_factory_streams_match_modern(self):
-        with pytest.warns(FutureWarning):
-            old = SeedSequenceFactory(root_seed=123)
-        new = SeedSequenceFactory(123)
-        assert (
-            old.rng("gossip").integers(0, 2**31, size=8).tolist()
-            == new.rng("gossip").integers(0, 2**31, size=8).tolist()
-        )
-
     def test_modern_path_does_not_warn(self):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")

@@ -136,11 +136,31 @@ STALE_CLAIMS = [
         "packet-time redecision misses the decision cache for most owners "
         "at the paper's 10 samples/s (about ten Hellos arrive per probe)",
     ),
+    (
+        r"\bWorkerPool\b",
+        "repro 2.0 deleted WorkerPool: campaigns run on the inprocess or "
+        "queue backend",
+    ),
+    (
+        r"\bLocalPoolBackend\b",
+        "repro 2.0 deleted LocalPoolBackend: the backends are inprocess "
+        "and queue",
+    ),
+    (
+        r"""backend(=|\s+)["']?local\b""",
+        "repro 2.0 removed the 'local' backend name: the backends are "
+        "inprocess and queue",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "pattern, why", STALE_CLAIMS, ids=["workers-forced", "redecide-all-hits"]
+    "pattern, why",
+    STALE_CLAIMS,
+    ids=[
+        "workers-forced", "redecide-all-hits", "worker-pool",
+        "local-pool-backend", "local-backend",
+    ],
 )
 def test_docs_make_no_stale_claim(pattern, why):
     offenders = [

@@ -368,8 +368,8 @@ class TestExportDeterminism:
         specs = [GOSSIP_SPEC]
         exports = []
         for name, kwargs in (
-            ("local1", {"backend": "local", "workers": 1}),
-            ("local2", {"backend": "local", "workers": 2}),
+            ("queue1", {"backend": "queue", "workers": 1}),
+            ("queue2", {"backend": "queue", "workers": 2}),
             ("inproc", {"backend": "inprocess"}),
         ):
             store = RunStore(tmp_path / f"{name}.db")

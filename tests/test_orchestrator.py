@@ -1,8 +1,9 @@
-"""Tests for the campaign orchestrator: units, store, pool, resume."""
+"""Tests for the campaign orchestrator: units, store, backends, resume."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
 import sqlite3
@@ -16,6 +17,7 @@ from repro.analysis.experiment import (
     run_once,
     run_repetitions_many,
 )
+from repro.analysis.scales import SMOKE
 from repro.mobility.base import Area
 from repro.orchestrator import (
     OrchestrationContext,
@@ -27,12 +29,13 @@ from repro.orchestrator import (
     result_to_dict,
     unit_id,
 )
-from repro.orchestrator.pool import (
-    WorkerPool,
+from repro.orchestrator import runner
+from repro.orchestrator.backend import InProcessBackend, QueueBackend
+from repro.orchestrator.runner import (
+    CampaignInterrupted,
     clear_unit_timeout,
     install_unit_timeout,
 )
-from repro.orchestrator.runner import CampaignInterrupted
 from repro.sim.config import ScenarioConfig
 from repro.util.errors import (
     ConfigurationError,
@@ -221,90 +224,210 @@ class TestRunStore:
 
 
 # ----------------------------------------------------------------------- #
-# pool worker functions (top-level so children can unpickle them)
+# backend conformance: retry, quarantine, crash and timeout containment
+
+#: Every unit of this spec fails (invalid protocol parameter).
+BROKEN = SPEC.with_(protocol="yao", protocol_kwargs={"k": -1})
 
 
-def _flaky_worker(payload: dict) -> dict:
-    marker = payload["marker"]
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("tried")
-        raise RuntimeError("transient failure")
-    return {"ok": True}
+def _payload(spec, seed, timeout=None):
+    return {
+        "spec_json": spec.to_json(), "seed": seed,
+        "timeout": timeout, "telemetry": False,
+    }
 
 
-def _crashy_worker(payload: dict) -> dict:
-    if payload.get("crash"):
-        os._exit(13)
-    return {"value": payload["value"]}
-
-
-def _sleepy_worker(payload: dict) -> dict:
-    install_unit_timeout(payload["timeout"])
+def _drain(backend, payloads):
+    backend.submit_units(payloads)
+    outcomes = {}
     try:
-        time.sleep(payload["sleep"])
-        return {"ok": True}
+        while not backend.done():
+            for outcome in backend.poll():
+                outcomes[outcome.unit_id] = outcome
     finally:
-        clear_unit_timeout()
+        backend.close()
+    return outcomes
 
 
-def _failing_worker(payload: dict) -> dict:
-    raise ValueError(f"unit {payload['name']} always fails")
+def _queue(tmp_path, units, **kwargs):
+    """A QueueBackend over a fresh store holding *units* as pending rows."""
+    store = RunStore(tmp_path / "queue.db")
+    store.register(units)
+    return store, QueueBackend(store=store, **kwargs)
 
 
-class TestWorkerPool:
-    def test_validates_arguments(self):
+def _flaky(original, marker):
+    """Wrap a unit runner so the first call fails and later calls succeed."""
+
+    def run(payload):
+        if not os.path.exists(marker):
+            with open(marker, "w") as fh:
+                fh.write("tried")
+            raise RuntimeError("transient failure")
+        return original(payload)
+
+    return run
+
+
+def _crash_on_seed(seed):
+    original = runner.execute_unit
+
+    def execute(payload):
+        if payload["seed"] == seed:
+            os._exit(13)
+        return original(payload)
+
+    return execute
+
+
+class TestBackendConformance:
+    def test_validates_arguments(self, tmp_path):
         with pytest.raises(ValueError):
-            WorkerPool(_crashy_worker, workers=0)
+            InProcessBackend(retries=-1)
         with pytest.raises(ValueError):
-            WorkerPool(_crashy_worker, retries=-1)
+            QueueBackend(store=tmp_path / "q.db", workers=-1)
+        with pytest.raises(ValueError):
+            QueueBackend(store=tmp_path / "q.db", retries=-1)
 
-    def _collect(self, pool, payloads):
-        results, failures = {}, {}
-        pool.run(
-            payloads,
-            lambda uid, result, attempts: results.__setitem__(uid, (result, attempts)),
-            lambda uid, error, attempts: failures.__setitem__(uid, (error, attempts)),
+    def test_inprocess_retry_then_success(self, tmp_path):
+        backend = InProcessBackend(retries=1)
+        backend._run = _flaky(backend._run, str(tmp_path / "m"))
+        outcomes = _drain(backend, {"u1": _payload(SPEC, 3)})
+        assert outcomes["u1"].ok
+        assert outcomes["u1"].attempts == 2
+        assert outcomes["u1"].result == result_to_dict(run_once(SPEC, seed=3))
+
+    def test_queue_retry_then_success(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            runner, "execute_unit",
+            _flaky(runner.execute_unit, str(tmp_path / "m")),
         )
-        return results, failures
+        unit = WorkUnit(spec=SPEC, seed=3)
+        store, backend = _queue(tmp_path, [unit], workers=0, retries=1)
+        outcomes = _drain(backend, {unit.unit_id: _payload(SPEC, 3)})
+        assert outcomes[unit.unit_id].ok
+        assert outcomes[unit.unit_id].attempts == 2
+        store.close()
 
-    def test_inline_retry_then_success(self, tmp_path):
-        pool = WorkerPool(_flaky_worker, workers=1, retries=1, backoff=0.0)
-        results, failures = self._collect(
-            pool, {"u1": {"marker": str(tmp_path / "m")}}
+    def test_inprocess_quarantine_after_retries(self):
+        backend = InProcessBackend(retries=2)
+        outcomes = _drain(backend, {"u1": _payload(BROKEN, 5)})
+        assert not outcomes["u1"].ok
+        assert outcomes["u1"].attempts == 3
+        assert BROKEN.describe() in outcomes["u1"].error
+
+    def test_queue_quarantine_after_retries(self, tmp_path):
+        unit = WorkUnit(spec=BROKEN, seed=5)
+        store, backend = _queue(tmp_path, [unit], workers=0, retries=2)
+        outcomes = _drain(backend, {unit.unit_id: _payload(BROKEN, 5)})
+        assert not outcomes[unit.unit_id].ok
+        assert outcomes[unit.unit_id].attempts == 3
+        assert BROKEN.describe() in outcomes[unit.unit_id].error
+        assert store.counts()["quarantined"] == 1
+        store.close()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing unit is patched in before the workers fork",
+    )
+    def test_queue_crash_quarantines_without_aborting(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "execute_unit", _crash_on_seed(99))
+        units = [WorkUnit(spec=SPEC, seed=s) for s in (0, 1, 2, 3, 99)]
+        store, backend = _queue(
+            tmp_path, units, workers=2, retries=1, lease_seconds=0.5
         )
-        assert failures == {}
-        assert results["u1"] == ({"ok": True}, 2)
+        outcomes = _drain(
+            backend, {u.unit_id: _payload(SPEC, u.seed) for u in units}
+        )
+        by_seed = {u.seed: outcomes[u.unit_id] for u in units}
+        assert all(by_seed[s].ok for s in (0, 1, 2, 3))
+        assert by_seed[2].result == result_to_dict(run_once(SPEC, seed=2))
+        crashed = by_seed[99]
+        assert not crashed.ok
+        assert crashed.attempts == 2
+        assert "lease reclaimed" in crashed.error
+        store.close()
 
-    def test_inline_quarantine_after_retries(self):
-        pool = WorkerPool(_failing_worker, workers=1, retries=2, backoff=0.0)
-        results, failures = self._collect(pool, {"u1": {"name": "u1"}})
-        assert results == {}
-        error, attempts = failures["u1"]
-        assert attempts == 3
-        assert "always fails" in error
+    def test_queue_heartbeat_keeps_a_long_unit_leased(
+        self, tmp_path, monkeypatch
+    ):
+        unit = WorkUnit(spec=SPEC, seed=3)
+        store, backend = _queue(tmp_path, [unit], workers=0, lease_seconds=0.3)
+        original = runner.execute_unit
+        stolen = []
 
-    def test_pooled_crash_quarantines_without_aborting(self):
-        pool = WorkerPool(_crashy_worker, workers=2, retries=1, backoff=0.0)
-        payloads = {f"u{i}": {"value": i} for i in range(4)}
-        payloads["boom"] = {"crash": True}
-        results, failures = self._collect(pool, payloads)
-        assert set(results) == {f"u{i}" for i in range(4)}
-        assert results["u2"][0] == {"value": 2}
-        error, attempts = failures["boom"]
-        assert attempts == 2
-        assert "died" in error
+        def slow(payload):
+            time.sleep(0.9)  # three lease lengths
+            with RunStore(store.path) as thief:
+                stolen.extend(thief.claim_units("thief", unit_ids=[unit.unit_id]))
+            return original(payload)
 
-    def test_pooled_timeout_quarantines(self):
-        pool = WorkerPool(_sleepy_worker, workers=2, retries=0, backoff=0.0)
-        payloads = {
-            "slow": {"timeout": 0.2, "sleep": 30.0},
-            "fast": {"timeout": 5.0, "sleep": 0.0},
-        }
-        results, failures = self._collect(pool, payloads)
-        assert "fast" in results
-        assert "slow" in failures
-        assert "timeout" in failures["slow"][0]
+        monkeypatch.setattr(runner, "execute_unit", slow)
+        outcomes = _drain(backend, {unit.unit_id: _payload(SPEC, 3)})
+        assert stolen == []
+        assert outcomes[unit.unit_id].ok
+        assert outcomes[unit.unit_id].attempts == 1
+        store.close()
+
+    def test_queue_worker_timeout_quarantines(self, tmp_path):
+        spec = ExperimentSpec(protocol="rng", mean_speed=10.0, config=SMOKE.config())
+        with RunStore(tmp_path / "s.db") as store:
+            context = OrchestrationContext(
+                store=store, backend="queue", workers=1,
+                retries=0, unit_timeout=1e-3,
+            )
+            with context, pytest.raises(OrchestrationError, match="quarantined"):
+                context.run_spec_batch([spec], repetitions=1, base_seed=50)
+        [quarantined] = context.quarantined
+        assert "exceeded per-unit timeout" in quarantined.error
+        assert str(UnitTimeoutError("<unit>", -1, "")) in quarantined.error
+
+    def test_queue_spawns_at_most_one_worker_per_unit(
+        self, tmp_path, monkeypatch
+    ):
+        spawned = []
+        monkeypatch.setattr(QueueBackend, "_spawn", lambda self, n: spawned.append(n))
+        for workers, n_units in ((16, 2), (1, 3), (3, 3)):
+            backend = QueueBackend(store=tmp_path / "q.db", workers=workers)
+            backend.submit_units(
+                {f"u{i}": _payload(SPEC, i) for i in range(n_units)}
+            )
+            backend.close()
+        assert spawned == [2, 1, 3]
+
+
+class TestUnitTimeoutOffMainThread:
+    def test_install_is_a_no_op_off_the_main_thread(self):
+        import threading
+
+        errors = []
+
+        def arm():
+            try:
+                install_unit_timeout(60.0)
+                clear_unit_timeout()
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        thread = threading.Thread(target=arm)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors == []
+
+    def test_campaign_thread_honours_unit_timeout(self):
+        from repro.api import submit_campaign
+
+        handle = submit_campaign(
+            [SPEC], repetitions=2, workers=1, unit_timeout=60
+        )
+        handle.result(timeout=300)
+        status = handle.status()
+        assert status.state == "done"
+        assert status.executed_units == 2
+        assert status.quarantined_units == 0
 
 
 class TestExecuteUnit:
@@ -323,6 +446,29 @@ class TestExecuteUnit:
                     "timeout": 0.001,
                     "telemetry": False,
                 }
+            )
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_timeout_swallowed_by_a_finalizer_still_times_out(self, monkeypatch):
+        """Python drops an exception raised inside a finalizer, so an
+        alarm landing there must not let an over-time unit pass."""
+        import time
+
+        class SlowFinalizer:
+            def __del__(self):
+                time.sleep(0.02)
+
+        original = runner.run_once
+
+        def finalize_then_run(*args, **kwargs):
+            SlowFinalizer()  # finalized at once: the alarm fires inside
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_once", finalize_then_run)
+        with pytest.raises(UnitTimeoutError):
+            execute_unit(
+                {"spec_json": SPEC.to_json(), "seed": 3, "timeout": 0.001,
+                 "telemetry": False}
             )
 
     def test_wraps_failures_with_unit_name(self):
@@ -379,10 +525,38 @@ class TestOrchestratedRuns:
             assert again.executed_units == 2
             assert again.resumed_units == 0
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_rerun_replaces_stale_and_quarantined_rows(self, tmp_path, workers):
+        cold = run_repetitions_many([SPEC], repetitions=2, base_seed=50)[0]
+        stale, broken = (
+            WorkUnit(spec=SPEC, seed=seed, spec_json=SPEC.to_json())
+            for seed in (50, 51)
+        )
+        with RunStore(tmp_path / "s.db") as store:
+            # Rows an earlier, faulty code revision left behind: a wrong
+            # result and a quarantined unit whose cause is now fixed.
+            wrong = result_to_dict(run_once(SPEC, seed=7))
+            store.register([stale, broken])
+            store.record_result(stale, wrong, attempts=1)
+            store.record_quarantine(broken, "transient failure", attempts=2)
+            resumed = OrchestrationContext(store=store, workers=workers)
+            with resumed:
+                run_repetitions_many([SPEC], repetitions=2, base_seed=50)
+            # Resume loads the done row as is and reruns the quarantined one.
+            assert (resumed.resumed_units, resumed.executed_units) == (1, 1)
+            assert not resumed.quarantined
+            again = OrchestrationContext(store=store, workers=workers, resume=False)
+            with again:
+                [agg] = run_repetitions_many([SPEC], repetitions=2, base_seed=50)
+            assert (again.resumed_units, again.executed_units) == (0, 2)
+            assert agg.connectivity == cold.connectivity
+            assert store.counts() == {"pending": 0, "done": 2, "quarantined": 0}
+            assert json.loads(store.get(stale.unit_id).result_json) != wrong
+
     def test_all_repetitions_quarantined_raises_named_error(self, tmp_path):
         bad = SPEC.with_(protocol="yao", protocol_kwargs={"k": -1})
         with RunStore(tmp_path / "s.db") as store:
-            context = OrchestrationContext(store=store, retries=0, backoff=0.0)
+            context = OrchestrationContext(store=store, retries=0)
             with context:
                 with pytest.raises(OrchestrationError, match=re.escape(bad.describe())):
                     run_repetitions_many([SPEC, bad], repetitions=2, base_seed=50)

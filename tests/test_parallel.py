@@ -9,6 +9,7 @@ from repro.analysis.experiment import (
     ExperimentSpec,
     default_workers,
     run_repetitions,
+    run_repetitions_many,
 )
 from repro.mobility.base import Area
 from repro.sim.config import ScenarioConfig
@@ -91,3 +92,19 @@ class TestWorkerFailureNaming:
         assert excinfo.value.label == bad.describe()
         assert excinfo.value.seed in (50, 51)
         assert "seed" in str(excinfo.value)
+
+    def test_parallel_failure_names_first_unit_in_seed_order(self):
+        from repro.util.errors import WorkUnitError
+
+        bad = ExperimentSpec(
+            protocol="yao", protocol_kwargs={"k": -1},
+            mean_speed=10.0, config=TINY,
+        )
+        good = bad.with_(protocol="rng", protocol_kwargs={})
+        for _ in range(3):
+            with pytest.raises(WorkUnitError) as excinfo:
+                run_repetitions_many(
+                    [good, bad], repetitions=3, base_seed=50, workers=3
+                )
+            assert excinfo.value.label == bad.describe()
+            assert excinfo.value.seed == 50

@@ -48,7 +48,7 @@ SPEC_DOCS = [
 def server(tmp_path_factory):
     service = ExperimentService(
         data_dir=tmp_path_factory.mktemp("service-data"),
-        default_backend="local",
+        default_backend="inprocess",
         default_workers=1,
     )
     background = BackgroundServer(service).start()
@@ -66,7 +66,7 @@ def finished_campaign(client):
     """One completed two-spec campaign shared by the read-only tests."""
     doc = client.submit({
         "specs": SPEC_DOCS, "repetitions": 2, "base_seed": 50,
-        "backend": "local", "workers": 1,
+        "backend": "inprocess", "workers": 1,
     })
     return client.wait(doc["id"], timeout=300.0)
 
@@ -176,7 +176,7 @@ class TestCampaignLifecycle:
         self, client, finished_campaign
     ):
         """Same campaign through the multi-process queue backend — the
-        export must not change."""
+        export must match the in-process campaign's."""
         doc = client.submit({
             "specs": SPEC_DOCS, "repetitions": 2, "base_seed": 50,
             "backend": "queue", "workers": 2,

@@ -99,20 +99,9 @@ class TestIdealChannel:
         with pytest.raises(ConfigurationError, match="hello_loss_rate"):
             IdealChannel(hello_loss_rate=1.5)
 
-    def test_loss_rng_kwarg_deprecated_but_equivalent(self):
-        gen = np.random.default_rng(0)
-        with pytest.warns(FutureWarning, match="use rng="):
-            legacy = IdealChannel(hello_loss_rate=0.2, loss_rng=gen)
-        assert legacy.rng is gen
-
-    def test_loss_rng_property_deprecated(self):
-        gen = np.random.default_rng(0)
-        ch = IdealChannel(hello_loss_rate=0.2, rng=gen)
-        with pytest.warns(FutureWarning, match="loss_rng is deprecated"):
-            assert ch.loss_rng is gen
-
     def test_rng_and_loss_rng_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        # loss_rng= was removed in 2.0: it is an unknown keyword now.
+        with pytest.raises(TypeError, match="loss_rng"):
             IdealChannel(
                 rng=np.random.default_rng(0), loss_rng=np.random.default_rng(1)
             )

@@ -172,22 +172,9 @@ class TestSeedSequenceFactory:
     def test_seed_property(self):
         assert SeedSequenceFactory(42).seed == 42
 
-    def test_root_seed_property_deprecated_but_working(self):
-        factory = SeedSequenceFactory(42)
-        with pytest.warns(FutureWarning, match="root_seed is deprecated"):
-            assert factory.root_seed == 42
-
-    def test_root_seed_kwarg_deprecated_but_equivalent(self):
-        with pytest.warns(FutureWarning, match="use seed="):
-            legacy = SeedSequenceFactory(root_seed=42)
-        assert legacy.seed == 42
-        assert (
-            legacy.rng("placement").random()
-            == SeedSequenceFactory(42).rng("placement").random()
-        )
-
     def test_seed_and_root_seed_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        # root_seed= was removed in 2.0: it is an unknown keyword now.
+        with pytest.raises(TypeError, match="root_seed"):
             SeedSequenceFactory(1, root_seed=2)
 
     def test_seed_required(self):
