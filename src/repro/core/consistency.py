@@ -139,14 +139,104 @@ class ConsistencyMechanism(ABC):
         return f"{type(self).__name__}()"
 
 
-class BaselineConsistency(ConsistencyMechanism):
+def _select_gathered(
+    protocol: TopologyControlProtocol,
+    tables: Sequence[NeighborTable],
+    own_positions: Sequence[tuple[float, float]],
+    members: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> list[SelectionResult]:
+    """``protocol.select_batch`` over owners' gathered view members.
+
+    Row ``b`` holds owner ``tables[b].owner`` in column 0 at
+    ``own_positions[b]``, then the ``(ids, xy)`` of ``members[b]``;
+    shorter rows are padded with ID -1 at NaN positions.
+    """
+    if not tables:
+        return []
+    width = 1 + max(len(nids) for nids, _ in members)
+    ids = np.full((len(tables), width), -1, dtype=np.int64)
+    pts = np.full((len(tables), width, 2), np.nan)
+    for b, (table, own, (nids, xy)) in enumerate(zip(tables, own_positions, members)):
+        ids[b, 0] = table.owner
+        pts[b, 0] = own
+        ids[b, 1 : 1 + len(nids)] = nids
+        pts[b, 1 : 1 + len(nids)] = xy
+    ranges = np.array([table.normal_range for table in tables])
+    return protocol.select_batch(ids, pts, ranges)
+
+
+def _members(
+    table: NeighborTable, now: float, version: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor IDs and positions of the latest (None) or versioned view."""
+    if version is None:
+        return table.latest_positions(now)
+    return table.versioned_positions(version)
+
+
+class _SingleVersionMechanism(ConsistencyMechanism):
+    """A mechanism that decides from one Hello per view member.
+
+    A subclass names the own record and the global version a decision
+    uses (:meth:`_resolve`).  The other members are the neighbors' latest
+    live Hellos when that version is None, else their Hellos of that
+    version.  A protocol with ``select_batch`` reads the members as
+    arrays straight from the table, with no Hello or LocalView built, and
+    one decision is a batch of one; any other protocol gets a LocalView.
+    """
+
+    @abstractmethod
+    def _resolve(
+        self, table: NeighborTable, current_hello: Hello, version: int | None
+    ) -> tuple[Hello, int | None]:
+        """``(own record, version or None for the latest view)``.
+
+        Raises :class:`ViewError` when the owner cannot decide.
+        """
+
+    def decide(self, protocol, table, now, current_hello, version=None):
+        own, resolved = self._resolve(table, current_hello, version)
+        if protocol.supports_batch:
+            members = _members(table, now, resolved)
+            return _select_gathered(protocol, [table], [own.position], [members])[0]
+        if resolved is None:
+            view = table.latest_view(now, own_hello=own)
+        else:
+            view = table.versioned_view(now, resolved)
+        return protocol.select(view)
+
+    def decide_many(self, protocol, tables, now, current_hellos, version=None):
+        # Packet-time redecision: every owner that can decide is gathered
+        # into one padded batch and selected in one array pass.
+        if not protocol.supports_batch:
+            return super().decide_many(
+                protocol, tables, now, current_hellos, version=version
+            )
+        rows: list[int] = []
+        owns: list[tuple[float, float]] = []
+        members: list[tuple[np.ndarray, np.ndarray]] = []
+        for i, (table, current_hello) in enumerate(zip(tables, current_hellos)):
+            try:
+                own, resolved = self._resolve(table, current_hello, version)
+            except ViewError:
+                continue
+            rows.append(i)
+            owns.append(own.position)
+            members.append(_members(table, now, resolved))
+        results: list[SelectionResult | None] = [None] * len(tables)
+        selected = _select_gathered(protocol, [tables[i] for i in rows], owns, members)
+        for i, result in zip(rows, selected):
+            results[i] = result
+        return results
+
+
+class BaselineConsistency(_SingleVersionMechanism):
     """Mobility-insensitive default: latest Hellos, own true position."""
 
     name = "baseline"
 
-    def decide(self, protocol, table, now, current_hello, version=None):
-        view = table.latest_view(now, own_hello=current_hello)
-        return protocol.select(view)
+    def _resolve(self, table, current_hello, version):
+        return current_hello, None
 
     def decision_fingerprint(self, table, now, current_hello, version=None):
         # The selection reads the live latest Hellos plus the node's current
@@ -155,7 +245,7 @@ class BaselineConsistency(ConsistencyMechanism):
         return (self.name, table.live_view_token(now), current_hello.position)
 
 
-class ViewSynchronization(ConsistencyMechanism):
+class ViewSynchronization(_SingleVersionMechanism):
     """On-the-fly almost-consistent views (Section 5.1, "view synchronization").
 
     Decisions use the latest received Hellos but the node's **previously
@@ -169,39 +259,10 @@ class ViewSynchronization(ConsistencyMechanism):
     name = "view-sync"
     recompute_on_packet = True
 
-    def decide(self, protocol, table, now, current_hello, version=None):
-        own = table.last_advertised
-        if own is None:
-            # Nothing advertised yet: the node is invisible to neighbors
-            # anyway, so deciding from the current position is harmless.
-            own = current_hello
-        view = table.latest_view(now, own_hello=own)
-        return protocol.select(view)
-
-    def decide_many(self, protocol, tables, now, current_hellos, version=None):
-        # Packet-time redecision: the owners' latest live positions are
-        # gathered into one padded batch (owner in column 0, NaN padding)
-        # and the protocol selects for all of them in one array pass.
-        if not protocol.supports_batch:
-            return super().decide_many(
-                protocol, tables, now, current_hellos, version=version
-            )
-        if not tables:
-            return []
-        members = [table.latest_positions(now) for table in tables]
-        width = 1 + max(len(ids) for ids, _ in members)
-        ids = np.full((len(tables), width), -1, dtype=np.int64)
-        pts = np.full((len(tables), width, 2), np.nan)
-        for b, (table, current_hello, (nids, xy)) in enumerate(
-            zip(tables, current_hellos, members)
-        ):
-            own = table.last_advertised or current_hello
-            ids[b, 0] = table.owner
-            pts[b, 0] = own.position
-            ids[b, 1 : 1 + len(nids)] = nids
-            pts[b, 1 : 1 + len(nids)] = xy
-        ranges = np.array([table.normal_range for table in tables])
-        return protocol.select_batch(ids, pts, ranges)
+    def _resolve(self, table, current_hello, version):
+        # Nothing advertised yet: the node is invisible to neighbors
+        # anyway, so deciding from the current position is harmless.
+        return table.last_advertised or current_hello, None
 
     def decision_fingerprint(self, table, now, current_hello, version=None):
         # The own position is the *last advertised* one, which only changes
@@ -211,7 +272,7 @@ class ViewSynchronization(ConsistencyMechanism):
         return (self.name, table.live_view_token(now), own.position)
 
 
-class ProactiveConsistency(ConsistencyMechanism):
+class ProactiveConsistency(_SingleVersionMechanism):
     """Strong consistency from timestamped Hellos (the proactive approach).
 
     Requires globally aligned versions (nodes stamp Hello *i* during epoch
@@ -225,26 +286,27 @@ class ProactiveConsistency(ConsistencyMechanism):
     recompute_on_packet = True
     synchronized_versions = True
 
-    def decide(self, protocol, table, now, current_hello, version=None):
+    def _resolve(self, table, current_hello, version):
+        available = table.available_versions()
         if version is None:
-            version = max(table.available_versions(), default=None)
-            if version is None:
+            if not available:
                 raise ViewError(
                     f"node {table.owner} cannot decide proactively before advertising"
                 )
-        try:
-            view = table.versioned_view(now, version)
-        except ViewError:
+            version = max(available)
+        elif version not in available:
             # The node has not reached epoch `version` yet (clock skew or a
             # packet racing ahead of Hello emission): fall back to the most
             # recent version it *has* advertised — the paper's "wait before
             # migrating to the next local view" rule seen from the packet's
             # perspective.
-            candidates = [v for v in table.available_versions() if v < version]
-            if not candidates:
-                raise
-            view = table.versioned_view(now, max(candidates))
-        return protocol.select(view)
+            older = [v for v in available if v < version]
+            if not older:
+                raise ViewError(
+                    f"node {table.owner} has not advertised version {version} yet"
+                )
+            version = max(older)
+        return table.advertisement(version), version
 
     def decision_fingerprint(self, table, now, current_hello, version=None):
         # Versioned views ignore the expiry window and never read the
@@ -297,7 +359,7 @@ class WeakConsistency(ConsistencyMechanism):
         return f"WeakConsistency(history_depth={self.history_depth})"
 
 
-class GossipConsistency(ConsistencyMechanism):
+class GossipConsistency(_SingleVersionMechanism):
     """Anti-entropy epidemic views (ROADMAP item 4; see docs/GOSSIP.md).
 
     Hello state spreads by periodic push–pull digest exchange with
@@ -347,12 +409,8 @@ class GossipConsistency(ConsistencyMechanism):
             else check_positive("mayday_after", mayday_after)
         )
 
-    def decide(self, protocol, table, now, current_hello, version=None):
-        own = table.last_advertised
-        if own is None:
-            own = current_hello
-        view = table.latest_view(now, own_hello=own)
-        return protocol.select(view)
+    def _resolve(self, table, current_hello, version):
+        return table.last_advertised or current_hello, None
 
     def decision_fingerprint(self, table, now, current_hello, version=None):
         # Every gossip merge records through the table and therefore bumps

@@ -318,6 +318,66 @@ class NeighborState:
         xy[:, 1] = self._y[slots, head]
         return self._slot_sender[slots], xy
 
+    def _versioned_entries(
+        self, receiver: int, version: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, ring columns)`` of *receiver*'s version-*version* entries.
+
+        Per sender, the oldest retained entry carrying *version* (the
+        scalar ``next(h for h in history if h.version == version)`` rule);
+        senders holding none are left out.  Insertion order.
+        """
+        d = self._directory[receiver]
+        slots = np.fromiter(d.values(), dtype=np.intp, count=len(d))
+        k = self.k
+        writes = self._writes[slots][:, np.newaxis]
+        age = np.arange(k)
+        # Ring columns oldest first; ages past a young slot's fill are unused.
+        cols = (writes - np.minimum(writes, k) + age) % k
+        match = (age < writes) & (self._version[slots[:, np.newaxis], cols] == version)
+        held = match.any(axis=1)
+        first = match.argmax(axis=1)
+        return slots[held], cols[held, first[held]]
+
+    def versioned_positions(
+        self, receiver: int, version: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """IDs and ``(m, 2)`` positions of *receiver*'s version-*version* view.
+
+        The members of :meth:`versioned_hellos`, read straight from the
+        columns with no Hello built, in the same insertion order.
+        """
+        slots, cols = self._versioned_entries(receiver, version)
+        xy = np.empty((slots.size, 2))
+        xy[:, 0] = self._x[slots, cols]
+        xy[:, 1] = self._y[slots, cols]
+        return self._slot_sender[slots], xy
+
+    def versioned_hellos(self, receiver: int, version: int) -> dict[int, Hello]:
+        """Per sender, the oldest retained Hello of *version* (insertion order).
+
+        One Hello is built per matching sender, from the same gather as
+        :meth:`versioned_positions`; no history is materialised.
+        """
+        version = int(version)
+        slots, cols = self._versioned_entries(receiver, version)
+        return {
+            sender: Hello(
+                sender=sender,
+                version=version,
+                position=(x, y),
+                sent_at=sent,
+                timestamp=ts,
+            )
+            for sender, x, y, sent, ts in zip(
+                self._slot_sender[slots].tolist(),
+                self._x[slots, cols].tolist(),
+                self._y[slots, cols].tolist(),
+                self._sent[slots, cols].tolist(),
+                self._ts[slots, cols].tolist(),
+            )
+        }
+
     def live_histories(
         self, receiver: int, now: float, expiry: float
     ) -> dict[int, tuple[Hello, ...]]:

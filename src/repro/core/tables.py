@@ -192,6 +192,19 @@ class NeighborTable:
         xy = np.array([h.position for h in live], dtype=np.float64).reshape(-1, 2)
         return ids, xy
 
+    def advertisement(self, version: int) -> Hello:
+        """The owner's oldest retained own Hello of *version*.
+
+        Raises :class:`ViewError` when the owner has not advertised that
+        version (or it has left the retained history).
+        """
+        own = next((h for h in self._own if h.version == version), None)
+        if own is None:
+            raise ViewError(
+                f"node {self.owner} has not advertised version {version} yet"
+            )
+        return own
+
     def versioned_view(self, now: float, version: int) -> LocalView:
         """View built *only* from Hellos carrying the given global version.
 
@@ -199,23 +212,34 @@ class NeighborTable:
         proactive scheme's rule that enforces ``|M(t, v)| = 1``.  The
         owner's own record must exist for that version.
         """
-        own = next((h for h in self._own if h.version == version), None)
-        if own is None:
-            raise ViewError(
-                f"node {self.owner} has not advertised version {version} yet"
-            )
+        return LocalView(
+            owner=self.owner,
+            own_hello=self.advertisement(version),
+            neighbor_hellos=self._versioned_hellos(version),
+            normal_range=self.normal_range,
+            sampled_at=now,
+        )
+
+    def _versioned_hellos(self, version: int) -> dict[int, Hello]:
+        """Per neighbor, the oldest retained Hello of *version* (record order)."""
         neighbors: dict[int, Hello] = {}
         for nid, q in self._records.items():
             match = next((h for h in q if h.version == version), None)
             if match is not None:
                 neighbors[nid] = match
-        return LocalView(
-            owner=self.owner,
-            own_hello=own,
-            neighbor_hellos=neighbors,
-            normal_range=self.normal_range,
-            sampled_at=now,
-        )
+        return neighbors
+
+    def versioned_positions(self, version: int) -> tuple[np.ndarray, np.ndarray]:
+        """IDs and ``(m, 2)`` positions of :meth:`versioned_view`'s neighbors.
+
+        Same members in the same record order, as arrays; like
+        :meth:`latest_positions`, the owner is not included and its own
+        record is not required.
+        """
+        matches = self._versioned_hellos(version).values()
+        ids = np.array([h.sender for h in matches], dtype=np.int64)
+        xy = np.array([h.position for h in matches], dtype=np.float64).reshape(-1, 2)
+        return ids, xy
 
     def available_versions(self) -> set[int]:
         """Versions for which the owner has advertised (candidates for views)."""
@@ -343,28 +367,11 @@ class ColumnarNeighborTable(NeighborTable):
     def latest_positions(self, now: float) -> tuple[np.ndarray, np.ndarray]:
         return self._state.latest_positions(self.owner, now, self.expiry)
 
-    def versioned_view(self, now: float, version: int) -> LocalView:
-        own = next((h for h in self._own if h.version == version), None)
-        if own is None:
-            raise ViewError(
-                f"node {self.owner} has not advertised version {version} yet"
-            )
-        state = self._state
-        neighbors: dict[int, Hello] = {}
-        for nid in state.senders(self.owner):
-            match = next(
-                (h for h in state.history(self.owner, nid) if h.version == version),
-                None,
-            )
-            if match is not None:
-                neighbors[nid] = match
-        return LocalView(
-            owner=self.owner,
-            own_hello=own,
-            neighbor_hellos=neighbors,
-            normal_range=self.normal_range,
-            sampled_at=now,
-        )
+    def _versioned_hellos(self, version: int) -> dict[int, Hello]:
+        return self._state.versioned_hellos(self.owner, version)
+
+    def versioned_positions(self, version: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._state.versioned_positions(self.owner, version)
 
     def multi_view(self, now: float, own_hello: Hello | None = None) -> MultiVersionView:
         own = list(self._own)

@@ -38,6 +38,7 @@ from repro.analysis.experiment import ExperimentSpec, build_mobility
 from repro.core.audit import audit_world
 from repro.core.buffer_zone import BufferZonePolicy, buffer_width
 from repro.core.consistency import (
+    ConsistencyMechanism,
     ViewSynchronization,
     available_mechanisms,
     make_mechanism,
@@ -103,6 +104,9 @@ class BrokenViewSync(ViewSynchronization):
     """
 
     name = "broken-view-sync"
+    # Packet-time redecision runs the mutation too: loop over decide
+    # instead of the real mechanism's batched gather.
+    decide_many = ConsistencyMechanism.decide_many
 
     def decide(self, protocol, table, now, current_hello, version=None):
         own = table.last_advertised

@@ -108,11 +108,11 @@ class TrajectorySet:
         # across rows; k is small (tens of legs) so the O(n*k) scan wins
         # over per-row binary searches.
         idx = (self.leg_times <= t).sum(axis=1) - 1
-        return np.clip(idx, 0, self.leg_times.shape[1] - 1)
+        return np.minimum(np.maximum(idx, 0), self.leg_times.shape[1] - 1)
 
     def positions(self, t: float) -> np.ndarray:
         """``(n, 2)`` positions of all nodes at time *t* (clamped to horizon)."""
-        t = float(np.clip(t, 0.0, self.horizon))
+        t = min(max(float(t), 0.0), self.horizon)
         idx = self._leg_index(t)
         t0 = self.leg_times[self._row, idx]
         p0 = self.leg_points[self._row, idx]
@@ -121,7 +121,7 @@ class TrajectorySet:
 
     def position(self, node: int, t: float) -> np.ndarray:
         """Position of a single *node* at time *t*."""
-        t = float(np.clip(t, 0.0, self.horizon))
+        t = min(max(float(t), 0.0), self.horizon)
         row_times = self.leg_times[node]
         idx = int(np.searchsorted(row_times, t, side="right")) - 1
         idx = max(0, min(idx, row_times.shape[0] - 1))
@@ -138,11 +138,11 @@ class TrajectorySet:
         receiver filtering in the batched Hello pipeline) never pays the
         full ``(n, k)`` leg scan.
         """
-        t = float(np.clip(t, 0.0, self.horizon))
+        t = min(max(float(t), 0.0), self.horizon)
         nodes = np.asarray(nodes, dtype=np.intp)
         times = self.leg_times[nodes]
         idx = (times <= t).sum(axis=1) - 1
-        idx = np.clip(idx, 0, times.shape[1] - 1)
+        idx = np.minimum(np.maximum(idx, 0), times.shape[1] - 1)
         rows = np.arange(nodes.shape[0])
         t0 = times[rows, idx]
         p0 = self.leg_points[nodes, idx]
@@ -151,7 +151,7 @@ class TrajectorySet:
 
     def velocities(self, t: float) -> np.ndarray:
         """``(n, 2)`` instantaneous velocities at time *t*."""
-        t = float(np.clip(t, 0.0, self.horizon))
+        t = min(max(float(t), 0.0), self.horizon)
         idx = self._leg_index(t)
         return self.leg_velocities[self._row, idx].copy()
 

@@ -10,6 +10,7 @@ pinned here.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -28,6 +29,7 @@ from repro.orchestrator.backend import (
     default_backend,
     make_backend,
 )
+from repro.orchestrator import runner
 from repro.orchestrator.runner import CampaignInterrupted
 from repro.orchestrator.store import STORE_SCHEMA_VERSION
 from repro.sim.config import ScenarioConfig
@@ -197,6 +199,27 @@ class TestQuarantine:
         store.close()
 
 
+def _hold_until_cancelled(store_path):
+    """``execute_unit`` that, once any unit is done, waits for a cancel."""
+    original = runner.execute_unit
+
+    def execute(payload):
+        probe = RunStore(store_path)
+        try:
+            deadline = time.monotonic() + 30.0
+            while (
+                probe.counts()["done"]
+                and not probe.cancel_requested()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+        finally:
+            probe.close()
+        return original(payload)
+
+    return execute
+
+
 class TestCancel:
     def test_inprocess_cancel_between_polls(self):
         backend = InProcessBackend()
@@ -244,12 +267,21 @@ class TestCancel:
         assert _series(got) == cold
         store.close()
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the holding unit runner is patched in before the workers fork",
+    )
     def test_cancelled_queue_campaign_resumes_to_identical_results(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         with OrchestrationContext() as ref:
             cold = _series(ref.run_spec_batch(SPECS, repetitions=3, base_seed=50))
         store = RunStore(tmp_path / "qresume.db")
+        # Once a unit is checkpointed, workers start no further unit before
+        # the cancel lands, so the cancel is never outrun by fast units.
+        monkeypatch.setattr(
+            runner, "execute_unit", _hold_until_cancelled(store.path)
+        )
         backend = QueueBackend(store=store, workers=2)
         ctx = OrchestrationContext(store=store, backend=backend)
         original_poll = backend.poll
@@ -266,6 +298,7 @@ class TestCancel:
         checkpointed = store.counts()["done"]
         assert 0 < checkpointed < 6
 
+        monkeypatch.undo()
         resumed = OrchestrationContext(store=store, backend="queue", workers=2)
         with resumed:
             got = resumed.run_spec_batch(SPECS, repetitions=3, base_seed=50)

@@ -15,6 +15,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiment import ExperimentSpec
+from repro.core.consistency import ViewSynchronization
+from repro.core.tables import NeighborTable
+from repro.core.views import Hello
 from repro.faults.fuzz import (
     BrokenViewSync,
     FuzzCase,
@@ -28,6 +31,7 @@ from repro.faults.fuzz import (
 )
 from repro.faults.schedule import FaultSchedule, HelloLossBurst, NodeOutage
 from repro.mobility.base import Area
+from repro.protocols import RngProtocol
 from repro.sim.config import ScenarioConfig
 from repro.util.errors import ConfigurationError
 from repro.util.randomness import SeedSequenceFactory
@@ -170,6 +174,18 @@ class TestBrokenViewSyncUnit:
         assert world.manager.cache_hits == 0
         assert world.manager.cache_misses == 0
         assert world.manager.cache_uncacheable > 0
+
+    def test_packet_time_decisions_run_the_mutation(self):
+        # Neighbor 1 fell silent 5 s ago, past the 1 s expiry: the real
+        # mechanism drops it, the mutation keeps it at packet time too.
+        table = NeighborTable(0, normal_range=100.0, expiry=1.0)
+        table.record_hello(Hello(1, 1, (30.0, 0.0), 0.0, 0.0))
+        own = Hello(0, 1, (0.0, 0.0), 5.0, 5.0)
+        protocol = RngProtocol()
+        (broken,) = BrokenViewSync().decide_many(protocol, [table], 5.0, [own])
+        (healthy,) = ViewSynchronization().decide_many(protocol, [table], 5.0, [own])
+        assert broken.logical_neighbors == frozenset({1})
+        assert healthy.logical_neighbors == frozenset()
 
     def test_registered_name(self):
         assert BrokenViewSync.name == "broken-view-sync"

@@ -35,6 +35,11 @@ SEED = 1000
 CELLS = {
     "rng-view-sync": ("rng", "view-sync"),
     "rng-baseline": ("rng", "baseline"),
+    "rng-proactive": ("rng", "proactive"),
+    "rng-reactive": ("rng", "reactive"),
+    "rng-gossip": ("rng", "gossip"),
+    # spt4 has no batched selection: pins the Hello-built versioned route.
+    "spt4-proactive": ("spt4", "proactive"),
 }
 
 

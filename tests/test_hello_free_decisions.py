@@ -1,0 +1,295 @@
+"""Hello-free single-version decisions: the versioned gather and its users.
+
+Three layers:
+
+- the store/table gather :meth:`versioned_positions` on both table
+  classes, against the members of :meth:`versioned_view` and the scalar
+  ``next(h for h in history if h.version == v)`` rule — ring wrap-around,
+  repeated versions, pruned senders, a version nobody holds, an empty
+  directory;
+- the columnar :meth:`versioned_view`, whose Hellos (one per matching
+  sender, built from the gather) must equal the dict-backed table's;
+- the mechanisms: a batched decision (``decide`` as a batch of one, and
+  ``decide_many``) against the LocalView route it replaced, on every
+  proactive fallback branch including the :class:`ViewError` one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.consistency import (
+    BaselineConsistency,
+    GossipConsistency,
+    ProactiveConsistency,
+    ReactiveConsistency,
+    ViewSynchronization,
+)
+from repro.core.neighbor_state import NeighborState
+from repro.core.tables import ColumnarNeighborTable, NeighborTable
+from repro.core.views import Hello
+from repro.protocols import RngProtocol, make_protocol
+from repro.util.errors import ViewError
+
+OWNER = 0
+EXPIRY = 1.0
+VERSIONS = range(-1, 6)
+
+# One operation on the receiver's table: a Hello (sender, version, x, y),
+# an own advertisement (version), or a prune.  Time advances by 0.3 s per
+# operation, so prunes drop senders silent for more than three of them.
+hello_op = st.tuples(
+    st.just("hello"),
+    st.integers(1, 5),
+    st.integers(0, 4),
+    st.integers(0, 60).map(float),
+    st.integers(0, 60).map(float),
+)
+own_op = st.tuples(st.just("own"), st.integers(0, 4))
+prune_op = st.tuples(st.just("prune"))
+operations = st.lists(
+    st.one_of(hello_op, hello_op, hello_op, own_op, prune_op), max_size=40
+)
+
+
+def _hello(sender, version, xy, t):
+    return Hello(sender, version, (float(xy[0]), float(xy[1])), t, t + 0.001)
+
+
+def _replay(ops, k):
+    """``(dict table, columnar table)`` after *ops*, at the final time.
+
+    The columnar store has a second receiver that hears every Hello too,
+    so the owner's slots interleave with another receiver's.
+    """
+    state = NeighborState(8, history_depth=k)
+    scalar = NeighborTable(OWNER, 50.0, history_depth=k, expiry=EXPIRY)
+    columnar = ColumnarNeighborTable(
+        OWNER, 50.0, state=state, history_depth=k, expiry=EXPIRY
+    )
+    t = 0.0
+    for op in ops:
+        t += 0.3
+        if op[0] == "hello":
+            _, sender, version, x, y = op
+            hello = _hello(sender, version, (x, y), t)
+            scalar.record_hello(hello)
+            state.record_batch(hello, np.array([OWNER, 7]))
+        elif op[0] == "own":
+            own = _hello(OWNER, op[1], (0.0, 0.0), t)
+            scalar.record_own(own)
+            columnar.record_own(own)
+        else:
+            scalar.prune(t)
+            columnar.prune(t)
+    return scalar, columnar, t
+
+
+def _reference(table, version):
+    """``{sender: position}`` by the scalar rule over the table's history."""
+    out = {}
+    for nid in table.known_neighbors():
+        match = next((h for h in table.history_of(nid) if h.version == version), None)
+        if match is not None:
+            out[nid] = match.position
+    return out
+
+
+def _as_map(ids, xy):
+    return dict(zip(ids.tolist(), map(tuple, xy.tolist())))
+
+
+class TestVersionedPositions:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=operations, k=st.integers(1, 3))
+    def test_gather_matches_versioned_view_on_both_tables(self, ops, k):
+        scalar, columnar, now = _replay(ops, k)
+        for version in VERSIONS:
+            gathered = []
+            for table in (scalar, columnar):
+                ids, xy = table.versioned_positions(version)
+                assert ids.dtype == np.int64 and xy.shape == (ids.size, 2)
+                assert _as_map(ids, xy) == _reference(table, version)
+                if version in table.available_versions():
+                    view = table.versioned_view(now, version)
+                    view_ids, view_pts = view.positions()
+                    members = {
+                        i: tuple(p)
+                        for i, p in zip(view_ids, view_pts.tolist())
+                        if i != OWNER
+                    }
+                    assert _as_map(ids, xy) == members
+                    assert ids.tolist() == list(view.neighbor_hellos)
+                gathered.append(ids.tolist())
+            assert gathered[0] == gathered[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=operations, k=st.integers(1, 3))
+    def test_columnar_versioned_view_hellos_are_identical(self, ops, k):
+        scalar, columnar, now = _replay(ops, k)
+        for version in scalar.available_versions():
+            want = scalar.versioned_view(now, version)
+            got = columnar.versioned_view(now, version)
+            assert list(got.neighbor_hellos.items()) == list(
+                want.neighbor_hellos.items()
+            )
+            assert got.own_hello == want.own_hello
+
+    def _tables(self, k=2):
+        state = NeighborState(4, history_depth=k)
+        return (
+            NeighborTable(OWNER, 50.0, history_depth=k, expiry=EXPIRY),
+            ColumnarNeighborTable(OWNER, 50.0, state=state, history_depth=k,
+                                  expiry=EXPIRY),
+        )
+
+    def test_empty_directory(self):
+        for table in self._tables():
+            ids, xy = table.versioned_positions(1)
+            assert ids.shape == (0,) and xy.shape == (0, 2)
+
+    def test_ring_wrap_and_repeated_version(self):
+        # k=2: sender 1 writes versions 1, 2, 2, 3 — the ring keeps (2, 3)
+        # after wrapping; sender 2 writes 4, 4 — the oldest of the two wins.
+        writes = [(1, 1, (1, 0)), (1, 2, (2, 0)), (1, 2, (3, 0)), (1, 3, (4, 0)),
+                  (2, 4, (5, 0)), (2, 4, (6, 0))]
+        for table in self._tables():
+            for i, (sender, version, xy) in enumerate(writes):
+                table.record_hello(_hello(sender, version, xy, 0.1 * i))
+            assert _as_map(*table.versioned_positions(1)) == {}
+            assert _as_map(*table.versioned_positions(2)) == {1: (3.0, 0.0)}
+            assert _as_map(*table.versioned_positions(3)) == {1: (4.0, 0.0)}
+            assert _as_map(*table.versioned_positions(4)) == {2: (5.0, 0.0)}
+            assert _as_map(*table.versioned_positions(9)) == {}
+
+    def test_pruned_sender_is_absent(self):
+        for table in self._tables():
+            table.record_hello(_hello(1, 1, (1, 0), 0.0))
+            table.record_hello(_hello(2, 1, (2, 0), 2.0))
+            table.prune(2.5)
+            assert _as_map(*table.versioned_positions(1)) == {2: (2.0, 0.0)}
+            # A returning sender starts a fresh history.
+            table.record_hello(_hello(1, 2, (7, 0), 2.6))
+            assert _as_map(*table.versioned_positions(1)) == {2: (2.0, 0.0)}
+            assert _as_map(*table.versioned_positions(2)) == {1: (7.0, 0.0)}
+
+
+# --------------------------------------------------------------------- #
+# mechanisms: batched decisions against the LocalView route
+
+
+def _old_proactive_view(table, now, version):
+    """The LocalView the proactive scheme decided from before batching."""
+    if version is None:
+        version = max(table.available_versions(), default=None)
+        if version is None:
+            raise ViewError("not advertised")
+    try:
+        return table.versioned_view(now, version)
+    except ViewError:
+        candidates = [v for v in table.available_versions() if v < version]
+        if not candidates:
+            raise
+        return table.versioned_view(now, max(candidates))
+
+
+requested = st.one_of(st.none(), st.sampled_from(list(VERSIONS)))
+
+
+class TestProactiveDecisions:
+    @pytest.mark.parametrize("mechanism", [ProactiveConsistency(),
+                                           ReactiveConsistency()])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        histories=st.lists(st.tuples(operations, st.integers(1, 3)),
+                           min_size=1, max_size=4),
+        version=requested,
+    )
+    def test_decide_and_decide_many_agree_on_every_branch(
+        self, mechanism, histories, version
+    ):
+        protocol = RngProtocol()
+        tables, expected = [], []
+        for ops, k in histories:
+            for table in _replay(ops, k)[:2]:
+                tables.append(table)
+                try:
+                    view = _old_proactive_view(table, 10.0, version)
+                except ViewError:
+                    with pytest.raises(ViewError):
+                        mechanism.decide(protocol, table, 10.0, None, version=version)
+                    expected.append(None)
+                    continue
+                result = mechanism.decide(protocol, table, 10.0, None, version=version)
+                assert result == protocol.select(view)
+                expected.append(result)
+        got = mechanism.decide_many(
+            protocol, tables, 10.0, [None] * len(tables), version=version
+        )
+        assert got == expected
+
+    def _table(self):
+        table = NeighborTable(OWNER, 50.0, history_depth=3)
+        for v in (2, 3, 5):
+            table.record_own(_hello(OWNER, v, (0.0, 0.0), float(v)))
+            table.record_hello(_hello(1, v, (10.0 * v, 0.0), float(v)))
+        return table
+
+    @pytest.mark.parametrize(
+        "version, used",
+        [(None, 5), (3, 3), (4, 3), (9, 5), (1, None), (-1, None)],
+        ids=["newest", "exact", "fallback", "fallback-far", "none-lower",
+             "negative"],
+    )
+    def test_fallback_branches(self, version, used):
+        table = self._table()
+        protocol = RngProtocol()
+        mechanism = ProactiveConsistency()
+        (many,) = mechanism.decide_many(protocol, [table], 9.0, [None], version=version)
+        if used is None:
+            with pytest.raises(ViewError, match="has not advertised"):
+                mechanism.decide(protocol, table, 9.0, None, version=version)
+            assert many is None
+            return
+        result = mechanism.decide(protocol, table, 9.0, None, version=version)
+        assert result == many
+        assert result.actual_range == 10.0 * used
+
+    def test_nothing_advertised(self):
+        table = NeighborTable(OWNER, 50.0)
+        with pytest.raises(ViewError, match="before advertising"):
+            ProactiveConsistency().decide(RngProtocol(), table, 0.0, None)
+        assert ProactiveConsistency().decide_many(
+            RngProtocol(), [table], 0.0, [None]
+        ) == [None]
+
+    def test_protocol_without_batch_keeps_the_view_route(self):
+        table = self._table()
+        protocol = make_protocol("spt4")
+        assert not protocol.supports_batch
+        result = ProactiveConsistency().decide(protocol, table, 9.0, None, version=4)
+        assert result == protocol.select(table.versioned_view(9.0, 3))
+
+
+class TestLatestDecisions:
+    @pytest.mark.parametrize(
+        "mechanism",
+        [BaselineConsistency(), ViewSynchronization(), GossipConsistency()],
+        ids=lambda m: m.name,
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(ops=operations, k=st.integers(1, 3))
+    def test_batch_of_one_matches_view_route(self, mechanism, ops, k):
+        protocol = RngProtocol()
+        current = _hello(OWNER, 9, (3.0, 4.0), 12.0)
+        for table in _replay(ops, k)[:2]:
+            now = 12.0
+            own = current
+            if mechanism.name != "baseline":
+                own = table.last_advertised or current
+            want = protocol.select(table.latest_view(now, own_hello=own))
+            assert mechanism.decide(protocol, table, now, current) == want
+            assert mechanism.decide_many(protocol, [table], now, [current]) == [want]
