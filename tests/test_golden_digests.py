@@ -38,8 +38,17 @@ CELLS = {
     "rng-proactive": ("rng", "proactive"),
     "rng-reactive": ("rng", "reactive"),
     "rng-gossip": ("rng", "gossip"),
-    # spt4 has no batched selection: pins the Hello-built versioned route.
+    # Recorded when spt4 still decided from a Hello-built versioned view;
+    # pins proactive versioned decisions of condition 2.
     "spt4-proactive": ("spt4", "proactive"),
+    # Hello-time decisions of conditions 2 and 3 (a batch of one).
+    "mst-baseline": ("mst", "baseline"),
+    "spt2-baseline": ("spt2", "baseline"),
+    # Packet-time decide_many of conditions 2 and 3.
+    "mst-view-sync": ("mst", "view-sync"),
+    "spt4-view-sync": ("spt4", "view-sync"),
+    # gabriel has no batched selection: pins the LocalView versioned route.
+    "gabriel-proactive": ("gabriel", "proactive"),
 }
 
 
