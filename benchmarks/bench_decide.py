@@ -1,4 +1,4 @@
-"""Decision-pipeline benchmark: fingerprint cache and the RNG batch kernel.
+"""Decision-pipeline benchmark: fingerprint cache and the batched kernels.
 
 Measures the incremental decision pipeline introduced with the
 view-fingerprint cache (see ``docs/PERFORMANCE.md``):
@@ -8,6 +8,11 @@ view-fingerprint cache (see ``docs/PERFORMANCE.md``):
   an unchanged view must collapse to cache hits;
 - the batched :func:`~repro.core.framework.rng_removable_batch` kernel vs
   one :func:`~repro.core.framework.rng_removable` scan per link;
+- SPT-2, SPT-4 and MST ``select_batch`` vs the per-owner oracle route
+  (:meth:`LocalCostGraph.from_local_view` plus
+  :func:`~repro.core.framework.spt_removable_batch` /
+  :func:`~repro.core.framework.mst_removable_batch` per view) at paper
+  view sizes, a batch of one (Hello time) and a block of 32 (packet time);
 - the sparse-first snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
@@ -34,7 +39,14 @@ import pytest
 
 from repro.analysis.experiment import ExperimentSpec, build_world
 from repro.analysis.scales import Scale
-from repro.core.framework import LocalCostGraph, rng_removable, rng_removable_batch
+from repro.core.framework import (
+    LocalCostGraph,
+    apply_removal_condition,
+    rng_removable,
+    rng_removable_batch,
+)
+from repro.core.views import Hello, LocalView
+from repro.protocols import make_protocol
 
 pytestmark = pytest.mark.decide_bench
 
@@ -157,6 +169,66 @@ def bench_rng_kernel(m: int, seed: int = 11) -> dict:
         "per_edge_ns": round(edge_ns),
         "batch_ns": round(batch_ns),
         "speedup": round(edge_ns / batch_ns, 2),
+    }
+
+
+CONDITION_PROTOCOLS = ("spt2", "spt4", "mst")
+#: paper radio range; a view's members lie within it of the owner
+VIEW_RADIUS = 250.0
+
+
+def _random_views(m: int, batch: int, seed: int) -> list[LocalView]:
+    """*batch* views of *m* members, neighbors uniform in the owner's disk."""
+    rng = np.random.default_rng(seed)
+    views = []
+    for b in range(batch):
+        r = VIEW_RADIUS * np.sqrt(rng.random(m - 1))
+        theta = 2.0 * np.pi * rng.random(m - 1)
+        hellos = {
+            b * m + 1 + i: Hello(b * m + 1 + i, 1, (float(x), float(y)), 0.0, 0.0)
+            for i, (x, y) in enumerate(zip(r * np.cos(theta), r * np.sin(theta)))
+        }
+        views.append(LocalView(
+            owner=b * m,
+            own_hello=Hello(b * m, 1, (0.0, 0.0), 0.0, 0.0),
+            neighbor_hellos=hellos,
+            normal_range=VIEW_RADIUS,
+            sampled_at=0.0,
+        ))
+    return views
+
+
+def bench_condition_kernel(name: str, m: int, batch: int, seed: int = 13) -> dict:
+    """Time ``select_batch`` vs the per-owner oracle route on *batch* views."""
+    protocol = make_protocol(name)
+    views = _random_views(m, batch, seed)
+    ids = np.array([view.positions()[0] for view in views], dtype=np.int64)
+    pts = np.stack([view.positions()[1] for view in views])
+    ranges = np.array([view.normal_range for view in views])
+
+    def oracle() -> list:
+        return [
+            apply_removal_condition(
+                LocalCostGraph.from_local_view(view, protocol.cost_model),
+                protocol._removable,
+            )
+            for view in views
+        ]
+
+    if protocol.select_batch(ids, pts, ranges) != oracle():
+        raise AssertionError(f"{name} select_batch diverges from the oracle at m={m}")
+    oracle_ns = _median_ns(oracle, budget_s=1.0)
+    batch_ns = _median_ns(lambda: protocol.select_batch(ids, pts, ranges), budget_s=1.0)
+    print(
+        f"{name}_kernel m={m:<3} batch={batch:<3} oracle={oracle_ns / 1e3:8.1f} us   "
+        f"select_batch={batch_ns / 1e3:8.1f} us   {oracle_ns / batch_ns:6.1f}x"
+    )
+    return {
+        "m": m,
+        "batch": batch,
+        "oracle_ns": round(oracle_ns),
+        "select_batch_ns": round(batch_ns),
+        "speedup": round(oracle_ns / batch_ns, 2),
     }
 
 
@@ -334,6 +406,10 @@ def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
 def run_benchmark(smoke: bool = False) -> dict:
     redecide_sizes = (25,) if smoke else (50, 100)
     kernel_sizes = (16,) if smoke else (25, 50, 100)
+    # Paper density gives views of about 20-25 members; the smoke row
+    # still runs both batch shapes and the oracle identity check.
+    view_sizes = (25,) if smoke else (16, 25)
+    condition_batches = (1, 32)
     scale_sizes = () if smoke else SCALE_SIZES
     # The smoke row still exercises the full batched pipeline (oracle,
     # columnar splice, coalesced delivery) and its identity assertions.
@@ -348,6 +424,12 @@ def run_benchmark(smoke: bool = False) -> dict:
     results = {
         "redecide_all": {str(n): bench_redecide(n) for n in redecide_sizes},
         "rng_kernel": {str(m): bench_rng_kernel(m) for m in kernel_sizes},
+        "condition_kernels": {
+            f"{name}/m={m}/batch={batch}": bench_condition_kernel(name, m, batch)
+            for name in CONDITION_PROTOCOLS
+            for m in view_sizes
+            for batch in condition_batches
+        },
         "hello_pipeline": {str(n): bench_hello_pipeline(n) for n in hello_sizes},
         "hello_pipeline_log_distance": {
             str(n): bench_hello_pipeline(n, propagation="log-distance")
@@ -364,6 +446,8 @@ def run_benchmark(smoke: bool = False) -> dict:
             "smoke": smoke,
             "redecide_sizes": list(redecide_sizes),
             "kernel_sizes": list(kernel_sizes),
+            "view_sizes": list(view_sizes),
+            "condition_batches": list(condition_batches),
             "hello_sizes": list(hello_sizes),
             "hello_model_sizes": list(hello_model_sizes),
             "gossip_sizes": list(gossip_sizes),

@@ -344,6 +344,10 @@ def mst_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
     neighbor.  Only valid when the cost bounds coincide (single-version
     views); interval graphs fall back to the per-edge predicate, whose
     conservative low/high asymmetry has no single-MST equivalent.
+
+    This is :class:`~repro.protocols.mst.MstProtocol`'s conservative
+    route, its fallback for single-version views with equal-cost links,
+    and the reference its batched kernel is tested against.
     """
     if graph.cost_low is not graph.cost_high and not np.array_equal(
         graph.cost_low, graph.cost_high
@@ -391,6 +395,9 @@ def spt_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
     can beat it, so including it changes nothing — one O(m^2) Dijkstra
     replaces one per neighbor.  Semantics identical to
     :func:`spt_removable` (verified by tests on random graphs).
+
+    This is :class:`~repro.protocols.spt.SptProtocol`'s conservative
+    route and the reference its batched kernel is tested against.
     """
     m = graph.size
     weights = np.where(graph.adj, graph.cost_high, math.inf)

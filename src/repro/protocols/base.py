@@ -12,6 +12,7 @@ mode, for weak consistency).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import compress
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.core.framework import LocalCostGraph, SelectionResult, apply_removal_
 from repro.core.views import LocalView, MultiVersionView
 from repro.util.errors import ProtocolError
 
-__all__ = ["TopologyControlProtocol", "ConditionProtocol", "register_protocol", "make_protocol", "available_protocols"]
+__all__ = ["TopologyControlProtocol", "ConditionProtocol", "owner_path_costs", "register_protocol", "make_protocol", "available_protocols"]
 
 _REGISTRY: dict[str, type["TopologyControlProtocol"]] = {}
 
@@ -61,6 +62,28 @@ def make_protocol(name: str, **kwargs) -> "TopologyControlProtocol":
             f"unknown protocol {name!r}; available: {available_protocols()}"
         ) from None
     return cls(**kwargs)
+
+
+def owner_path_costs(adj: np.ndarray, cost: np.ndarray, combine) -> np.ndarray:
+    """Best path cost from the owner (column 0) to every member, per row.
+
+    Vectorised Bellman-Ford over the padded ``(B, M, M)`` cost matrices:
+    ``d = min(d, min_k combine(d[:, k], w[:, k, :]))`` until no row
+    changes (at most ``M`` rounds), where ``w`` is ``cost`` on adjacent
+    pairs and ``inf`` elsewhere.  ``combine`` is ``np.add`` for summed
+    path costs (condition 2) and ``np.maximum`` for bottlenecks
+    (condition 3).  Both are monotone and costs are non-negative, so the
+    least fixpoint is the exact minimum over paths of the float path cost
+    -- the value Dijkstra computes.
+    """
+    w = np.where(adj, cost, np.inf)
+    d = w[:, 0, :].copy()
+    d[:, 0] = 0.0
+    while True:
+        relaxed = np.minimum(d, combine(d[:, :, np.newaxis], w).min(axis=1))
+        if np.array_equal(relaxed, d):
+            return d
+        d = relaxed
 
 
 class TopologyControlProtocol(ABC):
@@ -115,13 +138,20 @@ class TopologyControlProtocol(ABC):
 
 
 class ConditionProtocol(TopologyControlProtocol):
-    """Shared machinery for the three link-removal-condition protocols.
+    """Shared machinery for the link-removal-condition protocols.
 
     Subclasses provide a cost model and a removal predicate
     ``f(LocalCostGraph, owner_index, neighbor_index) -> bool``; both plain
     and conservative selection then come for free (the predicate reads
     lower bounds for the candidate link and upper bounds for witnesses,
     which coincide on single-version views).
+
+    A subclass that sets :attr:`supports_batch` implements
+    :meth:`_batch_removable` instead for single-version views: the
+    padded distance, adjacency and cost prelude and the survivors ->
+    :class:`SelectionResult` tail live here, and :meth:`select` is a
+    batch of one.  Its predicate stays the conservative route and the
+    reference the batched kernel is tested against.
     """
 
     supports_conservative = True
@@ -134,9 +164,59 @@ class ConditionProtocol(TopologyControlProtocol):
     def _removable(self):
         """The removal predicate for this protocol."""
 
+    def _batch_removable(
+        self, ids: np.ndarray, dist: np.ndarray, adj: np.ndarray, cost: np.ndarray
+    ) -> np.ndarray:
+        """``(B, M)`` mask: owner link ``(0, v)`` of row ``b`` is removable.
+
+        Inputs are the padded ``(B, M)`` IDs and ``(B, M, M)`` distances,
+        adjacency and costs of :meth:`select_batch`; entries off the
+        owner's adjacency are ignored.
+        """
+        raise ProtocolError(f"protocol {self.name!r} has no batched selection")
+
     def select(self, view: LocalView) -> SelectionResult:
-        graph = LocalCostGraph.from_local_view(view, self.cost_model)
-        return apply_removal_condition(graph, self._removable)
+        if not self.supports_batch:
+            graph = LocalCostGraph.from_local_view(view, self.cost_model)
+            return apply_removal_condition(graph, self._removable)
+        ids, pts = view.positions()
+        return self.select_batch(
+            np.array([ids], dtype=np.int64),
+            pts[np.newaxis],
+            np.array([view.normal_range]),
+        )[0]
+
+    def select_batch(
+        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
+    ) -> list[SelectionResult]:
+        m = ids.shape[1]
+        x, y = pts[..., 0], pts[..., 1]
+        # sqrt(dx*dx + dy*dy), the IEEE sequence of from_local_view's
+        # einsum, in place: the batch holds two (B, M, M) floats at most.
+        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
+        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
+        dist *= dist
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        # NaN padding compares False, so padded members are never adjacent.
+        adj = dist <= normal_range[:, np.newaxis, np.newaxis]
+        diag = np.arange(m)
+        adj[:, diag, diag] = False
+        cost = np.asarray(self.cost_model.from_distance(dist), dtype=np.float64)
+        survivors = adj[:, 0, :] & ~self._batch_removable(ids, dist, adj, cost)
+        ranges = np.where(survivors, dist[:, 0, :], 0.0).max(axis=1)
+        return [
+            SelectionResult(
+                owner=row[0],
+                logical_neighbors=frozenset(compress(row, keep)),
+                actual_range=reach,
+            )
+            for row, keep, reach in zip(
+                ids.tolist(), survivors.tolist(), ranges.tolist()
+            )
+        ]
 
     def select_conservative(self, view: MultiVersionView) -> SelectionResult:
         graph = LocalCostGraph.from_multi_version_view(view, self.cost_model)

@@ -10,8 +10,10 @@ degree ≈ 2.09) and therefore most mobility-fragile logical topology.
 
 from __future__ import annotations
 
-from repro.core.framework import mst_removable_batch
-from repro.protocols.base import ConditionProtocol, register_protocol
+import numpy as np
+
+from repro.core.framework import LocalCostGraph, _triu_indices, mst_removable_batch
+from repro.protocols.base import ConditionProtocol, owner_path_costs, register_protocol
 
 __all__ = ["MstProtocol"]
 
@@ -20,14 +22,33 @@ __all__ = ["MstProtocol"]
 class MstProtocol(ConditionProtocol):
     """Local minimum-spanning-tree protocol (removal condition 3).
 
-    Selection runs the batched form (one Prim pass per decision on
-    single-version views; per-edge bottleneck reachability on interval
-    views) — semantics identical to :func:`repro.core.framework
-    .mst_removable`, verified by equivalence tests.
+    Single-version selection computes every owner's bottleneck path costs
+    of a padded batch of views at once (:meth:`select_batch`;
+    :meth:`select` is a batch of one) and drops a link iff some path's
+    every link is cheaper.  A view in which two distinct links cost
+    exactly the same needs the ``(cost, min id, max id)`` order, so it
+    goes to the rank-based :func:`repro.core.framework
+    .mst_removable_batch`, which is also the conservative route and the
+    reference the batched kernel is tested against.
     """
 
     name = "mst"
+    supports_batch = True
 
     @property
     def _removable(self):
         return mst_removable_batch
+
+    def _batch_removable(self, ids, dist, adj, cost):
+        removable = owner_path_costs(adj, cost, np.maximum) < cost[:, 0, :]
+        iu, iv = _triu_indices(ids.shape[1])
+        # NaN marks non-links; it sorts last and never compares equal.
+        links = np.sort(np.where(adj, cost, np.nan)[:, iu, iv], axis=1)
+        for b in np.flatnonzero((links[:, 1:] == links[:, :-1]).any(axis=1)):
+            m = int(np.count_nonzero(ids[b] >= 0))
+            c = cost[b, :m, :m]
+            d = dist[b, :m, :m]
+            graph = LocalCostGraph(ids[b, :m].tolist(), adj[b, :m, :m], c, c, d, d)
+            for v, dropped in mst_removable_batch(graph).items():
+                removable[b, v] = dropped
+        return removable

@@ -6,12 +6,9 @@ Link (u, v) is removed when a third node w, visible to both, satisfies
 
 from __future__ import annotations
 
-from itertools import compress
-
 import numpy as np
 
-from repro.core.framework import SelectionResult, rng_removable_batch
-from repro.core.views import LocalView
+from repro.core.framework import rng_removable_batch
 from repro.protocols.base import ConditionProtocol, register_protocol
 
 __all__ = ["RngProtocol"]
@@ -43,17 +40,7 @@ class RngProtocol(ConditionProtocol):
     def _removable(self):
         return rng_removable_batch
 
-    def select(self, view: LocalView) -> SelectionResult:
-        ids, pts = view.positions()
-        return self.select_batch(
-            np.array([ids], dtype=np.int64),
-            pts[np.newaxis],
-            np.array([view.normal_range]),
-        )[0]
-
-    def select_batch(
-        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
-    ) -> list[SelectionResult]:
+    def _batch_removable(self, ids, dist, adj, cost):
         """Condition 1 for every owner link of a padded batch of views.
 
         On a single-version view the total order of link keys
@@ -61,22 +48,6 @@ class RngProtocol(ConditionProtocol):
         is below the direct link if its cost is lower, and the ID pair is
         compared only where the two costs are exactly equal.
         """
-        m = ids.shape[1]
-        x, y = pts[..., 0], pts[..., 1]
-        # sqrt(dx*dx + dy*dy), the IEEE sequence of from_local_view's
-        # einsum, in place: the batch holds two (B, M, M) floats at most.
-        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
-        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
-        dist *= dist
-        dy *= dy
-        dist += dy
-        del dy
-        np.sqrt(dist, out=dist)
-        # NaN padding compares False, so padded members are never adjacent.
-        adj = dist <= normal_range[:, np.newaxis, np.newaxis]
-        diag = np.arange(m)
-        adj[:, diag, diag] = False
-        cost = np.asarray(self.cost_model.from_distance(dist), dtype=np.float64)
         owner_adj = adj[:, 0, :]
         # Axis 1 is the owner's neighbor v, axis 2 the witness w.
         candidate = adj & owner_adj[:, np.newaxis, :] & owner_adj[:, :, np.newaxis]
@@ -106,15 +77,4 @@ class RngProtocol(ConditionProtocol):
                 | ((c_vw == c_direct) & _pair_below(iv, iw, owner, iv))
             )
             removable[b[witness], v[witness]] = True
-        survivors = owner_adj & ~removable
-        ranges = np.where(survivors, dist[:, 0, :], 0.0).max(axis=1)
-        return [
-            SelectionResult(
-                owner=row[0],
-                logical_neighbors=frozenset(compress(row, keep)),
-                actual_range=reach,
-            )
-            for row, keep, reach in zip(
-                ids.tolist(), survivors.tolist(), ranges.tolist()
-            )
-        ]
+        return removable

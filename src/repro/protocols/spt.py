@@ -10,15 +10,24 @@ SPT-4 prunes far more aggressively than SPT-2.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.costs import EnergyCost
 from repro.core.framework import spt_removable_batch
-from repro.protocols.base import ConditionProtocol, register_protocol
+from repro.protocols.base import ConditionProtocol, owner_path_costs, register_protocol
 
 __all__ = ["SptProtocol", "Spt2Protocol", "Spt4Protocol"]
 
 
 class SptProtocol(ConditionProtocol):
     """Minimum-energy / local shortest-path-tree protocol (condition 2).
+
+    Single-version selection computes every owner's shortest-path costs
+    of a padded batch of views at once (:meth:`select_batch`;
+    :meth:`select` is a batch of one) and drops a link iff some path is
+    strictly cheaper.  Condition 2 has no ID tie-break.  Conservative
+    selection keeps :func:`repro.core.framework.spt_removable_batch`,
+    which is also the reference the batched kernel is tested against.
 
     Parameters
     ----------
@@ -29,6 +38,7 @@ class SptProtocol(ConditionProtocol):
     """
 
     name = "spt"
+    supports_batch = True
 
     def __init__(self, alpha: float = 2.0, const: float = 0.0) -> None:
         super().__init__(EnergyCost(alpha=alpha, const=const))
@@ -37,6 +47,9 @@ class SptProtocol(ConditionProtocol):
     @property
     def _removable(self):
         return spt_removable_batch
+
+    def _batch_removable(self, ids, dist, adj, cost):
+        return owner_path_costs(adj, cost, np.add) < cost[:, 0, :]
 
     def __repr__(self) -> str:
         return f"SptProtocol(alpha={self.alpha:g})"

@@ -1,0 +1,211 @@
+"""Batched SPT and MST selection against the per-owner oracle route.
+
+:meth:`SptProtocol.select_batch` and :meth:`MstProtocol.select_batch`
+evaluate removal conditions 2 and 3 for a padded batch of views at once.
+Each result must equal the per-owner route they replaced:
+:func:`apply_removal_condition` over
+:meth:`LocalCostGraph.from_local_view` with :func:`spt_removable_batch`
+(one Dijkstra) or :func:`mst_removable_batch` (one Prim pass over the
+rank matrix).  Ragged batches cover empty and one-member views, duplicate
+and collinear positions, and exact equal-cost links, which only the ID
+pair can order and which send MST rows to the rank-based fallback.  Twin
+worlds then check the whole route with batching switched off.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
+from repro.core.costs import EnergyCost
+from repro.core.framework import (
+    LocalCostGraph,
+    apply_removal_condition,
+    mst_removable_batch,
+    spt_removable_batch,
+)
+from repro.core.views import Hello, LocalView
+from repro.mobility.base import Area
+from repro.protocols import MstProtocol, SptProtocol, make_protocol
+from repro.protocols.base import owner_path_costs
+from repro.sim.config import ScenarioConfig
+from repro.sim.flood import flood
+
+#: name -> (protocol factory, oracle predicate)
+PROTOCOLS = {
+    "spt2": (lambda: make_protocol("spt2"), spt_removable_batch),
+    "spt4": (lambda: make_protocol("spt4"), spt_removable_batch),
+    "spt-2.5+1": (lambda: SptProtocol(alpha=2.5, const=1.0), spt_removable_batch),
+    "mst": (lambda: make_protocol("mst"), mst_removable_batch),
+    "mst-energy4": (lambda: MstProtocol(EnergyCost(4.0)), mst_removable_batch),
+}
+
+
+def _hello(sender: int, xy) -> Hello:
+    return Hello(
+        sender=sender, version=1, position=(float(xy[0]), float(xy[1])),
+        sent_at=0.0, timestamp=0.0,
+    )
+
+
+def _view(ids: list[int], pts: list, normal_range: float) -> LocalView:
+    return LocalView(
+        owner=ids[0],
+        own_hello=_hello(ids[0], pts[0]),
+        neighbor_hellos={i: _hello(i, p) for i, p in zip(ids[1:], pts[1:])},
+        normal_range=normal_range,
+        sampled_at=0.0,
+    )
+
+
+def _oracle_route(protocol, removable, view: LocalView):
+    graph = LocalCostGraph.from_local_view(view, protocol.cost_model)
+    return apply_removal_condition(graph, removable)
+
+
+def _oracle(name: str, view: LocalView):
+    factory, removable = PROTOCOLS[name]
+    return _oracle_route(factory(), removable, view)
+
+
+def _padded(views: list[tuple[list[int], list, float]]):
+    width = max(len(ids) for ids, _, _ in views)
+    ids = np.full((len(views), width), -1, dtype=np.int64)
+    pts = np.full((len(views), width, 2), np.nan)
+    for b, (vids, vpts, _) in enumerate(views):
+        ids[b, : len(vids)] = vids
+        pts[b, : len(vids)] = vpts
+    return ids, pts, np.array([r for _, _, r in views])
+
+
+# A coarse lattice makes duplicates, collinear triples and exact cost
+# ties common; the fine coordinates cover generic positions.
+coordinate = st.one_of(
+    st.integers(0, 4).map(lambda k: 10.0 * k),
+    st.floats(0.0, 60.0, allow_nan=False, width=32),
+)
+member_view = st.integers(1, 10).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.integers(0, 40), min_size=m, max_size=m, unique=True),
+        st.lists(st.tuples(coordinate, coordinate), min_size=m, max_size=m),
+        st.sampled_from([15.0, 30.0, 45.0, 200.0]),
+    )
+)
+
+names = pytest.mark.parametrize("name", sorted(PROTOCOLS))
+
+
+class TestBatchedConditions:
+    @names
+    @settings(max_examples=150, deadline=None)
+    @given(views=st.lists(member_view, min_size=1, max_size=6))
+    def test_ragged_batch_matches_per_owner_oracle(self, name, views):
+        got = PROTOCOLS[name][0]().select_batch(*_padded(views))
+        assert len(got) == len(views)
+        for (ids, pts, radius), result in zip(views, got):
+            assert result == _oracle(name, _view(ids, pts, radius))
+
+    @names
+    @settings(max_examples=60, deadline=None)
+    @given(view=member_view)
+    def test_select_is_a_batch_of_one(self, name, view):
+        protocol = PROTOCOLS[name][0]()
+        ids, pts, radius = view
+        (batched,) = protocol.select_batch(*_padded([view]))
+        assert protocol.select(_view(ids, pts, radius)) == batched
+
+    @names
+    def test_empty_and_one_member_views(self, name):
+        views = [([7], [(0.0, 0.0)], 50.0), ([3, 9], [(0.0, 0.0), (10.0, 0.0)], 50.0)]
+        empty, single = PROTOCOLS[name][0]().select_batch(*_padded(views))
+        assert empty.logical_neighbors == frozenset() and empty.actual_range == 0.0
+        assert single.logical_neighbors == frozenset({9})
+        assert single.actual_range == 10.0
+
+    @names
+    def test_duplicate_and_collinear_positions(self, name):
+        views = [
+            ([4, 2, 8, 6], [(0.0, 0.0), (0.0, 0.0), (5.0, 0.0), (5.0, 0.0)], 50.0),
+            ([1, 2, 3, 4], [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)], 50.0),
+        ]
+        got = PROTOCOLS[name][0]().select_batch(*_padded(views))
+        assert got == [_oracle(name, _view(*view)) for view in views]
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [0, 2, 1], [5, 1, 2], [1, 5, 0]])
+    def test_mst_equal_cost_links_are_ordered_by_id_pair(self, ids):
+        # c(o, v) == c(o, w) == 10 and c(v, w) < 10: the float bottleneck
+        # test keeps both owner links, the total order drops the one whose
+        # ID pair orders last.
+        pts = [(0.0, 0.0), (6.0, 8.0), (10.0, 0.0)]
+        protocol = MstProtocol()
+        (result,) = protocol.select_batch(*_padded([(ids, pts, 50.0)]))
+        assert result == _oracle("mst", _view(ids, pts, 50.0))
+        o, v, w = ids
+        kept = v if (min(o, v), max(o, v)) < (min(o, w), max(o, w)) else w
+        assert result.logical_neighbors == frozenset({kept})
+
+    def test_mst_tie_fallback_leaves_other_rows_alone(self):
+        tied = ([0, 1, 2], [(0.0, 0.0), (6.0, 8.0), (10.0, 0.0)], 50.0)
+        generic = ([3, 4, 5, 6], [(0.0, 0.0), (9.0, 1.0), (17.0, 3.0), (4.0, 13.0)], 50.0)
+        got = MstProtocol().select_batch(*_padded([generic, tied, generic]))
+        assert got == [_oracle("mst", _view(*view)) for view in (generic, tied, generic)]
+
+    def test_spt_equal_costs_keep_the_link(self):
+        # The relay path costs exactly the direct link: condition 2 is
+        # strict and has no ID tie-break, so the direct link stays.
+        view = ([0, 1, 2], [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)], 50.0)
+        protocol = SptProtocol(alpha=1.0)
+        (result,) = protocol.select_batch(*_padded([view]))
+        assert result.logical_neighbors == frozenset({1, 2})
+        assert result == _oracle_route(protocol, spt_removable_batch, _view(*view))
+
+    def test_owner_path_costs_match_dijkstra(self):
+        rng = np.random.default_rng(5)
+        pts = rng.random((12, 2)) * 80.0
+        view = _view(list(range(12)), pts.tolist(), 40.0)
+        graph = LocalCostGraph.from_local_view(view, EnergyCost(2.0))
+        d = owner_path_costs(graph.adj[np.newaxis], graph.cost_low[np.newaxis], np.add)[0]
+        verdicts = spt_removable_batch(graph)
+        assert {j: bool(d[j] < graph.cost_low[0, j]) for j in verdicts} == verdicts
+
+
+# --------------------------------------------------------------------- #
+# twin worlds: batched route vs the per-owner LocalView route
+
+SPEC_CONFIG = ScenarioConfig(
+    n_nodes=16,
+    area=Area(math.sqrt(16 * 8100.0), math.sqrt(16 * 8100.0)),
+    duration=3.0,
+    warmup=1.0,
+    sample_rate=4.0,
+)
+
+
+def _drive(protocol, mechanism):
+    spec = ExperimentSpec(
+        protocol=protocol, mechanism=mechanism, buffer_width=10.0,
+        mean_speed=20.0, config=SPEC_CONFIG,
+    )
+    world = build_world(spec, seed=3)
+    sources = np.random.default_rng(3)
+    trace = []
+    for t in np.arange(1.0, 3.0 + 1e-9, 0.5):
+        world.run_until(float(t))
+        world.redecide_all()
+        flood(world, int(sources.integers(16)))
+        trace.append([node.decision for node in world.nodes])
+    return trace, RunStats.from_world(world).as_dict()
+
+
+@pytest.mark.parametrize("mechanism", ["baseline", "view-sync", "proactive", "gossip"])
+@pytest.mark.parametrize("protocol", ["mst", "spt4"])
+def test_batched_world_matches_view_route(protocol, mechanism, monkeypatch):
+    batched = _drive(protocol, mechanism)
+    cls = type(make_protocol(protocol))
+    monkeypatch.setattr(cls, "supports_batch", False)
+    assert _drive(protocol, mechanism) == batched

@@ -262,7 +262,7 @@ class TestTwinWorlds:
         _assert_twins("view-sync", "auto", faults=schedule)
 
     def test_protocol_without_batch_takes_the_default_route(self):
-        protocol = make_protocol("spt4")
+        protocol = make_protocol("gabriel")
         assert not protocol.supports_batch
         table = NeighborTable(0, normal_range=100.0)
         table.record_hello(Hello(1, 1, (30.0, 0.0), 0.0, 0.0))

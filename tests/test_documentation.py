@@ -151,6 +151,10 @@ STALE_CLAIMS = [
         "repro 2.0 removed the 'local' backend name: the backends are "
         "inprocess and queue",
     ),
+    (
+        r"Protocols\s+without\s+`select_batch`\s+\(SPT,\s+MST",
+        "SPT and MST have select_batch kernels (conditions 2 and 3)",
+    ),
 ]
 
 
@@ -159,7 +163,7 @@ STALE_CLAIMS = [
     STALE_CLAIMS,
     ids=[
         "workers-forced", "redecide-all-hits", "worker-pool",
-        "local-pool-backend", "local-backend",
+        "local-pool-backend", "local-backend", "spt-mst-no-batch",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):

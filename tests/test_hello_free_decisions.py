@@ -268,7 +268,7 @@ class TestProactiveDecisions:
 
     def test_protocol_without_batch_keeps_the_view_route(self):
         table = self._table()
-        protocol = make_protocol("spt4")
+        protocol = make_protocol("gabriel")
         assert not protocol.supports_batch
         result = ProactiveConsistency().decide(protocol, table, 9.0, None, version=4)
         assert result == protocol.select(table.versioned_view(9.0, 3))
