@@ -232,67 +232,6 @@ def bench_condition_kernel(name: str, m: int, batch: int, seed: int = 13) -> dic
     }
 
 
-def bench_hello_pipeline(
-    n: int, seed: int = 7, warm_t: float = 3.0, propagation: str = "unit-disk"
-) -> dict:
-    """Warmup wall time of the batched Hello pipeline vs the scalar route.
-
-    Both worlds run identical scenarios; their channel counters and
-    per-node neighbor-table state are asserted identical before any
-    timing is reported (the twin-world contract
-    ``tests/test_property_hello_batch.py`` proves exhaustively, and
-    ``tests/test_property_propagation.py`` extends to non-unit-disk
-    models).  The ``log-distance`` rows track the model-filter overhead:
-    superset-radius grid queries plus the keyed shadowing predicate on
-    top of the historical distance filter.
-    """
-    scale = Scale(
-        name="bench-hello",
-        n_nodes=n,
-        area_side=_side(n),
-        duration=warm_t + 2.0,
-        sample_rate=1.0,
-        repetitions=1,
-    )
-    spec = ExperimentSpec(
-        protocol="rng",
-        mechanism="proactive",
-        mean_speed=20.0,
-        config=scale.config(propagation=propagation),
-    )
-
-    def timed(pipeline: str):
-        world = build_world(spec, seed, hello_pipeline=pipeline)
-        t0 = time.perf_counter()
-        world.run_until(warm_t)
-        return world, time.perf_counter() - t0
-
-    batched, batched_s = timed("batched")
-    scalar, scalar_s = timed("scalar")
-    if batched.channel.stats.as_dict() != scalar.channel.stats.as_dict():
-        raise AssertionError(f"batched pipeline changed channel stats at n={n}")
-    now = batched.engine.now
-    for nb, ns in zip(batched.nodes, scalar.nodes):
-        if nb.table.live_view_token(now)[1:] != ns.table.live_view_token(now)[1:]:
-            raise AssertionError(f"batched pipeline changed table state at n={n}")
-    oracle = batched.hello_pipeline_stats()
-    print(
-        f"hello_pipeline n={n:<5} [{propagation}] scalar={scalar_s:7.2f} s   "
-        f"batched={batched_s:7.2f} s   {scalar_s / batched_s:6.1f}x   "
-        f"(rebuilds={oracle['oracle_rebuilds']}, "
-        f"queries={oracle['oracle_queries']}, "
-        f"slots={oracle['neighbor_slots']})"
-    )
-    return {
-        "n": n,
-        "propagation": propagation,
-        "scalar_warmup_s": round(scalar_s, 3),
-        "batched_warmup_s": round(batched_s, 3),
-        "speedup": round(scalar_s / batched_s, 2),
-        **oracle,
-    }
-
-
 GOSSIP_SIZES = (100, 1000)
 
 
@@ -411,12 +350,6 @@ def run_benchmark(smoke: bool = False) -> dict:
     view_sizes = (25,) if smoke else (16, 25)
     condition_batches = (1, 32)
     scale_sizes = () if smoke else SCALE_SIZES
-    # The smoke row still exercises the full batched pipeline (oracle,
-    # columnar splice, coalesced delivery) and its identity assertions.
-    hello_sizes = (300,) if smoke else (1000, 2000)
-    # Model-filter overhead rows: same pipeline under log-distance
-    # shadowing (superset query + keyed predicate).
-    hello_model_sizes = (300,) if smoke else (1000,)
     # Gossip rows run at the paper scale and 10x even in smoke mode: the
     # overhead-vs-view-sync factor is the tracked number, and it only
     # means something at the sizes the figures report.
@@ -429,11 +362,6 @@ def run_benchmark(smoke: bool = False) -> dict:
             for name in CONDITION_PROTOCOLS
             for m in view_sizes
             for batch in condition_batches
-        },
-        "hello_pipeline": {str(n): bench_hello_pipeline(n) for n in hello_sizes},
-        "hello_pipeline_log_distance": {
-            str(n): bench_hello_pipeline(n, propagation="log-distance")
-            for n in hello_model_sizes
         },
         "gossip": {str(n): bench_gossip(n) for n in gossip_sizes},
         "scale_pipeline": {str(n): bench_scale_pipeline(n) for n in scale_sizes},
@@ -448,8 +376,6 @@ def run_benchmark(smoke: bool = False) -> dict:
             "kernel_sizes": list(kernel_sizes),
             "view_sizes": list(view_sizes),
             "condition_batches": list(condition_batches),
-            "hello_sizes": list(hello_sizes),
-            "hello_model_sizes": list(hello_model_sizes),
             "gossip_sizes": list(gossip_sizes),
             "scale_sizes": list(scale_sizes),
         },

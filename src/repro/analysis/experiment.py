@@ -228,7 +228,6 @@ def build_world(
     seed: int,
     faults: "FaultSchedule | None" = None,
     telemetry: "Telemetry | None" = None,
-    hello_pipeline: str = "auto",
 ) -> NetworkWorld:
     """Construct the fully wired world for one repetition."""
     seeds = SeedSequenceFactory(seed)
@@ -241,7 +240,6 @@ def build_world(
         seed=seed,
         faults=faults,
         telemetry=telemetry,
-        hello_pipeline=hello_pipeline,
     )
 
 

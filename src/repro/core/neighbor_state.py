@@ -1,25 +1,22 @@
-"""World-level columnar neighbor state (struct-of-arrays Hello storage).
+"""Columnar neighbor state (struct-of-arrays Hello storage).
 
-The scalar pipeline keeps one :class:`~repro.core.tables.NeighborTable`
-per node, each holding per-sender ``deque[Hello]`` histories — perfectly
-fine at paper scale, but at 10k nodes a single Hello generation performs
-hundreds of thousands of Python-level deque appends and Hello allocations.
-:class:`NeighborState` stores the same information *columnar*: one flat
-NumPy ring buffer of shape ``(slots, k)`` per field (version / x / y /
-sent_at / local timestamp), where a *slot* is one (receiver, sender) pair
-and ``k`` is the retained history depth.  A batched Hello delivery then
-updates every receiver of one transmission with a single vectorized splice
-(`record_batch`), instead of per-receiver Python calls.
+Every node keeps the ``k`` most recent Hellos per 1-hop neighbor.  At 10k
+nodes a single Hello generation reaches hundreds of thousands of
+(receiver, sender) pairs, so :class:`NeighborState` stores them
+*columnar*: one flat NumPy ring buffer of shape ``(slots, k)`` per field
+(version / x / y / sent_at / local timestamp), where a *slot* is one
+(receiver, sender) pair and ``k`` is the retained history depth.  One
+Hello delivery updates every receiver of a transmission with a single
+vectorized splice (:meth:`NeighborState.record_batch`).
 
-Semantics are bit-identical to the scalar tables:
-
-- per-receiver sender *insertion order* is preserved (an insertion-ordered
-  ``dict[sender -> slot]`` directory per receiver), which is what keeps
-  ``live_view_token`` orderings and view dict iteration identical;
+- per-receiver sender *insertion order* is kept (an insertion-ordered
+  ``dict[sender -> slot]`` directory per receiver); ``live_view_token``
+  orderings and view dict iteration follow it;
 - per-pair histories are bounded rings of depth ``k`` (oldest evicted),
   the exact ``deque(maxlen=k)`` behaviour;
 - ``mutations`` / ``hellos_received`` counters live in flat per-node
-  arrays and follow the same increment rules as the scalar tables.
+  arrays: every recorded Hello bumps both, a prune that drops anything
+  bumps ``mutations`` once.
 
 Hello objects are *materialised on read* (and memoised per slot until the
 slot is written again); :class:`~repro.core.views.Hello` is a frozen value
@@ -27,8 +24,8 @@ type, so a materialised copy compares equal to the original in every view
 and fingerprint.
 
 The per-node facade over this storage is
-:class:`~repro.core.tables.ColumnarNeighborTable`; the batched delivery
-path that feeds it lives in :mod:`repro.sim.world`.
+:class:`~repro.core.tables.NeighborTable`; the Hello delivery that feeds
+it lives in :mod:`repro.sim.world`.
 """
 
 from __future__ import annotations
@@ -40,9 +37,13 @@ import numpy as np
 from repro.core.views import Hello
 from repro.util.validate import check_int_range
 
-__all__ = ["NeighborState"]
+__all__ = ["NeighborState", "NO_VERSION"]
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
+
+#: :meth:`NeighborState.newest_versions` of a pair that holds no Hello;
+#: below every version, so ``version <= newest`` is False for it.
+NO_VERSION = np.iinfo(np.int64).min
 
 
 class NeighborState:
@@ -82,7 +83,7 @@ class NeighborState:
         self.mutations = np.zeros(n_nodes, dtype=np.int64)
         self.hellos_received = np.zeros(n_nodes, dtype=np.int64)
         #: per-receiver ``{sender: slot}``; dict insertion order *is* the
-        #: scalar tables' record order, which the view tokens depend on.
+        #: record order, which the view tokens depend on.
         self._directory: list[dict[int, int]] = [{} for _ in range(n_nodes)]
         cap = 1024
         k = self.k
@@ -186,7 +187,7 @@ class NeighborState:
         self.mutations[receivers] += 1
 
     def record_one(self, receiver: int, hello: Hello) -> None:
-        """Scalar form of :meth:`record_batch` (single receiver)."""
+        """:meth:`record_batch` for a single receiver."""
         d = self._directory[receiver]
         sender = hello.sender
         slot = d.get(sender)
@@ -208,11 +209,10 @@ class NeighborState:
     def prune(self, receiver: int, now: float, expiry: float) -> bool:
         """Drop *receiver*'s pairs not heard from within *expiry* seconds.
 
-        Returns True (and bumps the receiver's mutation counter once, the
-        scalar-table rule) when anything was dropped.  Dropped slots are
-        never reused; the per-sender slot caches touching them are
-        invalidated so a later Hello from the same sender starts a fresh
-        history, exactly like a fresh scalar deque.
+        Returns True (and bumps the receiver's mutation counter once)
+        when anything was dropped.  Dropped slots are never reused; the
+        per-sender slot caches touching them are invalidated so a later
+        Hello from the same sender starts a fresh history.
         """
         d = self._directory[receiver]
         if not d:
@@ -284,6 +284,32 @@ class NeighborState:
         slot = self._directory[receiver].get(sender)
         return () if slot is None else self._materialize(slot)
 
+    def newest_versions(self, receivers, senders) -> np.ndarray:
+        """Version of the newest retained Hello per (receiver, sender) pair.
+
+        One side is a single node id and the other an array: one sender
+        at many receivers, or many senders at one receiver.
+        :data:`NO_VERSION` where a receiver holds nothing from a sender.
+        A Hello of version ``v`` is strictly newer than what a receiver
+        holds iff ``v > newest``: the rule behind both the world's
+        stale-delivery discard and the gossip merge.
+        """
+        if np.ndim(receivers) == 0:
+            d = self._directory[int(receivers)]
+            found = [d.get(s, -1) for s in np.asarray(senders).tolist()]
+        else:
+            sender = int(senders)
+            directory = self._directory
+            found = [
+                directory[r].get(sender, -1) for r in np.asarray(receivers).tolist()
+            ]
+        slots = np.array(found, dtype=np.intp)
+        held = slots >= 0
+        out = np.full(slots.size, NO_VERSION, dtype=np.int64)
+        slots = slots[held]
+        out[held] = self._version[slots, (self._writes[slots] - 1) % self.k]
+        return out
+
     def live_ids(self, receiver: int, now: float, expiry: float) -> tuple[int, ...]:
         """Sender ids with a live (non-expired) Hello, insertion order."""
         d = self._directory[receiver]
@@ -324,7 +350,7 @@ class NeighborState:
         """``(slots, ring columns)`` of *receiver*'s version-*version* entries.
 
         Per sender, the oldest retained entry carrying *version* (the
-        scalar ``next(h for h in history if h.version == version)`` rule);
+        ``next(h for h in history if h.version == version)`` rule);
         senders holding none are left out.  Insertion order.
         """
         d = self._directory[receiver]

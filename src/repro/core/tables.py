@@ -8,6 +8,11 @@ three kinds of views the paper's mechanisms need:
 - a *versioned* view using one global Hello version everywhere (proactive
   and reactive strong consistency, Theorem 2's ``|M(t, v)| = 1``),
 - the *multi-version* view (weak consistency, Definition 2).
+
+Received Hellos live in a columnar
+:class:`~repro.core.neighbor_state.NeighborState`: a world passes its
+shared store, which its Hello delivery updates for every receiver of a
+transmission at once; a table built alone keeps a private one-row store.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.neighbor_state import NeighborState
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
 
-__all__ = ["NeighborTable", "ColumnarNeighborTable"]
+__all__ = ["NeighborTable"]
 
 #: process-wide table identities for the decision-cache fingerprints
 _TABLE_UIDS = itertools.count()
@@ -42,6 +48,11 @@ class NeighborTable:
         A neighbor whose most recent Hello is older than this many seconds
         is dropped from views (the paper's ``[t - Delta, t]`` link rule,
         with slack for jitter).
+    state:
+        Shared :class:`~repro.core.neighbor_state.NeighborState` whose row
+        *owner* holds this node's received Hellos; its ``k`` must equal
+        *history_depth*.  None (the default) gives the table a private
+        one-row store.
     """
 
     def __init__(
@@ -50,20 +61,39 @@ class NeighborTable:
         normal_range: float,
         history_depth: int = 3,
         expiry: float = 2.5,
+        state: NeighborState | None = None,
     ) -> None:
         self.owner = owner
         self.normal_range = check_positive("normal_range", normal_range)
         self.history_depth = check_int_range("history_depth", history_depth, 1)
         self.expiry = check_positive("expiry", expiry)
-        self._records: dict[int, deque[Hello]] = {}
+        if state is None:
+            state = NeighborState(1, self.history_depth)
+            self._row = 0
+        elif state.k != self.history_depth:
+            raise ViewError(
+                f"table history_depth={history_depth} does not match the "
+                f"neighbor store's k={state.k}"
+            )
+        else:
+            self._row = owner
+        self._state = state
         self._own: deque[Hello] = deque(maxlen=self.history_depth)
-        self.hellos_received = 0
-        #: unique per-instance identity + monotone content revision; together
-        #: they identify the retained Hello state exactly (every mutation of
-        #: the records or own history bumps ``mutations``), which is what the
+        #: unique per-instance identity; with :attr:`mutations` it
+        #: identifies the retained Hello state exactly, which is what the
         #: decision cache fingerprints instead of hashing all stored Hellos.
         self.uid = next(_TABLE_UIDS)
-        self.mutations = 0
+
+    @property
+    def hellos_received(self) -> int:
+        """Neighbor Hellos recorded so far."""
+        return int(self._state.hellos_received[self._row])
+
+    @property
+    def mutations(self) -> int:
+        """Monotone content revision: every change of the retained Hellos
+        (received records or own history) bumps it."""
+        return int(self._state.mutations[self._row])
 
     # ------------------------------------------------------------------ #
     # recording
@@ -73,29 +103,17 @@ class NeighborTable:
         if hello.sender != self.owner:
             raise ViewError(f"record_own got a Hello from {hello.sender}, not {self.owner}")
         self._own.append(hello)
-        self.mutations += 1
+        self._state.mutations[self._row] += 1
 
     def record_hello(self, hello: Hello) -> None:
         """Store a received neighbor Hello (keeps the newest ``k``)."""
         if hello.sender == self.owner:
             raise ViewError("a node does not receive its own Hello")
-        queue = self._records.get(hello.sender)
-        if queue is None:
-            queue = deque(maxlen=self.history_depth)
-            self._records[hello.sender] = queue
-        queue.append(hello)
-        self.hellos_received += 1
-        self.mutations += 1
+        self._state.record_one(self._row, hello)
 
     def prune(self, now: float) -> None:
         """Drop neighbors not heard from within the expiry window."""
-        stale = [
-            nid for nid, q in self._records.items() if now - q[-1].sent_at > self.expiry
-        ]
-        for nid in stale:
-            del self._records[nid]
-        if stale:
-            self.mutations += 1
+        self._state.prune(self._row, now, self.expiry)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -113,17 +131,17 @@ class NeighborTable:
     def known_neighbors(self, now: float | None = None) -> list[int]:
         """IDs of neighbors with a live (non-expired) Hello."""
         if now is None:
-            return sorted(self._records)
-        return sorted(
-            nid
-            for nid, q in self._records.items()
-            if now - q[-1].sent_at <= self.expiry
-        )
+            return sorted(self._state.senders(self._row))
+        return sorted(self._state.live_ids(self._row, now, self.expiry))
 
     def history_of(self, neighbor: int) -> tuple[Hello, ...]:
         """Retained Hellos of one neighbor, oldest first."""
-        queue = self._records.get(neighbor)
-        return tuple(queue) if queue else ()
+        return self._state.history(self._row, neighbor)
+
+    def newest_versions(self, neighbors) -> np.ndarray:
+        """Version of each neighbor's newest retained Hello
+        (:data:`~repro.core.neighbor_state.NO_VERSION` where none is held)."""
+        return self._state.newest_versions(self._row, neighbors)
 
     def message_versions_in_use(self, neighbor: int) -> set[int]:
         """Versions of *neighbor*'s Hellos currently retained (``M(t, v)``)."""
@@ -145,11 +163,7 @@ class NeighborTable:
         return (
             self.uid,
             self.mutations,
-            tuple(
-                nid
-                for nid, q in self._records.items()
-                if now - q[-1].sent_at <= self.expiry
-            ),
+            self._state.live_ids(self._row, now, self.expiry),
         )
 
     def full_token(self) -> tuple:
@@ -166,15 +180,10 @@ class NeighborTable:
 
     def latest_view(self, now: float, own_hello: Hello) -> LocalView:
         """Single-version view from each neighbor's most recent live Hello."""
-        neighbors = {
-            nid: q[-1]
-            for nid, q in self._records.items()
-            if now - q[-1].sent_at <= self.expiry
-        }
         return LocalView(
             owner=self.owner,
             own_hello=own_hello,
-            neighbor_hellos=neighbors,
+            neighbor_hellos=self._state.latest_live(self._row, now, self.expiry),
             normal_range=self.normal_range,
             sampled_at=now,
         )
@@ -185,12 +194,7 @@ class NeighborTable:
         Same members in the same record order, as arrays: the form batched
         selection reads instead of Hello objects.
         """
-        live = [
-            q[-1] for q in self._records.values() if now - q[-1].sent_at <= self.expiry
-        ]
-        ids = np.array([h.sender for h in live], dtype=np.int64)
-        xy = np.array([h.position for h in live], dtype=np.float64).reshape(-1, 2)
-        return ids, xy
+        return self._state.latest_positions(self._row, now, self.expiry)
 
     def advertisement(self, version: int) -> Hello:
         """The owner's oldest retained own Hello of *version*.
@@ -215,19 +219,10 @@ class NeighborTable:
         return LocalView(
             owner=self.owner,
             own_hello=self.advertisement(version),
-            neighbor_hellos=self._versioned_hellos(version),
+            neighbor_hellos=self._state.versioned_hellos(self._row, version),
             normal_range=self.normal_range,
             sampled_at=now,
         )
-
-    def _versioned_hellos(self, version: int) -> dict[int, Hello]:
-        """Per neighbor, the oldest retained Hello of *version* (record order)."""
-        neighbors: dict[int, Hello] = {}
-        for nid, q in self._records.items():
-            match = next((h for h in q if h.version == version), None)
-            if match is not None:
-                neighbors[nid] = match
-        return neighbors
 
     def versioned_positions(self, version: int) -> tuple[np.ndarray, np.ndarray]:
         """IDs and ``(m, 2)`` positions of :meth:`versioned_view`'s neighbors.
@@ -236,10 +231,7 @@ class NeighborTable:
         :meth:`latest_positions`, the owner is not included and its own
         record is not required.
         """
-        matches = self._versioned_hellos(version).values()
-        ids = np.array([h.sender for h in matches], dtype=np.int64)
-        xy = np.array([h.position for h in matches], dtype=np.float64).reshape(-1, 2)
-        return ids, xy
+        return self._state.versioned_positions(self._row, version)
 
     def available_versions(self) -> set[int]:
         """Versions for which the owner has advertised (candidates for views)."""
@@ -258,131 +250,10 @@ class NeighborTable:
             own.append(own_hello)
         if not own:
             raise ViewError(f"node {self.owner} has no own position record")
-        neighbors = {
-            nid: tuple(q)
-            for nid, q in self._records.items()
-            if now - q[-1].sent_at <= self.expiry
-        }
         return MultiVersionView(
             owner=self.owner,
             own_hellos=own,
-            neighbor_hellos=neighbors,
-            normal_range=self.normal_range,
-            sampled_at=now,
-        )
-
-
-class ColumnarNeighborTable(NeighborTable):
-    """Per-node facade over a world-level columnar :class:`NeighborState`.
-
-    Behaviourally identical to :class:`NeighborTable` — same tokens, same
-    views, same counter rules, same insertion orderings — but received
-    Hellos live in the shared struct-of-arrays storage
-    (:class:`~repro.core.neighbor_state.NeighborState`), which the batched
-    delivery pipeline updates with one vectorized splice per transmission
-    instead of one Python call per receiver.  The owner's *own*
-    advertisement history stays in this object (it is written once per
-    Hello, never per receiver).
-
-    Parameters are those of :class:`NeighborTable` plus *state*, the
-    shared columnar store; ``history_depth`` must match the store's.
-    """
-
-    def __init__(
-        self,
-        owner: int,
-        normal_range: float,
-        state,
-        history_depth: int = 3,
-        expiry: float = 2.5,
-    ) -> None:
-        if history_depth != state.k:
-            raise ViewError(
-                f"table history_depth={history_depth} does not match the "
-                f"columnar store's k={state.k}"
-            )
-        self._state = state
-        super().__init__(owner, normal_range, history_depth, expiry)
-
-    # -- counters live in the shared per-node arrays ------------------- #
-
-    @property
-    def hellos_received(self) -> int:  # type: ignore[override]
-        return int(self._state.hellos_received[self.owner])
-
-    @hellos_received.setter
-    def hellos_received(self, value: int) -> None:
-        self._state.hellos_received[self.owner] = value
-
-    @property
-    def mutations(self) -> int:  # type: ignore[override]
-        return int(self._state.mutations[self.owner])
-
-    @mutations.setter
-    def mutations(self, value: int) -> None:
-        self._state.mutations[self.owner] = value
-
-    # -- recording ------------------------------------------------------ #
-
-    def record_hello(self, hello: Hello) -> None:
-        """Scalar reception path (kept for API/test parity; the simulator
-        delivers through :meth:`NeighborState.record_batch` instead)."""
-        if hello.sender == self.owner:
-            raise ViewError("a node does not receive its own Hello")
-        self._state.record_one(self.owner, hello)
-
-    def prune(self, now: float) -> None:
-        self._state.prune(self.owner, now, self.expiry)
-
-    # -- introspection --------------------------------------------------- #
-
-    def known_neighbors(self, now: float | None = None) -> list[int]:
-        if now is None:
-            return sorted(self._state.senders(self.owner))
-        return sorted(self._state.live_ids(self.owner, now, self.expiry))
-
-    def history_of(self, neighbor: int) -> tuple[Hello, ...]:
-        return self._state.history(self.owner, neighbor)
-
-    # -- decision-cache tokens ------------------------------------------- #
-
-    def live_view_token(self, now: float) -> tuple:
-        return (
-            self.uid,
-            self.mutations,
-            self._state.live_ids(self.owner, now, self.expiry),
-        )
-
-    # -- view materialisation -------------------------------------------- #
-
-    def latest_view(self, now: float, own_hello: Hello) -> LocalView:
-        return LocalView(
-            owner=self.owner,
-            own_hello=own_hello,
-            neighbor_hellos=self._state.latest_live(self.owner, now, self.expiry),
-            normal_range=self.normal_range,
-            sampled_at=now,
-        )
-
-    def latest_positions(self, now: float) -> tuple[np.ndarray, np.ndarray]:
-        return self._state.latest_positions(self.owner, now, self.expiry)
-
-    def _versioned_hellos(self, version: int) -> dict[int, Hello]:
-        return self._state.versioned_hellos(self.owner, version)
-
-    def versioned_positions(self, version: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._state.versioned_positions(self.owner, version)
-
-    def multi_view(self, now: float, own_hello: Hello | None = None) -> MultiVersionView:
-        own = list(self._own)
-        if own_hello is not None:
-            own.append(own_hello)
-        if not own:
-            raise ViewError(f"node {self.owner} has no own position record")
-        return MultiVersionView(
-            owner=self.owner,
-            own_hellos=own,
-            neighbor_hellos=self._state.live_histories(self.owner, now, self.expiry),
+            neighbor_hellos=self._state.live_histories(self._row, now, self.expiry),
             normal_range=self.normal_range,
             sampled_at=now,
         )

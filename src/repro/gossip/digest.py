@@ -93,13 +93,13 @@ def merge_entries(table: NeighborTable, entries: tuple[Hello, ...]) -> int:
     does not matter (commutative), and re-merging already-known entries
     is a no-op (idempotent).
     """
+    senders = [hello.sender for hello in entries]
+    newest = dict(zip(senders, table.newest_versions(senders).tolist()))
     merged = 0
     for hello in entries:
-        if hello.sender == table.owner:
-            continue
-        history = table.history_of(hello.sender)
-        if history and hello.version <= history[-1].version:
+        if hello.sender == table.owner or hello.version <= newest[hello.sender]:
             continue
         table.record_hello(hello)
+        newest[hello.sender] = hello.version
         merged += 1
     return merged

@@ -1,11 +1,11 @@
 """Receiver lookup for the batched Hello pipeline.
 
-The scalar emission path evaluates *all* node positions and builds a fresh
-:class:`~repro.geometry.grid.GraphBackend` at every distinct emission time
-— correct, but each sender jitters / clock-skews its own send instant, so
-the per-tick geometry memo never hits during warmup and receiver discovery
-degenerates to O(n) grid builds per Hello generation (the 10k warmup wall;
-see ``docs/PERFORMANCE.md``).
+A full range scan evaluates *all* node positions and builds a fresh
+:class:`~repro.geometry.grid.GraphBackend` at every distinct emission
+time — correct, but each sender jitters / clock-skews its own send
+instant, so the per-tick geometry memo never hits during warmup and
+receiver discovery degenerates to O(n) grid builds per Hello generation
+(the 10k warmup wall; see ``docs/PERFORMANCE.md``).
 
 :class:`HelloReceiverOracle` answers the same query — *who is within the
 normal range of sender i at time t?* — with a **stale grid plus an exact
@@ -24,17 +24,16 @@ subset filter**:
 The distance kernel (:func:`~repro.geometry.points.distances_from`) and
 the position interpolation are elementwise, hence subset-stable: filtering
 a superset of candidates yields the *bit-identical* ascending receiver
-array the scalar ``IdealChannel.receivers`` path produces.  The i.i.d.
-loss model downstream consumes its RNG positionally, so identical arrays
-keep the whole run byte-identical.
+array the full scan ``IdealChannel.receivers`` produces.  The i.i.d.
+loss model downstream consumes its RNG positionally, so the receiver
+order is part of the run's determinism.
 
 Non-unit-disk :class:`~repro.sim.propagation.PropagationModel` instances
 compose with the same discipline: the stale-grid query radius grows to
 the model's superset radius (``model.query_radius(r) + v_max (t - t_g)``)
 and the exact filter becomes the model's keyed ``accept`` predicate,
-which is itself subset-stable — so the batched route stays bit-identical
-to the scalar one under every model, not just the unit disk
-(``tests/test_property_propagation.py`` pins this contract).
+which is itself subset-stable — so the oracle agrees with the full scan
+under every model, not just the unit disk.
 """
 
 from __future__ import annotations
@@ -161,8 +160,8 @@ class HelloReceiverOracle:
             return _EMPTY
         d = distances_from(p, self.trajectories.positions_at(t, cand))
         ok = model.accept(sender, cand, d, self.radius, t)
-        # Same counted set as the scalar route: candidates the unit disk
-        # would reach but the model rejects (d <= query radius always
+        # Same counted set as IdealChannel.receivers: candidates the unit
+        # disk would reach but the model rejects (d <= query radius always
         # holds for them in any candidate superset).
         self.propagation_losses += int(
             np.count_nonzero(~ok & (d <= min(self.radius, self._query_radius)))

@@ -30,10 +30,10 @@ Three models ship:
 model's bound seed), never sequential RNG draws.  Keyed draws are
 order-independent and subset-stable: evaluating a superset of candidate
 links and filtering yields bit-identical verdicts to evaluating each
-link alone.  That is what lets the scalar and batched Hello pipelines —
-which examine candidate sets of different sizes in different orders —
-stay bit-identical under every model, and what makes runs reproducible
-at any worker count.
+link alone.  That is what lets the Hello receiver oracle, the snapshot
+predicates and the channel's range scan — which examine candidate sets
+of different sizes in different orders — agree under every model, and
+what makes runs reproducible at any worker count.
 
 **Superset-radius discipline.**  Candidate generation reuses the
 existing grid machinery: :meth:`PropagationModel.query_radius` returns a

@@ -6,6 +6,14 @@
   jittered asynchronous timers (baseline / view-sync / weak), local-clock
   epoch boundaries with epoch-numbered versions (proactive), or
   initiator-flooded synchronized rounds (reactive);
+- **Hello delivery** is one batched route: a receiver oracle finds who
+  hears a Hello, and each distinct arrival time is one engine event that
+  records the Hello at all of its receivers in the columnar
+  :class:`~repro.core.neighbor_state.NeighborState` with one splice.  An
+  armed fault schedule acts on the same route: outages suppress sends and
+  block receptions, loss bursts thin the receiver array, delivery delays
+  split it into one event per arrival time, and an overtaken Hello is
+  discarded at arrival;
 - **decisions** run right after each Hello (the paper's Fig. 3 timing) and,
   for packet-recomputing mechanisms, again at packet time via
   :meth:`redecide_all`;
@@ -25,7 +33,7 @@ import numpy as np
 
 from repro.core.manager import MobilitySensitiveTopologyControl, NodeDecision
 from repro.core.neighbor_state import NeighborState
-from repro.core.tables import ColumnarNeighborTable, NeighborTable
+from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.faults.inject import FaultInjector
 from repro.faults.schedule import FaultSchedule
@@ -412,24 +420,6 @@ class NetworkWorld:
         (:data:`~repro.telemetry.NULL_TELEMETRY`) keeps every seam a
         single ``is None`` branch, the same zero-cost pattern as the
         fault seams.
-    hello_pipeline:
-        Hello delivery route: ``"auto"`` (default) uses the batched
-        generation-oriented pipeline — one engine event per Hello
-        carrying the receiver array, columnar neighbor state, stale-grid
-        receiver oracle — whenever no fault schedule is armed, and the
-        scalar per-receiver path otherwise; ``"scalar"`` forces the
-        historical per-receiver path; ``"batched"`` demands the batched
-        path and raises if faults are armed (per-receiver delivery-delay
-        and outage gating must stay event-accurate, so faults always
-        route scalar).  Both routes are bit-identical — same receiver
-        arrays, same RNG stream consumption, same table tokens, same
-        ``RunStats`` counters (proven by the
-        ``tests/test_property_hello_batch.py`` suite).  Non-unit-disk
-        propagation models compose with both routes: the batched
-        oracle's stale-grid query widens to the model's superset radius
-        and the exact filter becomes the model's keyed predicate, so
-        batched stays bit-identical to scalar under every model
-        (``tests/test_property_propagation.py``).
     """
 
     def __init__(
@@ -440,7 +430,6 @@ class NetworkWorld:
         seed: int = 0,
         faults: FaultSchedule | None = None,
         telemetry: Telemetry | None = None,
-        hello_pipeline: str = "auto",
     ) -> None:
         if mobility.n_nodes != config.n_nodes:
             raise ConfigurationError(
@@ -509,64 +498,25 @@ class NetworkWorld:
         # (send time, sender id, sender position at send time).  Appended
         # in event order, so expiry pruning pops from the left.
         self._recent_hellos: deque[tuple[float, int, np.ndarray]] = deque()
-        if hello_pipeline not in ("auto", "batched", "scalar"):
-            raise ConfigurationError(
-                f"hello_pipeline must be 'auto', 'batched' or 'scalar', "
-                f"got {hello_pipeline!r}"
-            )
-        if hello_pipeline == "batched" and self.fault_injector is not None:
-            raise ConfigurationError(
-                "hello_pipeline='batched' cannot be combined with an armed "
-                "fault schedule: per-receiver delivery gating must stay "
-                "event-accurate, so faulted runs always use the scalar path "
-                "(use 'auto' to get this dispatch automatically)"
-            )
-        self.hello_pipeline = hello_pipeline
-        # Batched route: only when faults are disarmed and the mobility
-        # model exposes compiled trajectories (the oracle's subset kernels
-        # need the analytic legs).
-        self._batched = hello_pipeline == "batched" or (
-            hello_pipeline == "auto"
-            and self.fault_injector is None
-            and hasattr(mobility, "trajectories")
+        self._neighbor_state = NeighborState(config.n_nodes, config.history_depth)
+        self._oracle = HelloReceiverOracle(
+            mobility.trajectories,
+            config.normal_range,
+            propagation=self._propagation,
         )
-        if self._batched:
-            self._neighbor_state: NeighborState | None = NeighborState(
-                config.n_nodes, config.history_depth
+        self.nodes = [
+            SimNode(
+                node_id=i,
+                table=NeighborTable(
+                    owner=i,
+                    normal_range=config.normal_range,
+                    history_depth=config.history_depth,
+                    expiry=config.hello_expiry,
+                    state=self._neighbor_state,
+                ),
             )
-            self._oracle: HelloReceiverOracle | None = HelloReceiverOracle(
-                mobility.trajectories,
-                config.normal_range,
-                propagation=self._propagation,
-            )
-            self.nodes = [
-                SimNode(
-                    node_id=i,
-                    table=ColumnarNeighborTable(
-                        owner=i,
-                        normal_range=config.normal_range,
-                        state=self._neighbor_state,
-                        history_depth=config.history_depth,
-                        expiry=config.hello_expiry,
-                    ),
-                )
-                for i in range(config.n_nodes)
-            ]
-        else:
-            self._neighbor_state = None
-            self._oracle = None
-            self.nodes = [
-                SimNode(
-                    node_id=i,
-                    table=NeighborTable(
-                        owner=i,
-                        normal_range=config.normal_range,
-                        history_depth=config.history_depth,
-                        expiry=config.hello_expiry,
-                    ),
-                )
-                for i in range(config.n_nodes)
-            ]
+            for i in range(config.n_nodes)
+        ]
         # One (time, positions, backend) memo: every consumer of the same
         # tick — Hello emission, packet-time redecisions, snapshots,
         # repeated observers — shares a single mobility evaluation and one
@@ -706,18 +656,17 @@ class NetworkWorld:
     def _emit_hello_impl(
         self, node_id: int, version: int, tel: Telemetry | None
     ) -> Hello | None:
-        if self._batched:
-            return self._emit_hello_batched(node_id, version, tel)
         t = self.engine.now
         inj = self.fault_injector
         if inj is not None and inj.node_down(node_id, t):
             inj.note("suppressed_sends", t, node=node_id)
             return None
         node = self.nodes[node_id]
-        all_positions, backend = self._geometry(t)
-        pos = all_positions[node_id]
+        oracle = self._oracle
+        pos = self._node_position(node_id, t)
         # GPS noise perturbs what the node *advertises* (and therefore its
         # own record), never the true position the radio propagates from.
+        # Its draws come before the loss-burst draws below.
         adv = pos if inj is None else inj.advertised_position(node_id, t, pos)
         hello = Hello(
             sender=node_id,
@@ -730,88 +679,13 @@ class NetworkWorld:
         node.hellos_sent += 1
         stats = self.channel.stats
         stats.hello_messages += 1
-        receivers = self.channel.surviving_hello_receivers(
-            self.channel.receivers(
-                node_id, all_positions, self.config.normal_range,
-                backend=backend, now=t,
-            ),
-            sender=node_id,
-            now=t,
-        )
-        if self.config.hello_tx_duration > 0.0:
-            receivers = self._drop_collided(
-                t, node_id, pos, receivers, all_positions[receivers]
-            )
-        if tel is not None:
-            tel.count("hello_sent")
-            tel.event(
-                "hello_sent", t=t, node=node_id, version=version,
-                receivers=int(receivers.size),
-            )
-        arrival = self.channel.arrival_time(t)
-        stats.deliveries += int(receivers.size)
-        schedule_at = self.engine.schedule_at
-        if inj is None:
-            if tel is None:
-                nodes = self.nodes
-                for rid in receivers:
-                    schedule_at(arrival, nodes[int(rid)].table.record_hello, hello)
-            else:
-                # Armed path: route receptions through the traced recorder
-                # (same table call, plus a hello_received event).
-                record_traced = self._record_hello_traced
-                for rid in receivers:
-                    schedule_at(arrival, record_traced, int(rid), hello)
-        else:
-            deliver = self._deliver_hello
-            delivery_delay = inj.delivery_delay
-            for rid in receivers:
-                rid_i = int(rid)
-                schedule_at(
-                    arrival + delivery_delay(t, node_id, rid_i),
-                    deliver,
-                    rid_i,
-                    hello,
-                )
-        return hello
-
-    def _emit_hello_batched(
-        self, node_id: int, version: int, tel: Telemetry | None
-    ) -> Hello:
-        """Batched emission: one coalesced engine event per Hello.
-
-        Bit-identical to the scalar route (faults are never armed here):
-        the oracle returns the exact ascending receiver array the
-        per-emission geometry build would, the loss RNG consumes draws in
-        the same positional order, and the single batch event fires at the
-        same ``(arrival, seq)`` rank the scalar per-receiver burst would
-        occupy, so reception order per (receiver, sender) is preserved.
-        """
-        t = self.engine.now
-        node = self.nodes[node_id]
-        oracle = self._oracle
-        memo = self._geometry_memo
-        pos = memo[1][node_id] if memo is not None and memo[0] == t else None
-        hello_pos = oracle.node_position(node_id, t) if pos is None else pos
-        hello = Hello(
-            sender=node_id,
-            version=version,
-            position=(float(hello_pos[0]), float(hello_pos[1])),
-            sent_at=t,
-            timestamp=self.clocks.local_time(node_id, t),
-        )
-        node.table.record_own(hello)
-        node.hellos_sent += 1
-        stats = self.channel.stats
-        stats.hello_messages += 1
         if oracle.propagation is None:
-            hit = oracle.receivers(node_id, t, hello_pos)
+            hit = oracle.receivers(node_id, t, pos)
         else:
             # Fold the oracle's per-query propagation rejects into the
-            # channel counters — the same accounting the scalar route
-            # does inside IdealChannel.receivers.
+            # channel counters.
             before = oracle.propagation_losses
-            hit = oracle.receivers(node_id, t, hello_pos)
+            hit = oracle.receivers(node_id, t, pos)
             lost = oracle.propagation_losses - before
             if lost:
                 stats.propagation_losses += lost
@@ -826,8 +700,7 @@ class NetworkWorld:
         )
         if self.config.hello_tx_duration > 0.0:
             receivers = self._drop_collided(
-                t, node_id, hello_pos, receivers,
-                oracle.positions_of(receivers, t),
+                t, node_id, pos, receivers, oracle.positions_of(receivers, t)
             )
         if tel is not None:
             tel.count("hello_sent")
@@ -836,64 +709,61 @@ class NetworkWorld:
                 receivers=int(receivers.size),
             )
         stats.deliveries += int(receivers.size)
-        if receivers.size:
+        if not receivers.size:
+            return hello
+        arrival = self.channel.arrival_time(t)
+        if inj is None:
             self.engine.schedule_batch(
-                self.channel.arrival_time(t),
-                self._receive_hello_batch,
-                hello,
-                receivers,
+                arrival, self._receive_hello_batch, hello, receivers
+            )
+            return hello
+        # Delivery delay: one event per distinct arrival time, scheduled
+        # in first-appearance order over the ascending receiver array.
+        arrivals = arrival + np.array(
+            [inj.delivery_delay(t, node_id, rid) for rid in receivers.tolist()]
+        )
+        _, first = np.unique(arrivals, return_index=True)
+        for at in arrivals[np.sort(first)].tolist():
+            self.engine.schedule_batch(
+                at, self._receive_hello_batch, hello, receivers[arrivals == at]
             )
         return hello
 
     def _receive_hello_batch(self, hello: Hello, receivers: np.ndarray) -> None:
-        """Record one Hello at every surviving receiver (one splice)."""
+        """Record one Hello at every receiver that takes it (one splice).
+
+        Under a fault schedule a receiver that is down now hears nothing,
+        and one already holding a Hello from the sender at least as new (a
+        delayed Hello overtaken by a fresher one) discards it: the
+        sequence-number rule that keeps each sender's versions in order
+        for the audit.
+        """
+        now = self.engine.now
+        inj = self.fault_injector
+        if inj is not None:
+            sender = hello.sender
+            down = np.array(
+                [inj.node_down(r, now) for r in receivers.tolist()], dtype=bool
+            )
+            for r in receivers[down].tolist():
+                inj.note("blocked_receptions", now, node=r, sender=sender)
+            receivers = receivers[~down]
+            stale = hello.version <= self._neighbor_state.newest_versions(
+                receivers, sender
+            )
+            for r in receivers[stale].tolist():
+                inj.note("stale_discards", now, node=r, sender=sender)
+            receivers = receivers[~stale]
+            if not receivers.size:
+                return
         self._neighbor_state.record_batch(hello, receivers)
         tel = self._tel
         if tel is not None:
             n = int(receivers.size)
             tel.count("hello_received", n)
             tel.event_batch(
-                "hello_received", n, t=self.engine.now,
+                "hello_received", n, t=now,
                 sender=hello.sender, version=hello.version, count=n,
-            )
-
-    def _record_hello_traced(self, receiver: int, hello: Hello) -> None:
-        """Reception path while telemetry is armed (and no faults are)."""
-        self.nodes[receiver].table.record_hello(hello)
-        tel = self._tel
-        if tel is not None:
-            tel.count("hello_received")
-            tel.event(
-                "hello_received", t=self.engine.now, node=receiver,
-                sender=hello.sender, version=hello.version,
-            )
-
-    def _deliver_hello(self, receiver: int, hello: Hello) -> None:
-        """Gated reception path used while a fault schedule is armed.
-
-        A down receiver hears nothing; a Hello that was overtaken by a
-        fresher one from the same sender (delivery-delay reordering) is
-        discarded by the standard sequence-number discipline, keeping the
-        per-sender version order the audit machinery promises.
-        """
-        inj = self.fault_injector
-        now = self.engine.now
-        if inj is not None and inj.node_down(receiver, now):
-            inj.note("blocked_receptions", now, node=receiver, sender=hello.sender)
-            return
-        table = self.nodes[receiver].table
-        history = table.history_of(hello.sender)
-        if history and hello.version <= history[-1].version:
-            if inj is not None:
-                inj.note("stale_discards", now, node=receiver, sender=hello.sender)
-            return
-        table.record_hello(hello)
-        tel = self._tel
-        if tel is not None:
-            tel.count("hello_received")
-            tel.event(
-                "hello_received", t=now, node=receiver,
-                sender=hello.sender, version=hello.version,
             )
 
     def _drop_collided(
@@ -992,11 +862,10 @@ class NetworkWorld:
                 t + offset, self._send_hello_reactive, node.node_id, round_index
             )
         decide_at = t + cfg.reactive_flood_delay + 2.0 * cfg.propagation_delay
-        if self._batched:
-            # Warm the per-tick geometry memo right before the synchronized
-            # round of decisions (they all share decide_at), so the batched
-            # per-node position route degenerates to memo hits.
-            self.engine.schedule_batch(decide_at, self._geometry, decide_at)
+        # Warm the per-tick geometry memo right before the synchronized
+        # round of decisions (they all share decide_at), so the per-node
+        # position route degenerates to memo hits.
+        self.engine.schedule_batch(decide_at, self._geometry, decide_at)
         for node in self.nodes:
             self.engine.schedule_at(
                 decide_at, self._decide_reactive, node.node_id, round_index
@@ -1026,18 +895,15 @@ class NetworkWorld:
     def _node_position(self, node_id: int, t: float) -> np.ndarray:
         """True position of one node at *t*, cheapest exact route.
 
-        Memo hit: the already-evaluated positions array.  Batched
-        pipeline: a single-row trajectory evaluation (bit-identical to
-        ``positions(t)[node_id]``), so per-emission decisions never force
-        an O(n) geometry build.  Scalar pipeline: the historical full
-        ``_geometry`` evaluation, which also warms the per-tick memo.
+        Memo hit: the already-evaluated positions array.  Otherwise a
+        single-row trajectory evaluation (bit-identical to
+        ``positions(t)[node_id]``), so per-emission work never forces an
+        O(n) geometry build.
         """
         memo = self._geometry_memo
         if memo is not None and memo[0] == t:
             return memo[1][node_id]
-        if self._batched:
-            return self._oracle.node_position(node_id, t)
-        return self._geometry(t)[0][node_id]
+        return self._oracle.node_position(node_id, t)
 
     def _current_hello(self, node_id: int, t: float) -> Hello:
         """A Hello at the node's true position *now* (not advertised)."""
@@ -1150,16 +1016,6 @@ class NetworkWorld:
     def gossip_stats(self) -> dict[str, int]:
         """Anti-entropy dissemination counters (empty unless gossip)."""
         return {} if self.gossip is None else self.gossip.as_dict()
-
-    def hello_pipeline_stats(self) -> dict[str, int]:
-        """Batched-pipeline counters (empty on the scalar route)."""
-        if not self._batched:
-            return {}
-        return {
-            "oracle_rebuilds": self._oracle.rebuilds,
-            "oracle_queries": self._oracle.queries,
-            "neighbor_slots": self._neighbor_state.n_slots,
-        }
 
     def snapshot(self, t: float | None = None) -> WorldSnapshot:
         """Freeze the effective topology at time *t* (default: now).

@@ -8,8 +8,8 @@ Two layers:
   positions, and exact cost ties that only the ID pair can break;
 - twin worlds: :meth:`NetworkWorld.redecide_all` (one
   :meth:`MobilitySensitiveTopologyControl.decide_many` call) against the
-  per-node :meth:`decide` loop it replaced, for every mechanism, both
-  Hello pipelines, the decision cache on and off, and a faulted world.
+  per-node :meth:`decide` loop it replaced, for every mechanism, the
+  decision cache on and off, and a faulted world.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.core.framework import (
     rng_removable_batch,
 )
 from repro.core.manager import MobilitySensitiveTopologyControl
-from repro.core.tables import ColumnarNeighborTable, NeighborTable
+from repro.core.tables import NeighborTable
 from repro.core.neighbor_state import NeighborState
 from repro.core.views import Hello, LocalView
 from repro.faults.schedule import FaultSchedule, NodeOutage
@@ -147,17 +147,18 @@ class TestBatchedRngKernel:
 
 class TestLatestPositions:
     def _tables(self):
+        """A standalone table and one whose row sits in a shared store."""
         state = NeighborState(3, history_depth=2)
-        scalar = NeighborTable(0, normal_range=100.0, history_depth=2, expiry=1.0)
-        columnar = ColumnarNeighborTable(
-            0, normal_range=100.0, state=state, history_depth=2, expiry=1.0
+        alone = NeighborTable(0, normal_range=100.0, history_depth=2, expiry=1.0)
+        shared = NeighborTable(
+            0, normal_range=100.0, history_depth=2, expiry=1.0, state=state
         )
         for sender, xy, t in ((2, (5.0, 1.0), 0.0), (1, (3.0, 4.0), 0.5),
                               (2, (6.0, 2.0), 1.0), (2, (7.0, 3.0), 1.2)):
             hello = Hello(sender, 1, xy, t, t)
-            scalar.record_hello(hello)
-            columnar.record_hello(hello)
-        return scalar, columnar
+            alone.record_hello(hello)
+            shared.record_hello(hello)
+        return alone, shared
 
     @pytest.mark.parametrize("now", [1.2, 1.6])
     def test_both_tables_match_latest_view(self, now):
@@ -170,15 +171,15 @@ class TestLatestPositions:
             ]
 
     def test_latest_live_builds_newest_only_and_memoizes(self):
-        _, columnar = self._tables()
-        state = columnar._state
+        _, shared = self._tables()
+        state = shared._state
         first = state.latest_live(0, 1.2, 1.0)
         assert first == {2: Hello(2, 1, (7.0, 3.0), 1.2, 1.2),
                          1: Hello(1, 1, (3.0, 4.0), 0.5, 0.5)}
         assert state._memo == {}
         again = state.latest_live(0, 1.2, 1.0)
         assert all(again[s] is first[s] for s in first)
-        columnar.record_hello(Hello(2, 1, (8.0, 0.0), 1.3, 1.3))
+        shared.record_hello(Hello(2, 1, (8.0, 0.0), 1.3, 1.3))
         assert state.latest_live(0, 1.3, 1.0)[2].position == (8.0, 0.0)
 
 
@@ -208,14 +209,13 @@ def _per_node_redecide(world, version):
             continue
 
 
-def _drive(mechanism, pipeline, faults=None, reference=False):
+def _drive(mechanism, faults=None, reference=False):
     spec = ExperimentSpec(
         protocol="rng", mechanism=mechanism, buffer_width=10.0,
         mean_speed=20.0, config=SPEC_CONFIG,
     )
     tel = Telemetry()
-    world = build_world(spec, seed=3, faults=faults, telemetry=tel,
-                        hello_pipeline=pipeline)
+    world = build_world(spec, seed=3, faults=faults, telemetry=tel)
     if reference:
         world._redecide_all_impl = lambda version: _per_node_redecide(world, version)
     sources = np.random.default_rng(3)
@@ -228,9 +228,9 @@ def _drive(mechanism, pipeline, faults=None, reference=False):
     return world, tel, trace
 
 
-def _assert_twins(mechanism, pipeline, faults=None):
-    world, tel, trace = _drive(mechanism, pipeline, faults)
-    ref_world, ref_tel, ref_trace = _drive(mechanism, pipeline, faults, reference=True)
+def _assert_twins(mechanism, faults=None):
+    world, tel, trace = _drive(mechanism, faults)
+    ref_world, ref_tel, ref_trace = _drive(mechanism, faults, reference=True)
     assert trace == ref_trace
     assert [n.packet_decisions for n in world.nodes] == [
         n.packet_decisions for n in ref_world.nodes
@@ -244,22 +244,19 @@ def _assert_twins(mechanism, pipeline, faults=None):
 
 class TestTwinWorlds:
     @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
-    @pytest.mark.parametrize("pipeline", ["scalar", "batched"])
     @pytest.mark.parametrize("mechanism", available_mechanisms())
-    def test_decide_many_matches_per_node_loop(
-        self, mechanism, pipeline, cache, monkeypatch
-    ):
+    def test_decide_many_matches_per_node_loop(self, mechanism, cache, monkeypatch):
         monkeypatch.setattr(
             MobilitySensitiveTopologyControl, "decision_cache_default", cache
         )
-        _assert_twins(mechanism, pipeline)
+        _assert_twins(mechanism)
 
     def test_faulted_world(self):
         schedule = FaultSchedule(events=(
             NodeOutage(node=2, start=1.2, end=2.4),
             NodeOutage(node=5, start=0.0, end=1.6),
         ))
-        _assert_twins("view-sync", "auto", faults=schedule)
+        _assert_twins("view-sync", faults=schedule)
 
     def test_protocol_without_batch_takes_the_default_route(self):
         protocol = make_protocol("gabriel")

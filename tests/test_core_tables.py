@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_hello
+from repro.core.neighbor_state import NO_VERSION, NeighborState
 from repro.core.tables import NeighborTable
 from repro.util.errors import ViewError
 
@@ -122,6 +123,50 @@ class TestMultiView:
         table.record_hello(make_hello(1, (5, 0), sent_at=0.0))
         view = table.multi_view(10.0)
         assert 1 not in view
+
+
+class TestStorage:
+    """A table keeps its Hellos in a NeighborState row: a private one-row
+    store when built alone, the owner's row of a shared store otherwise."""
+
+    @staticmethod
+    def _fill(table):
+        table.record_own(make_hello(5, (0, 0), version=1, sent_at=0.0))
+        table.record_hello(make_hello(2, (5, 0), version=1, sent_at=0.0))
+        table.record_hello(make_hello(7, (9, 0), version=1, sent_at=0.5))
+        table.record_hello(make_hello(2, (6, 0), version=2, sent_at=2.0))
+
+    def test_standalone_table_with_nonzero_owner(self):
+        table = NeighborTable(owner=5, normal_range=100.0, expiry=2.5)
+        self._fill(table)
+        assert table.known_neighbors() == [2, 7]
+        assert table.known_neighbors(now=3.5) == [2]
+        assert [h.version for h in table.history_of(2)] == [1, 2]
+        assert table.newest_versions([2, 3, 7]).tolist() == [2, NO_VERSION, 1]
+        assert table.hellos_received == 3 and table.mutations == 4
+        view = table.versioned_view(3.5, version=1)
+        assert view.owner == 5 and set(view.neighbor_hellos) == {2, 7}
+        table.prune(now=3.5)
+        assert table.history_of(7) == () and table.mutations == 5
+
+    def test_shared_store_row_is_the_owner(self):
+        state = NeighborState(8, history_depth=3)
+        table = NeighborTable(owner=5, normal_range=100.0, state=state)
+        other = NeighborTable(owner=6, normal_range=100.0, state=state)
+        self._fill(table)
+        assert state.senders(5) == [2, 7] and state.senders(6) == []
+        assert other.known_neighbors() == [] and other.mutations == 0
+        alone = NeighborTable(owner=5, normal_range=100.0)
+        self._fill(alone)
+        assert table.live_view_token(1.0)[1:] == alone.live_view_token(1.0)[1:]
+        assert table.history_of(2) == alone.history_of(2)
+
+    def test_history_depth_must_match_the_store(self):
+        with pytest.raises(ViewError, match="history_depth"):
+            NeighborTable(
+                owner=0, normal_range=100.0, history_depth=2,
+                state=NeighborState(4, history_depth=3),
+            )
 
 
 class TestValidation:

@@ -155,6 +155,16 @@ STALE_CLAIMS = [
         r"Protocols\s+without\s+`select_batch`\s+\(SPT,\s+MST",
         "SPT and MST have select_batch kernels (conditions 2 and 3)",
     ),
+    (
+        r"\bColumnarNeighborTable\b|\bhello_pipeline",
+        "NeighborTable is the one table class and every Hello takes the "
+        "batched route; the hello_pipeline knob is gone",
+    ),
+    (
+        r"scalar\s+(Hello\s+)?(route|pipeline|path)",
+        "faults ride the batched Hello route; the per-receiver scalar "
+        "route was deleted",
+    ),
 ]
 
 
@@ -164,6 +174,7 @@ STALE_CLAIMS = [
     ids=[
         "workers-forced", "redecide-all-hits", "worker-pool",
         "local-pool-backend", "local-backend", "spt-mst-no-batch",
+        "columnar-table", "scalar-hello-route",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):

@@ -241,19 +241,6 @@ class TestWorldWiring:
         assert (a.delivery_ratios == b.delivery_ratios).all()
         assert (a.strict_connected == b.strict_connected).all()
 
-    def test_scalar_and_batched_pipelines_agree(self):
-        scalar = build_world(GOSSIP_SPEC, seed=5, hello_pipeline="scalar")
-        batched = build_world(GOSSIP_SPEC, seed=5, hello_pipeline="batched")
-        scalar.run_until(4.0)
-        batched.run_until(4.0)
-        assert scalar.gossip_stats() == batched.gossip_stats()
-        assert (
-            scalar.channel.stats.as_dict() == batched.channel.stats.as_dict()
-        )
-        now = scalar.engine.now
-        for s, b in zip(scalar.nodes, batched.nodes):
-            assert s.table.live_view_token(now)[1:] == b.table.live_view_token(now)[1:]
-
     def test_mayday_fires_when_view_stays_silent(self):
         # Near-total Hello loss: tables essentially only fill through
         # gossip, so views start silent while peers are in range — the

@@ -2,13 +2,14 @@
 
 Three layers:
 
-- the store/table gather :meth:`versioned_positions` on both table
-  classes, against the members of :meth:`versioned_view` and the scalar
+- the store/table gather :meth:`versioned_positions` on a standalone
+  table and on one whose row sits in a shared store, against the members
+  of :meth:`versioned_view` and the
   ``next(h for h in history if h.version == v)`` rule — ring wrap-around,
   repeated versions, pruned senders, a version nobody holds, an empty
   directory;
-- the columnar :meth:`versioned_view`, whose Hellos (one per matching
-  sender, built from the gather) must equal the dict-backed table's;
+- :meth:`versioned_view`, whose Hellos (one per matching sender, built
+  from the gather) must equal the ones in the retained history;
 - the mechanisms: a batched decision (``decide`` as a batch of one, and
   ``decide_many``) against the LocalView route it replaced, on every
   proactive fallback branch including the :class:`ViewError` one.
@@ -29,12 +30,13 @@ from repro.core.consistency import (
     ViewSynchronization,
 )
 from repro.core.neighbor_state import NeighborState
-from repro.core.tables import ColumnarNeighborTable, NeighborTable
+from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.protocols import RngProtocol, make_protocol
 from repro.util.errors import ViewError
 
-OWNER = 0
+#: non-zero, so a standalone table's private row differs from its owner
+OWNER = 6
 EXPIRY = 1.0
 VERSIONS = range(-1, 6)
 
@@ -60,15 +62,16 @@ def _hello(sender, version, xy, t):
 
 
 def _replay(ops, k):
-    """``(dict table, columnar table)`` after *ops*, at the final time.
+    """``(standalone table, shared-store table)`` after *ops*, at the
+    final time.
 
-    The columnar store has a second receiver that hears every Hello too,
+    The shared store has a second receiver that hears every Hello too,
     so the owner's slots interleave with another receiver's.
     """
     state = NeighborState(8, history_depth=k)
-    scalar = NeighborTable(OWNER, 50.0, history_depth=k, expiry=EXPIRY)
-    columnar = ColumnarNeighborTable(
-        OWNER, 50.0, state=state, history_depth=k, expiry=EXPIRY
+    alone = NeighborTable(OWNER, 50.0, history_depth=k, expiry=EXPIRY)
+    shared = NeighborTable(
+        OWNER, 50.0, history_depth=k, expiry=EXPIRY, state=state
     )
     t = 0.0
     for op in ops:
@@ -76,20 +79,20 @@ def _replay(ops, k):
         if op[0] == "hello":
             _, sender, version, x, y = op
             hello = _hello(sender, version, (x, y), t)
-            scalar.record_hello(hello)
+            alone.record_hello(hello)
             state.record_batch(hello, np.array([OWNER, 7]))
         elif op[0] == "own":
             own = _hello(OWNER, op[1], (0.0, 0.0), t)
-            scalar.record_own(own)
-            columnar.record_own(own)
+            alone.record_own(own)
+            shared.record_own(own)
         else:
-            scalar.prune(t)
-            columnar.prune(t)
-    return scalar, columnar, t
+            alone.prune(t)
+            shared.prune(t)
+    return alone, shared, t
 
 
 def _reference(table, version):
-    """``{sender: position}`` by the scalar rule over the table's history."""
+    """``{sender: position}`` by the first-match rule over the history."""
     out = {}
     for nid in table.known_neighbors():
         match = next((h for h in table.history_of(nid) if h.version == version), None)
@@ -129,21 +132,28 @@ class TestVersionedPositions:
     @settings(max_examples=150, deadline=None)
     @given(ops=operations, k=st.integers(1, 3))
     def test_columnar_versioned_view_hellos_are_identical(self, ops, k):
-        scalar, columnar, now = _replay(ops, k)
-        for version in scalar.available_versions():
-            want = scalar.versioned_view(now, version)
-            got = columnar.versioned_view(now, version)
-            assert list(got.neighbor_hellos.items()) == list(
-                want.neighbor_hellos.items()
-            )
-            assert got.own_hello == want.own_hello
+        *tables, now = _replay(ops, k)
+        for table in tables:
+            for version in table.available_versions():
+                view = table.versioned_view(now, version)
+                want = {}
+                for nid in table.known_neighbors():
+                    history = table.history_of(nid)
+                    match = next((h for h in history if h.version == version), None)
+                    if match is not None:
+                        want[nid] = match
+                assert view.neighbor_hellos == want
+                assert list(view.neighbor_hellos) == [
+                    nid for nid in table._state.senders(table._row) if nid in want
+                ]
+                assert view.own_hello == table.advertisement(version)
 
     def _tables(self, k=2):
-        state = NeighborState(4, history_depth=k)
+        state = NeighborState(8, history_depth=k)
         return (
             NeighborTable(OWNER, 50.0, history_depth=k, expiry=EXPIRY),
-            ColumnarNeighborTable(OWNER, 50.0, state=state, history_depth=k,
-                                  expiry=EXPIRY),
+            NeighborTable(OWNER, 50.0, history_depth=k, expiry=EXPIRY,
+                          state=state),
         )
 
     def test_empty_directory(self):

@@ -1,18 +1,21 @@
-"""Batched vs scalar Hello pipeline: the bit-identity contract.
+"""The Hello delivery route: fault seams, neighbor state, batch events.
 
-The batched pipeline (``hello_pipeline="batched"`` / the ``"auto"``
-dispatch) must be observationally indistinguishable from the historical
-scalar per-receiver path: same retained Hello histories, same table
-tokens, same channel counters, same RNG stream consumption — across
-consistency mechanisms, Hello loss, the collision model and clock
-jitter.  These tests build *twin worlds* from identical configuration
-and seed, run both, and compare every observable that decisions and
-``RunStats`` derive from.
+Every Hello travels one route: the receiver oracle finds who hears it,
+and each distinct arrival time is one engine event that records the
+Hello at all of its receivers in the columnar :class:`NeighborState`.
+Pinned here:
 
-Also here: the scalar-route oracle discipline (faults force the scalar
-path; ``"batched"`` + faults is a configuration error), the
-``_drop_collided`` expiry boundary, :class:`NeighborState` ring/prune
-semantics and the engine's handle-free ``schedule_batch``.
+- the stale-grid receiver oracle against the full range scan
+  ``IdealChannel.receivers``, under every propagation model;
+- the fault seams on that route — a receiver down at arrival is blocked,
+  a delayed Hello overtaken by a fresher one is discarded, and delivery
+  delays split one transmission into one event per arrival time;
+- the ``_drop_collided`` expiry boundary;
+- :class:`NeighborState` ring/prune semantics and its newest-version read;
+- the engine's handle-free ``schedule_batch``.
+
+End-to-end behaviour of faulted, log-distance and weak worlds is pinned
+by the golden cells in ``tests/test_golden_digests.py``.
 """
 
 from __future__ import annotations
@@ -22,33 +25,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.buffer_zone import BufferZonePolicy
-from repro.core.consistency import (
-    BaselineConsistency,
-    ProactiveConsistency,
-    ReactiveConsistency,
-    ViewSynchronization,
-    WeakConsistency,
-)
+from repro.core.consistency import make_mechanism
 from repro.core.manager import MobilitySensitiveTopologyControl
-from repro.core.neighbor_state import NeighborState
-from repro.core.tables import ColumnarNeighborTable, NeighborTable
+from repro.core.neighbor_state import NO_VERSION, NeighborState
 from repro.core.views import Hello
-from repro.faults.schedule import FaultSchedule, NodeOutage
-from repro.mobility import Area, RandomWaypoint
+from repro.faults.schedule import DeliveryDelay, FaultSchedule, NodeOutage
+from repro.mobility import Area, RandomWaypoint, StaticPlacement
 from repro.protocols import RngProtocol
 from repro.sim.config import ScenarioConfig
 from repro.sim.engine import Engine
+from repro.sim.hello_batch import HelloReceiverOracle
+from repro.sim.propagation import make_propagation
+from repro.sim.radio import IdealChannel
 from repro.sim.world import NetworkWorld
-from repro.util.errors import ConfigurationError, ScheduleError
+from repro.util.errors import ScheduleError
 from repro.util.randomness import SeedSequenceFactory
-
-MECHANISMS = {
-    "baseline": BaselineConsistency,
-    "view-sync": ViewSynchronization,
-    "proactive": ProactiveConsistency,
-    "reactive": ReactiveConsistency,
-    "weak": WeakConsistency,
-}
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -64,157 +55,112 @@ def _config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-def _world(cfg: ScenarioConfig, mechanism: str, seed: int, pipeline: str) -> NetworkWorld:
-    """One world; twin calls with different *pipeline* share everything else."""
+def _world(cfg: ScenarioConfig, mechanism: str, seed: int) -> NetworkWorld:
     seeds = SeedSequenceFactory(seed)
     mobility = RandomWaypoint(
         cfg.area, cfg.n_nodes, cfg.duration, mean_speed=8.0, rng=seeds.rng("m")
     )
     manager = MobilitySensitiveTopologyControl(
         RngProtocol(),
-        mechanism=MECHANISMS[mechanism](),
+        mechanism=make_mechanism(mechanism),
         buffer_policy=BufferZonePolicy(width=20.0, cap=cfg.normal_range),
     )
-    return NetworkWorld(
-        cfg, mobility, manager, seed=seed, hello_pipeline=pipeline
+    return NetworkWorld(cfg, mobility, manager, seed=seed)
+
+
+def _quiet_world(*events) -> NetworkWorld:
+    """Six static nodes that all hear each other, *events* armed, and no
+    Hello timers pending: only what a test emits or delivers happens."""
+    cfg = _config(n_nodes=6, area=Area(50.0, 50.0))
+    mobility = StaticPlacement(
+        cfg.area, cfg.n_nodes, cfg.duration, rng=np.random.default_rng(0)
     )
+    world = NetworkWorld(
+        cfg, mobility, MobilitySensitiveTopologyControl(RngProtocol()),
+        seed=0, faults=FaultSchedule(events),
+    )
+    world.engine.clear()
+    return world
 
 
-def _assert_twins_identical(batched: NetworkWorld, scalar: NetworkWorld) -> None:
-    """Every decision-relevant observable must match bit-for-bit.
-
-    Table uids are process-global and differ between any two worlds, so
-    tokens are compared component-wise past the uid.
-    """
-    assert batched._batched and not scalar._batched
-    now = batched.engine.now
-    assert now == scalar.engine.now
-    assert batched.channel.stats.as_dict() == scalar.channel.stats.as_dict()
-    for nb, ns in zip(batched.nodes, scalar.nodes):
-        tb, ts = nb.table, ns.table
-        assert nb.hellos_sent == ns.hellos_sent
-        assert tb.mutations == ts.mutations
-        assert tb.hellos_received == ts.hellos_received
-        assert tb.full_token()[1:] == ts.full_token()[1:]
-        assert tb.live_view_token(now)[1:] == ts.live_view_token(now)[1:]
-        assert tb.known_neighbors() == ts.known_neighbors()
-        assert tb.known_neighbors(now) == ts.known_neighbors(now)
-        for neighbor in tb.known_neighbors():
-            # Hello is a frozen value type: materialised columnar copies
-            # must compare equal to the scalar deque contents, in order.
-            assert tb.history_of(neighbor) == ts.history_of(neighbor)
-            assert tb.message_versions_in_use(neighbor) == ts.message_versions_in_use(neighbor)
-        assert tb.own_history == ts.own_history
+def _versions(world: NetworkWorld, sender: int) -> list[list[int]]:
+    """Per node, the retained versions of *sender*'s Hellos."""
+    return [
+        [h.version for h in node.table.history_of(sender)] for node in world.nodes
+    ]
 
 
-class TestBatchedScalarBitIdentity:
-    @settings(max_examples=8, deadline=None)
+class TestReceiverOracle:
+    @settings(max_examples=12, deadline=None)
     @given(
-        mechanism=st.sampled_from(sorted(MECHANISMS)),
         seed=st.integers(0, 2**16),
+        model=st.sampled_from(["unit-disk", "log-distance", "sinr"]),
+        steps=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=12),
     )
-    def test_ideal_channel(self, mechanism, seed):
-        cfg = _config()
-        batched = _world(cfg, mechanism, seed, "batched")
-        scalar = _world(cfg, mechanism, seed, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        _assert_twins_identical(batched, scalar)
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        mechanism=st.sampled_from(["baseline", "proactive", "weak"]),
-        seed=st.integers(0, 2**16),
-        loss=st.sampled_from([0.1, 0.3]),
-    )
-    def test_lossy_channel_consumes_rng_identically(self, mechanism, seed, loss):
-        # The i.i.d. loss model draws one uniform per candidate receiver,
-        # positionally: identical receiver arrays are the only way the twin
-        # runs can agree on losses, deliveries and every downstream view.
-        cfg = _config(hello_loss_rate=loss)
-        batched = _world(cfg, mechanism, seed, "batched")
-        scalar = _world(cfg, mechanism, seed, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        assert batched.channel.stats.hello_losses > 0
-        _assert_twins_identical(batched, scalar)
-
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 2**16))
-    def test_collision_model(self, seed):
-        cfg = _config(hello_tx_duration=0.05)
-        batched = _world(cfg, "view-sync", seed, "batched")
-        scalar = _world(cfg, "view-sync", seed, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        _assert_twins_identical(batched, scalar)
-
-    def test_snapshots_and_decisions_agree(self):
-        cfg = _config(duration=6.0)
-        batched = _world(cfg, "view-sync", 11, "batched")
-        scalar = _world(cfg, "view-sync", 11, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        sb, ss = batched.snapshot(), scalar.snapshot()
-        assert np.array_equal(sb.positions, ss.positions)
-        assert np.array_equal(sb.extended_ranges, ss.extended_ranges)
-        assert np.array_equal(sb.logical, ss.logical)
-
-
-class TestPipelineDispatch:
-    def test_auto_is_batched_without_faults(self):
-        world = _world(_config(), "baseline", 1, "auto")
-        assert world._batched
-        assert all(isinstance(n.table, ColumnarNeighborTable) for n in world.nodes)
-
-    def test_auto_routes_scalar_when_faults_armed(self):
-        cfg = _config()
-        seeds = SeedSequenceFactory(2)
+    def test_matches_full_range_scan(self, seed, model, steps):
+        radius = 120.0
         mobility = RandomWaypoint(
-            cfg.area, cfg.n_nodes, cfg.duration, mean_speed=8.0, rng=seeds.rng("m")
+            Area(500.0, 500.0), 40, 20.0, mean_speed=15.0,
+            rng=np.random.default_rng(seed),
         )
-        schedule = FaultSchedule(events=(NodeOutage(node=0, start=1.0, end=3.0),))
-        world = NetworkWorld(
-            cfg,
-            mobility,
-            MobilitySensitiveTopologyControl(RngProtocol()),
-            seed=2,
-            faults=schedule,
+        bound = None if model == "unit-disk" else make_propagation(model).bind(seed)
+        oracle = HelloReceiverOracle(mobility.trajectories, radius, propagation=bound)
+        channel = IdealChannel(propagation=bound)
+        t = 0.0
+        for i, step in enumerate(steps):
+            t += step  # the world queries in nondecreasing time
+            sender = (seed + 7 * i) % 40
+            want = channel.receivers(sender, mobility.positions(t), radius, now=t)
+            got = oracle.receivers(sender, t)
+            assert got.tolist() == want.tolist()
+            assert oracle.propagation_losses == channel.stats.propagation_losses
+
+
+class TestFaultSeams:
+    def test_receiver_down_at_arrival_is_blocked(self):
+        world = _quiet_world(NodeOutage(0.0, 1.0, node=2))
+        hello = Hello(1, 4, (0.0, 0.0), 0.0, 0.0)
+        world._receive_hello_batch(hello, np.array([0, 2, 3], dtype=np.intp))
+        assert _versions(world, 1) == [[4], [], [], [4], [], []]
+        assert world.fault_stats()["fault_blocked_receptions"] == 1
+        assert world.fault_stats()["fault_stale_discards"] == 0
+
+    def test_overtaken_delayed_hello_is_discarded(self):
+        world = _quiet_world()
+        receivers = np.array([0, 3, 4], dtype=np.intp)
+        world._receive_hello_batch(Hello(1, 5, (1.0, 0.0), 1.0, 1.0), receivers[:2])
+        # Version 4 arrives late: discarded where 5 is held, kept at node 4.
+        world._receive_hello_batch(Hello(1, 4, (0.0, 0.0), 0.0, 0.0), receivers)
+        # An equal version is not strictly newer either.
+        world._receive_hello_batch(Hello(1, 5, (2.0, 0.0), 1.0, 1.0), receivers[:1])
+        assert _versions(world, 1) == [[5], [], [], [5], [4], []]
+        assert world.fault_stats()["fault_stale_discards"] == 3
+        assert world.nodes[0].table.history_of(1)[0].position == (1.0, 0.0)
+
+    def test_delay_groups_arrive_at_their_own_times(self):
+        world = _quiet_world(
+            DeliveryDelay(0.0, 1.0, delay=0.5, receivers=(2, 3)),
+            DeliveryDelay(0.0, 1.0, delay=0.2, receivers=(3,)),
         )
-        assert not world._batched
-        assert all(type(n.table) is NeighborTable for n in world.nodes)
-        world.run_until(cfg.duration)  # the forced-scalar route still runs
-        assert world.fault_stats()["fault_suppressed_sends"] > 0
-        assert world.hello_pipeline_stats() == {}
+        hello = world._emit_hello(0, 1)
+        assert hello is not None
+        # One batch event per distinct arrival time.
+        assert world.engine.pending_events == 3
+        world.run_until(0.1)
+        assert _versions(world, 0) == [[], [1], [], [], [1], [1]]
+        world.run_until(0.6)
+        assert _versions(world, 0) == [[], [1], [1], [], [1], [1]]
+        world.run_until(0.8)
+        assert _versions(world, 0) == [[], [1], [1], [1], [1], [1]]
+        assert world.fault_stats()["fault_delayed_deliveries"] == 2
+        assert world.channel.stats.deliveries == 5
 
-    def test_batched_with_faults_is_a_configuration_error(self):
-        cfg = _config()
-        seeds = SeedSequenceFactory(3)
-        mobility = RandomWaypoint(
-            cfg.area, cfg.n_nodes, cfg.duration, mean_speed=8.0, rng=seeds.rng("m")
-        )
-        schedule = FaultSchedule(events=(NodeOutage(node=0, start=1.0, end=3.0),))
-        with pytest.raises(ConfigurationError, match="fault"):
-            NetworkWorld(
-                cfg,
-                mobility,
-                MobilitySensitiveTopologyControl(RngProtocol()),
-                seed=3,
-                faults=schedule,
-                hello_pipeline="batched",
-            )
-
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ConfigurationError, match="hello_pipeline"):
-            _world(_config(), "baseline", 1, "vectorised")
-
-    def test_pipeline_stats_reported_on_batched_route(self):
-        world = _world(_config(), "baseline", 4, "batched")
-        world.run_until(3.0)
-        stats = world.hello_pipeline_stats()
-        assert stats["oracle_queries"] > 0
-        assert stats["oracle_rebuilds"] >= 1
-        assert stats["neighbor_slots"] > 0
+    def test_down_sender_sends_nothing(self):
+        world = _quiet_world(NodeOutage(0.0, 1.0, node=0))
+        assert world._emit_hello(0, 1) is None
+        assert world.engine.pending_events == 0
+        assert world.nodes[0].table.last_advertised is None
+        assert world.fault_stats()["fault_suppressed_sends"] == 1
 
 
 class TestDropCollidedBoundary:
@@ -222,7 +168,7 @@ class TestDropCollidedBoundary:
 
     @staticmethod
     def _world(window: float) -> NetworkWorld:
-        return _world(_config(hello_tx_duration=window), "baseline", 5, "scalar")
+        return _world(_config(hello_tx_duration=window), "baseline", 5)
 
     def test_entry_exactly_at_window_edge_still_on_air(self):
         world = self._world(0.1)
@@ -302,6 +248,21 @@ class TestNeighborState:
         state.record_one(0, _hello(1, 0, 5.0))
         assert not state.prune(0, now=6.0, expiry=2.5)
         assert state.mutations[0] == 1
+
+    def test_newest_versions_reads_the_ring_head(self):
+        state = NeighborState(4, history_depth=2)
+        for v in (3, 7, 5):
+            state.record_batch(_hello(1, v, float(v)), np.array([0, 2], dtype=np.intp))
+        state.record_one(3, _hello(1, 9, 9.0))
+        state.record_one(0, _hello(2, 1, 9.0))
+        got = state.newest_versions(np.array([3, 1, 0, 2], dtype=np.intp), 1)
+        assert got.tolist() == [9, NO_VERSION, 5, 5]
+        assert state.newest_versions(0, np.array([2, 1, 3])).tolist() == [
+            1, 5, NO_VERSION,
+        ]
+        assert state.newest_versions(np.empty(0, dtype=np.intp), 1).size == 0
+        state.prune(3, now=20.0, expiry=2.5)
+        assert state.newest_versions(np.array([3]), 1).tolist() == [NO_VERSION]
 
     def test_live_ids_preserve_insertion_order(self):
         state = NeighborState(2, 3)

@@ -7,15 +7,12 @@ Three contracts are pinned here:
    historical code path (``_propagation is None`` at every seam), and —
    the sharper differential — a ``LogDistance(sigma_db=0)`` world, which
    routes through the *model* code path with an identity range factor,
-   reproduces the unit-disk world bit for bit across mechanism ×
-   pipeline × loss.
+   reproduces the unit-disk world bit for bit across mechanism × loss.
 
-2. **Pipeline independence.**  Scalar and batched Hello routes must stay
-   bit-identical under every model (the keyed-hash draws are
-   order-independent and subset-stable), with byte-equal drop
-   accounting; ``hello_pipeline="batched"`` + non-unit-disk is a shipped,
-   working combination — not a configuration error — and results are
-   reproducible at any worker count.
+2. **The receiver oracle under a model.**  The Hello route's stale-grid
+   query widens to the model's superset radius, every rejected
+   within-range candidate is counted, and results are reproducible at
+   any worker count.
 
 3. **Oracle adaptation.**  ``theorem5_slack`` widens by exactly
    ``2 v_max · staleness_allowance`` for stochastic models and not at
@@ -77,7 +74,6 @@ def _world(
     cfg: ScenarioConfig,
     mechanism: str = "view-sync",
     seed: int = 0,
-    pipeline: str = "auto",
     telemetry: Telemetry | None = None,
 ) -> NetworkWorld:
     seeds = SeedSequenceFactory(seed)
@@ -89,10 +85,7 @@ def _world(
         mechanism=make_mechanism(mechanism),
         buffer_policy=BufferZonePolicy(width=20.0, cap=cfg.normal_range),
     )
-    return NetworkWorld(
-        cfg, mobility, manager, seed=seed,
-        hello_pipeline=pipeline, telemetry=telemetry,
-    )
+    return NetworkWorld(cfg, mobility, manager, seed=seed, telemetry=telemetry)
 
 
 def _assert_twins_identical(a: NetworkWorld, b: NetworkWorld) -> None:
@@ -125,7 +118,7 @@ class TestUnitDiskSeamCollapse:
         assert isinstance(world.propagation, UnitDisk)
         assert world._propagation is None
         assert world.channel.propagation is None
-        assert world._oracle is None or world._oracle.propagation is None
+        assert world._oracle.propagation is None
         assert world.snapshot().propagation is None
 
     def test_explicit_unit_disk_is_the_same_collapse(self):
@@ -185,15 +178,14 @@ class TestSigmaZeroEquivalence:
     @settings(max_examples=8, deadline=None)
     @given(
         mechanism=st.sampled_from(MECHANISMS),
-        pipeline=st.sampled_from(["scalar", "batched"]),
         seed=st.integers(0, 2**16),
     )
-    def test_twin_identity(self, mechanism, pipeline, seed):
+    def test_twin_identity(self, mechanism, seed):
         cfg0 = _config()
         cfg1 = _config(propagation="log-distance",
                        propagation_params={"sigma_db": 0.0})
-        unit = _world(cfg0, mechanism, seed, pipeline)
-        model = _world(cfg1, mechanism, seed, pipeline)
+        unit = _world(cfg0, mechanism, seed)
+        model = _world(cfg1, mechanism, seed)
         assert model._propagation is not None  # genuinely on the model path
         unit.run_until(cfg0.duration)
         model.run_until(cfg1.duration)
@@ -208,8 +200,8 @@ class TestSigmaZeroEquivalence:
         cfg0 = _config(hello_loss_rate=loss)
         cfg1 = _config(hello_loss_rate=loss, propagation="log-distance",
                        propagation_params={"sigma_db": 0.0})
-        unit = _world(cfg0, "baseline", seed, "scalar")
-        model = _world(cfg1, "baseline", seed, "scalar")
+        unit = _world(cfg0, "baseline", seed)
+        model = _world(cfg1, "baseline", seed)
         unit.run_until(cfg0.duration)
         model.run_until(cfg1.duration)
         assert unit.channel.stats.hello_losses > 0
@@ -218,8 +210,8 @@ class TestSigmaZeroEquivalence:
     def test_snapshot_predicates_agree(self):
         cfg1 = _config(propagation="log-distance",
                        propagation_params={"sigma_db": 0.0})
-        unit = _world(_config(), "view-sync", 9, "scalar")
-        model = _world(cfg1, "view-sync", 9, "scalar")
+        unit = _world(_config(), "view-sync", 9)
+        model = _world(cfg1, "view-sync", 9)
         unit.run_until(4.0)
         model.run_until(4.0)
         su, sm = unit.snapshot(), model.snapshot()
@@ -228,74 +220,35 @@ class TestSigmaZeroEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# 2. pipeline independence
+# 2. the receiver oracle under a model
 
 
 class TestBatchedPipelineContract:
-    """``hello_pipeline="batched"`` + non-unit-disk is a shipped, working
-    combination: the oracle's stale-grid query widens to the model's
-    superset radius and the exact filter becomes the keyed predicate.
-    This class pins that contract — construction succeeds, results match
-    the scalar route bit for bit, and drop accounting is byte-equal.
+    """The batched Hello route under a non-unit-disk model: the oracle's
+    stale-grid query widens to the model's superset radius, the exact
+    filter is the bound model's keyed predicate, and every rejected
+    within-range candidate reaches the channel counters and telemetry.
     """
 
-    @pytest.mark.parametrize("model,params", [
-        ("log-distance", {"sigma_db": 4.0}),
-        ("log-distance", {"sigma_db": 6.0, "path_loss_exponent": 2.0}),
-        ("sinr", {}),
-        ("sinr", {"midpoint": 0.7, "cutoff": 1.5}),
-    ])
-    def test_batched_equals_scalar(self, model, params):
-        cfg = _config(propagation=model, propagation_params=params)
-        batched = _world(cfg, "view-sync", 11, "batched")
-        scalar = _world(cfg, "view-sync", 11, "scalar")
-        assert batched._batched and not scalar._batched
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        _assert_twins_identical(batched, scalar)
-        # Propagation drops are tallied by different components per route
-        # (oracle vs channel) but must land on identical totals.
-        assert (batched.channel.stats.propagation_losses
-                == scalar.channel.stats.propagation_losses)
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        mechanism=st.sampled_from(MECHANISMS),
-        model=st.sampled_from(MODELS),
-        seed=st.integers(0, 2**16),
-    )
-    def test_batched_equals_scalar_across_mechanisms(self, mechanism, model, seed):
-        cfg = _config(propagation=model)
-        batched = _world(cfg, mechanism, seed, "batched")
-        scalar = _world(cfg, mechanism, seed, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        _assert_twins_identical(batched, scalar)
-
     def test_batched_construction_is_not_an_error(self):
-        # The pinned contract: no ConfigurationError — the superset
-        # query composes, it does not conflict.
-        world = _world(_config(propagation="sinr"), pipeline="batched")
-        assert world._batched
+        # The superset query composes with the model, it does not
+        # conflict: the oracle holds the world's bound model.
+        world = _world(_config(propagation="sinr"))
         assert world._oracle.propagation is world._propagation
 
     def test_oracle_query_radius_is_widened(self):
         cfg = _config(propagation="log-distance")
-        world = _world(cfg, pipeline="batched")
+        world = _world(cfg)
         oracle = world._oracle
         assert oracle._query_radius == pytest.approx(
             world._propagation.query_radius(cfg.normal_range)
         )
         assert oracle._query_radius > cfg.normal_range
 
-    def test_auto_dispatch_still_batches_under_models(self):
-        world = _world(_config(propagation="sinr"), pipeline="auto")
-        assert world._batched
-
     def test_telemetry_counts_propagation_drops(self):
         tel = Telemetry()
         cfg = _config(propagation="sinr")
-        world = _world(cfg, "baseline", 5, "batched", telemetry=tel)
+        world = _world(cfg, "baseline", 5, telemetry=tel)
         world.run_until(cfg.duration)
         lost = world.channel.stats.propagation_losses
         assert lost > 0
@@ -426,7 +379,7 @@ class TestSnapshotModelConsistency:
     @pytest.mark.parametrize("model", MODELS)
     def test_dense_and_csr_in_range_agree(self, model):
         cfg = _config(propagation=model)
-        world = _world(cfg, "view-sync", 17, "scalar")
+        world = _world(cfg, "view-sync", 17)
         world.run_until(4.0)
         snap = world.snapshot()
         dense = snap.in_range()
@@ -435,7 +388,7 @@ class TestSnapshotModelConsistency:
 
     def test_deterministic_model_original_topology_is_mutual_subset(self):
         cfg = _config(propagation="log-distance")
-        world = _world(cfg, "view-sync", 23, "scalar")
+        world = _world(cfg, "view-sync", 23)
         world.run_until(4.0)
         snap = world.snapshot()
         adj = snap.original_topology()
@@ -450,7 +403,7 @@ class TestSnapshotModelConsistency:
 class TestOracleAdaptation:
     def _built(self, propagation: str, **cfg_over) -> NetworkWorld:
         cfg = _config(propagation=propagation, **cfg_over)
-        return _world(cfg, "view-sync", 31, "scalar")
+        return _world(cfg, "view-sync", 31)
 
     def test_theorem5_slack_widens_only_for_stochastic_models(self):
         unit = self._built("unit-disk")

@@ -653,6 +653,38 @@ class TestWorldSeams:
         )
         assert tel.events.kind_counts()["fault"] > 0
 
+    def test_fault_event_counts_equal_run_stats(self):
+        from repro.faults.schedule import (
+            DeliveryDelay,
+            FaultSchedule,
+            HelloLossBurst,
+            NodeOutage,
+            PositionNoise,
+        )
+
+        schedule = FaultSchedule(events=(
+            HelloLossBurst(2.0, 3.0, probability=0.3),
+            NodeOutage(2.5, 3.5, node=3),
+            DeliveryDelay(1.5, 3.5, delay=0.4, senders=(1, 2, 5, 8)),
+            DeliveryDelay(2.2, 2.7, delay=1.3, receivers=(0, 9, 10, 11)),
+            PositionNoise(2.0, 4.0, amplitude=5.0, nodes=(4, 7)),
+        ))
+        tel = Telemetry()
+        result = run_once(_tiny_spec(), seed=4, faults=schedule, telemetry=tel)
+        counters = tel.registry.counters_dict()
+        stats = result.stats.as_dict()
+        for key, value in stats.items():
+            if key.startswith("fault_"):
+                action = key[len("fault_"):]
+                assert value > 0, key
+                assert counters[f"fault_events{{action={action}}}"] == value
+        # Every delivery is either recorded, blocked or discarded.
+        assert counters["hello_received"] == (
+            stats["deliveries"]
+            - stats["fault_blocked_receptions"]
+            - stats["fault_stale_discards"]
+        )
+
 
 MECHANISMS = ("baseline", "view-sync", "proactive", "reactive", "weak")
 
@@ -697,7 +729,7 @@ class TestBatchedPipelineTelemetry:
     """Per-batch hello_received aggregation keeps totals exactly equal."""
 
     @staticmethod
-    def _run(pipeline: str) -> Telemetry:
+    def _run() -> Telemetry:
         from repro.core.manager import MobilitySensitiveTopologyControl
         from repro.mobility import RandomWaypoint
         from repro.protocols import RngProtocol
@@ -716,22 +748,13 @@ class TestBatchedPipelineTelemetry:
         tel = Telemetry()
         world = NetworkWorld(
             cfg, mobility, MobilitySensitiveTopologyControl(RngProtocol()),
-            seed=9, telemetry=tel, hello_pipeline=pipeline,
+            seed=9, telemetry=tel,
         )
         world.run_until(cfg.duration)
         return tel
 
-    def test_kind_counts_match_scalar_route_exactly(self):
-        batched, scalar = self._run("batched"), self._run("scalar")
-        assert batched.events.kind_counts() == scalar.events.kind_counts()
-        b, s = batched.registry.counters_dict(), scalar.registry.counters_dict()
-        # One batch event stands in for n receptions, so the engine event
-        # count legitimately differs; every traffic counter must not.
-        for key in ("hello_sent", "hello_received"):
-            assert b[key] == s[key]
-
     def test_batched_receptions_are_summarized_not_per_receiver(self):
-        tel = self._run("batched")
+        tel = self._run()
         received = [e for e in tel.events if e.kind == "hello_received"]
         assert received  # retained summaries exist...
         # ...and each carries its receiver count; with no ring eviction in
