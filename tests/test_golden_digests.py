@@ -14,9 +14,11 @@ JSON file, then say so in the change log::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiment import ExperimentSpec, RunResult, run_once
+from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.faults import (
     ClockSkew,
     DeliveryDelay,
@@ -68,6 +71,9 @@ class Cell(NamedTuple):
     faults: FaultSchedule | None = None
     #: ScenarioConfig overrides
     config: dict = {}
+    #: ExperimentSpec overrides (buffer width, physical-neighbor mode)
+    spec: dict = {}
+    n_nodes: int = 30
 
 
 CELLS = {
@@ -101,21 +107,36 @@ CELLS = {
     "rng-view-sync-logdist-faulted": Cell(
         "rng", "view-sync", FAULTS, config=LOG_DISTANCE
     ),
+    # n=100: more than one packet-time redecision block per probe, so the
+    # order owners are cut into blocks is pinned.
+    "rng-view-sync-n100": Cell("rng", "view-sync", n_nodes=100),
+    "spt4-proactive-n100": Cell("spt4", "proactive", n_nodes=100),
+    # Physical-neighbor forwarding, and no buffer zone at all.
+    "rng-view-sync-pn": Cell("rng", "view-sync", spec={"physical_neighbor_mode": True}),
+    "rng-baseline-buf0": Cell("rng", "baseline", spec={"buffer_width": 0.0}),
 }
 
 
-def cell_spec(protocol: str, mechanism: str, **config) -> ExperimentSpec:
-    """n=30 at the paper's density (8100 m^2 per node), 20 m/s, 4 s,
-    10 samples/s after a 2 s warmup, 10 m buffer; *config* overrides
-    further :class:`ScenarioConfig` fields."""
-    side = math.sqrt(30 * 8100.0)
+def cell_spec(
+    protocol: str,
+    mechanism: str,
+    n_nodes: int = 30,
+    spec: dict | None = None,
+    **config,
+) -> ExperimentSpec:
+    """*n_nodes* at the paper's density (8100 m^2 per node), 20 m/s, 4 s,
+    10 samples/s after a 2 s warmup, 10 m buffer; *spec* overrides
+    further :class:`ExperimentSpec` fields and *config* further
+    :class:`ScenarioConfig` fields."""
+    side = math.sqrt(n_nodes * 8100.0)
+    fields = {"buffer_width": 10.0, **(spec or {})}
     return ExperimentSpec(
         protocol=protocol,
         mechanism=mechanism,
-        buffer_width=10.0,
         mean_speed=20.0,
+        **fields,
         config=ScenarioConfig(
-            n_nodes=30,
+            n_nodes=n_nodes,
             area=Area(side, side),
             duration=4.0,
             warmup=2.0,
@@ -141,17 +162,60 @@ def digest(result: RunResult) -> str:
     return h.hexdigest()
 
 
+def cell_run(cell: str) -> RunResult:
+    """One cell's run at :data:`SEED`."""
+    c = CELLS[cell]
+    spec = cell_spec(c.protocol, c.mechanism, c.n_nodes, c.spec, **c.config)
+    return run_once(spec, seed=SEED, faults=c.faults)
+
+
+@functools.cache
+def cached_cell_run(cell: str) -> RunResult:
+    """:func:`cell_run`, kept for the tests that read the same run."""
+    return cell_run(cell)
+
+
 def cell_digest(cell: str) -> str:
     """Digest of one cell's run at :data:`SEED`."""
-    c = CELLS[cell]
-    spec = cell_spec(c.protocol, c.mechanism, **c.config)
-    return digest(run_once(spec, seed=SEED, faults=c.faults))
+    return digest(cell_run(cell))
+
+
+SERIES = (
+    "delivery_ratios",
+    "mean_actual_ranges",
+    "mean_extended_ranges",
+    "mean_logical_degrees",
+    "mean_physical_degrees",
+    "strict_connected",
+)
+
+CACHE_COUNTERS = (
+    "decision_cache_hits",
+    "decision_cache_misses",
+    "decision_cache_uncacheable",
+)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_cell_reproduces_pinned_digest(cell):
     pinned = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert cell_digest(cell) == pinned[cell]
+    assert digest(cached_cell_run(cell)) == pinned[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_decision_cache_changes_nothing_but_its_counters(cell, monkeypatch):
+    cached = cached_cell_run(cell)
+    monkeypatch.setattr(
+        MobilitySensitiveTopologyControl, "decision_cache_default", False
+    )
+    uncached = cell_run(cell)
+    for name in SERIES:
+        np.testing.assert_array_equal(
+            getattr(uncached, name), getattr(cached, name), err_msg=name
+        )
+    zeroed = dict.fromkeys(CACHE_COUNTERS, 0)
+    assert replace(uncached.stats, **zeroed) == replace(cached.stats, **zeroed)
+    assert uncached.stats.cache_info() == zeroed
 
 
 def test_every_cell_is_pinned():
