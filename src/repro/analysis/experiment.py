@@ -258,7 +258,7 @@ class RunStats:
     hello_messages .. collisions:
         The channel's :class:`~repro.sim.radio.ChannelStats` counters.
     decision_cache_hits / decision_cache_misses / decision_cache_uncacheable:
-        The manager's view-fingerprint decision-cache counters
+        The manager's write-stamp decision-cache counters
         (:meth:`~repro.core.manager.MobilitySensitiveTopologyControl.cache_info`).
     fault_*:
         Injected-disturbance counters; all zero unless *faults_armed*.

@@ -17,8 +17,8 @@ transmission at once; a table built alone keeps a private one-row store.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,11 +27,7 @@ from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
 
-__all__ = ["NeighborTable"]
-
-#: process-wide table identities for the decision-cache fingerprints
-_TABLE_UIDS = itertools.count()
-
+__all__ = ["NeighborTable", "latest_members", "versioned_members", "live_unchanged"]
 
 class NeighborTable:
     """Hello history of one node.
@@ -79,10 +75,6 @@ class NeighborTable:
             self._row = owner
         self._state = state
         self._own: deque[Hello] = deque(maxlen=self.history_depth)
-        #: unique per-instance identity; with :attr:`mutations` it
-        #: identifies the retained Hello state exactly, which is what the
-        #: decision cache fingerprints instead of hashing all stored Hellos.
-        self.uid = next(_TABLE_UIDS)
 
     @property
     def hellos_received(self) -> int:
@@ -92,7 +84,9 @@ class NeighborTable:
     @property
     def mutations(self) -> int:
         """Monotone content revision: every change of the retained Hellos
-        (received records or own history) bumps it."""
+        (received records or own history) bumps it.  With the table's
+        identity it pins the retained state exactly, which is what the
+        decision cache stamps."""
         return int(self._state.mutations[self._row])
 
     # ------------------------------------------------------------------ #
@@ -148,34 +142,6 @@ class NeighborTable:
         return {h.version for h in self.history_of(neighbor)}
 
     # ------------------------------------------------------------------ #
-    # decision-cache tokens
-
-    def live_view_token(self, now: float) -> tuple:
-        """Hashable token identifying every expiry-filtered view at *now*.
-
-        ``(uid, mutations)`` pins the exact retained Hello state (member
-        ids, versions, advertised positions); the live-neighbor id tuple
-        additionally pins which of those neighbors the ``[t - expiry, t]``
-        rule admits, which can change with *now* alone.  Two equal tokens
-        therefore guarantee :meth:`latest_view` and :meth:`multi_view`
-        (up to the separately supplied own Hello) produce equal views.
-        """
-        return (
-            self.uid,
-            self.mutations,
-            self._state.live_ids(self._row, now, self.expiry),
-        )
-
-    def full_token(self) -> tuple:
-        """Hashable token identifying the complete retained Hello state.
-
-        Versioned views ignore the expiry window, so ``(uid, mutations)``
-        alone pins every :meth:`versioned_view` and the
-        :meth:`available_versions` fallback resolution.
-        """
-        return (self.uid, self.mutations)
-
-    # ------------------------------------------------------------------ #
     # view materialisation
 
     def latest_view(self, now: float, own_hello: Hello) -> LocalView:
@@ -187,14 +153,6 @@ class NeighborTable:
             normal_range=self.normal_range,
             sampled_at=now,
         )
-
-    def latest_positions(self, now: float) -> tuple[np.ndarray, np.ndarray]:
-        """IDs and ``(m, 2)`` positions of :meth:`latest_view`'s neighbors.
-
-        Same members in the same record order, as arrays: the form batched
-        selection reads instead of Hello objects.
-        """
-        return self._state.latest_positions(self._row, now, self.expiry)
 
     def advertisement(self, version: int) -> Hello:
         """The owner's oldest retained own Hello of *version*.
@@ -224,15 +182,6 @@ class NeighborTable:
             sampled_at=now,
         )
 
-    def versioned_positions(self, version: int) -> tuple[np.ndarray, np.ndarray]:
-        """IDs and ``(m, 2)`` positions of :meth:`versioned_view`'s neighbors.
-
-        Same members in the same record order, as arrays; like
-        :meth:`latest_positions`, the owner is not included and its own
-        record is not required.
-        """
-        return self._state.versioned_positions(self._row, version)
-
     def available_versions(self) -> set[int]:
         """Versions for which the owner has advertised (candidates for views)."""
         return {h.version for h in self._own}
@@ -257,3 +206,67 @@ class NeighborTable:
             normal_range=self.normal_range,
             sampled_at=now,
         )
+
+
+# ---------------------------------------------------------------------- #
+# many tables at once
+
+
+def _per_store(tables: Sequence[NeighborTable], read) -> tuple[np.ndarray, ...]:
+    """``read(state, rows, expiry, which)`` over *tables*, concatenated.
+
+    *which* selects the tables a call covers.  Tables on one shared store
+    with one expiry (a world's) are read in one call; any other mix is
+    read table by table.
+    """
+    first = tables[0]
+    state, expiry = first._state, first.expiry
+    if all(t._state is state and t.expiry == expiry for t in tables):
+        return read(state, [t._row for t in tables], expiry, slice(None))
+    parts = [
+        read(t._state, [t._row], t.expiry, slice(i, i + 1))
+        for i, t in enumerate(tables)
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def latest_members(
+    tables: Sequence[NeighborTable], now: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, ids, xy)``: the neighbors of every table's
+    :meth:`~NeighborTable.latest_view` as arrays, in record order, flat
+    and grouped by table, with no Hello built
+    (:meth:`~repro.core.neighbor_state.NeighborState.latest_members`)."""
+    return _per_store(
+        tables,
+        lambda state, rows, expiry, _: state.latest_members(rows, now, expiry),
+    )
+
+
+def versioned_members(
+    tables: Sequence[NeighborTable], versions: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, ids, xy)``: the neighbors of each table's
+    :meth:`~NeighborTable.versioned_view` at its own version, as
+    :func:`latest_members` gives them; the owner's own record of the
+    version is not required."""
+    versions = np.asarray(versions, dtype=np.int64)
+    return _per_store(
+        tables,
+        lambda state, rows, _, which: state.versioned_members(rows, versions[which]),
+    )
+
+
+def live_unchanged(
+    tables: Sequence[NeighborTable], then: Sequence[float], now: float
+) -> np.ndarray:
+    """Whether each table's live neighbors at *now* are those at its own
+    ``then[b]``
+    (:meth:`~repro.core.neighbor_state.NeighborState.live_unchanged`)."""
+    then = np.asarray(then, dtype=float)
+    return _per_store(
+        tables,
+        lambda state, rows, expiry, which: (
+            state.live_unchanged(rows, then[which], now, expiry),
+        ),
+    )[0]

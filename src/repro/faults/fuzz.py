@@ -99,11 +99,12 @@ class BrokenViewSync(ViewSynchronization):
     the classic "forgot the liveness check" bug.  Fault-free it behaves
     like the real mechanism (neighbors refresh every interval), but any
     fault that silences a selected neighbor beyond the expiry window makes
-    it keep a dead selection, which the freshness oracle flags.  The
-    fingerprint is None so the decision cache can never mask the bug.
+    it keep a dead selection, which the freshness oracle flags.  It is
+    not cacheable, so the decision cache can never mask the bug.
     """
 
     name = "broken-view-sync"
+    cacheable = False
     # Packet-time redecision runs the mutation too: loop over decide
     # instead of the real mechanism's batched gather.
     decide_many = ConsistencyMechanism.decide_many
@@ -123,9 +124,6 @@ class BrokenViewSync(ViewSynchronization):
             sampled_at=now,
         )
         return protocol.select(view)
-
-    def decision_fingerprint(self, table, now, current_hello, version=None):
-        return None
 
 
 # --------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ moved or any cell of its 3x3 neighborhood gained or lost a moved node
 ("dirty" cells).  This is exact, not approximate: the result is always
 bit-identical to a fresh build (property-tested in
 ``tests/test_property_sparse.py``), in the same oracle discipline as the
-PR-2 decision cache's fingerprint reuse.
+decision cache's reuse of standing decisions.
 """
 
 from __future__ import annotations

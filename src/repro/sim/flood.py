@@ -11,7 +11,7 @@ neighbor set (or always, in physical-neighbor mode).
 For mechanisms that recompute on packet events (view synchronization,
 proactive consistency) every node re-decides at flood time first — under
 the proactive scheme on the packet's Hello version.  Those redecisions go
-through the manager's view-fingerprint decision cache: when no Hello has
+through the manager's write-stamp decision cache: when no Hello has
 arrived since the previous packet, all n recomputations are cache hits
 and the probe's cost collapses to the BFS itself (see
 ``docs/PERFORMANCE.md`` and ``benchmarks/bench_decide.py``).

@@ -61,11 +61,11 @@ __all__ = ["NetworkWorld", "WorldSnapshot", "DENSE_MATERIALIZE_LIMIT", "SPARSE_S
 # faster (measured crossover ~400 at paper densities).
 _SCATTER_SWITCH = 400
 
-# Nodes per ``decide_many`` call in packet-time redecision.  A block's
-# padded selection temporaries are (block, M, M) floats, about a
-# megabyte at the paper's density, and at 10k nodes only one block's
-# current Hellos and fresh selections are alive at once.
-_REDECIDE_BLOCK = 32
+# Nodes per ``decide_many`` call in packet-time redecision.  Every
+# paper-sized world decides in one call; at 10k nodes the gather arrays
+# and the fresh decisions of one chunk are alive at once, not the
+# whole network's.
+_REDECIDE_CHUNK = 256
 
 #: Largest snapshot for which the lazy dense ``dist`` / ``logical``
 #: properties will materialize an ``(n, n)`` matrix on demand.  Above it
@@ -940,7 +940,9 @@ class NetworkWorld:
         """Run topology control at one node, updating its standing decision."""
         node = self.nodes[node_id]
         t = self.engine.now
-        if current_hello is None:
+        if current_hello is None and self.manager.mechanism.reads_current_hello(
+            node.table
+        ):
             current_hello = self._current_hello(node_id, t)
         tel = self._tel
         if tel is None:
@@ -965,8 +967,9 @@ class NetworkWorld:
         for reachability and keeps the hot path vectorizable: the live
         nodes go to
         :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.decide_many`
-        in blocks of 32, traced as one ``redecide`` span with no per-node
-        ``decide`` spans.
+        (one call per 256 nodes), traced as one ``redecide`` span with
+        no per-node ``decide`` spans.  A current Hello is built only for a
+        node whose decision reads it.
         """
         tel = self._tel
         if tel is None:
@@ -987,15 +990,19 @@ class NetworkWorld:
             for node in self.nodes
             if inj is None or not inj.node_down(node.node_id, now)
         ]
-        for lo in range(0, len(nodes), _REDECIDE_BLOCK):
-            block = nodes[lo : lo + _REDECIDE_BLOCK]
+        reads = self.manager.mechanism.reads_current_hello
+        for lo in range(0, len(nodes), _REDECIDE_CHUNK):
+            chunk = nodes[lo : lo + _REDECIDE_CHUNK]
             decisions = self.manager.decide_many(
-                [node.table for node in block],
+                [node.table for node in chunk],
                 now,
-                [self._current_hello(node.node_id, now) for node in block],
+                [
+                    self._current_hello(node.node_id, now) if reads(node.table) else None
+                    for node in chunk
+                ],
                 version=version,
             )
-            for node, decision in zip(block, decisions):
+            for node, decision in zip(chunk, decisions):
                 # None: a node that has never advertised cannot decide; it
                 # keeps (the absence of) its standing decision.
                 if decision is not None:

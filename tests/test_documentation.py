@@ -165,6 +165,12 @@ STALE_CLAIMS = [
         "faults ride the batched Hello route; the per-receiver scalar "
         "route was deleted",
     ),
+    (
+        r"view[-\s]fingerprint|\bdecision_fingerprint\b|\blive_view_token\b"
+        r"|\bfull_token\b",
+        "the decision cache checks per-owner write stamps; the per-mechanism "
+        "fingerprints and the table tokens were deleted",
+    ),
 ]
 
 
@@ -174,7 +180,7 @@ STALE_CLAIMS = [
     ids=[
         "workers-forced", "redecide-all-hits", "worker-pool",
         "local-pool-backend", "local-backend", "spt-mst-no-batch",
-        "columnar-table", "scalar-hello-route",
+        "columnar-table", "scalar-hello-route", "view-fingerprint",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):

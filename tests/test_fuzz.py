@@ -189,4 +189,4 @@ class TestBrokenViewSyncUnit:
 
     def test_registered_name(self):
         assert BrokenViewSync.name == "broken-view-sync"
-        assert BrokenViewSync().decision_fingerprint(None, 0.0, None) is None
+        assert BrokenViewSync.cacheable is False

@@ -2,7 +2,7 @@
 
 Three layers:
 
-- the store/table gather :meth:`versioned_positions` on a standalone
+- the columnar gather :func:`versioned_members` on a standalone
   table and on one whose row sits in a shared store, against the members
   of :meth:`versioned_view` and the
   ``next(h for h in history if h.version == v)`` rule — ring wrap-around,
@@ -30,7 +30,7 @@ from repro.core.consistency import (
     ViewSynchronization,
 )
 from repro.core.neighbor_state import NeighborState
-from repro.core.tables import NeighborTable
+from repro.core.tables import NeighborTable, versioned_members
 from repro.core.views import Hello
 from repro.protocols import RngProtocol, make_protocol
 from repro.util.errors import ViewError
@@ -105,6 +105,12 @@ def _as_map(ids, xy):
     return dict(zip(ids.tolist(), map(tuple, xy.tolist())))
 
 
+def _positions(table, version):
+    """One table's version-*version* members, from the columnar gather."""
+    _, ids, xy = versioned_members([table], [version])
+    return ids, xy
+
+
 class TestVersionedPositions:
     @settings(max_examples=150, deadline=None)
     @given(ops=operations, k=st.integers(1, 3))
@@ -113,7 +119,7 @@ class TestVersionedPositions:
         for version in VERSIONS:
             gathered = []
             for table in (scalar, columnar):
-                ids, xy = table.versioned_positions(version)
+                ids, xy = _positions(table, version)
                 assert ids.dtype == np.int64 and xy.shape == (ids.size, 2)
                 assert _as_map(ids, xy) == _reference(table, version)
                 if version in table.available_versions():
@@ -158,7 +164,7 @@ class TestVersionedPositions:
 
     def test_empty_directory(self):
         for table in self._tables():
-            ids, xy = table.versioned_positions(1)
+            ids, xy = _positions(table, 1)
             assert ids.shape == (0,) and xy.shape == (0, 2)
 
     def test_ring_wrap_and_repeated_version(self):
@@ -169,22 +175,22 @@ class TestVersionedPositions:
         for table in self._tables():
             for i, (sender, version, xy) in enumerate(writes):
                 table.record_hello(_hello(sender, version, xy, 0.1 * i))
-            assert _as_map(*table.versioned_positions(1)) == {}
-            assert _as_map(*table.versioned_positions(2)) == {1: (3.0, 0.0)}
-            assert _as_map(*table.versioned_positions(3)) == {1: (4.0, 0.0)}
-            assert _as_map(*table.versioned_positions(4)) == {2: (5.0, 0.0)}
-            assert _as_map(*table.versioned_positions(9)) == {}
+            assert _as_map(*_positions(table, 1)) == {}
+            assert _as_map(*_positions(table, 2)) == {1: (3.0, 0.0)}
+            assert _as_map(*_positions(table, 3)) == {1: (4.0, 0.0)}
+            assert _as_map(*_positions(table, 4)) == {2: (5.0, 0.0)}
+            assert _as_map(*_positions(table, 9)) == {}
 
     def test_pruned_sender_is_absent(self):
         for table in self._tables():
             table.record_hello(_hello(1, 1, (1, 0), 0.0))
             table.record_hello(_hello(2, 1, (2, 0), 2.0))
             table.prune(2.5)
-            assert _as_map(*table.versioned_positions(1)) == {2: (2.0, 0.0)}
+            assert _as_map(*_positions(table, 1)) == {2: (2.0, 0.0)}
             # A returning sender starts a fresh history.
             table.record_hello(_hello(1, 2, (7, 0), 2.6))
-            assert _as_map(*table.versioned_positions(1)) == {2: (2.0, 0.0)}
-            assert _as_map(*table.versioned_positions(2)) == {1: (7.0, 0.0)}
+            assert _as_map(*_positions(table, 1)) == {2: (2.0, 0.0)}
+            assert _as_map(*_positions(table, 2)) == {1: (7.0, 0.0)}
 
 
 # --------------------------------------------------------------------- #

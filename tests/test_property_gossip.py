@@ -155,7 +155,7 @@ class TestCacheTwins:
             assert c.decision.actual_range == u.decision.actual_range
             assert c.decision.extended_range == u.decision.extended_range
         # The cache may legitimately hit rarely under gossip (every merge
-        # bumps the table token), but it must never *create* work: the
+        # bumps the table's mutations), but it must never *create* work: the
         # disabled twin records no hits at all.
         assert uncached.manager.cache_info()["decision_cache_hits"] == 0
 

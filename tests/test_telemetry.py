@@ -712,17 +712,38 @@ class TestCacheCounterIdentity:
         result = run_once(spec, seed=6, telemetry=tel)
         counters = tel.registry.counters_dict()
         info = result.stats.cache_info()
-        assert counters.get("decision_cache{outcome=hit}", 0) == info["decision_cache_hits"]
-        assert counters.get("decision_cache{outcome=miss}", 0) == info["decision_cache_misses"]
-        assert (
-            counters.get("decision_cache{outcome=uncacheable}", 0)
-            == info["decision_cache_uncacheable"]
+
+        def total(outcome: str) -> float:
+            return sum(
+                counters.get(f"decision_cache{{outcome={outcome},phase={phase}}}", 0)
+                for phase in ("hello", "packet")
+            )
+
+        assert total("hit") == info["decision_cache_hits"]
+        assert total("miss") == info["decision_cache_misses"]
+        assert total("uncacheable") == info["decision_cache_uncacheable"]
+        # every decision_cache series carries a phase
+        assert all(
+            "phase=" in key for key in counters if key.startswith("decision_cache")
         )
         # and the frozen summary in stats.telemetry agrees with both
         summary_counters = dict(result.stats.telemetry.counters)
         for key, value in counters.items():
             if key.startswith("decision_cache"):
                 assert summary_counters[key] == value
+
+    def test_packet_phase_is_counted_apart(self):
+        # view-sync re-decides at every probe: both phases see decisions,
+        # and the packet phase serves hits between Hello generations.
+        tel = Telemetry()
+        run_once(ExperimentSpec(
+            protocol="rng", mechanism="view-sync", buffer_width=20.0,
+            mean_speed=10.0, config=_tiny_spec().config,
+        ), seed=6, telemetry=tel)
+        counters = tel.registry.counters_dict()
+        assert counters.get("decision_cache{outcome=miss,phase=hello}", 0) > 0
+        assert counters.get("decision_cache{outcome=miss,phase=packet}", 0) > 0
+        assert counters.get("decision_cache{outcome=hit,phase=packet}", 0) > 0
 
 
 class TestBatchedPipelineTelemetry:
