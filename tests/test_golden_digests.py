@@ -61,6 +61,7 @@ FAULTS = FaultSchedule(
 )
 
 LOG_DISTANCE = {"propagation": "log-distance"}
+SINR = {"propagation": "sinr"}
 
 
 class Cell(NamedTuple):
@@ -114,6 +115,12 @@ CELLS = {
     # Physical-neighbor forwarding, and no buffer zone at all.
     "rng-view-sync-pn": Cell("rng", "view-sync", spec={"physical_neighbor_mode": True}),
     "rng-baseline-buf0": Cell("rng", "baseline", spec={"buffer_width": 0.0}),
+    # The stochastic model: keyed reception draws decide the snapshot's
+    # in-range edges, alone and under physical-neighbor forwarding.
+    "rng-view-sync-sinr": Cell("rng", "view-sync", config=SINR),
+    "spt4-baseline-sinr-pn": Cell(
+        "spt4", "baseline", config=SINR, spec={"physical_neighbor_mode": True}
+    ),
 }
 
 
