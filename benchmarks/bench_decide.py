@@ -18,7 +18,7 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   :func:`~repro.core.framework.spt_removable_batch` /
   :func:`~repro.core.framework.mst_removable_batch` per view) at paper
   view sizes, a batch of one (Hello time) and a block of 32 (packet time);
-- the sparse-first snapshot -> decide -> flood pipeline at
+- the snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
 
@@ -402,15 +402,13 @@ SCALE_SIZES = (2000, 5000, 10000)
 
 
 def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
-    """Warm snapshot -> decide -> flood costs at large n, sparse-first.
+    """Warm snapshot -> decide -> flood costs at large n.
 
-    The world runs the proactive mechanism at the paper's density; above
-    the sparse switch every snapshot is CSR-backed, so the whole pipeline
-    is O(n * degree) per probe and the dense ``(n, n)`` path is never
-    touched.
+    The world runs the proactive mechanism at the paper's density; every
+    snapshot is CSR-backed, so the whole pipeline is O(n * degree) per
+    probe and no ``(n, n)`` matrix is touched.
     """
     from repro.sim.flood import flood
-    from repro.sim.world import SPARSE_SWITCH
 
     scale = Scale(
         name="bench-scale",
@@ -430,9 +428,6 @@ def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
     world = build_world(spec, seed)
     world.run_until(warm_t)
     warm_s = time.perf_counter() - t0
-    snap = world.snapshot()
-    if n >= SPARSE_SWITCH and snap.prefers_dense:
-        raise AssertionError(f"snapshot at n={n} should be sparse-first")
     snapshot_ns = _median_ns(world.snapshot, budget_s=1.0)
     world.redecide_all()  # prime the decision cache
     redecide_ns = _median_ns(world.redecide_all, budget_s=1.0)

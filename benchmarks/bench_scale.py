@@ -1,6 +1,6 @@
 """Large-n smoke: the 10k-node pipeline under a peak-memory gate.
 
-Runs one sparse-first snapshot -> decide -> flood pipeline at n = 10000
+Runs one CSR snapshot -> decide -> flood pipeline at n = 10000
 (paper density, proactive mechanism) and enforces two budgets:
 
 - **peak RSS** — the whole run must stay far below the ~800 MB a single
@@ -87,8 +87,6 @@ def run_smoke(n: int, warm_t: float = 3.0, seed: int = 7) -> dict:
     snap = world.snapshot()
     snapshot_s = time.perf_counter() - t0
     if n > DENSE_MATERIALIZE_LIMIT:
-        if snap.prefers_dense:
-            raise AssertionError("snapshot at scale must be sparse-first")
         try:
             snap.dist
         except DenseMaterializationError:

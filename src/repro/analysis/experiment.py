@@ -453,7 +453,7 @@ def run_once(
                 delivery_ratio=result.delivery_ratio,
             )
         delivery.append(result.delivery_ratio)
-        snap = world.snapshot()
+        snap = result.snapshot
         topo = sample_topology(snap)
         act_rng.append(topo.mean_actual_range)
         ext_rng.append(topo.mean_extended_range)

@@ -9,13 +9,11 @@ Graph interference is the maximum (or mean) over edges.  The paper lists
 "minimal interference" among the desirable properties its framework must
 not break, so the harness measures it.
 
-All entry points accept an optional precomputed ``dist`` matrix;
-:func:`snapshot_interference` reuses whatever the snapshot already holds:
-the dense matrix below the sparse switch (materialized lazily, so a
-caller that never asks for interference never pays for it), or the CSR
-neighborhoods at scale — the coverage disks of an effective link never
-extend past the snapshot's own neighborhood radius, so the sparse kernel
-needs no quadratic structure at all.
+The dense entry points accept an optional precomputed ``dist`` matrix.
+:func:`snapshot_interference` runs on the snapshot's CSR neighborhoods:
+the coverage disks of an effective link never extend past the
+snapshot's own neighborhood radius, so the kernel needs no quadratic
+structure at all.
 """
 
 from __future__ import annotations
@@ -114,17 +112,8 @@ def csr_graph_interference(graph: CSRGraph, reach: CSRGraph) -> tuple[int, float
 def snapshot_interference(
     snap: WorldSnapshot, physical_neighbor_mode: bool = False
 ) -> tuple[int, float]:
-    """(max, mean) interference of a snapshot's effective topology.
-
-    Reuses the snapshot's distance matrix when it is (or may cheaply be)
-    dense; at scale, runs entirely on the snapshot's CSR neighborhoods.
-    """
-    if snap.prefers_dense:
-        return graph_interference(
-            snap.effective_bidirectional(physical_neighbor_mode),
-            snap.positions,
-            dist=snap.dist,
-        )
+    """(max, mean) interference of a snapshot's effective topology, from
+    the snapshot's CSR neighborhoods."""
     if snap.n_nodes == 0:
         return (0, 0.0)
     return csr_graph_interference(

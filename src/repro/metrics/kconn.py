@@ -23,13 +23,22 @@ __all__ = [
 ]
 
 
-def _to_graph(adj: np.ndarray) -> nx.Graph:
+def _to_graph(n: int, rows: np.ndarray, cols: np.ndarray) -> nx.Graph:
+    """Undirected graph over *n* nodes from its ``rows < cols`` edges."""
     g = nx.Graph()
-    n = adj.shape[0]
     g.add_nodes_from(range(n))
-    iu, iv = np.nonzero(np.triu(adj, k=1))
-    g.add_edges_from(zip(iu.tolist(), iv.tolist()))
+    g.add_edges_from(zip(rows.tolist(), cols.tolist()))
     return g
+
+
+def _dense_graph(adj: np.ndarray) -> nx.Graph:
+    return _to_graph(adj.shape[0], *np.nonzero(np.triu(adj, k=1)))
+
+
+def _edge_connectivity(g: nx.Graph) -> int:
+    if g.number_of_nodes() <= 1 or not nx.is_connected(g):
+        return 0
+    return int(nx.edge_connectivity(g))
 
 
 def edge_connectivity(adj: np.ndarray) -> int:
@@ -37,21 +46,14 @@ def edge_connectivity(adj: np.ndarray) -> int:
 
     0 for disconnected (or single-node) graphs.
     """
-    n = adj.shape[0]
-    if n <= 1:
-        return 0
-    g = _to_graph(adj)
-    if not nx.is_connected(g):
-        return 0
-    return int(nx.edge_connectivity(g))
+    return _edge_connectivity(_dense_graph(adj))
 
 
 def vertex_connectivity(adj: np.ndarray) -> int:
     """Global vertex connectivity of an undirected boolean adjacency."""
-    n = adj.shape[0]
-    if n <= 1:
+    if adj.shape[0] <= 1:
         return 0
-    g = _to_graph(adj)
+    g = _dense_graph(adj)
     if not nx.is_connected(g):
         return 0
     return int(nx.node_connectivity(g))
@@ -61,19 +63,10 @@ def snapshot_edge_connectivity(
     snap: WorldSnapshot, physical_neighbor_mode: bool = False
 ) -> int:
     """Edge connectivity of a snapshot's undirected effective topology."""
-    if snap.prefers_dense:
-        return edge_connectivity(snap.effective_bidirectional(physical_neighbor_mode))
     graph = snap.effective_bidirectional_csr(physical_neighbor_mode)
-    if graph.n <= 1:
-        return 0
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.n))
     rows, cols = graph.rows_array(), graph.indices
     upper = rows < cols
-    g.add_edges_from(zip(rows[upper].tolist(), cols[upper].tolist()))
-    if not nx.is_connected(g):
-        return 0
-    return int(nx.edge_connectivity(g))
+    return _edge_connectivity(_to_graph(graph.n, rows[upper], cols[upper]))
 
 
 def min_link_failures_to_partition(

@@ -71,15 +71,6 @@ class LinkLifetimeTracker:
         self._finished = False
 
     def _links_of(self, snap: WorldSnapshot) -> set[tuple[int, int]]:
-        if snap.prefers_dense:
-            if self.kind == "effective":
-                adj = snap.effective_bidirectional(self.physical_neighbor_mode)
-            elif self.kind == "logical":
-                adj = snap.logical | snap.logical.T
-            else:
-                adj = snap.original_topology()
-            iu, iv = np.nonzero(np.triu(adj, k=1))
-            return set(zip(iu.tolist(), iv.tolist()))
         if self.kind == "effective":
             graph = snap.effective_bidirectional_csr(self.physical_neighbor_mode)
         elif self.kind == "logical":

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.csr import CSRGraph, csr_bfs, csr_bfs_parents
-from repro.sim.flood import directed_bfs
 from repro.sim.world import NetworkWorld
 from repro.util.validate import check_int_range, check_positive
 
@@ -131,17 +130,11 @@ class AodvRouting:
 
     # ------------------------------------------------------------------ #
 
-    def _effective_topology(self) -> np.ndarray | CSRGraph:
-        """Directed effective topology in whichever form the snapshot holds.
-
-        Dense below the sparse switch (unchanged semantics), CSR at scale
-        so a discovery never materialises an ``(n, n)`` matrix.
-        """
-        snap = self.world.snapshot()
-        pn = self.world.manager.physical_neighbor_mode
-        if snap.prefers_dense:
-            return snap.effective_directed(pn)
-        return snap.effective_directed_csr(pn)
+    def _effective_topology(self) -> CSRGraph:
+        """Directed effective topology of the current snapshot."""
+        return self.world.snapshot().effective_directed_csr(
+            self.world.manager.physical_neighbor_mode
+        )
 
     def _ensure_route_then_send(self, record: AodvRecord) -> None:
         key = (record.source, record.destination)
@@ -158,44 +151,16 @@ class AodvRouting:
         if self.world.manager.recompute_on_packet:
             self.world.redecide_all()
         topo = self._effective_topology()
-        if isinstance(topo, CSRGraph):
-            reached = csr_bfs(topo, record.source)
-        else:
-            reached = directed_bfs(topo, record.source)
+        reached = csr_bfs(topo, record.source)
         record.rreq_transmissions += int(reached.sum())
         self.world.channel.stats.data_transmissions += int(reached.sum())
         if not reached[record.destination]:
             record.dropped_at = self.world.engine.now
             record.drop_reason = "destination-unreachable"
             return
-        if isinstance(topo, CSRGraph):
-            path = self._csr_path(topo, record.source, record.destination)
-        else:
-            path = self._bfs_path(topo, record.source, record.destination)
+        path = self._csr_path(topo, record.source, record.destination)
         # --- RREP back along the reverse path, hop by hop ---
         self._forward_rrep(record, path, len(path) - 1)
-
-    @staticmethod
-    def _bfs_path(adj: np.ndarray, source: int, dest: int) -> list[int]:
-        """Shortest hop path source -> dest in a directed boolean graph."""
-        n = adj.shape[0]
-        parent = np.full(n, -1, dtype=np.intp)
-        parent[source] = source
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(adj[u]):
-                    if parent[v] < 0:
-                        parent[v] = u
-                        if v == dest:
-                            path = [int(v)]
-                            while path[-1] != source:
-                                path.append(int(parent[path[-1]]))
-                            return path[::-1]
-                        nxt.append(int(v))
-            frontier = nxt
-        raise AssertionError("caller guarantees reachability")
 
     @staticmethod
     def _csr_path(graph: CSRGraph, source: int, dest: int) -> list[int]:

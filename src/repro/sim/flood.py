@@ -19,12 +19,12 @@ and the probe's cost collapses to the BFS itself (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.geometry.csr import csr_bfs
-from repro.sim.world import NetworkWorld
+from repro.sim.world import NetworkWorld, WorldSnapshot
 
 __all__ = ["FloodResult", "directed_bfs", "flood"]
 
@@ -41,11 +41,15 @@ class FloodResult:
         Boolean mask over nodes (source included).
     transmissions:
         Number of nodes that forwarded (every reached node forwards once).
+    snapshot:
+        The snapshot the flood ran over (None when built by hand); the
+        metrics of the same instant read it instead of taking another.
     """
 
     source: int
     reached: np.ndarray
     transmissions: int
+    snapshot: WorldSnapshot | None = field(default=None, repr=False, compare=False)
 
     @property
     def delivery_ratio(self) -> float:
@@ -62,6 +66,9 @@ def directed_bfs(adjacency: np.ndarray, source: int) -> np.ndarray:
 
     Vectorized frontier expansion: each round ORs the out-neighborhoods of
     the current frontier, so the cost is O(diameter * n^2 / word-size).
+    :func:`flood` runs :func:`~repro.geometry.csr.csr_bfs` on the
+    snapshot's CSR form instead; this serves callers that hold a matrix
+    (CDS broadcast).
     """
     n = adjacency.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -103,12 +110,9 @@ def flood(
             version = max(complete, default=max(available, default=None))
         world.redecide_all(version=version)
     snap = world.snapshot()
-    if snap.prefers_dense:
-        reached = directed_bfs(snap.effective_directed(pn_mode), source)
-    else:
-        # Sparse-first at scale: CSR frontier expansion over the effective
-        # delivery graph — O(edges) per probe, no (n, n) allocation.
-        reached = csr_bfs(snap.effective_directed_csr(pn_mode), source)
+    reached = csr_bfs(snap.effective_directed_csr(pn_mode), source)
     transmissions = int(reached.sum())
     world.channel.stats.data_transmissions += transmissions
-    return FloodResult(source=source, reached=reached, transmissions=transmissions)
+    return FloodResult(
+        source=source, reached=reached, transmissions=transmissions, snapshot=snap
+    )

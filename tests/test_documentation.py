@@ -171,6 +171,16 @@ STALE_CLAIMS = [
         "the decision cache checks per-owner write stamps; the per-mechanism "
         "fingerprints and the table tokens were deleted",
     ),
+    (
+        r"\bprefers_dense\b",
+        "snapshots are CSR at every size and every consumer has one code "
+        "path; the prefers_dense fork was deleted",
+    ),
+    (
+        r"\bSPARSE_SWITCH\b",
+        "no node count switches the snapshot representation any more; "
+        "SPARSE_SWITCH was deleted",
+    ),
 ]
 
 
@@ -181,6 +191,7 @@ STALE_CLAIMS = [
         "workers-forced", "redecide-all-hits", "worker-pool",
         "local-pool-backend", "local-backend", "spt-mst-no-batch",
         "columnar-table", "scalar-hello-route", "view-fingerprint",
+        "prefers-dense", "sparse-switch",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):

@@ -157,6 +157,15 @@ class TestSnapshot:
         with pytest.raises(ConfigurationError):
             world.snapshot(5.0)
 
+    def test_snapshot_past_rejected(self):
+        # Only the decisions in force now are kept: a past instant would
+        # pair its positions with decisions made after it.
+        world = make_world()
+        world.run_until(3.0)
+        with pytest.raises(ConfigurationError):
+            world.snapshot(2.0)
+        assert world.snapshot(3.0).time == world.snapshot().time == 3.0
+
     def test_extended_ranges_include_buffer(self):
         world = make_world(buffer=10.0)
         world.run_until(3.0)
