@@ -105,8 +105,9 @@ def run_lifetime_study(
         last_hello_counts = counts
         # One data probe: forwarders pay at their extended range.
         probe = flood(world, source=int(rng.integers(n)))
-        snap = world.snapshot()
-        costs = np.where(probe.reached, model.per_message(snap.extended_ranges), 0.0)
+        costs = np.where(
+            probe.reached, model.per_message(probe.snapshot.extended_ranges), 0.0
+        )
         data_energies.append(float(costs[alive].sum()))
         remaining -= costs * alive
         newly_dead = (remaining <= 0) & np.isinf(death_time)
