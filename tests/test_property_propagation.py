@@ -35,6 +35,7 @@ from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import make_mechanism
 from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.faults.oracles import static_connectivity_oracle, theorem5_slack
+from repro.geometry.points import pairwise_distances
 from repro.mobility import Area, RandomWaypoint
 from repro.protocols import RngProtocol
 from repro.sim.config import ScenarioConfig
@@ -378,9 +379,15 @@ class TestSnapshotModelConsistency:
         world = _world(cfg, "view-sync", 17)
         world.run_until(4.0)
         snap = world.snapshot()
-        dense = snap.in_range()
-        csr = snap.in_range_csr()
-        assert np.array_equal(dense, csr.to_dense())
+        # Independent oracle: the bound model's dense predicate over the
+        # full distance matrix, not the snapshot's superset-radius route.
+        expected = world._propagation.in_range_matrix(
+            pairwise_distances(snap.positions), snap.extended_ranges, snap.time
+        )
+        np.fill_diagonal(expected, False)
+        assert expected.any()
+        assert np.array_equal(snap.in_range_csr().to_dense(), expected)
+        assert np.array_equal(snap.in_range(), expected)
 
     def test_deterministic_model_original_topology_is_mutual_subset(self):
         cfg = _config(propagation="log-distance")
