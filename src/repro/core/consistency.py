@@ -114,9 +114,8 @@ class ConsistencyMechanism(ABC):
 
         An owner whose view cannot be built (:class:`ViewError`, e.g. it
         has not advertised the requested version) gets None; the others
-        are unaffected.  The default loops over :meth:`decide`; a
-        mechanism whose views the protocol can take as arrays overrides
-        it with one batched pass.
+        are unaffected.  The default loops over :meth:`decide`; the
+        single-version mechanisms override it with one batched pass.
         """
         results: list[SelectionResult | None] = []
         for table, current_hello in zip(tables, current_hellos):
@@ -207,10 +206,9 @@ class _SingleVersionMechanism(ConsistencyMechanism):
     A subclass names the own record and the global version a decision
     uses (:meth:`_resolve`).  The other members are the neighbors' latest
     live Hellos when that version is None (for every owner), else their
-    Hellos of that version.  A protocol with ``select_batch`` reads the
-    members as arrays straight from the tables, with no Hello or
-    LocalView built, and one decision is a batch of one; any other
-    protocol gets a LocalView.
+    Hellos of that version.  Every protocol reads the members as arrays
+    straight from the tables through ``select_batch``, with no Hello or
+    LocalView built; one decision is a batch of one.
     """
 
     cacheable = True
@@ -226,21 +224,11 @@ class _SingleVersionMechanism(ConsistencyMechanism):
 
     def decide(self, protocol, table, now, current_hello, version=None):
         own, resolved = self._resolve(table, current_hello, version)
-        if protocol.supports_batch:
-            return _select_gathered(protocol, [table], [own.position], now, [resolved])[0]
-        if resolved is None:
-            view = table.latest_view(now, own_hello=own)
-        else:
-            view = table.versioned_view(now, resolved)
-        return protocol.select(view)
+        return _select_gathered(protocol, [table], [own.position], now, [resolved])[0]
 
     def decide_many(self, protocol, tables, now, current_hellos, version=None):
         # Packet-time redecision: the members of every owner that can
         # decide are gathered in one pass and selected in padded blocks.
-        if not protocol.supports_batch:
-            return super().decide_many(
-                protocol, tables, now, current_hellos, version=version
-            )
         rows: list[int] = []
         owns: list[tuple[float, float]] = []
         versions: list[int | None] = []

@@ -42,6 +42,7 @@ __all__ = [
     "spt_removable_batch",
     "mst_removable",
     "mst_removable_batch",
+    "removal_verdicts",
     "apply_removal_condition",
 ]
 
@@ -275,7 +276,7 @@ def rng_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
     return {int(v): bool(r) for v, r in zip(neighbors, removable)}
 
 
-#: marker consumed by apply_removal_condition
+#: marker consumed by removal_verdicts
 rng_removable_batch.is_batch = True  # type: ignore[attr-defined]
 
 
@@ -382,7 +383,7 @@ def mst_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
     return {int(j): (int(j) not in owner_children) for j in neighbors}
 
 
-#: marker consumed by apply_removal_condition
+#: marker consumed by removal_verdicts
 mst_removable_batch.is_batch = True  # type: ignore[attr-defined]
 
 
@@ -418,8 +419,20 @@ def spt_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
     }
 
 
-#: marker consumed by apply_removal_condition
+#: marker consumed by removal_verdicts
 spt_removable_batch.is_batch = True  # type: ignore[attr-defined]
+
+
+def removal_verdicts(graph: LocalCostGraph, removable) -> dict[int, bool]:
+    """``{neighbor_index: removable}`` over the owner's adjacent links.
+
+    *removable* is ``f(graph, owner_index, neighbor_index) -> bool``, or
+    a batch predicate (``is_batch`` attribute set) mapping the whole
+    graph to that dict in one pass.
+    """
+    if getattr(removable, "is_batch", False):
+        return removable(graph)
+    return {int(j): removable(graph, 0, int(j)) for j in np.flatnonzero(graph.adj[0])}
 
 
 def apply_removal_condition(
@@ -433,9 +446,7 @@ def apply_removal_condition(
     graph:
         Local cost graph; index 0 is the owner.
     removable:
-        ``f(graph, owner_index, neighbor_index) -> bool``, or a batch
-        predicate (``is_batch`` attribute set) mapping the whole graph to
-        ``{neighbor_index: removable}`` in one pass.
+        The predicate, as :func:`removal_verdicts` takes it.
 
     Returns
     -------
@@ -443,22 +454,11 @@ def apply_removal_condition(
         Logical neighbors = adjacent nodes whose direct link survives;
         actual range = largest (upper-bound) distance to a survivor.
     """
-    owner_idx = 0
-    survivors: list[int] = []
-    max_dist = 0.0
-    if getattr(removable, "is_batch", False):
-        verdicts = removable(graph)
-        for j, is_removable in verdicts.items():
-            if not is_removable:
-                survivors.append(graph.ids[j])
-                max_dist = max(max_dist, float(graph.dist_high[owner_idx, j]))
-    else:
-        for j in np.flatnonzero(graph.adj[owner_idx]):
-            if not removable(graph, owner_idx, int(j)):
-                survivors.append(graph.ids[j])
-                max_dist = max(max_dist, float(graph.dist_high[owner_idx, j]))
+    survivors = [
+        j for j, dropped in removal_verdicts(graph, removable).items() if not dropped
+    ]
     return SelectionResult(
-        owner=graph.ids[owner_idx],
-        logical_neighbors=frozenset(survivors),
-        actual_range=max_dist,
+        owner=graph.ids[0],
+        logical_neighbors=frozenset(graph.ids[j] for j in survivors),
+        actual_range=max((float(graph.dist_high[0, j]) for j in survivors), default=0.0),
     )

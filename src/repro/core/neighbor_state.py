@@ -22,8 +22,11 @@ vectorized splice (:meth:`NeighborState.record_batch`).
 Many receivers' views are read in one pass: :meth:`latest_members` and
 :meth:`versioned_members` concatenate the receivers' slot arrays, mask
 them, and return the members flat, grouped by receiver, with no Hello
-built.  Hello objects are *materialised on read* only for the LocalView
-routes (and memoised per slot until the slot is written again);
+built; every single-version decision reads them.  Hello objects are
+*materialised on read* only as whole histories (:meth:`history`,
+:meth:`live_histories`, memoised per slot until the slot is written
+again), for weak consistency's multi-version views and the
+:class:`~repro.core.tables.NeighborTable` reference views;
 :class:`~repro.core.views.Hello` is a frozen value type, so a
 materialised copy compares equal to the original in every view.
 
@@ -77,7 +80,6 @@ class NeighborState:
         "_slot_cache",
         "_row_slots",
         "_memo",
-        "_latest_memo",
     )
 
     def __init__(self, n_nodes: int, history_depth: int) -> None:
@@ -110,8 +112,6 @@ class NeighborState:
         self._row_slots: list[np.ndarray | None] = [None] * n_nodes
         #: per-slot materialisation memo: ``slot -> (writes, tuple[Hello])``
         self._memo: dict[int, tuple[int, tuple[Hello, ...]]] = {}
-        #: per-slot newest-Hello memo: ``slot -> (writes, Hello)``
-        self._latest_memo: dict[int, tuple[int, Hello]] = {}
 
     # ------------------------------------------------------------------ #
     # storage management
@@ -232,7 +232,6 @@ class NeighborState:
         for s in stale:
             slot = d.pop(s)
             self._memo.pop(slot, None)
-            self._latest_memo.pop(slot, None)
             self._slot_cache.pop(s, None)
         self._row_slots[receiver] = None
         self.mutations[receiver] += 1
@@ -266,23 +265,6 @@ class NeighborState:
         )
         self._memo[slot] = (writes, hellos)
         return hellos
-
-    def _newest(self, slot: int) -> Hello:
-        """The most recent Hello of *slot*, built alone (no history)."""
-        writes = int(self._writes[slot])
-        memo = self._latest_memo.get(slot)
-        if memo is not None and memo[0] == writes:
-            return memo[1]
-        j = (writes - 1) % self.k
-        hello = Hello(
-            sender=int(self._slot_sender[slot]),
-            version=int(self._version[slot, j]),
-            position=(float(self._x[slot, j]), float(self._y[slot, j])),
-            sent_at=float(self._sent[slot, j]),
-            timestamp=float(self._ts[slot, j]),
-        )
-        self._latest_memo[slot] = (writes, hello)
-        return hello
 
     def senders(self, receiver: int) -> list[int]:
         """Sender ids recorded at *receiver*, in insertion order."""
@@ -341,17 +323,6 @@ class NeighborState:
         """Sender ids with a live (non-expired) Hello, insertion order."""
         return tuple(self.latest_members([receiver], now, expiry)[1].tolist())
 
-    def latest_live(
-        self, receiver: int, now: float, expiry: float
-    ) -> dict[int, Hello]:
-        """Most recent live Hello per sender (insertion-ordered dict)."""
-        latest = self._latest_sent
-        out: dict[int, Hello] = {}
-        for s, slot in self._directory[receiver].items():
-            if now - latest[slot] <= expiry:
-                out[s] = self._newest(slot)
-        return out
-
     def latest_members(
         self, receivers, now: float, expiry: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,8 +331,8 @@ class NeighborState:
         Returns ``(counts, ids, xy)``: ``counts[b]`` members for
         ``receivers[b]``, whose sender IDs and ``(m, 2)`` newest
         positions follow those of ``receivers[b - 1]`` in ``ids`` and
-        ``xy`` — :meth:`latest_live`'s senders, in its order, read
-        straight from the columns.
+        ``xy``: per receiver, its senders whose newest Hello is live,
+        in insertion order, read straight from the columns.
         """
         counts, slots = self._gather(receivers)
         live = now - self._latest_sent[slots] <= expiry
@@ -414,38 +385,13 @@ class NeighborState:
         self, receivers, versions
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`latest_members` for versioned views: ``receivers[b]``'s
-        members are its senders' Hellos of ``versions[b]``
-        (:meth:`versioned_hellos`, without building them)."""
+        members are its senders' oldest retained Hellos of ``versions[b]``,
+        in insertion order, without building them."""
         counts, slots, cols = self._versioned_entries(receivers, versions)
         xy = np.empty((slots.size, 2))
         xy[:, 0] = self._x[slots, cols]
         xy[:, 1] = self._y[slots, cols]
         return counts, self._slot_sender[slots], xy
-
-    def versioned_hellos(self, receiver: int, version: int) -> dict[int, Hello]:
-        """Per sender, the oldest retained Hello of *version* (insertion order).
-
-        One Hello is built per matching sender, from the same gather as
-        :meth:`versioned_members`; no history is materialised.
-        """
-        version = int(version)
-        _, slots, cols = self._versioned_entries([receiver], [version])
-        return {
-            sender: Hello(
-                sender=sender,
-                version=version,
-                position=(x, y),
-                sent_at=sent,
-                timestamp=ts,
-            )
-            for sender, x, y, sent, ts in zip(
-                self._slot_sender[slots].tolist(),
-                self._x[slots, cols].tolist(),
-                self._y[slots, cols].tolist(),
-                self._sent[slots, cols].tolist(),
-                self._ts[slots, cols].tolist(),
-            )
-        }
 
     def live_histories(
         self, receiver: int, now: float, expiry: float

@@ -145,11 +145,19 @@ class NeighborTable:
     # view materialisation
 
     def latest_view(self, now: float, own_hello: Hello) -> LocalView:
-        """Single-version view from each neighbor's most recent live Hello."""
+        """Single-version view from each neighbor's most recent live Hello.
+
+        Built from the retained histories, independently of the columnar
+        gather :func:`latest_members` that decisions read, so it serves
+        as that gather's reference.
+        """
+        newest = (self.history_of(s)[-1] for s in self._state.senders(self._row))
         return LocalView(
             owner=self.owner,
             own_hello=own_hello,
-            neighbor_hellos=self._state.latest_live(self._row, now, self.expiry),
+            neighbor_hellos={
+                h.sender: h for h in newest if now - h.sent_at <= self.expiry
+            },
             normal_range=self.normal_range,
             sampled_at=now,
         )
@@ -172,12 +180,18 @@ class NeighborTable:
 
         Neighbors with no retained Hello of that version are absent — the
         proactive scheme's rule that enforces ``|M(t, v)| = 1``.  The
-        owner's own record must exist for that version.
+        owner's own record must exist for that version.  Built from the
+        retained histories, like :meth:`latest_view`, as the reference of
+        :func:`versioned_members`.
         """
+        matches = (
+            next((h for h in self.history_of(s) if h.version == version), None)
+            for s in self._state.senders(self._row)
+        )
         return LocalView(
             owner=self.owner,
             own_hello=self.advertisement(version),
-            neighbor_hellos=self._state.versioned_hellos(self._row, version),
+            neighbor_hellos={h.sender: h for h in matches if h is not None},
             normal_range=self.normal_range,
             sampled_at=now,
         )

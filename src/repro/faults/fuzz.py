@@ -83,8 +83,10 @@ __all__ = [
 #: consistency registry so a newly registered mechanism joins the axis
 #: automatically instead of drifting out of sync with the CLI.
 MECHANISMS = available_mechanisms()
-#: Protocol sample — cheap, structurally diverse (sparsifier, tree, cone).
-PROTOCOLS = ("rng", "mst", "spt2")
+#: Protocol sample — cheap, structurally diverse (sparsifier, tree,
+#: energy, and a predicate-loop protocol), all with a conservative mode,
+#: since mechanisms (weak consistency included) are drawn independently.
+PROTOCOLS = ("rng", "mst", "spt2", "gabriel")
 #: Propagation-model sample; the unit disk is over-weighted because it is
 #: the only model arming the static-connectivity oracle (the strictest).
 PROPAGATIONS = ("unit-disk", "unit-disk", "log-distance", "sinr")

@@ -1,8 +1,9 @@
 """Localized topology control protocols.
 
 Importing this package registers every protocol under its short name
-(``rng``, ``gabriel``, ``mst``, ``spt2``, ``spt4``, ``yao``, ``cbtc``,
-``kneigh``, ``none``); use :func:`make_protocol` to instantiate by name.
+(``rng``, ``gabriel``, ``mst``, ``spt2``, ``spt4``, ``spt-region``,
+``enclosure``, ``yao``, ``cbtc``, ``kneigh``, ``xtc``, ``none``); use
+:func:`make_protocol` to instantiate by name.
 """
 
 from repro.protocols.base import (

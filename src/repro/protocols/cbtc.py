@@ -21,9 +21,8 @@ import math
 import numpy as np
 
 from repro.core.framework import SelectionResult
-from repro.core.views import LocalView
 from repro.geometry.cones import covers_with_alpha
-from repro.protocols.base import TopologyControlProtocol, register_protocol
+from repro.protocols.base import TopologyControlProtocol, register_protocol, view_rows
 from repro.util.errors import ConfigurationError
 
 __all__ = ["CbtcProtocol"]
@@ -62,16 +61,17 @@ class CbtcProtocol(TopologyControlProtocol):
             raise ConfigurationError(f"k must be >= 1, got {k}")
         return cls(alpha=2.0 * math.pi / (3.0 * k), shrink_back=shrink_back)
 
-    def select(self, view: LocalView) -> SelectionResult:
-        own = np.asarray(view.own_hello.position, dtype=np.float64)
-        records: list[tuple[float, int, float]] = []  # (distance, id, angle)
-        for nid, hello in view.neighbor_hellos.items():
-            pos = np.asarray(hello.position, dtype=np.float64)
-            d = float(np.hypot(*(pos - own)))
-            if d > view.normal_range:
-                continue
-            records.append((d, nid, math.atan2(pos[1] - own[1], pos[0] - own[0])))
-        records.sort()
+    def select_batch(self, ids, pts, normal_range):
+        return [self._select_row(*row) for row in view_rows(ids, pts, normal_range)]
+
+    def _select_row(self, ids, pts, normal_range) -> SelectionResult:
+        delta = pts[1:] - pts[0]
+        dist = np.hypot(delta[:, 0], delta[:, 1])
+        records = sorted(  # (distance, id, angle)
+            (d, nid, math.atan2(dy, dx))
+            for nid, d, (dx, dy) in zip(ids[1:], dist.tolist(), delta.tolist())
+            if d <= normal_range
+        )
 
         chosen: list[tuple[float, int, float]] = []
         for rec in records:
@@ -86,10 +86,11 @@ class CbtcProtocol(TopologyControlProtocol):
                 if trial and covers_with_alpha([r[2] for r in trial], self.alpha):
                     chosen = trial
 
-        ids = frozenset(r[1] for r in chosen)
         max_dist = max((r[0] for r in chosen), default=0.0)
         return SelectionResult(
-            owner=view.owner, logical_neighbors=ids, actual_range=max_dist
+            owner=ids[0],
+            logical_neighbors=frozenset(r[1] for r in chosen),
+            actual_range=max_dist,
         )
 
     def __repr__(self) -> str:

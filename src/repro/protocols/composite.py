@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.framework import SelectionResult
-from repro.core.views import LocalView, MultiVersionView
-from repro.protocols.base import TopologyControlProtocol
+from repro.core.views import MultiVersionView
+from repro.protocols.base import TopologyControlProtocol, owner_distances, view_rows
 from repro.util.errors import ProtocolError
 
 __all__ = ["CompositeProtocol"]
@@ -58,15 +58,20 @@ class CompositeProtocol(TopologyControlProtocol):
     def _survivors(results: list[SelectionResult]) -> frozenset[int]:
         return frozenset.intersection(*(r.logical_neighbors for r in results))
 
-    def select(self, view: LocalView) -> SelectionResult:
-        survivors = self._survivors([p.select(view) for p in self.protocols])
-        actual = max(
-            (view.own_hello.distance_to(view.hello_of(v)) for v in survivors),
-            default=0.0,
-        )
-        return SelectionResult(
-            owner=view.owner, logical_neighbors=survivors, actual_range=actual
-        )
+    def select_batch(self, ids, pts, normal_range):
+        selected = zip(*(p.select_batch(ids, pts, normal_range) for p in self.protocols))
+        results = []
+        for (row, xy, _), constituents in zip(view_rows(ids, pts, normal_range), selected):
+            survivors = self._survivors(list(constituents))
+            distance = dict(zip(row, owner_distances(xy)))
+            results.append(
+                SelectionResult(
+                    owner=row[0],
+                    logical_neighbors=survivors,
+                    actual_range=max((distance[v] for v in survivors), default=0.0),
+                )
+            )
+        return results
 
     def select_conservative(self, view: MultiVersionView) -> SelectionResult:
         if not self.supports_conservative:

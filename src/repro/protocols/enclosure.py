@@ -20,10 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.costs import EnergyCost, cost_key
-from repro.core.framework import LocalCostGraph, apply_removal_condition
-from repro.core.views import LocalView, MultiVersionView
-from repro.core.framework import SelectionResult
-from repro.protocols.base import TopologyControlProtocol, register_protocol
+from repro.core.framework import LocalCostGraph
+from repro.protocols.base import ConditionProtocol, register_protocol
 from repro.util.validate import check_non_negative
 
 __all__ = ["EnclosureProtocol", "enclosure_removable"]
@@ -50,7 +48,7 @@ def enclosure_removable(graph: LocalCostGraph, owner: int, v: int) -> bool:
 
 
 @register_protocol
-class EnclosureProtocol(TopologyControlProtocol):
+class EnclosureProtocol(ConditionProtocol):
     """Relay-region / enclosure minimum-energy protocol.
 
     Parameters
@@ -64,21 +62,16 @@ class EnclosureProtocol(TopologyControlProtocol):
     """
 
     name = "enclosure"
-    supports_conservative = True
 
     def __init__(self, alpha: float = 4.0, receiver_cost: float = 0.0) -> None:
         check_non_negative("receiver_cost", receiver_cost)
-        self.cost_model = EnergyCost(alpha=alpha, const=receiver_cost)
+        super().__init__(EnergyCost(alpha=alpha, const=receiver_cost))
         self.alpha = float(alpha)
         self.receiver_cost = float(receiver_cost)
 
-    def select(self, view: LocalView) -> SelectionResult:
-        graph = LocalCostGraph.from_local_view(view, self.cost_model)
-        return apply_removal_condition(graph, enclosure_removable)
-
-    def select_conservative(self, view: MultiVersionView) -> SelectionResult:
-        graph = LocalCostGraph.from_multi_version_view(view, self.cost_model)
-        return apply_removal_condition(graph, enclosure_removable)
+    @property
+    def _removable(self):
+        return enclosure_removable
 
     def __repr__(self) -> str:
         return (

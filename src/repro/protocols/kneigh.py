@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.framework import SelectionResult
-from repro.core.views import LocalView
-from repro.protocols.base import TopologyControlProtocol, register_protocol
+from repro.protocols.base import TopologyControlProtocol, register_protocol, view_rows
 from repro.util.validate import check_int_range
 
 __all__ = ["KNeighProtocol"]
@@ -35,18 +34,17 @@ class KNeighProtocol(TopologyControlProtocol):
         check_int_range("k", k, 1)
         self.k = k
 
-    def select(self, view: LocalView) -> SelectionResult:
-        own = np.asarray(view.own_hello.position, dtype=np.float64)
-        records: list[tuple[float, int]] = []
-        for nid, hello in view.neighbor_hellos.items():
-            pos = np.asarray(hello.position, dtype=np.float64)
-            d = float(np.hypot(*(pos - own)))
-            if d <= view.normal_range:
-                records.append((d, nid))
-        records.sort()
-        kept = records[: self.k]
+    def select_batch(self, ids, pts, normal_range):
+        return [self._select_row(*row) for row in view_rows(ids, pts, normal_range)]
+
+    def _select_row(self, ids, pts, normal_range) -> SelectionResult:
+        delta = pts[1:] - pts[0]
+        dist = np.hypot(delta[:, 0], delta[:, 1]).tolist()
+        kept = sorted(
+            (d, nid) for d, nid in zip(dist, ids[1:]) if d <= normal_range
+        )[: self.k]
         return SelectionResult(
-            owner=view.owner,
+            owner=ids[0],
             logical_neighbors=frozenset(nid for _, nid in kept),
             actual_range=max((d for d, _ in kept), default=0.0),
         )

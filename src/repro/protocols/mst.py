@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.framework import LocalCostGraph, _triu_indices, mst_removable_batch
+from repro.core.framework import _triu_indices, mst_removable_batch
 from repro.protocols.base import ConditionProtocol, owner_path_costs, register_protocol
 
 __all__ = ["MstProtocol"]
@@ -26,14 +26,13 @@ class MstProtocol(ConditionProtocol):
     of a padded batch of views at once (:meth:`select_batch`;
     :meth:`select` is a batch of one) and drops a link iff some path's
     every link is cheaper.  A view in which two distinct links cost
-    exactly the same needs the ``(cost, min id, max id)`` order, so it
-    goes to the rank-based :func:`repro.core.framework
+    exactly the same needs the ``(cost, min id, max id)`` order, so its
+    row goes to the predicate, the rank-based :func:`repro.core.framework
     .mst_removable_batch`, which is also the conservative route and the
     reference the batched kernel is tested against.
     """
 
     name = "mst"
-    supports_batch = True
 
     @property
     def _removable(self):
@@ -44,11 +43,5 @@ class MstProtocol(ConditionProtocol):
         iu, iv = _triu_indices(ids.shape[1])
         # NaN marks non-links; it sorts last and never compares equal.
         links = np.sort(np.where(adj, cost, np.nan)[:, iu, iv], axis=1)
-        for b in np.flatnonzero((links[:, 1:] == links[:, :-1]).any(axis=1)):
-            m = int(np.count_nonzero(ids[b] >= 0))
-            c = cost[b, :m, :m]
-            d = dist[b, :m, :m]
-            graph = LocalCostGraph(ids[b, :m].tolist(), adj[b, :m, :m], c, c, d, d)
-            for v, dropped in mst_removable_batch(graph).items():
-                removable[b, v] = dropped
-        return removable
+        tied = np.flatnonzero((links[:, 1:] == links[:, :-1]).any(axis=1))
+        return self._predicate_rows(tied, ids, dist, adj, cost, removable)

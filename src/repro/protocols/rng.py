@@ -34,7 +34,6 @@ class RngProtocol(ConditionProtocol):
     """
 
     name = "rng"
-    supports_batch = True
 
     @property
     def _removable(self):

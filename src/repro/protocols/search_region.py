@@ -22,11 +22,19 @@ same premises (Theorem 1 applies through removal condition 2).
 
 from __future__ import annotations
 
-from repro.core.costs import EnergyCost
-from repro.core.framework import LocalCostGraph, SelectionResult, apply_removal_condition, spt_removable_batch
-from repro.core.views import LocalView
-from repro.protocols.base import TopologyControlProtocol, register_protocol
-from repro.util.validate import check_positive
+import math
+
+import numpy as np
+
+from repro.core.framework import SelectionResult
+from repro.protocols.base import (
+    TopologyControlProtocol,
+    owner_distances,
+    register_protocol,
+    view_rows,
+)
+from repro.protocols.spt import SptProtocol
+from repro.util.validate import check_positive, require
 
 __all__ = ["SearchRegionSptProtocol"]
 
@@ -49,84 +57,78 @@ class SearchRegionSptProtocol(TopologyControlProtocol):
     already covers the neighborhood — the point of the search-region
     family is exactly that the common case needs only nearby nodes.
     :attr:`last_iterations` and :attr:`last_region` expose the cost of the
-    final run for overhead studies.
+    final run (the last view of a batch) for overhead studies.
     """
 
     name = "spt-region"
 
     def __init__(self, alpha: float = 2.0, growth_factor: float = 2.0) -> None:
-        self.cost_model = EnergyCost(alpha=alpha)
-        self.alpha = float(alpha)
-        if growth_factor <= 1.0:
-            raise ValueError(f"growth_factor must exceed 1, got {growth_factor}")
         self.growth_factor = check_positive("growth_factor", growth_factor)
+        require(growth_factor > 1.0, f"growth_factor must exceed 1, got {growth_factor}")
+        self._spt = SptProtocol(alpha=alpha)
+        self.cost_model = self._spt.cost_model
+        self.alpha = float(alpha)
         #: diagnostics of the most recent selection
         self.last_iterations = 0
         self.last_region = 0.0
 
     def _restricted_selection(
-        self, view: LocalView, region: float
+        self, ids, pts, d_own: list[float], region: float, normal_range: float
     ) -> SelectionResult:
         """SPT selection using only neighbors inside *region*."""
-        inside = {
-            nid: h
-            for nid, h in view.neighbor_hellos.items()
-            if view.own_hello.distance_to(h) <= region
-        }
-        sub_view = LocalView(
-            owner=view.owner,
-            own_hello=view.own_hello,
-            neighbor_hellos=inside,
-            normal_range=view.normal_range,
-            sampled_at=view.sampled_at,
-        )
-        graph = LocalCostGraph.from_local_view(sub_view, self.cost_model)
-        return apply_removal_condition(graph, spt_removable_batch)
+        inside = [0] + [j for j in range(1, len(ids)) if d_own[j] <= region]
+        return self._spt.select_batch(
+            np.array([[ids[j] for j in inside]], dtype=np.int64),
+            pts[inside][np.newaxis],
+            np.array([normal_range]),
+        )[0]
 
-    def _covers(self, view: LocalView, selected: frozenset[int], region: float) -> bool:
-        """True iff every known neighbor beyond *region* has a cheaper relay."""
-        own = view.own_hello
-        for nid, hello in view.neighbor_hellos.items():
-            d_direct = own.distance_to(hello)
-            if d_direct <= region:
+    def _covers(self, pts, d_own: list[float], selected: list[int], region: float) -> bool:
+        """True iff every known neighbor beyond *region* has a cheaper relay
+        through a *selected* member (columns)."""
+        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+
+        def cost(d: float) -> float:
+            return float(self.cost_model.from_distance(d))
+
+        for j in range(1, len(d_own)):
+            if d_own[j] <= region:
                 continue
-            direct_cost = float(self.cost_model.from_distance(d_direct))
-            covered = False
-            for w in selected:
-                w_hello = view.neighbor_hellos[w]
-                relay = float(
-                    self.cost_model.from_distance(own.distance_to(w_hello))
-                ) + float(self.cost_model.from_distance(w_hello.distance_to(hello)))
-                if relay < direct_cost:
-                    covered = True
-                    break
-            if not covered:
+            direct_cost = cost(d_own[j])
+            if not any(
+                cost(d_own[w]) + cost(math.hypot(xs[w] - xs[j], ys[w] - ys[j]))
+                < direct_cost
+                for w in selected
+            ):
                 return False
         return True
 
-    def select(self, view: LocalView) -> SelectionResult:
-        own = view.own_hello
-        distances = sorted(
-            own.distance_to(h) for h in view.neighbor_hellos.values()
-        )
-        if not distances:
+    def select_batch(self, ids, pts, normal_range):
+        return [self._select_row(*row) for row in view_rows(ids, pts, normal_range)]
+
+    def _select_row(self, ids, pts, normal_range) -> SelectionResult:
+        if len(ids) == 1:
             self.last_iterations, self.last_region = 0, 0.0
             return SelectionResult(
-                owner=view.owner, logical_neighbors=frozenset(), actual_range=0.0
+                owner=ids[0], logical_neighbors=frozenset(), actual_range=0.0
             )
-        region = max(distances[0], 1e-9)
+        d_own = owner_distances(pts)
+        column = {nid: j for j, nid in enumerate(ids)}
+        region = max(min(d_own[1:]), 1e-9)
         iterations = 0
         while True:
             iterations += 1
-            result = self._restricted_selection(view, region)
-            if region >= view.normal_range or (
+            result = self._restricted_selection(ids, pts, d_own, region, normal_range)
+            if region >= normal_range or (
                 result.logical_neighbors
-                and self._covers(view, result.logical_neighbors, region)
+                and self._covers(
+                    pts, d_own, [column[v] for v in result.logical_neighbors], region
+                )
             ):
                 self.last_iterations = iterations
-                self.last_region = min(region, view.normal_range)
+                self.last_region = min(region, normal_range)
                 return result
-            region = min(region * self.growth_factor, view.normal_range)
+            region = min(region * self.growth_factor, normal_range)
 
     def __repr__(self) -> str:
         return (

@@ -38,7 +38,6 @@ class SptProtocol(ConditionProtocol):
     """
 
     name = "spt"
-    supports_batch = True
 
     def __init__(self, alpha: float = 2.0, const: float = 0.0) -> None:
         super().__init__(EnergyCost(alpha=alpha, const=const))

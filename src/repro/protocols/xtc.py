@@ -18,10 +18,11 @@ signal-strength-based order could be dropped in unchanged.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.costs import cost_key
 from repro.core.framework import SelectionResult
-from repro.core.views import LocalView
-from repro.protocols.base import TopologyControlProtocol, register_protocol
+from repro.protocols.base import TopologyControlProtocol, register_protocol, view_rows
 
 __all__ = ["XtcProtocol"]
 
@@ -37,41 +38,38 @@ class XtcProtocol(TopologyControlProtocol):
 
     name = "xtc"
 
-    def select(self, view: LocalView) -> SelectionResult:
-        owner = view.owner
-        own = view.own_hello
-        neighbors = {
-            nid: hello
-            for nid, hello in view.neighbor_hellos.items()
-            if own.distance_to(hello) <= view.normal_range
-        }
+    def select_batch(self, ids, pts, normal_range):
+        return [self._select_row(*row) for row in view_rows(ids, pts, normal_range)]
+
+    def _select_row(self, ids, pts, normal_range) -> SelectionResult:
+        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+
+        def distance(a: int, b: int) -> float:
+            """Advertised distance between the members in columns a and b."""
+            return math.hypot(xs[a] - xs[b], ys[a] - ys[b])
 
         def order_key(a: int, b: int) -> tuple:
             """u's ranking key of link (a, b) from the view's positions."""
-            return cost_key(view.distance(a, b), a, b)
+            return cost_key(distance(a, b), ids[a], ids[b])
 
+        neighbors = [v for v in range(1, len(ids)) if distance(0, v) <= normal_range]
         survivors: list[int] = []
         max_dist = 0.0
         for v in neighbors:
-            keep = True
-            key_uv = order_key(owner, v)
-            for w in neighbors:
-                if w == v:
-                    continue
-                # w better for u than v, and (as far as u can tell from
-                # advertised positions) better for v than u.
-                if (
-                    order_key(owner, w) < key_uv
-                    and view.has_link(v, w)
-                    and order_key(v, w) < key_uv
-                ):
-                    keep = False
-                    break
-            if keep:
-                survivors.append(v)
-                max_dist = max(max_dist, own.distance_to(neighbors[v]))
+            key_uv = order_key(0, v)
+            # w better for u than v, and (as far as u can tell from
+            # advertised positions) better for v than u.
+            if not any(
+                w != v
+                and order_key(0, w) < key_uv
+                and distance(v, w) <= normal_range
+                and order_key(v, w) < key_uv
+                for w in neighbors
+            ):
+                survivors.append(ids[v])
+                max_dist = max(max_dist, distance(0, v))
         return SelectionResult(
-            owner=owner,
+            owner=ids[0],
             logical_neighbors=frozenset(survivors),
             actual_range=max_dist,
         )

@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from repro.core.framework import SelectionResult
-from repro.core.views import LocalView
 from repro.geometry.cones import cone_index
-from repro.protocols.base import TopologyControlProtocol, register_protocol
+from repro.protocols.base import TopologyControlProtocol, register_protocol, view_rows
 from repro.util.validate import check_int_range
 
 __all__ = ["YaoProtocol"]
@@ -38,16 +37,17 @@ class YaoProtocol(TopologyControlProtocol):
         check_int_range("k", k, 1)
         self.k = k
 
-    def select(self, view: LocalView) -> SelectionResult:
-        own = np.asarray(view.own_hello.position, dtype=np.float64)
+    def select_batch(self, ids, pts, normal_range):
+        return [self._select_row(*row) for row in view_rows(ids, pts, normal_range)]
+
+    def _select_row(self, ids, pts, normal_range) -> SelectionResult:
+        delta = pts[1:] - pts[0]
+        dist = np.hypot(delta[:, 0], delta[:, 1])
         best_per_cone: dict[int, tuple[float, int]] = {}
-        for nid, hello in view.neighbor_hellos.items():
-            pos = np.asarray(hello.position, dtype=np.float64)
-            d = float(np.hypot(*(pos - own)))
-            if d > view.normal_range:
+        for nid, d, (dx, dy) in zip(ids[1:], dist.tolist(), delta.tolist()):
+            if d > normal_range:
                 continue
-            angle = math.atan2(pos[1] - own[1], pos[0] - own[0])
-            cone = cone_index(angle, self.k)
+            cone = cone_index(math.atan2(dy, dx), self.k)
             incumbent = best_per_cone.get(cone)
             # Deterministic tie-break on (distance, ID).
             if incumbent is None or (d, nid) < incumbent:
@@ -55,7 +55,7 @@ class YaoProtocol(TopologyControlProtocol):
         chosen = frozenset(nid for _, nid in best_per_cone.values())
         max_dist = max((d for d, _ in best_per_cone.values()), default=0.0)
         return SelectionResult(
-            owner=view.owner, logical_neighbors=chosen, actual_range=max_dist
+            owner=ids[0], logical_neighbors=chosen, actual_range=max_dist
         )
 
     def __repr__(self) -> str:

@@ -1,15 +1,19 @@
-"""Batched SPT and MST selection against the per-owner oracle route.
+"""Batched selection against the per-owner oracle route.
 
-:meth:`SptProtocol.select_batch` and :meth:`MstProtocol.select_batch`
-evaluate removal conditions 2 and 3 for a padded batch of views at once.
-Each result must equal the per-owner route they replaced:
+Every protocol selects for a padded block of single-version views at
+once (:meth:`~repro.protocols.base.TopologyControlProtocol.select_batch`).
+For the removal-condition protocols, each result must equal
 :func:`apply_removal_condition` over
-:meth:`LocalCostGraph.from_local_view` with :func:`spt_removable_batch`
-(one Dijkstra) or :func:`mst_removable_batch` (one Prim pass over the
-rank matrix).  Ragged batches cover empty and one-member views, duplicate
-and collinear positions, and exact equal-cost links, which only the ID
-pair can order and which send MST rows to the rank-based fallback.  Twin
-worlds then check the whole route with batching switched off.
+:meth:`LocalCostGraph.from_local_view` with the protocol's predicate:
+:func:`spt_removable_batch` (one Dijkstra), :func:`mst_removable_batch`
+(one Prim pass over the rank matrix), :func:`gabriel_removable` and
+:func:`enclosure_removable`.  Ragged batches cover empty and one-member
+views, duplicate and collinear positions, and exact equal-cost links,
+which only the ID pair can order and which send MST rows to the
+rank-based fallback.  Every registered protocol, and a composite, must
+give a ragged block the results of its rows as batches of one.  Twin
+worlds then check the SPT and MST array kernels against the per-row
+predicate over whole runs.
 """
 
 from __future__ import annotations
@@ -31,8 +35,16 @@ from repro.core.framework import (
 )
 from repro.core.views import Hello, LocalView
 from repro.mobility.base import Area
-from repro.protocols import MstProtocol, SptProtocol, make_protocol
+from repro.protocols import (
+    ConditionProtocol,
+    MstProtocol,
+    SptProtocol,
+    available_protocols,
+    make_protocol,
+)
 from repro.protocols.base import owner_path_costs
+from repro.protocols.enclosure import enclosure_removable
+from repro.protocols.gabriel import gabriel_removable
 from repro.sim.config import ScenarioConfig
 from repro.sim.flood import flood
 
@@ -43,6 +55,8 @@ PROTOCOLS = {
     "spt-2.5+1": (lambda: SptProtocol(alpha=2.5, const=1.0), spt_removable_batch),
     "mst": (lambda: make_protocol("mst"), mst_removable_batch),
     "mst-energy4": (lambda: MstProtocol(EnergyCost(4.0)), mst_removable_batch),
+    "gabriel": (lambda: make_protocol("gabriel"), gabriel_removable),
+    "enclosure": (lambda: make_protocol("enclosure"), enclosure_removable),
 }
 
 
@@ -110,6 +124,16 @@ class TestBatchedConditions:
         for (ids, pts, radius), result in zip(views, got):
             assert result == _oracle(name, _view(ids, pts, radius))
 
+    @pytest.mark.parametrize("name", [*available_protocols(), "rng&spt2"])
+    @settings(max_examples=50, deadline=None)
+    @given(views=st.lists(member_view, min_size=1, max_size=6))
+    def test_ragged_block_equals_batches_of_one(self, name, views):
+        # Padding must not leak into any row: a row decides the same
+        # whatever the width of its block and whoever shares it.
+        protocol = make_protocol(name)
+        got = protocol.select_batch(*_padded(views))
+        assert got == [protocol.select_batch(*_padded([view]))[0] for view in views]
+
     @names
     @settings(max_examples=60, deadline=None)
     @given(view=member_view)
@@ -175,7 +199,7 @@ class TestBatchedConditions:
 
 
 # --------------------------------------------------------------------- #
-# twin worlds: batched route vs the per-owner LocalView route
+# twin worlds: array kernels vs the per-row predicate
 
 SPEC_CONFIG = ScenarioConfig(
     n_nodes=16,
@@ -207,5 +231,5 @@ def _drive(protocol, mechanism):
 def test_batched_world_matches_view_route(protocol, mechanism, monkeypatch):
     batched = _drive(protocol, mechanism)
     cls = type(make_protocol(protocol))
-    monkeypatch.setattr(cls, "supports_batch", False)
+    monkeypatch.setattr(cls, "_batch_removable", ConditionProtocol._batch_removable)
     assert _drive(protocol, mechanism) == batched

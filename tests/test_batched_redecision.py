@@ -175,18 +175,6 @@ class TestLatestPositions:
                 h.position for h in view.neighbor_hellos.values()
             ]
 
-    def test_latest_live_builds_newest_only_and_memoizes(self):
-        _, shared = self._tables()
-        state = shared._state
-        first = state.latest_live(0, 1.2, 1.0)
-        assert first == {2: Hello(2, 1, (7.0, 3.0), 1.2, 1.2),
-                         1: Hello(1, 1, (3.0, 4.0), 0.5, 0.5)}
-        assert state._memo == {}
-        again = state.latest_live(0, 1.2, 1.0)
-        assert all(again[s] is first[s] for s in first)
-        shared.record_hello(Hello(2, 1, (8.0, 0.0), 1.3, 1.3))
-        assert state.latest_live(0, 1.3, 1.0)[2].position == (8.0, 0.0)
-
 
 # --------------------------------------------------------------------- #
 # the columnar gather of many owners
@@ -363,7 +351,6 @@ class TestTwinWorlds:
 
     def test_protocol_without_batch_takes_the_default_route(self):
         protocol = make_protocol("gabriel")
-        assert not protocol.supports_batch
         table = NeighborTable(0, normal_range=100.0)
         table.record_hello(Hello(1, 1, (30.0, 0.0), 0.0, 0.0))
         own = Hello(0, 1, (0.0, 0.0), 0.0, 0.0)

@@ -8,7 +8,7 @@ make that a property of the build rather than a review checklist:
   exports has a docstring;
 - the doctest examples embedded in docstrings actually run;
 - the prose in ``docs/`` makes none of the claims known to have gone
-  stale.
+  stale, and the API reference names every registered protocol.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.protocols import available_protocols
 
 PACKAGES = [
     "repro",
@@ -181,6 +182,11 @@ STALE_CLAIMS = [
         "no node count switches the snapshot representation any more; "
         "SPARSE_SWITCH was deleted",
     ),
+    (
+        r"\bsupports_batch\b",
+        "every protocol implements select_batch and every single-version "
+        "decision reads the columnar gather; supports_batch was deleted",
+    ),
 ]
 
 
@@ -191,7 +197,7 @@ STALE_CLAIMS = [
         "workers-forced", "redecide-all-hits", "worker-pool",
         "local-pool-backend", "local-backend", "spt-mst-no-batch",
         "columnar-table", "scalar-hello-route", "view-fingerprint",
-        "prefers-dense", "sparse-switch",
+        "prefers-dense", "sparse-switch", "supports-batch",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):
@@ -201,3 +207,9 @@ def test_docs_make_no_stale_claim(pattern, why):
         if re.search(pattern, path.read_text(encoding="utf-8"))
     ]
     assert not offenders, f"{offenders} still claim {pattern!r}, but {why}"
+
+
+def test_api_reference_names_every_registered_protocol():
+    text = (DOCS / "API.md").read_text(encoding="utf-8")
+    missing = [name for name in available_protocols() if f"`{name}`" not in text]
+    assert not missing, f"docs/API.md does not name protocols {missing}"

@@ -157,8 +157,9 @@ class TestSearchRegionSpt:
         assert SearchRegionSptProtocol().last_iterations == 0
 
     def test_growth_factor_validated(self):
-        with pytest.raises(ValueError):
-            SearchRegionSptProtocol(growth_factor=1.0)
+        for bad in (1.0, 0.5, -2.0, math.inf, math.nan, "2"):
+            with pytest.raises(ConfigurationError):
+                SearchRegionSptProtocol(growth_factor=bad)
 
     def test_iteration_diagnostics(self, rng):
         _, views = self._views(rng)

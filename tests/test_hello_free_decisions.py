@@ -9,7 +9,7 @@ Three layers:
   repeated versions, pruned senders, a version nobody holds, an empty
   directory;
 - :meth:`versioned_view`, whose Hellos (one per matching sender, built
-  from the gather) must equal the ones in the retained history;
+  from the retained histories) must be the ones in each history;
 - the mechanisms: a batched decision (``decide`` as a batch of one, and
   ``decide_many``) against the LocalView route it replaced, on every
   proactive fallback branch including the :class:`ViewError` one.
@@ -285,7 +285,6 @@ class TestProactiveDecisions:
     def test_protocol_without_batch_keeps_the_view_route(self):
         table = self._table()
         protocol = make_protocol("gabriel")
-        assert not protocol.supports_batch
         result = ProactiveConsistency().decide(protocol, table, 9.0, None, version=4)
         assert result == protocol.select(table.versioned_view(9.0, 3))
 

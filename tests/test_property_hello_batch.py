@@ -269,7 +269,7 @@ class TestNeighborState:
         for sender in (7, 3, 5):
             state.record_one(0, _hello(sender, 0, 1.0))
         assert state.live_ids(0, now=2.0, expiry=2.5) == (7, 3, 5)
-        assert list(state.latest_live(0, 2.0, 2.5)) == [7, 3, 5]
+        assert state.latest_members([0], 2.0, 2.5)[1].tolist() == [7, 3, 5]
 
 
 class TestScheduleBatch:
