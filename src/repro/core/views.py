@@ -145,10 +145,6 @@ class LocalView:
             return False
         return self.hello_of(u).distance_to(self.hello_of(v)) <= self.normal_range
 
-    def distance(self, u: int, v: int) -> float:
-        """Advertised distance between two view members."""
-        return self.hello_of(u).distance_to(self.hello_of(v))
-
     def __contains__(self, node: int) -> bool:
         return node == self.owner or node in self.neighbor_hellos
 
