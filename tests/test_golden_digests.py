@@ -114,6 +114,14 @@ CELLS = {
     "rng-weak": Cell("rng", "weak"),
     "mst-weak": Cell("mst", "weak"),
     "spt4-weak": Cell("spt4", "weak"),
+    # Recorded when weak consistency still decided from a Hello-built
+    # multi-version view: the per-row predicate (gabriel), the identity
+    # protocol's newest positions (none), the composite's farthest pair,
+    # and rings of depth 5 that are only partly filled in a 4 s run.
+    "gabriel-weak": Cell("gabriel", "weak"),
+    "none-weak": Cell("none", "weak"),
+    "rng&spt2-weak": Cell("rng&spt2", "weak"),
+    "rng-weak-k5": Cell("rng", "weak", config={"history_depth": 5}),
     # Every fault seam on the Hello route, under four mechanisms.
     "rng-view-sync-faulted": Cell("rng", "view-sync", FAULTS),
     "rng-gossip-faulted": Cell("rng", "gossip", FAULTS),
