@@ -17,14 +17,17 @@ node base its logical-neighbor decision on, and when does it re-decide?*
   rounds: an initiation flood stamps one version on every Hello of the
   round, and decisions use exactly that round's view.
 - :class:`WeakConsistency` — no synchronization: keep ``k`` recent Hellos,
-  evaluate the protocol's *conservative* (enhanced-condition) mode
-  (Theorem 4).
+  evaluate the protocol's *conservative* (enhanced-condition) mode on
+  every member's retained positions (Theorem 4).
 - :class:`GossipConsistency` — anti-entropy epidemic dissemination: views
   converge by periodic digest exchange and monotone last-writer-wins
   merge (:mod:`repro.gossip`) rather than by every node hearing every
   neighbor directly; decisions read the merged view exactly like
   view synchronization, lagging by at most ``rounds_to_converge ×
   interval`` (see ``docs/GOSSIP.md``).
+
+Every mechanism reads its view members as arrays straight from the
+columnar neighbor store; no decision builds a Hello.
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.framework import SelectionResult
-from repro.core.tables import NeighborTable, latest_members, versioned_members
+from repro.core.tables import (
+    NeighborTable,
+    history_members,
+    latest_members,
+    versioned_members,
+)
 from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
 from repro.util.errors import ConfigurationError, ViewError
@@ -343,23 +351,29 @@ class WeakConsistency(ConsistencyMechanism):
 
     Runs the protocol's enhanced link-removal conditions
     (:meth:`~repro.protocols.base.TopologyControlProtocol
-    .select_conservative`) on a :class:`~repro.core.views.MultiVersionView`.
+    .select_histories`) on the multi-version view
+    :meth:`~repro.core.tables.NeighborTable.multi_view` describes: every
+    live neighbor's retained positions, read as arrays straight from the
+    table (:func:`~repro.core.tables.history_members`), and the owner's
+    advertisement history plus its current position.  No Hello is built.
     Theorem 4 guarantees a connected logical topology when views are weakly
-    consistent, which Theorem 3 guarantees for sufficient *k*.
+    consistent, which Theorem 3 guarantees for sufficient *k*: the
+    scenario's ``history_depth``, which sizes every table.
     """
 
     name = "weak"
     cacheable = True
 
-    def __init__(self, history_depth: int = 3) -> None:
-        self.history_depth = check_int_range("history_depth", history_depth, 1)
-
     def decide(self, protocol, table, now, current_hello, version=None):
-        view = table.multi_view(now, own_hello=current_hello)
-        return protocol.select_conservative(view)
-
-    def __repr__(self) -> str:
-        return f"WeakConsistency(history_depth={self.history_depth})"
+        _, ids, fills, xy = history_members([table], now)
+        own = [h.position for h in table.own_history]
+        own.append(current_hello.position)
+        return protocol.select_histories(
+            np.concatenate(([table.owner], ids)),
+            np.concatenate(([len(own)], fills)),
+            np.concatenate((own, xy)),
+            table.normal_range,
+        )
 
 
 class GossipConsistency(_SingleVersionMechanism):

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.costs import CostModel, cost_key
-from repro.core.views import LocalView, MultiVersionView
+from repro.core.views import LocalView
 from repro.util.errors import ProtocolError
 
 __all__ = [
@@ -206,20 +206,23 @@ class LocalCostGraph:
         return cls(ids, adj, cost, cost, dist, dist)
 
     @classmethod
-    def from_multi_version_view(
-        cls, view: MultiVersionView, cost_model: CostModel
+    def from_distance_bounds(
+        cls,
+        ids: Sequence[int],
+        dist_low: np.ndarray,
+        dist_high: np.ndarray,
+        normal_range: float,
+        cost_model: CostModel,
     ) -> "LocalCostGraph":
         """Build the interval-cost graph of a k-version view.
 
         For every member pair, distances over all retained position pairs
-        give [dMin, dMax] (via the vectorized
-        :meth:`~repro.core.views.MultiVersionView.distance_bounds`); costs
-        follow by monotonicity of the cost model.  A pair is adjacent if
-        *any* position pair is within normal range (conservative link
-        presence).
+        give [dMin, dMax] (:func:`~repro.core.views.distance_bounds`);
+        costs follow by monotonicity of the cost model.  A pair is
+        adjacent if *any* position pair is within normal range
+        (conservative link presence).
         """
-        ids, dist_low, dist_high = view.distance_bounds()
-        adj = dist_low <= view.normal_range
+        adj = dist_low <= normal_range
         np.fill_diagonal(adj, False)
         cost_low = np.asarray(cost_model.from_distance(dist_low), dtype=np.float64)
         cost_high = np.asarray(cost_model.from_distance(dist_high), dtype=np.float64)

@@ -19,16 +19,23 @@ vectorized splice (:meth:`NeighborState.record_batch`).
   arrays: every recorded Hello bumps both, a prune that drops anything
   bumps ``mutations`` once.
 
-Many receivers' views are read in one pass: :meth:`latest_members` and
-:meth:`versioned_members` concatenate the receivers' slot arrays, mask
-them, and return the members flat, grouped by receiver, with no Hello
-built; every single-version decision reads them.  Hello objects are
-*materialised on read* only as whole histories (:meth:`history`,
-:meth:`live_histories`, memoised per slot until the slot is written
-again), for weak consistency's multi-version views and the
-:class:`~repro.core.tables.NeighborTable` reference views;
-:class:`~repro.core.views.Hello` is a frozen value type, so a
-materialised copy compares equal to the original in every view.
+Many receivers' views are read in one pass: :meth:`latest_members`,
+:meth:`versioned_members` and :meth:`history_members` concatenate the
+receivers' slot arrays, mask them, and return the members flat, grouped
+by receiver, with no Hello built.  Every decision reads them: the
+single-version mechanisms one position per member, weak consistency each
+member's whole retained history, read oldest first from the ring
+columns.
+
+Hello objects are *materialised on read* only for the :meth:`history`
+readers: gossip digests and deltas, packets, the audit, the fuzzer's
+oracles, overhead accounting and the
+:class:`~repro.core.tables.NeighborTable` reference views.  Each slot's
+tuple is memoised until the slot is written again; gossip reads the same
+unchanged histories round after round, and without the memo a gossip
+run takes about three times as long.  :class:`~repro.core.views.Hello`
+is a frozen value type, so a materialised copy compares equal to the
+original.
 
 The per-node facade over this storage is
 :class:`~repro.core.tables.NeighborTable`; the Hello delivery that feeds
@@ -323,6 +330,15 @@ class NeighborState:
         """Sender ids with a live (non-expired) Hello, insertion order."""
         return tuple(self.latest_members([receiver], now, expiry)[1].tolist())
 
+    def _live_slots(
+        self, receivers, now: float, expiry: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(live slots per receiver, their slots concatenated)``: the
+        pairs whose newest Hello is live, in insertion order."""
+        counts, slots = self._gather(receivers)
+        live = now - self._latest_sent[slots] <= expiry
+        return _group_sizes(counts, live), slots[live]
+
     def latest_members(
         self, receivers, now: float, expiry: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,14 +350,31 @@ class NeighborState:
         ``xy``: per receiver, its senders whose newest Hello is live,
         in insertion order, read straight from the columns.
         """
-        counts, slots = self._gather(receivers)
-        live = now - self._latest_sent[slots] <= expiry
-        slots = slots[live]
+        counts, slots = self._live_slots(receivers, now, expiry)
         head = (self._writes[slots] - 1) % self.k
         xy = np.empty((slots.size, 2))
         xy[:, 0] = self._x[slots, head]
         xy[:, 1] = self._y[slots, head]
-        return _group_sizes(counts, live), self._slot_sender[slots], xy
+        return counts, self._slot_sender[slots], xy
+
+    def history_members(
+        self, receivers, now: float, expiry: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`latest_members` with each member's whole retained history.
+
+        Returns ``(counts, ids, fills, xy)``: ``counts[b]`` members for
+        ``receivers[b]``, as :meth:`latest_members` gives them; member
+        ``ids[i]`` holds ``fills[i]`` positions, which follow those of
+        member ``i - 1`` in the ``(sum(fills), 2)`` array ``xy``, oldest
+        first, read straight from the ring columns.
+        """
+        counts, slots = self._live_slots(receivers, now, expiry)
+        cols, held = self._ring_columns(slots)
+        rows = slots[:, np.newaxis]
+        xy = np.empty((np.count_nonzero(held), 2))
+        xy[:, 0] = self._x[rows, cols][held]
+        xy[:, 1] = self._y[rows, cols][held]
+        return counts, self._slot_sender[slots], held.sum(axis=1), xy
 
     def live_unchanged(
         self, receivers, then, now: float, expiry: float
@@ -358,6 +391,15 @@ class NeighborState:
         changed = (now - latest <= expiry) != (np.repeat(then, counts) - latest <= expiry)
         return _group_sizes(counts, changed) == 0
 
+    def _ring_columns(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cols, held)``, both ``(len(slots), k)``: each slot's ring
+        columns oldest first, and whether that age holds an entry (a
+        young slot fills fewer than ``k``)."""
+        k = self.k
+        writes = self._writes[slots][:, np.newaxis]
+        age = np.arange(k)
+        return (writes - np.minimum(writes, k) + age) % k, age < writes
+
     def _versioned_entries(
         self, receivers, versions
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,13 +410,9 @@ class NeighborState:
         rule); senders holding none are left out.  Insertion order.
         """
         counts, slots = self._gather(receivers)
-        k = self.k
-        writes = self._writes[slots][:, np.newaxis]
-        age = np.arange(k)
-        # Ring columns oldest first; ages past a young slot's fill are unused.
-        cols = (writes - np.minimum(writes, k) + age) % k
+        cols, held = self._ring_columns(slots)
         want = np.repeat(np.asarray(versions, dtype=np.int64), counts)
-        match = (age < writes) & (
+        match = held & (
             self._version[slots[:, np.newaxis], cols] == want[:, np.newaxis]
         )
         held = match.any(axis=1)
@@ -392,17 +430,6 @@ class NeighborState:
         xy[:, 0] = self._x[slots, cols]
         xy[:, 1] = self._y[slots, cols]
         return counts, self._slot_sender[slots], xy
-
-    def live_histories(
-        self, receiver: int, now: float, expiry: float
-    ) -> dict[int, tuple[Hello, ...]]:
-        """Full retained history per live sender (insertion-ordered dict)."""
-        latest = self._latest_sent
-        out: dict[int, tuple[Hello, ...]] = {}
-        for s, slot in self._directory[receiver].items():
-            if now - latest[slot] <= expiry:
-                out[s] = self._materialize(slot)
-        return out
 
     @property
     def n_slots(self) -> int:

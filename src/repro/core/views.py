@@ -26,6 +26,7 @@ __all__ = [
     "Hello",
     "LocalView",
     "MultiVersionView",
+    "distance_bounds",
     "link_cost",
     "views_consistent",
     "views_weakly_consistent",
@@ -220,36 +221,23 @@ class MultiVersionView:
             for b in self.hellos_of(v)
         ]
 
-    def distance_bounds(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """(members, dist_low, dist_high) over all retained position pairs.
-
-        ``dist_low[i, j]`` / ``dist_high[i, j]`` are the min / max distance
-        between any retained position of member ``i`` and any of member
-        ``j`` (zero on the diagonal).  Fully vectorized: one stacked
-        distance matrix over every retained Hello, then grouped min/max
-        reductions per member pair — no per-pair Python loop.  Because
-        every cost model is strictly increasing in distance, cost bounds
-        follow by applying the model to these matrices.
-        """
+    def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, counts, pts)``: the :attr:`members` as an int array,
+        how many Hellos each retains, and all their ``(sum(counts), 2)``
+        positions grouped per member, oldest first."""
         ids = self.members
-        all_pts: list[tuple[float, float]] = []
-        starts: list[int] = []
-        for nid in ids:
-            starts.append(len(all_pts))
-            all_pts.extend(h.position for h in self.hellos_of(nid))
-        pts = np.asarray(all_pts, dtype=np.float64)
-        diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-        dist_all = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        bounds = np.asarray(starts)
-        dist_low = np.minimum.reduceat(
-            np.minimum.reduceat(dist_all, bounds, axis=0), bounds, axis=1
+        histories = [self.hellos_of(nid) for nid in ids]
+        pts = np.array(
+            [h.position for hs in histories for h in hs], dtype=np.float64
         )
-        dist_high = np.maximum.reduceat(
-            np.maximum.reduceat(dist_all, bounds, axis=0), bounds, axis=1
-        )
-        np.fill_diagonal(dist_low, 0.0)
-        np.fill_diagonal(dist_high, 0.0)
-        return ids, dist_low, dist_high
+        counts = np.fromiter(map(len, histories), dtype=np.intp, count=len(ids))
+        return np.array(ids, dtype=np.int64), counts, pts
+
+    def distance_bounds(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """(members, dist_low, dist_high): :func:`distance_bounds` of
+        :meth:`positions`."""
+        ids, counts, pts = self.positions()
+        return ids.tolist(), *distance_bounds(counts, pts)
 
     def cost_bounds(self, u: int, v: int, cost_model: CostModel) -> tuple[float, float]:
         """(cMin, cMax) of link (u, v) in this view."""
@@ -286,6 +274,34 @@ class MultiVersionView:
 
     def __len__(self) -> int:
         return 1 + len(self.neighbor_hellos)
+
+
+def distance_bounds(
+    counts: np.ndarray, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dist_low, dist_high)`` between members of a multi-version view.
+
+    Member ``i`` retains ``counts[i]`` positions, which follow those of
+    member ``i - 1`` in *pts*.  ``dist_low[i, j]`` / ``dist_high[i, j]``
+    are the min / max distance between any retained position of member
+    ``i`` and any of member ``j`` (zero on the diagonal).  Fully
+    vectorized: one stacked distance matrix over every retained
+    position, then grouped min/max reductions per member pair.  Because
+    every cost model is strictly increasing in distance, cost bounds
+    follow by applying the model to these matrices.
+    """
+    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
+    dist_all = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    bounds = np.cumsum(counts) - counts
+    dist_low = np.minimum.reduceat(
+        np.minimum.reduceat(dist_all, bounds, axis=0), bounds, axis=1
+    )
+    dist_high = np.maximum.reduceat(
+        np.maximum.reduceat(dist_all, bounds, axis=0), bounds, axis=1
+    )
+    np.fill_diagonal(dist_low, 0.0)
+    np.fill_diagonal(dist_high, 0.0)
+    return dist_low, dist_high
 
 
 def _view_links(view: LocalView) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -3,7 +3,9 @@
 A protocol never touches simulator state; it maps a padded block of
 single-version views, as arrays (:meth:`~TopologyControlProtocol
 .select_batch`; a :class:`LocalView` is a block of one), or, in
-conservative mode, a :class:`MultiVersionView`, to
+conservative mode, one multi-version view as its members' position
+histories (:meth:`~TopologyControlProtocol.select_histories`; a
+:class:`MultiVersionView` flattens to them), to
 :class:`SelectionResult` s.  This is what lets the same implementations
 run unchanged under baseline, view-synchronized, strongly consistent, and
 weakly consistent regimes — the paper's whole point is that the base
@@ -26,7 +28,7 @@ from repro.core.framework import (
     apply_removal_condition,
     removal_verdicts,
 )
-from repro.core.views import LocalView, MultiVersionView
+from repro.core.views import LocalView, MultiVersionView, distance_bounds
 from repro.util.errors import ProtocolError
 
 __all__ = ["TopologyControlProtocol", "ConditionProtocol", "owner_path_costs", "owner_distances", "view_rows", "register_protocol", "make_protocol", "available_protocols"]
@@ -117,14 +119,14 @@ class TopologyControlProtocol(ABC):
 
     Subclasses set :attr:`name` and implement :meth:`select_batch`.
     Protocols whose decisions are pure cost comparisons (RNG / SPT / MST
-    / Gabriel / enclosure) also support :meth:`select_conservative` for
+    / Gabriel / enclosure) also implement :meth:`select_histories` for
     weak view consistency; geometric protocols (Yao, CBTC) have no
     conservative mode and say so via :attr:`supports_conservative`.
     """
 
     #: registry key and report label, e.g. ``"rng"``
     name: str = ""
-    #: True if select_conservative implements the enhanced conditions
+    #: True if select_histories implements the enhanced conditions
     supports_conservative: bool = False
 
     @abstractmethod
@@ -151,8 +153,15 @@ class TopologyControlProtocol(ABC):
             np.array([view.normal_range]),
         )[0]
 
-    def select_conservative(self, view: MultiVersionView) -> SelectionResult:
-        """Choose conservatively from a k-version view (enhanced conditions).
+    def select_histories(
+        self, ids: np.ndarray, counts: np.ndarray, pts: np.ndarray, normal_range: float
+    ) -> SelectionResult:
+        """Choose conservatively from one k-version view (enhanced conditions).
+
+        ``ids`` (shape ``(m,)``) holds the member IDs with the owner
+        first; member ``i`` retains ``counts[i]`` positions, which follow
+        those of member ``i - 1`` in ``pts`` (shape ``(sum(counts), 2)``),
+        oldest first.  The result does not depend on the member order.
 
         The default raises, because a protocol without cost-comparison
         structure has no sound conservative mode; cost-based subclasses
@@ -161,6 +170,11 @@ class TopologyControlProtocol(ABC):
         raise ProtocolError(
             f"protocol {self.name!r} does not support conservative (weak-consistency) mode"
         )
+
+    def select_conservative(self, view: MultiVersionView) -> SelectionResult:
+        """Choose conservatively from a k-version view:
+        :meth:`select_histories` on its flattened histories."""
+        return self.select_histories(*view.positions(), view.normal_range)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -177,10 +191,11 @@ class ConditionProtocol(TopologyControlProtocol):
     :class:`SelectionResult` tail; in between, :meth:`_batch_removable`
     runs the predicate on each row's :class:`LocalCostGraph`.  RNG, SPT
     and MST override it with array kernels over the whole block.  The
-    predicate is also the conservative route, and the reference those
-    kernels are tested against (the predicate reads lower bounds for the
-    candidate link and upper bounds for witnesses, which coincide on
-    single-version views).
+    predicate is also the conservative route (:meth:`select_histories`,
+    on the interval graph of the members' distance bounds), and the
+    reference those kernels are tested against (the predicate reads
+    lower bounds for the candidate link and upper bounds for witnesses,
+    which coincide on single-version views).
     """
 
     supports_conservative = True
@@ -250,8 +265,10 @@ class ConditionProtocol(TopologyControlProtocol):
             )
         ]
 
-    def select_conservative(self, view: MultiVersionView) -> SelectionResult:
-        graph = LocalCostGraph.from_multi_version_view(view, self.cost_model)
+    def select_histories(self, ids, counts, pts, normal_range):
+        graph = LocalCostGraph.from_distance_bounds(
+            ids.tolist(), *distance_bounds(counts, pts), normal_range, self.cost_model
+        )
         return apply_removal_condition(graph, self._removable)
 
     def __repr__(self) -> str:

@@ -18,10 +18,12 @@ the distance order is that common ranking.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.framework import SelectionResult
-from repro.core.views import MultiVersionView
 from repro.protocols.base import TopologyControlProtocol, owner_distances, view_rows
 from repro.util.errors import ProtocolError
 
@@ -73,20 +75,29 @@ class CompositeProtocol(TopologyControlProtocol):
             )
         return results
 
-    def select_conservative(self, view: MultiVersionView) -> SelectionResult:
+    def select_histories(self, ids, counts, pts, normal_range):
         if not self.supports_conservative:
-            return super().select_conservative(view)  # raises ProtocolError
+            # raises ProtocolError
+            return super().select_histories(ids, counts, pts, normal_range)
         survivors = self._survivors(
-            [p.select_conservative(view) for p in self.protocols]
+            [p.select_histories(ids, counts, pts, normal_range) for p in self.protocols]
         )
-        # Conservative coverage: the farthest retained position pair.
+        # Conservative coverage: the farthest retained position pair, with
+        # Hello.distance_to's math.hypot arithmetic.
+        members, xy = ids.tolist(), pts.tolist()
+        owner = members[0]
+        ends = np.cumsum(counts).tolist()
+        history = {
+            nid: xy[end - count : end]
+            for nid, end, count in zip(members, ends, counts.tolist())
+        }
         actual = 0.0
         for v in survivors:
-            for own_h in view.hellos_of(view.owner):
-                for nbr_h in view.hellos_of(v):
-                    actual = max(actual, own_h.distance_to(nbr_h))
+            for x0, y0 in history[owner]:
+                for x, y in history[v]:
+                    actual = max(actual, math.hypot(x0 - x, y0 - y))
         return SelectionResult(
-            owner=view.owner, logical_neighbors=survivors, actual_range=actual
+            owner=owner, logical_neighbors=survivors, actual_range=actual
         )
 
     def __repr__(self) -> str:

@@ -6,8 +6,9 @@ the default scenario) against which Table 1 measures the savings.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.framework import SelectionResult
-from repro.core.views import MultiVersionView
 from repro.protocols.base import (
     TopologyControlProtocol,
     owner_distances,
@@ -40,5 +41,6 @@ class NoTopologyControl(TopologyControlProtocol):
             actual_range=normal_range if neighbors else 0.0,
         )
 
-    def select_conservative(self, view: MultiVersionView) -> SelectionResult:
-        return self.select(view.to_local_view())
+    def select_histories(self, ids, counts, pts, normal_range):
+        # Every member at its newest retained position.
+        return self._select_row(ids.tolist(), pts[np.cumsum(counts) - 1], normal_range)

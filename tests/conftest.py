@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.costs import CostModel, DistanceCost
+from repro.core.framework import LocalCostGraph
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.mobility.base import Area
 
@@ -84,4 +86,14 @@ def make_multi_view(
         neighbor_hellos={nid: hs for nid, hs in out.items() if nid != owner},
         normal_range=normal_range,
         sampled_at=sampled_at,
+    )
+
+
+def interval_graph(
+    view: MultiVersionView, cost_model: CostModel | None = None
+) -> LocalCostGraph:
+    """The interval-cost graph the enhanced conditions run on, built from
+    the view's distance bounds."""
+    return LocalCostGraph.from_distance_bounds(
+        *view.distance_bounds(), view.normal_range, cost_model or DistanceCost()
     )

@@ -14,6 +14,15 @@ rank-based fallback.  Every registered protocol, and a composite, must
 give a ragged block the results of its rows as batches of one.  Twin
 worlds then check the SPT and MST array kernels against the per-row
 predicate over whole runs.
+
+Weak consistency selects from arrays too: every live neighbor's retained
+positions, gathered straight from the store
+(:func:`~repro.core.tables.history_members`).  On random tables (depths
+1, 2, 3 and 5, wrapped rings, expired and pruned senders, private and
+shared stores) its decision must equal the protocol's
+``select_conservative`` on the table's Hello-built ``multi_view``, for
+every protocol with a conservative mode; and a weak world must decide
+without building a single Hello.
 """
 
 from __future__ import annotations
@@ -25,14 +34,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interval_graph
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
+from repro.core.consistency import WeakConsistency
 from repro.core.costs import EnergyCost
 from repro.core.framework import (
     LocalCostGraph,
+    SelectionResult,
     apply_removal_condition,
     mst_removable_batch,
     spt_removable_batch,
 )
+from repro.core.neighbor_state import NeighborState
+from repro.core.tables import NeighborTable, history_members
 from repro.core.views import Hello, LocalView
 from repro.mobility.base import Area
 from repro.protocols import (
@@ -43,6 +57,8 @@ from repro.protocols import (
     make_protocol,
 )
 from repro.protocols.base import owner_path_costs
+from repro.protocols.composite import CompositeProtocol
+from repro.protocols.none import NoTopologyControl
 from repro.protocols.enclosure import enclosure_removable
 from repro.protocols.gabriel import gabriel_removable
 from repro.sim.config import ScenarioConfig
@@ -233,3 +249,174 @@ def test_batched_world_matches_view_route(protocol, mechanism, monkeypatch):
     cls = type(make_protocol(protocol))
     monkeypatch.setattr(cls, "_batch_removable", ConditionProtocol._batch_removable)
     assert _drive(protocol, mechanism) == batched
+
+
+# --------------------------------------------------------------------- #
+# weak consistency: the history gather against the multi-version view
+
+#: every protocol with a conservative mode, and one non-distance cost model
+CONSERVATIVE = {
+    **{
+        name: (lambda name=name: make_protocol(name))
+        for name in [*available_protocols(), "rng&spt2"]
+        if make_protocol(name).supports_conservative
+    },
+    "mst-energy4": PROTOCOLS["mst-energy4"][0],
+}
+
+#: non-zero, so a private store's row differs from its owner
+OWNER = 6
+#: a second receiver of every Hello in the shared store
+OTHER = 10
+EXPIRY = 1.0
+
+# One operation on the owner's table: a Hello (sender, version, x, y), an
+# own advertisement at (x, y), or a prune.  Time advances by 0.3 s per
+# operation, so a prune drops senders silent for more than three of them.
+weak_hello_op = st.tuples(
+    st.just("hello"),
+    st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9]),
+    st.integers(0, 4),
+    coordinate,
+    coordinate,
+)
+weak_own_op = st.tuples(st.just("own"), coordinate, coordinate)
+weak_operations = st.lists(
+    st.one_of(weak_hello_op, weak_hello_op, weak_hello_op, weak_own_op,
+              st.tuples(st.just("prune"))),
+    max_size=40,
+)
+
+
+def _weak_tables(ops, k: int, normal_range: float):
+    """``(private-store table, shared-store table, final time)`` after
+    *ops*; in the shared store a second receiver hears every Hello, so
+    the owner's slots interleave with another row's."""
+    state = NeighborState(OTHER + 1, history_depth=k)
+    private = NeighborTable(OWNER, normal_range, history_depth=k, expiry=EXPIRY)
+    shared = NeighborTable(
+        OWNER, normal_range, history_depth=k, expiry=EXPIRY, state=state
+    )
+    t = 0.0
+    for op in ops:
+        t += 0.3
+        if op[0] == "hello":
+            _, sender, version, x, y = op
+            hello = Hello(sender, version, (x, y), t, t + 0.001)
+            private.record_hello(hello)
+            state.record_batch(hello, np.array([OWNER, OTHER]))
+        elif op[0] == "own":
+            own = Hello(OWNER, 1, (op[1], op[2]), t, t)
+            private.record_own(own)
+            shared.record_own(own)
+        else:
+            private.prune(t)
+            shared.prune(t)
+    return private, shared, t
+
+
+def _conservative_oracle(protocol, view):
+    """The conservative selection of *view* as the Hello-built route made
+    it: condition predicates on the interval graph, ``none`` on the
+    newest Hellos, a composite's farthest retained Hello pair."""
+    if isinstance(protocol, NoTopologyControl):
+        return protocol.select(view.to_local_view())
+    if isinstance(protocol, CompositeProtocol):
+        survivors = frozenset.intersection(
+            *(_conservative_oracle(p, view).logical_neighbors for p in protocol.protocols)
+        )
+        reach = max(
+            (
+                own.distance_to(hello)
+                for v in survivors
+                for own in view.hellos_of(view.owner)
+                for hello in view.hellos_of(v)
+            ),
+            default=0.0,
+        )
+        return SelectionResult(view.owner, survivors, reach)
+    return apply_removal_condition(
+        interval_graph(view, protocol.cost_model), protocol._removable
+    )
+
+
+def _weak_equals_multi_view(protocol, table, now, current):
+    got = WeakConsistency().decide(protocol, table, now, current)
+    view = table.multi_view(now, own_hello=current)
+    assert got == protocol.select_conservative(view)
+    assert got == _conservative_oracle(protocol, view)
+
+
+class TestWeakFromHistories:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=weak_operations,
+        k=st.sampled_from([1, 2, 3, 5]),
+        later=st.sampled_from([0.0, 0.5, 2.0]),
+    )
+    def test_gather_matches_multi_view(self, ops, k, later):
+        *tables, t = _weak_tables(ops, k, 30.0)
+        gathered = []
+        for table in tables:
+            counts, ids, fills, xy = history_members([table], t + later)
+            view = table.multi_view(t + later, own_hello=Hello(OWNER, 1, (0, 0), t, t))
+            assert counts.tolist() == [ids.size] and fills.sum() == xy.shape[0]
+            assert ids.tolist() == list(view.neighbor_hellos)
+            ends = np.cumsum(fills)
+            for nid, end, fill in zip(ids.tolist(), ends, fills):
+                assert [tuple(p) for p in xy[end - fill : end].tolist()] == [
+                    h.position for h in view.neighbor_hellos[nid]
+                ]
+            gathered.append((ids.tolist(), fills.tolist(), xy.tolist()))
+        assert gathered[0] == gathered[1]
+
+    @pytest.mark.parametrize("name", sorted(CONSERVATIVE))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=weak_operations,
+        k=st.sampled_from([1, 2, 3, 5]),
+        later=st.sampled_from([0.0, 0.5, 2.0]),
+        normal_range=st.sampled_from([15.0, 30.0, 45.0, 200.0]),
+        current=st.tuples(coordinate, coordinate),
+    )
+    def test_weak_decision_equals_select_conservative(
+        self, name, ops, k, later, normal_range, current
+    ):
+        protocol = CONSERVATIVE[name]()
+        *tables, t = _weak_tables(ops, k, normal_range)
+        hello = Hello(OWNER, 9, current, t + later, t + later)
+        for table in tables:
+            _weak_equals_multi_view(protocol, table, t + later, hello)
+
+    @pytest.mark.parametrize("name", sorted(CONSERVATIVE))
+    def test_wrapped_rings_expiry_and_prune(self, name):
+        # k=2: sender 1 writes five times (its ring wraps twice), sender 2
+        # once and then falls silent, sender 3 returns after a prune with
+        # a fresh history.
+        protocol = CONSERVATIVE[name]()
+        ops = [
+            ("own", 0.0, 0.0), ("hello", 1, 1, 10.0, 0.0), ("hello", 2, 1, 0.0, 20.0),
+            ("hello", 3, 1, 40.0, 0.0), ("hello", 1, 2, 12.0, 3.0),
+            ("hello", 1, 3, 14.0, 6.0), ("own", 2.0, 2.0), ("hello", 1, 4, 16.0, 9.0),
+            ("hello", 1, 5, 18.0, 12.0), ("prune",), ("hello", 3, 2, 30.0, 10.0),
+        ]
+        for k in (1, 2, 5):
+            *tables, t = _weak_tables(ops, k, 45.0)
+            for later in (0.0, 0.5, 0.8, 3.0):
+                hello = Hello(OWNER, 9, (1.0, 1.0), t + later, t + later)
+                for table in tables:
+                    _weak_equals_multi_view(protocol, table, t + later, hello)
+
+
+@pytest.mark.parametrize("protocol", ["rng", "rng&spt2"])
+def test_weak_world_builds_no_hello(protocol, monkeypatch):
+    # Every decision, at Hello time and at packet time, reads the ring
+    # columns; only history() readers materialise Hellos, and a weak
+    # world's run has none.
+    want = _drive(protocol, "weak")
+
+    def refuse(self, slot):
+        raise AssertionError("a weak decision built a Hello")
+
+    monkeypatch.setattr(NeighborState, "_materialize", refuse)
+    assert _drive(protocol, "weak") == want

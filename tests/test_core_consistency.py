@@ -15,7 +15,7 @@ from repro.core.consistency import (
 )
 from repro.core.tables import NeighborTable
 from repro.protocols import MstProtocol, RngProtocol
-from repro.util.errors import ViewError
+from repro.util.errors import ConfigurationError, ViewError
 
 
 @pytest.fixture
@@ -120,9 +120,11 @@ class TestWeak:
         base = BaselineConsistency().decide(MstProtocol(), t, 1.5, current)
         assert base.logical_neighbors <= weak.logical_neighbors
 
-    def test_history_depth_validated(self):
-        with pytest.raises(Exception):
-            WeakConsistency(history_depth=0)
+    def test_history_depth_is_not_a_mechanism_option(self):
+        # The retained depth k sizes the neighbor tables and comes from
+        # ScenarioConfig.history_depth alone; the mechanism takes no depth.
+        with pytest.raises(ConfigurationError, match="history_depth"):
+            make_mechanism("weak", history_depth=5)
 
 
 class TestMakeMechanism:
@@ -133,8 +135,8 @@ class TestMakeMechanism:
         assert make_mechanism(name).name == name
 
     def test_kwargs_forwarded(self):
-        m = make_mechanism("weak", history_depth=5)
-        assert m.history_depth == 5
+        m = make_mechanism("gossip", fanout=5)
+        assert m.fanout == 5
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ViewError):

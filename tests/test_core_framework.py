@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_multi_view, make_view
+from conftest import interval_graph, make_multi_view, make_view
 from repro.core.costs import DistanceCost, EnergyCost
 from repro.core.framework import (
     LocalCostGraph,
@@ -45,7 +45,7 @@ class TestLocalCostGraph:
 
     def test_multi_version_bounds(self):
         view = make_multi_view(0, {0: [(0, 0)], 1: [(4, 0), (6, 0)]}, normal_range=50.0)
-        g = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+        g = interval_graph(view)
         j = g.index[1]
         assert g.cost_low[0, j] == 4.0
         assert g.cost_high[0, j] == 6.0
@@ -54,7 +54,7 @@ class TestLocalCostGraph:
         view = make_multi_view(
             0, {0: [(0, 0)], 1: [(90, 0), (150, 0)]}, normal_range=100.0
         )
-        g = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+        g = interval_graph(view)
         assert g.adj[0, g.index[1]]
 
     def test_key_tie_break_by_ids(self):
@@ -172,7 +172,7 @@ class TestApplyRemovalCondition:
 
     def test_conservative_range_uses_upper_bound(self):
         view = make_multi_view(0, {0: [(0, 0)], 1: [(4, 0), (6, 0)]}, normal_range=50.0)
-        g = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+        g = interval_graph(view)
         result = apply_removal_condition(g, rng_removable)
         assert result.actual_range == pytest.approx(6.0)
 
@@ -238,7 +238,7 @@ class TestRngBatchKernel:
                 for i in range(n)
             }
             view = make_multi_view(0, hist, normal_range=70.0)
-            g = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+            g = interval_graph(view)
             assert rng_removable_batch(g) == self._oracle(g)
 
     def test_empty_neighborhood(self):

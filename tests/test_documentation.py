@@ -187,6 +187,12 @@ STALE_CLAIMS = [
         "every protocol implements select_batch and every single-version "
         "decision reads the columnar gather; supports_batch was deleted",
     ),
+    (
+        r"\blive_histories\b|\bfrom_multi_version_view\b",
+        "weak consistency reads every neighbor's retained positions through "
+        "the history_members gather; live_histories and "
+        "LocalCostGraph.from_multi_version_view were deleted",
+    ),
 ]
 
 
@@ -197,7 +203,7 @@ STALE_CLAIMS = [
         "workers-forced", "redecide-all-hits", "worker-pool",
         "local-pool-backend", "local-backend", "spt-mst-no-batch",
         "columnar-table", "scalar-hello-route", "view-fingerprint",
-        "prefers-dense", "sparse-switch", "supports-batch",
+        "prefers-dense", "sparse-switch", "supports-batch", "live-histories",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):

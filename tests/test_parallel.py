@@ -72,7 +72,7 @@ class TestDefaultWorkers:
 
         spec = ExperimentSpec(
             protocol="yao", protocol_kwargs={"k": 7},
-            mechanism="weak", mechanism_kwargs={"history_depth": 2},
+            mechanism="gossip", mechanism_kwargs={"fanout": 3},
             config=TINY,
         )
         clone = pickle.loads(pickle.dumps(spec))

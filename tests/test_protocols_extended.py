@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_multi_view, make_view
+from conftest import interval_graph, make_multi_view, make_view
 from repro.core.costs import DistanceCost, EnergyCost
 from repro.core.framework import (
     LocalCostGraph,
@@ -179,7 +179,7 @@ class TestFastPathEquivalence:
                 for i in range(n)
             }
             view = make_multi_view(0, hist, normal_range=70.0)
-            graph = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+            graph = interval_graph(view)
             batch = mst_removable_batch(graph)
             for j, verdict in batch.items():
                 assert verdict == mst_removable(graph, 0, j)
