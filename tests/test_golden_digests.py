@@ -21,10 +21,12 @@ import math
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.analysis import experiment
 from repro.analysis.experiment import ExperimentSpec, RunResult, run_once
 from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.faults import (
@@ -37,6 +39,7 @@ from repro.faults import (
     PositionNoise,
 )
 from repro.mobility.base import Area
+from repro.mobility.static import StaticPlacement
 from repro.sim.config import ScenarioConfig
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "digests.json"
@@ -75,6 +78,9 @@ class Cell(NamedTuple):
     #: ExperimentSpec overrides (buffer width, physical-neighbor mode)
     spec: dict = {}
     n_nodes: int = 30
+    #: static nodes on the :func:`lattice_placement` grid instead of
+    #: random waypoint
+    lattice: bool = False
 
 
 CELLS = {
@@ -145,7 +151,20 @@ CELLS = {
     "spt4-baseline-sinr-pn": Cell(
         "spt4", "baseline", config=SINR, spec={"physical_neighbor_mode": True}
     ),
+    # Exact cost ties: on the lattice distinct links have equal costs and
+    # Gabriel's a^2 + b^2 = d^2 holds exactly, so every removal condition
+    # is decided by the (cost, min id, max id) order, on intervals (weak)
+    # and on single versions (MST's tie rows).
+    "rng-weak-lattice": Cell("rng", "weak", lattice=True),
+    "mst-weak-lattice": Cell("mst", "weak", lattice=True),
+    "spt4-weak-lattice": Cell("spt4", "weak", lattice=True),
+    "gabriel-weak-lattice": Cell("gabriel", "weak", lattice=True),
+    "enclosure-weak-lattice": Cell("enclosure", "weak", lattice=True),
+    "mst-baseline-lattice": Cell("mst", "baseline", lattice=True),
 }
+
+#: spacing of the lattice placement, the paper's 8100 m^2 per node
+LATTICE_SPACING = 90.0
 
 
 def cell_spec(
@@ -193,11 +212,24 @@ def digest(result: RunResult) -> str:
     return h.hexdigest()
 
 
+def lattice_placement(spec: ExperimentSpec, rng: np.random.Generator) -> StaticPlacement:
+    """Static nodes on a square lattice of :data:`LATTICE_SPACING` with
+    integer coordinates, row by row from the area's corner."""
+    cfg = spec.config
+    columns = math.isqrt(cfg.n_nodes - 1) + 1
+    node = np.arange(cfg.n_nodes)
+    positions = LATTICE_SPACING * np.stack((node % columns, node // columns), axis=1)
+    return StaticPlacement(cfg.area, cfg.n_nodes, cfg.duration, positions=positions)
+
+
 def cell_run(cell: str) -> RunResult:
     """One cell's run at :data:`SEED`."""
     c = CELLS[cell]
     spec = cell_spec(c.protocol, c.mechanism, c.n_nodes, c.spec, **c.config)
-    return run_once(spec, seed=SEED, faults=c.faults)
+    if not c.lattice:
+        return run_once(spec, seed=SEED, faults=c.faults)
+    with mock.patch.object(experiment, "build_mobility", lattice_placement):
+        return run_once(spec, seed=SEED, faults=c.faults)
 
 
 @functools.cache
