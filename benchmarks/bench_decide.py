@@ -11,31 +11,33 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   into the member gather, the cache check and ``select_batch``;
   ``--before FILE`` embeds the same row from a ``BENCH_decide.json``
   written at another commit, for a before/after pair;
-- the batched :func:`~repro.core.framework.rng_removable_batch` kernel vs
-  one :func:`~repro.core.framework.rng_removable` scan per link;
-- SPT-2, SPT-4 and MST ``select_batch`` vs the per-owner oracle route
-  (:meth:`LocalCostGraph.from_local_view` plus
-  :func:`~repro.core.framework.spt_removable_batch` /
-  :func:`~repro.core.framework.mst_removable_batch` per view) at paper
-  view sizes, a batch of one (Hello time) and a block of 32 (packet time);
+- weak-consistency decisions (``weak_decision``): ``select_histories``
+  of RNG, SPT-4 and MST on every owner's multi-version view of a
+  100-node world at paper density, with and without the history gather;
+  ``--before FILE`` embeds these rows from another commit too, and a
+  digest of the decisions shows both commits decided the same;
 - the snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
 
 Outputs are asserted bit-identical between the compared variants before
-any timing, and ``BENCH_decide.json`` (median ns/op plus speedups) is
-written at the repository root for regression tracking.
+any timing.  A full run writes ``BENCH_decide.json`` (median ns/op plus
+speedups) at the repository root for regression tracking; a ``--smoke``
+run writes to a temporary file, so the checked-in pair stays as it is
+(``--out`` names another path for either).
 
 Run explicitly — it is not part of tier-1:
 
-    PYTHONPATH=src python benchmarks/bench_decide.py [--smoke] [--before FILE]
+    PYTHONPATH=src python benchmarks/bench_decide.py [--smoke] [--before FILE] [--out FILE]
     PYTHONPATH=src python -m pytest benchmarks/bench_decide.py -m decide_bench
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,14 +46,7 @@ import pytest
 
 from repro.analysis.experiment import ExperimentSpec, build_world
 from repro.analysis.scales import Scale
-from repro.core.framework import (
-    LocalCostGraph,
-    apply_removal_condition,
-    rng_removable,
-    rng_removable_batch,
-)
-from repro.core.views import Hello, LocalView
-from repro.protocols import make_protocol
+from repro.core.consistency import WeakConsistency
 
 pytestmark = pytest.mark.decide_bench
 
@@ -245,102 +240,79 @@ def bench_redecide_mixed(
     }
 
 
-def _random_cost_graph(m: int, seed: int) -> LocalCostGraph:
-    rng = np.random.default_rng(seed)
-    pts = rng.random((m, 2)) * 250.0
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    adj = dist <= 250.0
-    np.fill_diagonal(adj, False)
-    graph = LocalCostGraph(list(range(m)), adj, dist, dist, dist, dist)
-    graph.rank_low  # pre-rank: both predicates share the cached rank matrices
-    return graph
+WEAK_PROTOCOLS = ("rng", "spt4", "mst")
 
 
-def bench_rng_kernel(m: int, seed: int = 11) -> dict:
-    """Time the batched RNG condition vs one per-edge scan per link."""
-    graph = _random_cost_graph(m, seed)
+class _Recorder:
+    """Stands in for a protocol and keeps the ``select_histories``
+    arguments a mechanism passes it."""
 
-    def per_edge() -> dict[int, bool]:
-        return {
-            int(j): rng_removable(graph, 0, int(j))
-            for j in np.flatnonzero(graph.adj[0])
-        }
+    def __init__(self, protocol) -> None:
+        self.protocol = protocol
+        self.calls: list[tuple] = []
 
-    want, got = per_edge(), rng_removable_batch(graph)
-    if want != got:
-        raise AssertionError(f"rng batch kernel diverges from per-edge at m={m}")
-    edge_ns = _median_ns(per_edge, budget_s=1.0)
-    batch_ns = _median_ns(lambda: rng_removable_batch(graph), budget_s=1.0)
+    def select_histories(self, *args):
+        self.calls.append(args)
+        return self.protocol.select_histories(*args)
+
+
+def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 3.0) -> dict:
+    """Weak-consistency decisions of every owner at paper density.
+
+    A weak world of *n* nodes at 20 m/s runs for *warm_t* seconds; each
+    owner's decision inputs are then recorded once through
+    :meth:`WeakConsistency.decide`.  One pass over all owners is timed
+    for ``select_histories`` alone and for the whole decision with its
+    history gather (median over passes, ns per owner).
+    ``decisions_sha256`` digests the selections, so a before/after pair
+    shows both sides decided the same.
+    """
+    scale = Scale(
+        name="bench-weak",
+        n_nodes=n,
+        area_side=_side(n),
+        duration=warm_t + 1.0,
+        sample_rate=1.0,
+        repetitions=1,
+    )
+    spec = ExperimentSpec(
+        protocol=name, mechanism="weak", mean_speed=20.0, config=scale.config()
+    )
+    world = build_world(spec, seed)
+    world.run_until(warm_t)
+    mechanism = WeakConsistency()
+    recorder = _Recorder(world.manager.protocol)
+    owners = [
+        (node.table, world._current_hello(node.node_id, warm_t)) for node in world.nodes
+    ]
+    results = [mechanism.decide(recorder, table, warm_t, hello) for table, hello in owners]
+    calls = recorder.calls
+    protocol = recorder.protocol
+
+    def select_all() -> list:
+        return [protocol.select_histories(*args) for args in calls]
+
+    def decide_all() -> list:
+        return [mechanism.decide(protocol, table, warm_t, hello) for table, hello in owners]
+
+    if select_all() != results or decide_all() != results:
+        raise AssertionError(f"{name} weak decisions are not repeatable")
+    select_ns = _median_ns(select_all, budget_s=1.0) / n
+    decide_ns = _median_ns(decide_all, budget_s=1.0) / n
+    digest = hashlib.sha256(
+        repr([(r.owner, sorted(r.logical_neighbors), r.actual_range) for r in results]).encode()
+    ).hexdigest()
     print(
-        f"rng_kernel  m={m:<4} per-edge={edge_ns / 1e3:8.1f} us   "
-        f"batch={batch_ns / 1e3:8.1f} us   {edge_ns / batch_ns:6.1f}x"
+        f"weak_decision {name:<5} n={n:<4} select_histories={select_ns / 1e3:8.1f} us   "
+        f"decide={decide_ns / 1e3:8.1f} us per owner"
     )
     return {
-        "m": m,
-        "per_edge_ns": round(edge_ns),
-        "batch_ns": round(batch_ns),
-        "speedup": round(edge_ns / batch_ns, 2),
-    }
-
-
-CONDITION_PROTOCOLS = ("spt2", "spt4", "mst")
-#: paper radio range; a view's members lie within it of the owner
-VIEW_RADIUS = 250.0
-
-
-def _random_views(m: int, batch: int, seed: int) -> list[LocalView]:
-    """*batch* views of *m* members, neighbors uniform in the owner's disk."""
-    rng = np.random.default_rng(seed)
-    views = []
-    for b in range(batch):
-        r = VIEW_RADIUS * np.sqrt(rng.random(m - 1))
-        theta = 2.0 * np.pi * rng.random(m - 1)
-        hellos = {
-            b * m + 1 + i: Hello(b * m + 1 + i, 1, (float(x), float(y)), 0.0, 0.0)
-            for i, (x, y) in enumerate(zip(r * np.cos(theta), r * np.sin(theta)))
-        }
-        views.append(LocalView(
-            owner=b * m,
-            own_hello=Hello(b * m, 1, (0.0, 0.0), 0.0, 0.0),
-            neighbor_hellos=hellos,
-            normal_range=VIEW_RADIUS,
-            sampled_at=0.0,
-        ))
-    return views
-
-
-def bench_condition_kernel(name: str, m: int, batch: int, seed: int = 13) -> dict:
-    """Time ``select_batch`` vs the per-owner oracle route on *batch* views."""
-    protocol = make_protocol(name)
-    views = _random_views(m, batch, seed)
-    ids = np.array([view.positions()[0] for view in views], dtype=np.int64)
-    pts = np.stack([view.positions()[1] for view in views])
-    ranges = np.array([view.normal_range for view in views])
-
-    def oracle() -> list:
-        return [
-            apply_removal_condition(
-                LocalCostGraph.from_local_view(view, protocol.cost_model),
-                protocol._removable,
-            )
-            for view in views
-        ]
-
-    if protocol.select_batch(ids, pts, ranges) != oracle():
-        raise AssertionError(f"{name} select_batch diverges from the oracle at m={m}")
-    oracle_ns = _median_ns(oracle, budget_s=1.0)
-    batch_ns = _median_ns(lambda: protocol.select_batch(ids, pts, ranges), budget_s=1.0)
-    print(
-        f"{name}_kernel m={m:<3} batch={batch:<3} oracle={oracle_ns / 1e3:8.1f} us   "
-        f"select_batch={batch_ns / 1e3:8.1f} us   {oracle_ns / batch_ns:6.1f}x"
-    )
-    return {
-        "m": m,
-        "batch": batch,
-        "oracle_ns": round(oracle_ns),
-        "select_batch_ns": round(batch_ns),
-        "speedup": round(oracle_ns / batch_ns, 2),
+        "n": n,
+        "mean_members": round(float(np.mean([args[0].size for args in calls])), 2),
+        "mean_positions": round(float(np.mean([args[2].shape[0] for args in calls])), 2),
+        "select_histories_ns": round(select_ns),
+        "decide_ns": round(decide_ns),
+        "decisions_sha256": digest,
     }
 
 
@@ -451,31 +423,26 @@ def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
 
 def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
     redecide_sizes = (25,) if smoke else (50, 100)
-    kernel_sizes = (16,) if smoke else (25, 50, 100)
-    # Paper density gives views of about 20-25 members; the smoke row
-    # still runs both batch shapes and the oracle identity check.
-    view_sizes = (25,) if smoke else (16, 25)
-    condition_batches = (1, 32)
     scale_sizes = () if smoke else SCALE_SIZES
     # Gossip rows run at the paper scale and 10x even in smoke mode: the
     # overhead-vs-view-sync factor is the tracked number, and it only
     # means something at the sizes the figures report.
     gossip_sizes = GOSSIP_SIZES
-    mixed = bench_redecide_mixed()
-    if before is not None:
-        earlier = json.loads(before.read_text(encoding="utf-8"))
-        mixed = {"before": earlier["results"]["redecide_mixed"]["after"], "after": mixed}
-    else:
-        mixed = {"after": mixed}
+    earlier = (
+        {} if before is None else json.loads(before.read_text(encoding="utf-8"))["results"]
+    )
+
+    def paired(before_row: dict | None, after: dict) -> dict:
+        if before_row is None:
+            return {"after": after}
+        return {"before": before_row["after"], "after": after}
+
     results = {
         "redecide_all": {str(n): bench_redecide(n) for n in redecide_sizes},
-        "redecide_mixed": mixed,
-        "rng_kernel": {str(m): bench_rng_kernel(m) for m in kernel_sizes},
-        "condition_kernels": {
-            f"{name}/m={m}/batch={batch}": bench_condition_kernel(name, m, batch)
-            for name in CONDITION_PROTOCOLS
-            for m in view_sizes
-            for batch in condition_batches
+        "redecide_mixed": paired(earlier.get("redecide_mixed"), bench_redecide_mixed()),
+        "weak_decision": {
+            name: paired(earlier.get("weak_decision", {}).get(name), bench_weak_decision(name))
+            for name in WEAK_PROTOCOLS
         },
         "gossip": {str(n): bench_gossip(n) for n in gossip_sizes},
         "scale_pipeline": {str(n): bench_scale_pipeline(n) for n in scale_sizes},
@@ -487,9 +454,7 @@ def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
             "protocol": "rng",
             "smoke": smoke,
             "redecide_sizes": list(redecide_sizes),
-            "kernel_sizes": list(kernel_sizes),
-            "view_sizes": list(view_sizes),
-            "condition_batches": list(condition_batches),
+            "weak_protocols": list(WEAK_PROTOCOLS),
             "gossip_sizes": list(gossip_sizes),
             "scale_sizes": list(scale_sizes),
         },
@@ -498,12 +463,16 @@ def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
 
 
 def test_decide_bench():
-    _write_and_gate(run_benchmark())
+    _write_and_gate(run_benchmark(), OUTPUT)
 
 
-def _write_and_gate(payload: dict) -> None:
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {OUTPUT}")
+def _write(payload: dict, out: Path) -> None:
+    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}" + (" (smoke)" if payload["meta"]["smoke"] else ""))
+
+
+def _write_and_gate(payload: dict, out: Path) -> None:
+    _write(payload, out)
     # Packet-time recomputation with an unchanged view must be dominated by
     # cache hits: >= 3x over the uncached pipeline at the paper's scale.
     assert payload["results"]["redecide_all"]["100"]["speedup"] >= 3.0
@@ -514,22 +483,31 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny sizes, no speedup thresholds (CI sanity run)",
+        help="tiny sizes, no speedup thresholds (CI sanity run); writes to a "
+        "temporary file unless --out is given",
     )
     parser.add_argument(
         "--before",
         type=Path,
         default=None,
         help="a BENCH_decide.json from another commit: its redecide_mixed "
-        "row is kept as this file's 'before'",
+        "and weak_decision rows are kept as this file's 'before'",
+    )
+    parser.add_argument(
+        "--out",
+        type=Path,
+        default=None,
+        help=f"where to write the results (default: {OUTPUT.name} at the "
+        "repository root for a full run, a temporary file for --smoke)",
     )
     args = parser.parse_args()
     if args.smoke:
-        payload = run_benchmark(smoke=True, before=args.before)
-        OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {OUTPUT} (smoke)")
+        out = args.out
+        if out is None:
+            out = Path(tempfile.mkdtemp(prefix="bench_decide_")) / OUTPUT.name
+        _write(run_benchmark(smoke=True, before=args.before), out)
         return 0
-    _write_and_gate(run_benchmark(before=args.before))
+    _write_and_gate(run_benchmark(before=args.before), args.out or OUTPUT)
     return 0
 
 

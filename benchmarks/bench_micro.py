@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.experiment import ExperimentSpec, build_world
-from repro.core.costs import DistanceCost
-from repro.core.framework import LocalCostGraph, apply_removal_condition, mst_removable
-from repro.core.views import Hello, LocalView
+from repro.core.views import Hello, LocalView, distance_bounds
 from repro.mobility.base import Area
 from repro.protocols import MstProtocol, RngProtocol, Spt2Protocol
 from repro.sim.config import ScenarioConfig
@@ -67,15 +65,25 @@ def test_spt_selection_speed(benchmark):
 
 
 def test_cost_graph_construction_speed(benchmark):
-    view = _view()
-    graph = benchmark(LocalCostGraph.from_local_view, view, DistanceCost())
-    assert graph.size == 19
+    # The interval cost graph of weak consistency: distance bounds over
+    # three retained positions per member.
+    _, pts = _view().positions()
+    rng = np.random.default_rng(1)
+    history = np.repeat(pts, 3, axis=0) + rng.normal(scale=5.0, size=(3 * len(pts), 2))
+    counts = np.full(len(pts), 3)
+    dist_low, dist_high = benchmark(distance_bounds, counts, history)
+    assert dist_low.shape == dist_high.shape == (19, 19)
 
 
 def test_removal_condition_speed(benchmark):
-    graph = LocalCostGraph.from_local_view(_view(), DistanceCost())
-    result = benchmark(apply_removal_condition, graph, mst_removable)
-    assert result.owner == 0
+    # One view's MST kernel, the cost bounds passed as one array twice.
+    ids, pts = _view().positions()
+    dist = np.hypot(*(pts[:, np.newaxis, :] - pts[np.newaxis, :, :]).transpose(2, 0, 1))
+    adj = dist <= 250.0
+    np.fill_diagonal(adj, False)
+    block = (np.asarray([ids], dtype=np.int64), adj[np.newaxis], dist[np.newaxis])
+    removable = benchmark(MstProtocol()._batch_removable, *block, block[2])
+    assert removable.shape == (1, 19)
 
 
 def test_snapshot_and_flood_speed(benchmark):

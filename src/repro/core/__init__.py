@@ -17,17 +17,7 @@ from repro.core.consistency import (
     make_mechanism,
 )
 from repro.core.costs import CostModel, DistanceCost, EnergyCost, cost_key
-from repro.core.framework import (
-    LocalCostGraph,
-    SelectionResult,
-    apply_removal_condition,
-    mst_removable,
-    mst_removable_batch,
-    rng_removable,
-    rng_removable_batch,
-    spt_removable,
-    spt_removable_batch,
-)
+from repro.core.framework import SelectionResult
 from repro.core.manager import MobilitySensitiveTopologyControl, NodeDecision
 from repro.core.tables import NeighborTable
 from repro.core.views import (
@@ -52,15 +42,7 @@ __all__ = [
     "DistanceCost",
     "EnergyCost",
     "cost_key",
-    "LocalCostGraph",
     "SelectionResult",
-    "apply_removal_condition",
-    "rng_removable",
-    "rng_removable_batch",
-    "spt_removable",
-    "spt_removable_batch",
-    "mst_removable",
-    "mst_removable_batch",
     "NeighborTable",
     "ConsistencyMechanism",
     "BaselineConsistency",

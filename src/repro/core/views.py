@@ -285,20 +285,27 @@ def distance_bounds(
     member ``i - 1`` in *pts*.  ``dist_low[i, j]`` / ``dist_high[i, j]``
     are the min / max distance between any retained position of member
     ``i`` and any of member ``j`` (zero on the diagonal).  Fully
-    vectorized: one stacked distance matrix over every retained
-    position, then grouped min/max reductions per member pair.  Because
-    every cost model is strictly increasing in distance, cost bounds
-    follow by applying the model to these matrices.
+    vectorized: every history is padded to the longest, ``k``, by
+    repeating its newest position, which changes no min or max, and one
+    ``(k, k, m, m)`` broadcast over the ``(k, m, 2)`` block holds every
+    position pair, reduced over its leading axes.  Because every cost
+    model is strictly increasing in distance, cost bounds follow by
+    applying the model to these matrices.
     """
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    dist_all = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    bounds = np.cumsum(counts) - counts
-    dist_low = np.minimum.reduceat(
-        np.minimum.reduceat(dist_all, bounds, axis=0), bounds, axis=1
-    )
-    dist_high = np.maximum.reduceat(
-        np.maximum.reduceat(dist_all, bounds, axis=0), bounds, axis=1
-    )
+    ends = np.cumsum(counts)
+    held = np.minimum(np.arange(int(counts.max()))[:, np.newaxis], counts - 1)
+    block = pts[(ends - counts) + held]
+    x, y = block[..., 0], block[..., 1]
+    dist = x[:, np.newaxis, :, np.newaxis] - x[np.newaxis, :, np.newaxis, :]
+    dy = y[:, np.newaxis, :, np.newaxis] - y[np.newaxis, :, np.newaxis, :]
+    # sqrt(dx*dx + dy*dy) in place, the arithmetic of select_batch.
+    dist *= dist
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    dist = dist.reshape(-1, *dist.shape[2:])
+    dist_low = dist.min(axis=0)
+    dist_high = dist.max(axis=0)
     np.fill_diagonal(dist_low, 0.0)
     np.fill_diagonal(dist_high, 0.0)
     return dist_low, dist_high

@@ -22,16 +22,11 @@ from itertools import compress
 import numpy as np
 
 from repro.core.costs import CostModel, DistanceCost
-from repro.core.framework import (
-    LocalCostGraph,
-    SelectionResult,
-    apply_removal_condition,
-    removal_verdicts,
-)
+from repro.core.framework import SelectionResult
 from repro.core.views import LocalView, MultiVersionView, distance_bounds
 from repro.util.errors import ProtocolError
 
-__all__ = ["TopologyControlProtocol", "ConditionProtocol", "owner_path_costs", "owner_distances", "view_rows", "register_protocol", "make_protocol", "available_protocols"]
+__all__ = ["TopologyControlProtocol", "ConditionProtocol", "owner_path_costs", "two_hop_witnessed", "owner_distances", "view_rows", "register_protocol", "make_protocol", "available_protocols"]
 
 _REGISTRY: dict[str, type["TopologyControlProtocol"]] = {}
 
@@ -94,6 +89,67 @@ def owner_path_costs(adj: np.ndarray, cost: np.ndarray, combine) -> np.ndarray:
         if np.array_equal(relaxed, d):
             return d
         d = relaxed
+
+
+def _pair_below(a1, b1, a2, b2) -> np.ndarray:
+    """Elementwise ``(min, max)`` ID-pair order: link (a1, b1) before (a2, b2)."""
+    lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
+    lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
+    return (lo1 < lo2) | ((lo1 == lo2) & (hi1 < hi2))
+
+
+def two_hop_witnessed(
+    ids: np.ndarray,
+    adj: np.ndarray,
+    cost_low: np.ndarray,
+    cost_high: np.ndarray,
+    summed: bool = False,
+) -> np.ndarray:
+    """``(B, M)`` mask: owner link ``(0, v)`` has a 2-hop witness.
+
+    A member ``w`` adjacent to both ends witnesses against ``(0, v)`` when
+    its legs order below the direct link in the total order of link keys
+    ``(cost, min id, max id)``, legs read at ``cost_high`` and the direct
+    link at ``cost_low``: both legs ``(0, w)`` and ``(v, w)`` for
+    condition 1 (RNG), or, with *summed*, their sum keyed by ``(0, w)``
+    (relay regions; Gabriel on squared distances).  Costs decide alone
+    where they differ, so the ID pairs are compared only for links that
+    survive the strict cost test and have a leg costing exactly the
+    direct link.
+    """
+    owner_adj = adj[:, 0, :]
+    # Axis 1 is the owner's neighbor v, axis 2 the witness w.
+    candidate = adj & owner_adj[:, np.newaxis, :] & owner_adj[:, :, np.newaxis]
+    owner_leg = cost_high[:, np.newaxis, 0, :]
+    direct = cost_low[:, 0, :, np.newaxis]
+    if summed:
+        strict = owner_leg + cost_high < direct
+    else:
+        strict = (owner_leg < direct) & (cost_high < direct)
+    removable = (candidate & strict).any(axis=2)
+    # Exact cost ties: only a link that survived the strict test can
+    # still fall to a witness whose ID pair orders below it.
+    b, v = np.nonzero(owner_adj & ~removable)
+    direct = direct[b, v]
+    owner_leg, vw_leg = cost_high[b, 0, :], cost_high[b, v, :]
+    legs = [owner_leg + vw_leg] if summed else [owner_leg, vw_leg]
+    tied = candidate[b, v]
+    exact = np.zeros_like(tied)
+    for leg in legs:
+        tied &= leg <= direct
+        exact |= leg == direct
+    tied &= exact
+    if tied.any():
+        k, w = np.nonzero(tied)
+        b, v, direct = b[k], v[k], direct[k, 0]
+        owner, iv, iw = ids[b, 0], ids[b, v], ids[b, w]
+        # The first leg joins w to the owner, RNG's second one w to v.
+        witness = np.ones(k.size, dtype=bool)
+        for leg, end in zip(legs, (owner, iv)):
+            leg = leg[k, w]
+            witness &= (leg < direct) | ((leg == direct) & _pair_below(end, iw, owner, iv))
+        removable[b[witness], v[witness]] = True
+    return removable
 
 
 def view_rows(ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray):
@@ -183,19 +239,13 @@ class TopologyControlProtocol(ABC):
 class ConditionProtocol(TopologyControlProtocol):
     """Shared machinery for the link-removal-condition protocols.
 
-    Subclasses provide a cost model and a removal predicate
-    ``f(LocalCostGraph, owner_index, neighbor_index) -> bool`` (or a
-    batch predicate, see :func:`~repro.core.framework
-    .apply_removal_condition`).  :meth:`select_batch` holds the padded
-    distance, adjacency and cost prelude and the survivors ->
-    :class:`SelectionResult` tail; in between, :meth:`_batch_removable`
-    runs the predicate on each row's :class:`LocalCostGraph`.  RNG, SPT
-    and MST override it with array kernels over the whole block.  The
-    predicate is also the conservative route (:meth:`select_histories`,
-    on the interval graph of the members' distance bounds), and the
-    reference those kernels are tested against (the predicate reads
-    lower bounds for the candidate link and upper bounds for witnesses,
-    which coincide on single-version views).
+    Subclasses provide a cost model and :meth:`_batch_removable`, their
+    removal condition as one array kernel over padded blocks of lower and
+    upper cost bounds (the enhanced conditions: lower bounds for the
+    candidate link, upper bounds for witnesses).  Both routes end in the
+    same selection body: :meth:`select_batch` passes each view's
+    distances as both bounds, :meth:`select_histories` the members'
+    ``[dMin, dMax]`` (:func:`~repro.core.views.distance_bounds`).
     """
 
     supports_conservative = True
@@ -203,57 +253,46 @@ class ConditionProtocol(TopologyControlProtocol):
     def __init__(self, cost_model: CostModel | None = None) -> None:
         self.cost_model = cost_model or DistanceCost()
 
-    @property
     @abstractmethod
-    def _removable(self):
-        """The removal predicate for this protocol."""
-
     def _batch_removable(
-        self, ids: np.ndarray, dist: np.ndarray, adj: np.ndarray, cost: np.ndarray
+        self,
+        ids: np.ndarray,
+        adj: np.ndarray,
+        cost_low: np.ndarray,
+        cost_high: np.ndarray,
     ) -> np.ndarray:
         """``(B, M)`` mask: owner link ``(0, v)`` of row ``b`` is removable.
 
-        Inputs are the padded ``(B, M)`` IDs and ``(B, M, M)`` distances,
-        adjacency and costs of :meth:`select_batch`; entries off the
-        owner's adjacency are ignored.
+        Inputs are the padded ``(B, M)`` IDs (``-1`` pads) and ``(B, M,
+        M)`` adjacency and lower / upper cost bounds, one array twice on
+        single-version views; entries off the owner's adjacency are
+        ignored.
         """
-        return self._predicate_rows(
-            range(ids.shape[0]), ids, dist, adj, cost, np.zeros(ids.shape, dtype=bool)
-        )
 
-    def _predicate_rows(self, rows, ids, dist, adj, cost, removable) -> np.ndarray:
-        """Overwrite *rows* of *removable* with the predicate's verdicts on
-        each row's unpadded :class:`LocalCostGraph`."""
-        for b in rows:
-            m = int(np.count_nonzero(ids[b] >= 0))
-            c = cost[b, :m, :m]
-            d = dist[b, :m, :m]
-            graph = LocalCostGraph(ids[b, :m].tolist(), adj[b, :m, :m], c, c, d, d)
-            for v, dropped in removal_verdicts(graph, self._removable).items():
-                removable[b, v] = dropped
-        return removable
-
-    def select_batch(
-        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
+    def _select(
+        self,
+        ids: np.ndarray,
+        dist_low: np.ndarray,
+        dist_high: np.ndarray,
+        normal_range: np.ndarray,
     ) -> list[SelectionResult]:
+        """Select from padded ``(B, M, M)`` distance bounds: a pair is
+        adjacent if its lower bound is in range (conservative link
+        presence), survivors are the owner links :meth:`_batch_removable`
+        keeps, and the range covers each survivor's upper bound."""
         m = ids.shape[1]
-        x, y = pts[..., 0], pts[..., 1]
-        # sqrt(dx*dx + dy*dy), the IEEE sequence of from_local_view's
-        # einsum, in place: the batch holds two (B, M, M) floats at most.
-        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
-        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
-        dist *= dist
-        dy *= dy
-        dist += dy
-        del dy
-        np.sqrt(dist, out=dist)
         # NaN padding compares False, so padded members are never adjacent.
-        adj = dist <= normal_range[:, np.newaxis, np.newaxis]
+        adj = dist_low <= normal_range[:, np.newaxis, np.newaxis]
         diag = np.arange(m)
         adj[:, diag, diag] = False
-        cost = np.asarray(self.cost_model.from_distance(dist), dtype=np.float64)
-        survivors = adj[:, 0, :] & ~self._batch_removable(ids, dist, adj, cost)
-        ranges = np.where(survivors, dist[:, 0, :], 0.0).max(axis=1)
+        cost_low = np.asarray(self.cost_model.from_distance(dist_low), dtype=np.float64)
+        cost_high = (
+            cost_low
+            if dist_high is dist_low
+            else np.asarray(self.cost_model.from_distance(dist_high), dtype=np.float64)
+        )
+        survivors = adj[:, 0, :] & ~self._batch_removable(ids, adj, cost_low, cost_high)
+        ranges = np.where(survivors, dist_high[:, 0, :], 0.0).max(axis=1)
         return [
             SelectionResult(
                 owner=row[0],
@@ -265,11 +304,29 @@ class ConditionProtocol(TopologyControlProtocol):
             )
         ]
 
+    def select_batch(
+        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
+    ) -> list[SelectionResult]:
+        x, y = pts[..., 0], pts[..., 1]
+        # sqrt(dx*dx + dy*dy) in place: the batch holds two (B, M, M)
+        # floats at most.
+        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
+        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
+        dist *= dist
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        return self._select(ids, dist, dist, normal_range)
+
     def select_histories(self, ids, counts, pts, normal_range):
-        graph = LocalCostGraph.from_distance_bounds(
-            ids.tolist(), *distance_bounds(counts, pts), normal_range, self.cost_model
-        )
-        return apply_removal_condition(graph, self._removable)
+        dist_low, dist_high = distance_bounds(counts, pts)
+        return self._select(
+            ids[np.newaxis],
+            dist_low[np.newaxis],
+            dist_high[np.newaxis],
+            np.array([normal_range], dtype=np.float64),
+        )[0]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(cost_model={self.cost_model!r})"

@@ -17,39 +17,22 @@ and RNG).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.costs import EnergyCost, cost_key
-from repro.core.framework import LocalCostGraph
-from repro.protocols.base import ConditionProtocol, register_protocol
+from repro.core.costs import EnergyCost
+from repro.protocols.base import ConditionProtocol, register_protocol, two_hop_witnessed
 from repro.util.validate import check_non_negative
 
-__all__ = ["EnclosureProtocol", "enclosure_removable"]
-
-
-def enclosure_removable(graph: LocalCostGraph, owner: int, v: int) -> bool:
-    """Remove (owner, v) iff v lies in some neighbor w's relay region.
-
-    I.e. a 2-hop relay is strictly cheaper under the energy cost:
-    ``c(u,w) + c(w,v) < c(u,v)`` (conservative form: upper bounds on the
-    relay legs, lower bound on the direct link; ID keys break exact ties).
-    Unlike the RNG condition this compares a *sum*, and unlike the SPT
-    condition it considers only 2-hop paths.
-    """
-    target = cost_key(graph.cost_low[owner, v], graph.ids[owner], graph.ids[v])
-    adj = graph.adj
-    for w in np.flatnonzero(adj[owner] & adj[v]):
-        if w == v or w == owner:
-            continue
-        relay = graph.cost_high[owner, w] + graph.cost_high[w, v]
-        if cost_key(relay, graph.ids[owner], graph.ids[w]) < target:
-            return True
-    return False
+__all__ = ["EnclosureProtocol"]
 
 
 @register_protocol
 class EnclosureProtocol(ConditionProtocol):
     """Relay-region / enclosure minimum-energy protocol.
+
+    Removes (u, v) iff v lies in some neighbor w's relay region: the
+    2-hop relay ``c(u,w) + c(w,v)``, keyed by ``(u, w)``, orders below
+    the direct link (:func:`~repro.protocols.base.two_hop_witnessed`).
+    Unlike the RNG condition this compares a *sum*, and unlike the SPT
+    condition it considers only 2-hop paths.
 
     Parameters
     ----------
@@ -69,9 +52,8 @@ class EnclosureProtocol(ConditionProtocol):
         self.alpha = float(alpha)
         self.receiver_cost = float(receiver_cost)
 
-    @property
-    def _removable(self):
-        return enclosure_removable
+    def _batch_removable(self, ids, adj, cost_low, cost_high):
+        return two_hop_witnessed(ids, adj, cost_low, cost_high, summed=True)
 
     def __repr__(self) -> str:
         return (

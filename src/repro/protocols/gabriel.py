@@ -9,41 +9,29 @@ between RNG and SPT-2).
 
 from __future__ import annotations
 
-import numpy as np
+from repro.core.costs import EnergyCost
+from repro.protocols.base import ConditionProtocol, register_protocol, two_hop_witnessed
 
-from repro.core.costs import cost_key
-from repro.core.framework import LocalCostGraph
-from repro.protocols.base import ConditionProtocol, register_protocol
-
-__all__ = ["GabrielProtocol", "gabriel_removable"]
-
-
-def gabriel_removable(graph: LocalCostGraph, owner: int, v: int) -> bool:
-    """Remove (owner, v) iff a diametral-disk witness path is strictly cheaper.
-
-    Conservative form: the witness legs use upper-bound distances, the
-    candidate link its lower bound, with ID tie-breaking on exact equality
-    (same total-order discipline as the three framework conditions).
-    """
-    d_low = graph.dist_low[owner, v]
-    target = cost_key(d_low * d_low, graph.ids[owner], graph.ids[v])
-    adj = graph.adj
-    for w in np.flatnonzero(adj[owner] & adj[v]):
-        if w == v or w == owner:
-            continue
-        a = graph.dist_high[owner, w]
-        b = graph.dist_high[w, v]
-        if cost_key(a * a + b * b, graph.ids[owner], graph.ids[w]) < target:
-            return True
-    return False
+__all__ = ["GabrielProtocol"]
 
 
 @register_protocol
 class GabrielProtocol(ConditionProtocol):
-    """Gabriel-graph protocol (diametral-disk witness removal)."""
+    """Gabriel-graph protocol (diametral-disk witness removal).
+
+    The diametral-disk test is the 2-hop relay test on squared distances,
+    so links cost ``d**2`` and a witness's summed legs, keyed by the
+    owner's leg, must order below the direct link
+    (:func:`~repro.protocols.base.two_hop_witnessed`).
+    """
 
     name = "gabriel"
 
-    @property
-    def _removable(self):
-        return gabriel_removable
+    def __init__(self) -> None:
+        super().__init__(EnergyCost(alpha=2.0))
+
+    def _batch_removable(self, ids, adj, cost_low, cost_high):
+        return two_hop_witnessed(ids, adj, cost_low, cost_high, summed=True)
+
+    def __repr__(self) -> str:
+        return "GabrielProtocol()"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.costs import EnergyCost
-from repro.core.framework import spt_removable_batch
 from repro.protocols.base import ConditionProtocol, owner_path_costs, register_protocol
 
 __all__ = ["SptProtocol", "Spt2Protocol", "Spt4Protocol"]
@@ -22,12 +21,10 @@ __all__ = ["SptProtocol", "Spt2Protocol", "Spt4Protocol"]
 class SptProtocol(ConditionProtocol):
     """Minimum-energy / local shortest-path-tree protocol (condition 2).
 
-    Single-version selection computes every owner's shortest-path costs
-    of a padded batch of views at once (:meth:`select_batch`;
-    :meth:`select` is a batch of one) and drops a link iff some path is
-    strictly cheaper.  Condition 2 has no ID tie-break.  Conservative
-    selection keeps :func:`repro.core.framework.spt_removable_batch`,
-    which is also the reference the batched kernel is tested against.
+    Computes every owner's shortest-path costs over the witnesses' upper
+    cost bounds of a padded block of views at once and drops a link iff
+    some path is strictly cheaper than its lower bound.  Condition 2 has
+    no ID tie-break.
 
     Parameters
     ----------
@@ -43,12 +40,8 @@ class SptProtocol(ConditionProtocol):
         super().__init__(EnergyCost(alpha=alpha, const=const))
         self.alpha = float(alpha)
 
-    @property
-    def _removable(self):
-        return spt_removable_batch
-
-    def _batch_removable(self, ids, dist, adj, cost):
-        return owner_path_costs(adj, cost, np.add) < cost[:, 0, :]
+    def _batch_removable(self, ids, adj, cost_low, cost_high):
+        return owner_path_costs(adj, cost_high, np.add) < cost_low[:, 0, :]
 
     def __repr__(self) -> str:
         return f"SptProtocol(alpha={self.alpha:g})"

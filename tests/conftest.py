@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.costs import CostModel, DistanceCost
-from repro.core.framework import LocalCostGraph
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.mobility.base import Area
+from removal_oracles import LocalCostGraph
 
 
 @pytest.fixture

@@ -38,19 +38,22 @@ from conftest import interval_graph
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
 from repro.core.consistency import WeakConsistency
 from repro.core.costs import EnergyCost
-from repro.core.framework import (
+from removal_oracles import (
     LocalCostGraph,
-    SelectionResult,
     apply_removal_condition,
+    enclosure_removable,
+    gabriel_removable,
     mst_removable_batch,
+    oracle_batch_removable,
+    removable_of,
     spt_removable_batch,
 )
+from repro.core.framework import SelectionResult
 from repro.core.neighbor_state import NeighborState
 from repro.core.tables import NeighborTable, history_members
 from repro.core.views import Hello, LocalView
 from repro.mobility.base import Area
 from repro.protocols import (
-    ConditionProtocol,
     MstProtocol,
     SptProtocol,
     available_protocols,
@@ -59,8 +62,6 @@ from repro.protocols import (
 from repro.protocols.base import owner_path_costs
 from repro.protocols.composite import CompositeProtocol
 from repro.protocols.none import NoTopologyControl
-from repro.protocols.enclosure import enclosure_removable
-from repro.protocols.gabriel import gabriel_removable
 from repro.sim.config import ScenarioConfig
 from repro.sim.flood import flood
 
@@ -247,7 +248,7 @@ def _drive(protocol, mechanism):
 def test_batched_world_matches_view_route(protocol, mechanism, monkeypatch):
     batched = _drive(protocol, mechanism)
     cls = type(make_protocol(protocol))
-    monkeypatch.setattr(cls, "_batch_removable", ConditionProtocol._batch_removable)
+    monkeypatch.setattr(cls, "_batch_removable", oracle_batch_removable)
     assert _drive(protocol, mechanism) == batched
 
 
@@ -336,7 +337,7 @@ def _conservative_oracle(protocol, view):
         )
         return SelectionResult(view.owner, survivors, reach)
     return apply_removal_condition(
-        interval_graph(view, protocol.cost_model), protocol._removable
+        interval_graph(view, protocol.cost_model), removable_of(protocol)
     )
 
 

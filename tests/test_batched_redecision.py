@@ -21,14 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from removal_oracles import LocalCostGraph, apply_removal_condition, rng_removable_batch
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
 from repro.core.consistency import ViewSynchronization, available_mechanisms
 from repro.core.costs import DistanceCost, EnergyCost
-from repro.core.framework import (
-    LocalCostGraph,
-    apply_removal_condition,
-    rng_removable_batch,
-)
 from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.core.tables import (
     NeighborTable,

@@ -7,15 +7,15 @@ import pytest
 
 from conftest import interval_graph, make_multi_view, make_view
 from repro.core.costs import DistanceCost, EnergyCost
-from repro.core.framework import (
+from removal_oracles import (
     LocalCostGraph,
-    SelectionResult,
     apply_removal_condition,
     mst_removable,
     rng_removable,
     rng_removable_batch,
     spt_removable,
 )
+from repro.core.framework import SelectionResult
 from repro.util.errors import ProtocolError
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import interval_graph, make_multi_view, make_view
 from repro.core.costs import DistanceCost, EnergyCost
-from repro.core.framework import (
+from removal_oracles import (
     LocalCostGraph,
     mst_removable,
     mst_removable_batch,
