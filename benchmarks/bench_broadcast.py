@@ -29,7 +29,7 @@ def test_broadcast_overhead(benchmark, bench_scale, results_dir):
             world = build_world(spec, seed=6000 + seed)
             world.run_until(cfg.warmup + 2.0)
             snap = world.snapshot()
-            adj = snap.original_topology()
+            adj = snap.original_csr().to_dense()
             if not is_connected(adj):
                 continue
             n = adj.shape[0]

@@ -6,9 +6,9 @@ Runs one CSR snapshot -> decide -> flood pipeline at n = 10000
 - **peak RSS** — the whole run must stay far below the ~800 MB a single
   dense ``(10000, 10000)`` float64 distance matrix would cost, proving no
   quadratic structure was materialized anywhere in the hot path.  The
-  ``DENSE_MATERIALIZE_LIMIT`` guard (default 4096, env
-  ``REPRO_DENSE_LIMIT``) is additionally asserted to raise if anything
-  *does* ask for the dense view.
+  ``DENSE_NODE_LIMIT`` guard of ``CSRGraph.to_dense`` (4096 nodes) is
+  additionally asserted to raise if anything *does* densify the
+  snapshot.
 - **wall clock** — the end-to-end run must finish within the budget, so
   CI notices quadratic-time regressions too.
 
@@ -37,7 +37,7 @@ import numpy as np
 from repro.analysis.experiment import ExperimentSpec, build_world
 from repro.analysis.scales import Scale
 from repro.sim.flood import flood
-from repro.sim.world import DENSE_MATERIALIZE_LIMIT
+from repro.geometry.csr import DENSE_NODE_LIMIT
 from repro.util.errors import DenseMaterializationError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,13 +86,13 @@ def run_smoke(n: int, warm_t: float = 3.0, seed: int = 7) -> dict:
     t0 = time.perf_counter()
     snap = world.snapshot()
     snapshot_s = time.perf_counter() - t0
-    if n > DENSE_MATERIALIZE_LIMIT:
+    if n > DENSE_NODE_LIMIT:
         try:
-            snap.dist
+            snap.logical_csr.to_dense()
         except DenseMaterializationError:
             pass  # the guard is armed: nothing can silently go quadratic
         else:
-            raise AssertionError("snap.dist must raise above the dense limit")
+            raise AssertionError("to_dense() must raise above the dense limit")
 
     t0 = time.perf_counter()
     world.redecide_all()

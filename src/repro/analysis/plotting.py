@@ -127,9 +127,14 @@ def topology_map(snapshot, width: int = 60, height: int = 24) -> str:
         row = int(round((1.0 - (p[1] - y_lo) / y_span) * (height - 1)))
         return row, col
 
-    links = snapshot.logical | snapshot.logical.T
-    iu, iv = np.nonzero(np.triu(links, k=1))
-    for u, v in zip(iu, iv):
+    # Each link once, as (min, max) pairs in row-major order.
+    logical = snapshot.logical_csr
+    rows, cols = logical.rows_array(), logical.indices
+    off_diagonal = rows != cols
+    keys = np.unique(
+        np.minimum(rows, cols)[off_diagonal] * n + np.maximum(rows, cols)[off_diagonal]
+    )
+    for u, v in zip(keys // n, keys % n):
         r0, c0 = cell(positions[u])
         r1, c1 = cell(positions[v])
         steps = max(abs(r1 - r0), abs(c1 - c0), 1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from repro.analysis.experiment import ExperimentSpec, build_world
@@ -63,14 +62,6 @@ class UnicastStudyResult:
         }
 
 
-def _hop_counts(adjacency: np.ndarray) -> np.ndarray:
-    """All-pairs hop counts of an undirected boolean adjacency."""
-    return shortest_path(
-        csr_matrix(adjacency.astype(np.int8)), method="D", directed=False,
-        unweighted=True,
-    )
-
-
 def run_unicast_study(
     spec: ExperimentSpec,
     seed: int = 0,
@@ -89,11 +80,14 @@ def run_unicast_study(
     for t in times:
         world.run_until(float(t))
         snap = world.snapshot()
-        effective = snap.effective_bidirectional(
+        effective = snap.effective_bidirectional_csr(
             world.manager.physical_neighbor_mode
         )
-        router = GeographicRouter(effective, snap.positions)
-        original_hops = _hop_counts(snap.original_topology())
+        router = GeographicRouter(effective.to_dense(), snap.positions)
+        original_hops = shortest_path(
+            snap.original_csr().to_scipy(), method="D", directed=False,
+            unweighted=True,
+        )
         for _ in range(pairs_per_snapshot):
             s, d = rng.choice(cfg.n_nodes, size=2, replace=False)
             attempts += 1

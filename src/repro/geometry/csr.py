@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.errors import DenseMaterializationError
+
 __all__ = [
     "CSRGraph",
     "csr_bfs",
@@ -31,6 +33,12 @@ __all__ = [
     "csr_is_connected",
     "csr_largest_component_fraction",
 ]
+
+#: Largest graph :meth:`CSRGraph.to_dense` will expand into an ``(n, n)``
+#: matrix.  Above it the call raises
+#: :class:`~repro.util.errors.DenseMaterializationError` instead of
+#: silently allocating (n = 10k is 100 MB of booleans, 800 MB as floats).
+DENSE_NODE_LIMIT = 4096
 
 
 class CSRGraph:
@@ -150,7 +158,18 @@ class CSRGraph:
         return self.rows_array().astype(np.int64) * np.int64(self.n) + self.indices
 
     def to_dense(self) -> np.ndarray:
-        """Dense boolean adjacency (small-n interop / oracle comparisons)."""
+        """Dense boolean adjacency (small-n interop / oracle comparisons).
+
+        The package's only ``(n, n)`` densification; it raises
+        :class:`~repro.util.errors.DenseMaterializationError` above
+        :data:`DENSE_NODE_LIMIT` nodes.
+        """
+        if self.n > DENSE_NODE_LIMIT:
+            raise DenseMaterializationError(
+                f"densifying a {self.n}-node CSRGraph would allocate an "
+                f"({self.n}, {self.n}) matrix (limit {DENSE_NODE_LIMIT} nodes); "
+                f"read its CSR arrays instead"
+            )
         out = np.zeros((self.n, self.n), dtype=bool)
         if self.nnz:
             out[self.rows_array(), self.indices] = True

@@ -194,8 +194,8 @@ class GraphBackend:
     Build once per point set; every query then runs on whichever
     representation fits:
 
-    - ``mode="dense"``, or auto with ``n < dense_threshold``, a
-      precomputed ``dist``, or a bounding box spanning fewer than
+    - ``mode="dense"``, or auto with ``n < dense_threshold``, a distance
+      matrix already computed, or a bounding box spanning fewer than
       :data:`GRID_AREA_FACTOR` cell areas: one cached dense distance
       matrix serves all queries;
     - otherwise (``mode="grid"``, or auto at scale with a radius small
@@ -215,14 +215,13 @@ class GraphBackend:
         *,
         mode: str = "auto",
         dense_threshold: int = DENSE_THRESHOLD,
-        dist: np.ndarray | None = None,
     ) -> None:
         if mode not in ("auto", "dense", "grid"):
             raise ValueError(f"mode must be 'auto', 'dense' or 'grid', got {mode!r}")
         self.points = as_points(points)
         self.dense_threshold = int(dense_threshold)
         self.mode = mode
-        self._dist = dist
+        self._dist: np.ndarray | None = None
         self._indices: dict[float, GridIndex] = {}
         self._bbox_area: float | None = None
 

@@ -117,8 +117,7 @@ class PropagationModel:
     Subclasses define *who hears a broadcast*: candidate generation asks
     :meth:`query_radius` for a superset radius, the grid (or dense scan)
     fetches candidates, and :meth:`accept` gives the exact verdict per
-    candidate.  The dense :meth:`in_range_matrix` is the same predicate
-    over a full distance matrix, for the snapshot layer.
+    candidate.  A custom model implements those two methods.
 
     Attributes
     ----------
@@ -172,17 +171,6 @@ class PropagationModel:
         """
         raise NotImplementedError
 
-    def in_range_matrix(
-        self, dist: np.ndarray, ranges: np.ndarray, now: float
-    ) -> np.ndarray:
-        """Dense directed reachability: ``out[u, v]`` iff v hears u.
-
-        The same predicate as :meth:`accept` over a full ``(n, n)``
-        distance matrix with per-row transmit ranges; the diagonal is
-        left to the caller.
-        """
-        raise NotImplementedError
-
     def staleness_allowance(self, config) -> float:
         """Extra information-age (seconds) topology oracles must allow.
 
@@ -216,9 +204,6 @@ class UnitDisk(PropagationModel):
 
     def accept(self, sender, receivers, distances, tx_range, now):
         return distances <= tx_range
-
-    def in_range_matrix(self, dist, ranges, now):
-        return dist <= np.asarray(ranges)[:, np.newaxis]
 
 
 #: Shared default instance (stateless, so one is enough).
@@ -306,12 +291,6 @@ class LogDistance(PropagationModel):
     def accept(self, sender, receivers, distances, tx_range, now):
         return distances <= tx_range * self._factor(_pair_key(sender, receivers))
 
-    def in_range_matrix(self, dist, ranges, now):
-        n = dist.shape[0]
-        idx = np.arange(n, dtype=np.uint64)
-        key = _pair_key(idx[:, np.newaxis], idx[np.newaxis, :])
-        return dist <= np.asarray(ranges)[:, np.newaxis] * self._factor(key)
-
 
 class ProbabilisticSINR(PropagationModel):
     """Per-message probabilistic reception with a sigmoid distance law.
@@ -390,13 +369,6 @@ class ProbabilisticSINR(PropagationModel):
     def accept(self, sender, receivers, distances, tx_range, now):
         p = self.success_probability(distances, tx_range)
         return self._draw(_directed_key(sender, receivers), now) < p
-
-    def in_range_matrix(self, dist, ranges, now):
-        n = dist.shape[0]
-        idx = np.arange(n, dtype=np.uint64)
-        key = _directed_key(idx[:, np.newaxis], idx[np.newaxis, :])
-        p = self.success_probability(dist, np.asarray(ranges)[:, np.newaxis])
-        return self._draw(key, now) < p
 
     def staleness_allowance(self, config) -> float:
         """One full Hello generation of extra information age.

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.geometry.csr import CSRGraph
 from repro.sim.world import NetworkWorld, WorldSnapshot
 from repro.util.errors import SimulationError
 
@@ -60,14 +61,14 @@ class SimulationTrace:
     def snapshot(self, index: int) -> WorldSnapshot:
         """Reconstruct the :class:`WorldSnapshot` of sample *index*.
 
-        Distances are left to the snapshot's lazy ``dist`` property (the
-        same bit-identical pairwise kernel), so reconstructing a sample
-        only pays for the matrices a consumer actually touches.
+        The stored dense adjacency becomes the snapshot's
+        :attr:`~WorldSnapshot.logical_csr`; every other topology is built
+        from the positions on demand, as in a live snapshot.
         """
         return WorldSnapshot(
             time=float(self.times[index]),
             positions=self.positions[index],
-            logical=self.logical[index],
+            logical_csr=CSRGraph.from_dense(self.logical[index]),
             actual_ranges=self.actual_ranges[index],
             extended_ranges=self.extended_ranges[index],
             normal_range=float(self.meta.get("normal_range", np.inf)),
@@ -138,7 +139,7 @@ class TraceRecorder:
         snap = self.world.snapshot()
         self._times.append(snap.time)
         self._positions.append(snap.positions)
-        self._logical.append(snap.logical)
+        self._logical.append(snap.logical_csr.to_dense())
         self._actual.append(snap.actual_ranges)
         self._extended.append(snap.extended_ranges)
         self._delivery.append(float(delivery_ratio))

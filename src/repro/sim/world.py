@@ -27,7 +27,6 @@ them through Hello messages.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
@@ -40,7 +39,6 @@ from repro.faults.inject import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.geometry.csr import CSRGraph
 from repro.geometry.grid import GraphBackend
-from repro.geometry.points import pairwise_distances
 from repro.geometry.sparse import IncrementalNeighborhoods, neighborhood_csr
 from repro.gossip import GossipEngine
 from repro.mobility.base import MobilityModel
@@ -52,10 +50,10 @@ from repro.sim.node import SimNode
 from repro.sim.propagation import make_propagation
 from repro.sim.radio import IdealChannel
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
-from repro.util.errors import ConfigurationError, DenseMaterializationError, ViewError
+from repro.util.errors import ConfigurationError, ViewError
 from repro.util.randomness import SeedSequenceFactory
 
-__all__ = ["NetworkWorld", "WorldSnapshot", "DENSE_MATERIALIZE_LIMIT"]
+__all__ = ["NetworkWorld", "WorldSnapshot"]
 
 # Nodes per ``decide_many`` call in packet-time redecision.  Every
 # paper-sized world decides in one call; at 10k nodes the gather arrays
@@ -63,29 +61,17 @@ __all__ = ["NetworkWorld", "WorldSnapshot", "DENSE_MATERIALIZE_LIMIT"]
 # whole network's.
 _REDECIDE_CHUNK = 256
 
-#: Largest snapshot for which the lazy dense ``dist`` / ``logical``
-#: properties will materialize an ``(n, n)`` matrix on demand.  Above it
-#: they raise :class:`~repro.util.errors.DenseMaterializationError`
-#: instead of silently allocating gigabytes (n=10k dist is ~800 MB).
-#: Overridable via the ``REPRO_DENSE_LIMIT`` environment variable; the
-#: scale smoke gate sets it *below* its node count so any dense fallback
-#: fails loudly.
-DENSE_MATERIALIZE_LIMIT = int(os.environ.get("REPRO_DENSE_LIMIT", "4096"))
-
 
 class WorldSnapshot:
     """Frozen view of the network at one instant.
 
-    Adjacency lives in CSR neighbor lists (:attr:`logical_csr`,
-    :meth:`in_range_csr`, :meth:`effective_directed_csr`, ...) at every
-    network size, and every metric reads those.  The dense ``(n, n)``
-    forms (``dist``, ``logical``, :meth:`in_range`,
-    :meth:`effective_directed`, :meth:`effective_bidirectional`,
-    :meth:`original_topology`) are lazy views built from them on demand
-    and guarded by :data:`DENSE_MATERIALIZE_LIMIT`: callers that want
-    matrices still get them mid-scale, while anything that would
-    allocate gigabytes raises
-    :class:`~repro.util.errors.DenseMaterializationError`.
+    Adjacency lives only in CSR neighbor lists (:attr:`logical_csr`,
+    :meth:`in_range_csr`, :meth:`effective_directed_csr`,
+    :meth:`effective_bidirectional_csr`, :meth:`original_csr`) at every
+    network size, and every metric reads those.  No member returns an
+    ``(n, n)`` array: a caller that wants a matrix densifies a CSR form
+    with :meth:`~repro.geometry.csr.CSRGraph.to_dense`, the one guarded
+    densification.
 
     Attributes
     ----------
@@ -93,11 +79,8 @@ class WorldSnapshot:
         Snapshot instant (physical seconds).
     positions:
         True ``(n, 2)`` node positions.
-    dist:
-        ``(n, n)`` true pairwise distances (lazy property).
-    logical:
-        ``(n, n)`` boolean; ``logical[u, v]`` iff v is in u's logical set
-        (lazy property).
+    logical_csr:
+        Logical-selection adjacency; row u lists u's logical neighbors.
     actual_ranges / extended_ranges:
         Per-node ranges currently in force.
     normal_range:
@@ -111,9 +94,7 @@ class WorldSnapshot:
         "extended_ranges",
         "normal_range",
         "propagation",
-        "_dist",
-        "_logical",
-        "_logical_csr",
+        "logical_csr",
         "_backend",
         "_neighbor_source",
         "_cache",
@@ -123,13 +104,11 @@ class WorldSnapshot:
         self,
         time: float,
         positions: np.ndarray,
-        dist: np.ndarray | None = None,
-        logical: np.ndarray | None = None,
         actual_ranges: np.ndarray | None = None,
         extended_ranges: np.ndarray | None = None,
         normal_range: float = 0.0,
         *,
-        logical_csr: CSRGraph | None = None,
+        logical_csr: CSRGraph,
         backend: GraphBackend | None = None,
         neighbor_source=None,
         propagation=None,
@@ -147,11 +126,7 @@ class WorldSnapshot:
             np.zeros(n) if extended_ranges is None else np.asarray(extended_ranges)
         )
         self.normal_range = float(normal_range)
-        if logical is None and logical_csr is None:
-            raise ValueError("WorldSnapshot needs logical or logical_csr")
-        self._dist = dist
-        self._logical = logical
-        self._logical_csr = logical_csr
+        self.logical_csr = logical_csr
         self._backend = backend
         #: optional callable ``radius -> CSRGraph`` (the world's
         #: incremental builder); otherwise neighborhoods build fresh.
@@ -163,58 +138,6 @@ class WorldSnapshot:
         """Number of nodes in the snapshot."""
         return self.positions.shape[0]
 
-    def _guard_dense(self, name: str) -> None:
-        n = self.n_nodes
-        if n > DENSE_MATERIALIZE_LIMIT:
-            raise DenseMaterializationError(
-                f"materializing WorldSnapshot.{name} would allocate an "
-                f"({n}, {n}) matrix (limit {DENSE_MATERIALIZE_LIMIT} nodes; "
-                f"set REPRO_DENSE_LIMIT to raise it, or use the sparse "
-                f"CSR API: logical_csr / in_range_csr / effective_*_csr)"
-            )
-
-    @property
-    def dist(self) -> np.ndarray:
-        """``(n, n)`` true pairwise distances (materialized lazily)."""
-        if self._dist is None:
-            self._guard_dense("dist")
-            if self._backend is not None:
-                self._dist = self._backend.distances()
-            else:
-                self._dist = pairwise_distances(self.positions)
-        return self._dist
-
-    @property
-    def logical(self) -> np.ndarray:
-        """``(n, n)`` boolean logical-selection matrix (materialized lazily)."""
-        if self._logical is None:
-            self._guard_dense("logical")
-            self._logical = self._logical_csr.to_dense()
-        return self._logical
-
-    # ------------------------------------------------------------------ #
-    # dense views of the CSR forms below (raise above the limit)
-
-    def in_range(self) -> np.ndarray:
-        """``(n, n)`` boolean: v hears u's transmissions (directed)."""
-        self._guard_dense("in_range()")
-        return self.in_range_csr().to_dense()
-
-    def effective_directed(self, physical_neighbor_mode: bool = False) -> np.ndarray:
-        """Dense form of :meth:`effective_directed_csr`."""
-        self._guard_dense("effective_directed()")
-        return self.effective_directed_csr(physical_neighbor_mode).to_dense()
-
-    def effective_bidirectional(self, physical_neighbor_mode: bool = False) -> np.ndarray:
-        """Dense form of :meth:`effective_bidirectional_csr`."""
-        self._guard_dense("effective_bidirectional()")
-        return self.effective_bidirectional_csr(physical_neighbor_mode).to_dense()
-
-    def original_topology(self) -> np.ndarray:
-        """Dense form of :meth:`original_csr`."""
-        self._guard_dense("original_topology()")
-        return self.original_csr().to_dense()
-
     def logical_degrees(self) -> np.ndarray:
         """Per-node logical neighbor count."""
         return self.logical_csr.degrees()
@@ -223,26 +146,16 @@ class WorldSnapshot:
         """Per-node count of nodes inside the *extended* range."""
         return self.in_range_csr().degrees()
 
-    # ------------------------------------------------------------------ #
-    # CSR forms — never allocate anything (n, n)
-
     def pair_distance(self, u: int, v: int) -> float:
         """True distance between two nodes, without the full matrix.
 
         The same IEEE operations as
         :func:`~repro.geometry.points.pairwise_distances`, so it equals
-        ``dist[u, v]`` bit for bit.
+        ``pairwise_distances(positions)[u, v]`` bit for bit.
         """
         dx = self.positions[u, 0] - self.positions[v, 0]
         dy = self.positions[u, 1] - self.positions[v, 1]
         return float(np.sqrt(dx * dx + dy * dy))
-
-    @property
-    def logical_csr(self) -> CSRGraph:
-        """CSR form of the logical-selection adjacency."""
-        if self._logical_csr is None:
-            self._logical_csr = CSRGraph.from_dense(self._logical)
-        return self._logical_csr
 
     def neighbor_csr(self, radius: float) -> CSRGraph:
         """Edge-weighted unit-disk CSR at *radius* (cached per radius)."""
@@ -253,7 +166,7 @@ class WorldSnapshot:
                 cached = self._neighbor_source(key)
             else:
                 if self._backend is None:
-                    self._backend = GraphBackend(self.positions, dist=self._dist)
+                    self._backend = GraphBackend(self.positions)
                 cached = neighborhood_csr(self.positions, key, backend=self._backend)
             self._cache[key] = cached
         return cached
@@ -481,7 +394,7 @@ class NetworkWorld:
         # One (time, positions, backend) memo: every consumer of the same
         # tick — Hello emission, packet-time redecisions, snapshots,
         # repeated observers — shares a single mobility evaluation and one
-        # GraphBackend (lazy dense distance matrix below the threshold,
+        # GraphBackend (lazy distance matrix below the grid threshold,
         # grid index at scale) instead of recomputing the geometry each.
         self._geometry_memo: tuple[float, np.ndarray, GraphBackend] | None = None
         # One incremental CSR builder per quantized radius: between Hello
@@ -514,8 +427,8 @@ class NetworkWorld:
         *t* never change — the memo is exact.  The backend's distance
         matrix and grid indices are built lazily: Hello emission only pays
         for one O(n) range query (or a grid lookup at scale), while a
-        snapshot at the same tick reuses the positions and materialises
-        the dense matrix once.
+        snapshot at the same tick reuses the positions and the backend's
+        neighborhood queries, and builds no ``(n, n)`` matrix of its own.
         """
         memo = self._geometry_memo
         if memo is None or memo[0] != t:

@@ -46,13 +46,12 @@ class ViewError(ReproError, RuntimeError):
 
 
 class DenseMaterializationError(ReproError, RuntimeError):
-    """A lazy dense ``(n, n)`` matrix was requested above the size limit.
+    """A dense ``(n, n)`` matrix was requested above the size limit.
 
-    Raised by :class:`repro.sim.world.WorldSnapshot` when code asks for
-    ``dist`` / ``logical`` on a snapshot larger than
-    ``DENSE_MATERIALIZE_LIMIT`` nodes — the guard that turns an accidental
-    multi-gigabyte allocation at scale into an explicit error pointing at
-    the sparse API.
+    Raised by :meth:`repro.geometry.csr.CSRGraph.to_dense` on a graph
+    larger than ``repro.geometry.csr.DENSE_NODE_LIMIT`` nodes — the guard
+    that turns an accidental multi-gigabyte allocation at scale into an
+    explicit error pointing at the CSR arrays.
     """
 
 

@@ -193,6 +193,13 @@ STALE_CLAIMS = [
         "the history_members gather; live_histories and "
         "LocalCostGraph.from_multi_version_view were deleted",
     ),
+    (
+        r"\bREPRO_DENSE_\w+|\bDENSE_MATERIALIZE_LIMIT\b|\bin_range_matrix\b"
+        r"|\boriginal_topology\(\)|\bsnap\.(dist|logical)\b",
+        "snapshots hold only CSR forms: the dense views, their size limit "
+        "and its environment override were deleted, and the propagation "
+        "models' dense predicate is a test oracle",
+    ),
 ]
 
 
@@ -204,6 +211,7 @@ STALE_CLAIMS = [
         "local-pool-backend", "local-backend", "spt-mst-no-batch",
         "columnar-table", "scalar-hello-route", "view-fingerprint",
         "prefers-dense", "sparse-switch", "supports-batch", "live-histories",
+        "dense-snapshot-views",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):

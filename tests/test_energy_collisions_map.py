@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.experiment import ExperimentSpec, build_world, run_once
 from repro.analysis.plotting import topology_map
+from repro.geometry.csr import CSRGraph
 from repro.metrics.energy import EnergyModel, flood_energy, mean_transmit_power_proxy
 from repro.mobility.base import Area
 from repro.sim.config import ScenarioConfig
@@ -17,11 +18,9 @@ from repro.util.errors import ConfigurationError
 
 def snapshot_of(positions, logical, ranges):
     positions = np.asarray(positions, dtype=np.float64)
-    diff = positions[:, None] - positions[None]
-    dist = np.sqrt((diff**2).sum(-1))
     return WorldSnapshot(
-        time=1.0, positions=positions, dist=dist,
-        logical=np.asarray(logical, dtype=bool),
+        time=1.0, positions=positions,
+        logical_csr=CSRGraph.from_dense(logical),
         actual_ranges=np.asarray(ranges, dtype=np.float64),
         extended_ranges=np.asarray(ranges, dtype=np.float64),
         normal_range=100.0,
@@ -124,6 +123,19 @@ class TestTopologyMap:
         art = topology_map(snap, width=40, height=12)
         assert "0" in art and "1" in art and "2" in art
         assert "." in art  # the 0-1 link
+
+    def test_one_sided_selection_draws_the_link(self):
+        # A link is drawn when either end selected the other.
+        positions = [[0.0, 0.0], [100.0, 0.0], [50.0, 80.0]]
+        both = np.zeros((3, 3), dtype=bool)
+        both[0, 2] = both[2, 0] = True
+        expected = topology_map(snapshot_of(positions, both, [100.0] * 3))
+        for u, v in ((0, 2), (2, 0)):
+            one = np.zeros((3, 3), dtype=bool)
+            one[u, v] = True
+            assert topology_map(snapshot_of(positions, one, [100.0] * 3)) == expected
+        bare = topology_map(snapshot_of(positions, np.zeros((3, 3), dtype=bool), [100.0] * 3))
+        assert bare != expected
 
     def test_empty_snapshot(self):
         snap = snapshot_of(np.zeros((0, 2)), np.zeros((0, 0), dtype=bool), np.zeros(0))

@@ -171,7 +171,7 @@ class TestOnEffectiveTopology:
 
     def test_unicast_works_on_maintained_topology(self):
         snap = self._snapshot()
-        adj = snap.effective_bidirectional()
+        adj = snap.effective_bidirectional_csr().to_dense()
         if not is_connected(adj):
             pytest.skip("snapshot disconnected for this seed")
         router = GeographicRouter(adj, snap.positions)
@@ -182,7 +182,8 @@ class TestOnEffectiveTopology:
         # Gabriel-protocol logical topologies satisfy the Gabriel
         # condition by construction — face routing needs no extra pruning.
         snap = self._snapshot()
-        adj = snap.logical & snap.logical.T
+        logical = snap.logical_csr.to_dense()
+        adj = logical & logical.T
         planar = gabriel_planarise(adj, snap.positions)
         # planarisation removes (almost) nothing: allow asymmetric
         # decisions at the mobility boundary.

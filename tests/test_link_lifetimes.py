@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiment import ExperimentSpec, build_world
+from repro.geometry.csr import CSRGraph
 from repro.metrics.links import LinkLifetimeTracker
 from repro.mobility.base import Area
 from repro.sim.config import ScenarioConfig
@@ -17,11 +18,9 @@ from repro.util.errors import SimulationError
 
 def snapshot_at(t, positions, logical, ranges, normal_range=100.0):
     positions = np.asarray(positions, dtype=np.float64)
-    diff = positions[:, None] - positions[None]
-    dist = np.sqrt((diff**2).sum(-1))
     return WorldSnapshot(
-        time=t, positions=positions, dist=dist,
-        logical=np.asarray(logical, dtype=bool),
+        time=t, positions=positions,
+        logical_csr=CSRGraph.from_dense(logical),
         actual_ranges=np.asarray(ranges, dtype=np.float64),
         extended_ranges=np.asarray(ranges, dtype=np.float64),
         normal_range=normal_range,

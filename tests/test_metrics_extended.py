@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.geometry.csr import CSRGraph
 from repro.geometry.graphs import unit_disk_graph
 from repro.metrics.interference import (
     edge_interference,
@@ -19,12 +20,10 @@ from repro.sim.world import WorldSnapshot
 
 def snapshot_of(positions, logical, ranges, normal_range=100.0):
     positions = np.asarray(positions, dtype=np.float64)
-    diff = positions[:, None] - positions[None]
-    dist = np.sqrt((diff**2).sum(-1))
     ranges = np.asarray(ranges, dtype=np.float64)
     return WorldSnapshot(
-        time=0.0, positions=positions, dist=dist,
-        logical=np.asarray(logical, dtype=bool),
+        time=0.0, positions=positions,
+        logical_csr=CSRGraph.from_dense(logical),
         actual_ranges=ranges, extended_ranges=ranges,
         normal_range=normal_range,
     )

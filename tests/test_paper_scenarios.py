@@ -132,22 +132,21 @@ class TestFig4:
     def test_physical_neighbors_do_not_create_out_of_range_links(self):
         # Physical neighbors are nodes within the CURRENT range; a node
         # beyond it is not reachable no matter the acceptance policy.
+        from repro.geometry.csr import CSRGraph
         from repro.sim.world import WorldSnapshot
 
         positions = np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]])
-        dist = np.sqrt(((positions[:, None] - positions[None]) ** 2).sum(-1))
         logical = np.zeros((3, 3), dtype=bool)
         logical[0, 1] = logical[1, 0] = True
         snap = WorldSnapshot(
             time=0.0,
             positions=positions,
-            dist=dist,
-            logical=logical,
+            logical_csr=CSRGraph.from_dense(logical),
             actual_ranges=np.array([5.0, 5.0, 5.0]),
             extended_ranges=np.array([5.0, 5.0, 5.0]),
             normal_range=20.0,
         )
-        directed = snap.effective_directed(physical_neighbor_mode=True)
+        directed = snap.effective_directed_csr(physical_neighbor_mode=True).to_dense()
         assert not directed[0, 2]  # w unreachable from u even in PN mode
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiment import ExperimentSpec, build_world
+from repro.geometry.csr import CSRGraph
 from repro.metrics.partitions import PartitionTracker
 from repro.mobility.base import Area
 from repro.sim.config import ScenarioConfig
@@ -18,11 +19,10 @@ from repro.util.errors import SimulationError
 def snap_at(t, connected):
     """Two-node snapshot that is connected iff *connected*."""
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
-    dist = np.array([[0.0, 10.0], [10.0, 0.0]])
     logical = np.ones((2, 2), dtype=bool) & ~np.eye(2, dtype=bool)
     ranges = np.full(2, 20.0 if connected else 5.0)
     return WorldSnapshot(
-        time=t, positions=positions, dist=dist, logical=logical,
+        time=t, positions=positions, logical_csr=CSRGraph.from_dense(logical),
         actual_ranges=ranges, extended_ranges=ranges, normal_range=50.0,
     )
 

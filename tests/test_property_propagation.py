@@ -54,6 +54,8 @@ from repro.telemetry import Telemetry
 from repro.util.errors import ConfigurationError
 from repro.util.randomness import SeedSequenceFactory
 
+from propagation_oracles import in_range_matrix
+
 MECHANISMS = ("baseline", "view-sync", "proactive", "reactive", "weak")
 MODELS = ("log-distance", "sinr")
 
@@ -212,8 +214,8 @@ class TestSigmaZeroEquivalence:
         unit.run_until(4.0)
         model.run_until(4.0)
         su, sm = unit.snapshot(), model.snapshot()
-        assert np.array_equal(su.in_range(), sm.in_range())
-        assert np.array_equal(su.original_topology(), sm.original_topology())
+        assert np.array_equal(su.in_range_csr().to_dense(), sm.in_range_csr().to_dense())
+        assert np.array_equal(su.original_csr().to_dense(), sm.original_csr().to_dense())
 
 
 # --------------------------------------------------------------------- #
@@ -330,7 +332,7 @@ class TestModelAlgebra:
         )
 
     def test_dense_matrix_matches_accept(self):
-        # The snapshot's dense predicate and the channel's per-sender
+        # The dense oracle predicate and the channel's per-sender
         # accept are the same verdict, row by row.
         n = 15
         rng = np.random.default_rng(8)
@@ -340,7 +342,7 @@ class TestModelAlgebra:
         ranges = np.full(n, 150.0)
         for name in MODELS:
             model = make_propagation(name).bind(21)
-            dense = model.in_range_matrix(dist, ranges, 2.5)
+            dense = in_range_matrix(model, dist, ranges, 2.5)
             for u in range(n):
                 others = np.array([v for v in range(n) if v != u], dtype=np.intp)
                 row = model.accept(u, others, dist[u, others], 150.0, 2.5)
@@ -381,22 +383,24 @@ class TestSnapshotModelConsistency:
         snap = world.snapshot()
         # Independent oracle: the bound model's dense predicate over the
         # full distance matrix, not the snapshot's superset-radius route.
-        expected = world._propagation.in_range_matrix(
-            pairwise_distances(snap.positions), snap.extended_ranges, snap.time
+        expected = in_range_matrix(
+            world._propagation,
+            pairwise_distances(snap.positions),
+            snap.extended_ranges,
+            snap.time,
         )
         np.fill_diagonal(expected, False)
         assert expected.any()
         assert np.array_equal(snap.in_range_csr().to_dense(), expected)
-        assert np.array_equal(snap.in_range(), expected)
 
     def test_deterministic_model_original_topology_is_mutual_subset(self):
         cfg = _config(propagation="log-distance")
         world = _world(cfg, "view-sync", 23)
         world.run_until(4.0)
         snap = world.snapshot()
-        adj = snap.original_topology()
+        adj = snap.original_csr().to_dense()
         assert np.array_equal(adj, adj.T)
-        assert not np.any(adj & (snap.dist > cfg.normal_range))
+        assert not np.any(adj & (pairwise_distances(snap.positions) > cfg.normal_range))
 
 
 # --------------------------------------------------------------------- #
@@ -506,12 +510,10 @@ class TestValidation:
             base.query_radius(250.0)
         with pytest.raises(NotImplementedError):
             base.accept(0, np.array([1]), np.array([1.0]), 250.0, 0.0)
-        with pytest.raises(NotImplementedError):
-            base.in_range_matrix(np.zeros((2, 2)), np.ones(2), 0.0)
 
     def test_unit_disk_in_range_matrix_reference(self):
         # The fast paths special-case the unit disk, so pin the
         # reference method they are supposed to implement.
         dist = np.array([[0.0, 3.0], [3.0, 0.0]])
-        out = UnitDisk().in_range_matrix(dist, np.array([3.0, 2.0]), 0.0)
+        out = in_range_matrix(UnitDisk(), dist, np.array([3.0, 2.0]), 0.0)
         assert out.tolist() == [[True, True], [False, True]]

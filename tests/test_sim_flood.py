@@ -8,6 +8,7 @@ import pytest
 from repro.core.buffer_zone import BufferZonePolicy, buffer_width
 from repro.core.consistency import ProactiveConsistency, ViewSynchronization
 from repro.core.manager import MobilitySensitiveTopologyControl
+from repro.geometry.points import pairwise_distances
 from repro.metrics.connectivity import pairwise_connectivity_ratio
 from repro.mobility import Area, RandomWaypoint, StaticPlacement
 from repro.protocols import MstProtocol, RngProtocol
@@ -101,7 +102,7 @@ class TestFloodInWorld:
         world.run_until(6.0)
         result = flood(world, source=3)
         snap = world.snapshot()
-        reached = directed_bfs(snap.effective_directed(False), 3)
+        reached = directed_bfs(snap.effective_directed_csr(False).to_dense(), 3)
         assert np.array_equal(result.reached, reached)
 
     def test_physical_neighbor_mode_reaches_at_least_as_many(self):
@@ -146,10 +147,12 @@ class TestTheorem5Integration:
         for t in np.arange(2.0, 10.0, 0.5):
             world.run_until(float(t))
             snap = world.snapshot()
+            logical = snap.logical_csr.to_dense()
+            dist = pairwise_distances(snap.positions)
             for u in range(snap.n_nodes):
-                for v in np.flatnonzero(snap.logical[u]):
+                for v in np.flatnonzero(logical[u]):
                     checks += 1
-                    if snap.dist[u, v] > snap.extended_ranges[u] + 1e-9:
+                    if dist[u, v] > snap.extended_ranges[u] + 1e-9:
                         violations += 1
         assert checks > 0
         assert violations == 0
@@ -160,9 +163,11 @@ class TestTheorem5Integration:
         for t in np.arange(2.0, 10.0, 0.5):
             world.run_until(float(t))
             snap = world.snapshot()
+            logical = snap.logical_csr.to_dense()
+            dist = pairwise_distances(snap.positions)
             for u in range(snap.n_nodes):
-                for v in np.flatnonzero(snap.logical[u]):
-                    if snap.dist[u, v] > snap.extended_ranges[u] + 1e-9:
+                for v in np.flatnonzero(logical[u]):
+                    if dist[u, v] > snap.extended_ranges[u] + 1e-9:
                         failures += 1
         assert failures > 0  # mobility really does break uncovered links
 
@@ -174,7 +179,7 @@ class TestConnectivityEstimator:
         world = build_world(speed=15.0, seed=9)
         world.run_until(6.0)
         snap = world.snapshot()
-        adj = snap.effective_directed(False)
+        adj = snap.effective_directed_csr(False).to_dense()
         n = snap.n_nodes
         ratios = [
             (directed_bfs(adj, s).sum() - 1) / (n - 1) for s in range(n)

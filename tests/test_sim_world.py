@@ -12,6 +12,7 @@ from repro.core.consistency import (
     ReactiveConsistency,
 )
 from repro.core.manager import MobilitySensitiveTopologyControl
+from repro.geometry.points import pairwise_distances
 from repro.mobility import Area, RandomWaypoint, StaticPlacement
 from repro.protocols import RngProtocol
 from repro.sim.config import ScenarioConfig
@@ -81,7 +82,7 @@ class TestHelloProtocol:
         world = make_world(speed=0.0)
         world.run_until(3.0)
         snap = world.snapshot()
-        original = snap.original_topology()
+        original = snap.original_csr().to_dense()
         for node in world.nodes:
             expected = set(np.flatnonzero(original[node.node_id]))
             assert set(node.table.known_neighbors(world.engine.now)) == expected
@@ -147,8 +148,8 @@ class TestSnapshot:
         snap = world.snapshot()
         n = 12
         assert snap.positions.shape == (n, 2)
-        assert snap.dist.shape == (n, n)
-        assert snap.logical.shape == (n, n)
+        assert pairwise_distances(snap.positions).shape == (n, n)
+        assert snap.logical_csr.to_dense().shape == (n, n)
         assert snap.extended_ranges.shape == (n,)
 
     def test_snapshot_future_rejected(self):
@@ -180,7 +181,7 @@ class TestSnapshot:
         world = make_world()
         world.run_until(3.0)
         snap = world.snapshot()
-        mask = snap.in_range()
+        mask = snap.in_range_csr().to_dense()
         assert mask.shape == (12, 12)
         assert not mask.diagonal().any()
 
@@ -188,8 +189,8 @@ class TestSnapshot:
         world = make_world()
         world.run_until(3.0)
         snap = world.snapshot()
-        filtered = snap.effective_directed(physical_neighbor_mode=False)
-        pn = snap.effective_directed(physical_neighbor_mode=True)
+        filtered = snap.effective_directed_csr(physical_neighbor_mode=False).to_dense()
+        pn = snap.effective_directed_csr(physical_neighbor_mode=True).to_dense()
         assert not (filtered & ~pn).any()  # PN mode accepts a superset
 
     def test_static_consistent_world_logical_matches_protocol(self):
@@ -197,15 +198,15 @@ class TestSnapshot:
         # between consecutive samples once tables are warm.
         world = make_world(speed=0.0)
         world.run_until(4.0)
-        a = world.snapshot().logical.copy()
+        a = world.snapshot().logical_csr.to_dense()
         world.run_until(6.0)
-        b = world.snapshot().logical
+        b = world.snapshot().logical_csr.to_dense()
         assert np.array_equal(a, b)
 
     def test_original_topology_symmetric(self):
         world = make_world()
         world.run_until(2.0)
-        orig = world.snapshot().original_topology()
+        orig = world.snapshot().original_csr().to_dense()
         assert np.array_equal(orig, orig.T)
 
 
@@ -231,7 +232,7 @@ class TestDeterminism:
         b.run_until(5.0)
         sa, sb = a.snapshot(), b.snapshot()
         assert np.allclose(sa.positions, sb.positions)
-        assert np.array_equal(sa.logical, sb.logical)
+        assert np.array_equal(sa.logical_csr.to_dense(), sb.logical_csr.to_dense())
         assert np.allclose(sa.extended_ranges, sb.extended_ranges)
 
     def test_different_seed_differs(self):

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from repro.analysis.plotting import ascii_chart, figure_chart
+from repro.geometry.csr import CSRGraph
+from repro.geometry.points import pairwise_distances
+from repro.metrics.connectivity import strictly_connected
 from repro.metrics.kconn import (
     edge_connectivity,
     min_link_failures_to_partition,
     snapshot_edge_connectivity,
     vertex_connectivity,
 )
+from repro.metrics.topology import sample_topology
 from repro.sim.trace import SimulationTrace, TraceRecorder
 from repro.sim.world import WorldSnapshot
 from repro.util.errors import SimulationError
@@ -55,11 +59,9 @@ class TestKConnectivity:
 
     def test_snapshot_wrapper(self):
         positions = np.array([[0.0, 0.0], [5.0, 0.0], [2.5, 4.0]])
-        diff = positions[:, None] - positions[None]
-        dist = np.sqrt((diff**2).sum(-1))
         logical = np.ones((3, 3), dtype=bool) & ~np.eye(3, dtype=bool)
         snap = WorldSnapshot(
-            time=0.0, positions=positions, dist=dist, logical=logical,
+            time=0.0, positions=positions, logical_csr=CSRGraph.from_dense(logical),
             actual_ranges=np.full(3, 10.0), extended_ranges=np.full(3, 10.0),
             normal_range=20.0,
         )
@@ -111,9 +113,16 @@ class TestTraceRecorder:
         trace = rec.finish()
         restored = trace.snapshot(0)
         assert np.allclose(restored.positions, live.positions)
-        assert np.array_equal(restored.logical, live.logical)
-        assert np.allclose(restored.dist, live.dist)
+        assert np.array_equal(
+            restored.logical_csr.to_dense(), live.logical_csr.to_dense()
+        )
+        assert np.allclose(
+            pairwise_distances(restored.positions), pairwise_distances(live.positions)
+        )
         assert restored.normal_range == live.normal_range
+        # the restored snapshot measures what the live one did
+        assert sample_topology(restored) == sample_topology(live)
+        assert strictly_connected(restored) == strictly_connected(live)
 
     def test_save_load_roundtrip(self, small_world, tmp_path):
         rec = TraceRecorder(small_world, label="unit-test")
