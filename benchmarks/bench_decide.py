@@ -11,6 +11,14 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   into the member gather, the cache check and ``select_batch``;
   ``--before FILE`` embeds the same row from a ``BENCH_decide.json``
   written at another commit, for a before/after pair;
+- Hello-time decisions (``hello_decisions``): one 30-s (5-s with
+  ``--smoke``), 100-node baseline run per protocol (mst, rng, spt4,
+  spt2), timed end to end
+  and inside the manager's decision entry points, with a digest of
+  every decision; where the manager settles gathered decisions, the
+  recorded gathers are replayed as blocks of one owner against the
+  blocks the world settled.  ``--before FILE`` embeds these rows from
+  another commit;
 - weak-consistency decisions (``weak_decision``): ``select_histories``
   of RNG, SPT-4 and MST on every owner's multi-version view of a
   100-node world at paper density, with and without the history gather;
@@ -44,9 +52,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.experiment import ExperimentSpec, build_world
+from repro.analysis.experiment import ExperimentSpec, build_world, run_once
 from repro.analysis.scales import Scale
 from repro.core.consistency import WeakConsistency
+from repro.core.manager import MobilitySensitiveTopologyControl
 
 pytestmark = pytest.mark.decide_bench
 
@@ -240,6 +249,127 @@ def bench_redecide_mixed(
     }
 
 
+HELLO_PROTOCOLS = ("mst", "rng", "spt4", "spt2")
+
+#: The manager's decision entry points, where a commit defines them.
+DECISION_ENTRIES = ("decide", "gather", "settle")
+
+
+def _decision_digest(decisions) -> str:
+    return hashlib.sha256(
+        repr(
+            [
+                (d.owner, d.decided_at, sorted(d.logical_neighbors), d.actual_range)
+                for d in decisions
+            ]
+        ).encode()
+    ).hexdigest()
+
+
+def bench_hello_decisions(
+    name: str, n: int = 100, seed: int = 7, duration: float = 30.0
+) -> dict:
+    """Hello-time decisions of one baseline run at paper density.
+
+    ``run_s`` is the wall time of the whole ``run_once``; ``decide_s``
+    the part spent inside the manager's outermost decision calls
+    (``decide``, or ``gather`` and ``settle`` where the manager defers
+    selection), all of them Hello-time under baseline views.
+    ``decisions_sha256`` digests every decision in the order it was
+    made, so a before/after pair shows both sides decided the same.
+
+    Where the manager has ``settle``, the run's gathers are recorded and
+    replayed against the settled manager: each owner settled alone (a
+    ``select_batch`` block of one, as per-Hello selection did) and the
+    gathers in the batches the world settled, in ns per decision.
+    """
+    cls = MobilitySensitiveTopologyControl
+    scale = Scale(
+        name="bench-hello",
+        n_nodes=n,
+        area_side=_side(n),
+        duration=duration,
+        sample_rate=10.0,
+        repetitions=1,
+    )
+    spec = ExperimentSpec(
+        protocol=name, mechanism="baseline", mean_speed=20.0, buffer_width=10.0,
+        config=scale.config(),
+    )
+    decided: list = []
+    batches: list = []
+    inside = [0.0, 0]  # seconds, call depth
+
+    def timed(attr, original):
+        def wrapper(self, *args, **kwargs):
+            inside[1] += 1
+            t0 = time.perf_counter()
+            try:
+                out = original(self, *args, **kwargs)
+            finally:
+                inside[1] -= 1
+                if not inside[1]:
+                    inside[0] += time.perf_counter() - t0
+            if inside[1]:
+                return out
+            if attr == "settle":
+                batches.append((self, list(args[0])))
+                decided.extend(d for ds in out for d in ds if d is not None)
+            elif attr == "decide" and not hasattr(cls, "settle"):
+                decided.append(out)
+            return out
+
+        return wrapper
+
+    originals = {attr: vars(cls)[attr] for attr in DECISION_ENTRIES if attr in vars(cls)}
+    for attr, original in originals.items():
+        setattr(cls, attr, timed(attr, original))
+    try:
+        t0 = time.perf_counter()
+        run_once(spec, seed=seed)
+        run_s = time.perf_counter() - t0
+    finally:
+        for attr, original in originals.items():
+            setattr(cls, attr, original)
+    row = {
+        "n": n,
+        "duration_s": duration,
+        "decisions": len(decided),
+        "run_s": round(run_s, 3),
+        "decide_s": round(inside[0], 3),
+        "decisions_sha256": _decision_digest(decided),
+    }
+    line = (
+        f"hello_decisions {name:<5} n={n:<4} run={run_s:6.2f} s   "
+        f"decide={inside[0]:6.2f} s"
+    )
+    if batches:
+        gathers = [(manager, g) for manager, batch in batches for g in batch]
+
+        def one_by_one() -> list:
+            return [d for manager, g in gathers for d in manager.settle([g])[0]]
+
+        def as_settled() -> list:
+            return [
+                d for manager, batch in batches
+                for ds in manager.settle(batch) for d in ds
+            ]
+
+        if one_by_one() != as_settled():
+            raise AssertionError(f"{name}: settling in blocks changed the decisions")
+        per = len(gathers)
+        row["block_of_one_ns"] = round(_median_ns(one_by_one, budget_s=1.0, min_reps=3) / per)
+        row["settled_blocks_ns"] = round(_median_ns(as_settled, budget_s=1.0, min_reps=3) / per)
+        row["mean_block"] = round(per / len(batches), 2)
+        line += (
+            f"   block of one={row['block_of_one_ns'] / 1e3:6.1f} us   settled "
+            f"blocks (mean {row['mean_block']})={row['settled_blocks_ns'] / 1e3:6.1f} us"
+            " per decision"
+        )
+    print(line)
+    return row
+
+
 WEAK_PROTOCOLS = ("rng", "spt4", "mst")
 
 
@@ -423,6 +553,7 @@ def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
 
 def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
     redecide_sizes = (25,) if smoke else (50, 100)
+    hello_duration = 5.0 if smoke else 30.0
     scale_sizes = () if smoke else SCALE_SIZES
     # Gossip rows run at the paper scale and 10x even in smoke mode: the
     # overhead-vs-view-sync factor is the tracked number, and it only
@@ -440,6 +571,13 @@ def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
     results = {
         "redecide_all": {str(n): bench_redecide(n) for n in redecide_sizes},
         "redecide_mixed": paired(earlier.get("redecide_mixed"), bench_redecide_mixed()),
+        "hello_decisions": {
+            name: paired(
+                earlier.get("hello_decisions", {}).get(name),
+                bench_hello_decisions(name, duration=hello_duration),
+            )
+            for name in HELLO_PROTOCOLS
+        },
         "weak_decision": {
             name: paired(earlier.get("weak_decision", {}).get(name), bench_weak_decision(name))
             for name in WEAK_PROTOCOLS
@@ -454,6 +592,7 @@ def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
             "protocol": "rng",
             "smoke": smoke,
             "redecide_sizes": list(redecide_sizes),
+            "hello_protocols": list(HELLO_PROTOCOLS),
             "weak_protocols": list(WEAK_PROTOCOLS),
             "gossip_sizes": list(gossip_sizes),
             "scale_sizes": list(scale_sizes),
@@ -490,8 +629,9 @@ def main() -> int:
         "--before",
         type=Path,
         default=None,
-        help="a BENCH_decide.json from another commit: its redecide_mixed "
-        "and weak_decision rows are kept as this file's 'before'",
+        help="a BENCH_decide.json from another commit: its redecide_mixed, "
+        "hello_decisions and weak_decision rows are kept as this file's "
+        "'before'",
     )
     parser.add_argument(
         "--out",

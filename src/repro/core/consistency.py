@@ -27,7 +27,10 @@ node base its logical-neighbor decision on, and when does it re-decide?*
   interval`` (see ``docs/GOSSIP.md``).
 
 Every mechanism reads its view members as arrays straight from the
-columnar neighbor store; no decision builds a Hello.
+columnar neighbor store; no decision builds a Hello.  A decision is
+gathered (:meth:`ConsistencyMechanism.gather`) and selected
+(:meth:`ConsistencyMechanism.select`) in two steps, so views gathered
+at different instants select together in one block.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import inspect
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from repro.util.validate import check_int_range, check_positive
 
 __all__ = [
     "ConsistencyMechanism",
+    "GatheredViews",
     "BaselineConsistency",
     "ViewSynchronization",
     "ProactiveConsistency",
@@ -64,8 +69,46 @@ __all__ = [
 ]
 
 
+class GatheredViews(NamedTuple):
+    """Many owners' decision views as flat arrays, read when they decide.
+
+    Row ``b`` is owner ``owners[b]`` with link threshold ``ranges[b]``.
+    It holds ``own_counts[b]`` own positions, which follow those of row
+    ``b - 1`` in ``own_xy``, and ``counts[b]`` members, whose IDs follow
+    those of row ``b - 1`` in ``ids``.  Member ``i`` holds ``fills[i]``
+    positions, which follow those of member ``i - 1`` in ``xy``, oldest
+    first.  A single-version view holds one position per owner and per
+    member.  The views of several gathers select together once
+    concatenated field by field (:meth:`concat`), because each row is
+    selected from its own arrays alone.
+    """
+
+    owners: np.ndarray
+    ranges: np.ndarray
+    own_counts: np.ndarray
+    own_xy: np.ndarray
+    counts: np.ndarray
+    ids: np.ndarray
+    fills: np.ndarray
+    xy: np.ndarray
+
+    @classmethod
+    def concat(cls, views: Sequence["GatheredViews"]) -> "GatheredViews":
+        """The rows of every view in *views*, in order."""
+        if len(views) == 1:
+            return views[0]
+        return cls(*map(np.concatenate, zip(*views)))
+
+
 class ConsistencyMechanism(ABC):
-    """Strategy: how a node builds the view behind each decision."""
+    """Strategy: how a node builds the view behind each decision.
+
+    A decision has two steps.  :meth:`gather` reads each owner's view
+    members as arrays at the decision instant; :meth:`select` runs the
+    protocol on the gathered rows.  Rows gathered at different instants
+    can be selected together later, with the same results, because a
+    row is selected from its own arrays alone.
+    """
 
     #: registry key and report label
     name: str = ""
@@ -85,55 +128,122 @@ class ConsistencyMechanism(ABC):
     cacheable: bool = False
 
     @abstractmethod
-    def decide(
+    def resolve(
+        self, table: NeighborTable, current_hello: Hello | None, version: int | None
+    ) -> tuple[list[tuple[float, float]], int | None]:
+        """``(own positions, version)`` of a decision at *table*'s owner.
+
+        The own positions are those the decision reads, oldest first; the
+        version is the one whose view the members come from, or None for
+        the latest live view.  Raises :class:`ViewError` when the owner
+        cannot decide.
+        """
+
+    @abstractmethod
+    def members(
         self,
-        protocol: TopologyControlProtocol,
-        table: NeighborTable,
+        tables: Sequence[NeighborTable],
         now: float,
-        current_hello: Hello,
+        versions: Sequence[int | None],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(counts, ids, fills, xy)``: the members of each table's view
+        at *now*, at its resolved version, as :class:`GatheredViews`
+        holds them."""
+
+    @abstractmethod
+    def select(
+        self, protocol: TopologyControlProtocol, views: GatheredViews
+    ) -> list[SelectionResult]:
+        """Run *protocol* on every row of *views*, in row order."""
+
+    def gather(
+        self,
+        tables: Sequence[NeighborTable],
+        now: float,
+        current_hellos: Sequence[Hello | None],
         version: int | None = None,
-    ) -> SelectionResult:
-        """Run *protocol* on the view this mechanism prescribes.
+    ) -> tuple[GatheredViews, dict[int, ViewError]]:
+        """The views of the owners that can decide now, and why the others
+        cannot.
 
         Parameters
         ----------
-        protocol:
-            The (unchanged) base topology control protocol.
-        table:
-            The deciding node's neighbor table.
+        tables:
+            The deciding nodes' neighbor tables.
         now:
-            Physical time of the decision.
-        current_hello:
-            A Hello describing the node's *current true* position (only
-            mechanisms that are allowed to use it do).
+            Physical time of the decisions.
+        current_hellos:
+            Hellos describing the nodes' *current true* positions (only
+            mechanisms that are allowed to use them do).
         version:
             Global Hello version a packet mandates (proactive/reactive).
+
+        Returns the rows of the owners that can decide, in order, and the
+        :class:`ViewError` of every other owner by its index in *tables*.
         """
+        rows: list[NeighborTable] = []
+        owns: list[tuple[float, float]] = []
+        own_counts: list[int] = []
+        versions: list[int | None] = []
+        errors: dict[int, ViewError] = {}
+        for i, (table, current_hello) in enumerate(zip(tables, current_hellos)):
+            try:
+                own, resolved = self.resolve(table, current_hello, version)
+            except ViewError as exc:
+                errors[i] = exc
+                continue
+            rows.append(table)
+            owns.extend(own)
+            own_counts.append(len(own))
+            versions.append(resolved)
+        if rows:
+            counts, ids, fills, xy = self.members(rows, now, versions)
+        else:
+            counts = ids = fills = np.zeros(0, dtype=np.int64)
+            xy = np.zeros((0, 2))
+        views = GatheredViews(
+            owners=np.array([t.owner for t in rows], dtype=np.int64),
+            ranges=np.array([t.normal_range for t in rows], dtype=float),
+            own_counts=np.array(own_counts, dtype=np.int64),
+            own_xy=np.array(owns, dtype=float).reshape(-1, 2),
+            counts=counts,
+            ids=ids,
+            fills=fills,
+            xy=xy,
+        )
+        return views, errors
 
     def decide_many(
         self,
         protocol: TopologyControlProtocol,
         tables: Sequence[NeighborTable],
         now: float,
-        current_hellos: Sequence[Hello],
+        current_hellos: Sequence[Hello | None],
         version: int | None = None,
     ) -> list[SelectionResult | None]:
-        """:meth:`decide` for many owners at once, in order.
+        """Decide for many owners at once, in order: :meth:`gather`, then
+        :meth:`select`.  An owner whose view cannot be built
+        (:class:`ViewError`, e.g. it has not advertised the requested
+        version) gets None; the others are unaffected."""
+        views, errors = self.gather(tables, now, current_hellos, version)
+        selected = iter(self.select(protocol, views))
+        return [None if i in errors else next(selected) for i in range(len(tables))]
 
-        An owner whose view cannot be built (:class:`ViewError`, e.g. it
-        has not advertised the requested version) gets None; the others
-        are unaffected.  The default loops over :meth:`decide`; the
-        single-version mechanisms override it with one batched pass.
-        """
-        results: list[SelectionResult | None] = []
-        for table, current_hello in zip(tables, current_hellos):
-            try:
-                results.append(
-                    self.decide(protocol, table, now, current_hello, version=version)
-                )
-            except ViewError:
-                results.append(None)
-        return results
+    def decide(
+        self,
+        protocol: TopologyControlProtocol,
+        table: NeighborTable,
+        now: float,
+        current_hello: Hello | None,
+        version: int | None = None,
+    ) -> SelectionResult:
+        """Run *protocol* on the view this mechanism prescribes for one
+        owner (:meth:`decide_many` for one table); raises the owner's
+        :class:`ViewError` when it cannot decide."""
+        views, errors = self.gather([table], now, [current_hello], version)
+        if errors:
+            raise errors[0]
+        return self.select(protocol, views)[0]
 
     def reads_current_hello(self, table: NeighborTable) -> bool:
         """Whether a decision at *table*'s owner reads the current Hello;
@@ -152,108 +262,69 @@ class ConsistencyMechanism(ABC):
 _SELECT_BLOCK = 32
 
 
-def _select_gathered(
-    protocol: TopologyControlProtocol,
-    tables: Sequence[NeighborTable],
-    own_positions: Sequence[tuple[float, float]],
-    now: float,
-    versions: Sequence[int | None],
-) -> list[SelectionResult]:
-    """``protocol.select_batch`` over owners' view members, in order.
-
-    Owner ``b`` decides from its latest view when ``versions[b]`` is None
-    (then every owner does), else from its version-``versions[b]`` view.
-
-    The members of every owner are gathered in one pass.  Owners are cut
-    into blocks by member count, so each block is padded only to its own
-    widest view: row ``b`` holds the owner in column 0 at its own
-    position, then its members; shorter rows are padded with ID -1 at
-    NaN positions.
-    """
-    if not tables:
-        return []
-    if versions[0] is None:
-        counts, ids, xy = latest_members(tables, now)
-    else:
-        counts, ids, xy = versioned_members(tables, versions)
-    n = len(tables)
-    if n == 1:
-        # One owner (a Hello-time decision): its row is the whole batch.
-        ids = np.concatenate(([tables[0].owner], ids))[np.newaxis]
-        pts = np.concatenate(([own_positions[0]], xy))[np.newaxis]
-        return protocol.select_batch(ids, pts, np.array([tables[0].normal_range]))
-    owners = np.fromiter((t.owner for t in tables), dtype=np.int64, count=n)
-    ranges = np.fromiter((t.normal_range for t in tables), dtype=float, count=n)
-    own_xy = np.array(own_positions, dtype=float)
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(counts, kind="stable")
-    results: list[SelectionResult] = [None] * n  # type: ignore[list-item]
-    for lo in range(0, n, _SELECT_BLOCK):
-        block = order[lo : lo + _SELECT_BLOCK]
-        size = counts[block]
-        width = 1 + int(size.max())
-        # Row rank of every member: row b's members fill columns 1..size[b].
-        row = np.repeat(np.arange(block.size), size)
-        col = np.arange(1, row.size + 1) - np.repeat(np.cumsum(size) - size, size)
-        src = np.repeat(starts[block] - 1, size) + col
-        block_ids = np.full((block.size, width), -1, dtype=np.int64)
-        block_pts = np.full((block.size, width, 2), np.nan)
-        block_ids[:, 0] = owners[block]
-        block_pts[:, 0] = own_xy[block]
-        block_ids[row, col] = ids[src]
-        block_pts[row, col] = xy[src]
-        selected = protocol.select_batch(block_ids, block_pts, ranges[block])
-        for b, result in zip(block.tolist(), selected):
-            results[b] = result
-    return results
-
-
 class _SingleVersionMechanism(ConsistencyMechanism):
     """A mechanism that decides from one Hello per view member.
 
     A subclass names the own record and the global version a decision
-    uses (:meth:`_resolve`).  The other members are the neighbors' latest
-    live Hellos when that version is None (for every owner), else their
-    Hellos of that version.  Every protocol reads the members as arrays
-    straight from the tables through ``select_batch``, with no Hello or
-    LocalView built; one decision is a batch of one.
+    uses (:meth:`_own_record`).  The other members are the neighbors'
+    latest live Hellos when that version is None (for every owner), else
+    their Hellos of that version.  Every protocol reads the members as
+    arrays straight from the tables through ``select_batch``, with no
+    Hello or LocalView built.
     """
 
     cacheable = True
 
     @abstractmethod
-    def _resolve(
-        self, table: NeighborTable, current_hello: Hello, version: int | None
+    def _own_record(
+        self, table: NeighborTable, current_hello: Hello | None, version: int | None
     ) -> tuple[Hello, int | None]:
         """``(own record, version or None for the latest view)``.
 
         Raises :class:`ViewError` when the owner cannot decide.
         """
 
-    def decide(self, protocol, table, now, current_hello, version=None):
-        own, resolved = self._resolve(table, current_hello, version)
-        return _select_gathered(protocol, [table], [own.position], now, [resolved])[0]
+    def resolve(self, table, current_hello, version):
+        own, resolved = self._own_record(table, current_hello, version)
+        return [own.position], resolved
 
-    def decide_many(self, protocol, tables, now, current_hellos, version=None):
-        # Packet-time redecision: the members of every owner that can
-        # decide are gathered in one pass and selected in padded blocks.
-        rows: list[int] = []
-        owns: list[tuple[float, float]] = []
-        versions: list[int | None] = []
-        for i, (table, current_hello) in enumerate(zip(tables, current_hellos)):
-            try:
-                own, resolved = self._resolve(table, current_hello, version)
-            except ViewError:
-                continue
-            rows.append(i)
-            owns.append(own.position)
-            versions.append(resolved)
-        results: list[SelectionResult | None] = [None] * len(tables)
-        selected = _select_gathered(
-            protocol, [tables[i] for i in rows], owns, now, versions
-        )
-        for i, result in zip(rows, selected):
-            results[i] = result
+    def members(self, tables, now, versions):
+        if versions[0] is None:
+            counts, ids, xy = latest_members(tables, now)
+        else:
+            counts, ids, xy = versioned_members(tables, versions)
+        return counts, ids, np.ones(ids.size, dtype=np.int64), xy
+
+    def select(self, protocol, views):
+        """``protocol.select_batch`` over the rows, in padded blocks.
+
+        Rows are cut into blocks by member count, so each block is padded
+        only to its own widest view: row ``b`` holds the owner in column
+        0 at its own position, then its members; shorter rows are padded
+        with ID -1 at NaN positions.
+        """
+        owners, ranges, _, own_xy, counts, ids, _, xy = views
+        n = owners.size
+        starts = np.cumsum(counts) - counts
+        order = np.argsort(counts, kind="stable")
+        results: list[SelectionResult] = [None] * n  # type: ignore[list-item]
+        for lo in range(0, n, _SELECT_BLOCK):
+            block = order[lo : lo + _SELECT_BLOCK]
+            size = counts[block]
+            width = 1 + int(size.max())
+            # Row rank of every member: row b's members fill columns 1..size[b].
+            row = np.repeat(np.arange(block.size), size)
+            col = np.arange(1, row.size + 1) - np.repeat(np.cumsum(size) - size, size)
+            src = np.repeat(starts[block] - 1, size) + col
+            block_ids = np.full((block.size, width), -1, dtype=np.int64)
+            block_pts = np.full((block.size, width, 2), np.nan)
+            block_ids[:, 0] = owners[block]
+            block_pts[:, 0] = own_xy[block]
+            block_ids[row, col] = ids[src]
+            block_pts[row, col] = xy[src]
+            selected = protocol.select_batch(block_ids, block_pts, ranges[block])
+            for b, result in zip(block.tolist(), selected):
+                results[b] = result
         return results
 
 
@@ -262,7 +333,7 @@ class BaselineConsistency(_SingleVersionMechanism):
 
     name = "baseline"
 
-    def _resolve(self, table, current_hello, version):
+    def _own_record(self, table, current_hello, version):
         return current_hello, None
 
 
@@ -284,7 +355,7 @@ class ViewSynchronization(_SingleVersionMechanism):
     # recomputation hit while no Hello arrived since the last one.
     own_position = "advertised"
 
-    def _resolve(self, table, current_hello, version):
+    def _own_record(self, table, current_hello, version):
         # Nothing advertised yet: the node is invisible to neighbors
         # anyway, so deciding from the current position is harmless.
         return table.last_advertised or current_hello, None
@@ -308,7 +379,7 @@ class ProactiveConsistency(_SingleVersionMechanism):
     # decision, fallback resolution included.
     own_position = None
 
-    def _resolve(self, table, current_hello, version):
+    def _own_record(self, table, current_hello, version):
         available = table.available_versions()
         if version is None:
             if not available:
@@ -364,16 +435,37 @@ class WeakConsistency(ConsistencyMechanism):
     name = "weak"
     cacheable = True
 
-    def decide(self, protocol, table, now, current_hello, version=None):
-        _, ids, fills, xy = history_members([table], now)
+    def resolve(self, table, current_hello, version):
         own = [h.position for h in table.own_history]
         own.append(current_hello.position)
-        return protocol.select_histories(
-            np.concatenate(([table.owner], ids)),
-            np.concatenate(([len(own)], fills)),
-            np.concatenate((own, xy)),
-            table.normal_range,
-        )
+        return own, None
+
+    def members(self, tables, now, versions):
+        return history_members(tables, now)
+
+    def select(self, protocol, views):
+        """``protocol.select_histories`` row by row: each row's owner
+        first, holding its own positions, then its members."""
+        owners, ranges, own_counts, own_xy, counts, ids, fills, xy = views
+        # Row b's members end at ends[b] in ids and fills, its own
+        # positions at own_ends[b] in own_xy; member i's positions end at
+        # held[i] in xy.
+        ends = np.cumsum(counts).tolist()
+        own_ends = np.cumsum(own_counts).tolist()
+        held = [0, *np.cumsum(fills).tolist()]
+        results = []
+        lo = own_lo = 0
+        for b, (hi, own_hi) in enumerate(zip(ends, own_ends)):
+            results.append(
+                protocol.select_histories(
+                    np.concatenate(([owners[b]], ids[lo:hi])),
+                    np.concatenate(([own_counts[b]], fills[lo:hi])),
+                    np.concatenate((own_xy[own_lo:own_hi], xy[held[lo] : held[hi]])),
+                    float(ranges[b]),
+                )
+            )
+            lo, own_lo = hi, own_hi
+        return results
 
 
 class GossipConsistency(_SingleVersionMechanism):
@@ -430,7 +522,7 @@ class GossipConsistency(_SingleVersionMechanism):
             else check_positive("mayday_after", mayday_after)
         )
 
-    def _resolve(self, table, current_hello, version):
+    def _own_record(self, table, current_hello, version):
         return table.last_advertised or current_hello, None
 
     def staleness_bound(self, n_nodes: int) -> float:

@@ -11,9 +11,15 @@ protocol with the three mobility mechanisms the paper proposes/evaluates:
    in-range sender, not only logical neighbors).
 
 The object is simulator-agnostic: it turns a neighbor table + current
-position into a :class:`NodeDecision`.  The simulator calls it at Hello
-time and (for packet-recomputing mechanisms) at forward time; library
-users can call it directly on hand-built tables.
+position into a :class:`NodeDecision`.  A decision has two steps:
+:meth:`~MobilitySensitiveTopologyControl.gather` reads its inputs at the
+decision instant, and :meth:`~MobilitySensitiveTopologyControl.settle`
+selects many gathered decisions together later.  The simulator gathers
+at Hello time and settles when a decision is read; at packet time (for
+packet-recomputing mechanisms) it gathers and settles every node at
+once.  Library users call :meth:`~MobilitySensitiveTopologyControl.decide`
+or :meth:`~MobilitySensitiveTopologyControl.decide_many` on hand-built
+tables, which do both steps.
 
 Because the paper's decisions are made from *stale, asynchronously
 collected* views, many consecutive decisions at a node see identical
@@ -30,19 +36,24 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.buffer_zone import BufferZonePolicy
-from repro.core.consistency import BaselineConsistency, ConsistencyMechanism
+from repro.core.consistency import (
+    BaselineConsistency,
+    ConsistencyMechanism,
+    GatheredViews,
+)
 from repro.core.framework import SelectionResult
 from repro.core.neighbor_state import NO_VERSION
 from repro.core.tables import NeighborTable, live_unchanged
 from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
-from repro.util.errors import ProtocolError
+from repro.util.errors import ProtocolError, ViewError
 
-__all__ = ["NodeDecision", "MobilitySensitiveTopologyControl"]
+__all__ = ["NodeDecision", "GatheredDecisions", "MobilitySensitiveTopologyControl"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +79,29 @@ class NodeDecision:
     actual_range: float
     extended_range: float
     decided_at: float
+
+
+#: What becomes of one owner of a gather (:attr:`GatheredDecisions.kinds`).
+_UNDECIDED, _HIT, _FRESH = 0, 1, 2
+
+
+class GatheredDecisions(NamedTuple):
+    """One :meth:`MobilitySensitiveTopologyControl.gather` call's
+    decisions, waiting to be settled.
+
+    ``kinds[i]`` says what becomes of the call's table ``i`` (owner
+    ``owners[i]``): no decision (its :class:`ViewError` is
+    ``errors[i]``), the standing decision served from the cache, or a
+    fresh selection from the next row of ``views``.  *stored* when the
+    cache holds the fresh rows' stamps and takes their decisions.
+    """
+
+    now: float
+    owners: list[int]
+    kinds: list[int]
+    views: GatheredViews
+    errors: dict[int, ViewError]
+    stored: bool
 
 
 class MobilitySensitiveTopologyControl:
@@ -161,26 +195,14 @@ class MobilitySensitiveTopologyControl:
         *current_hello* describes the node's current true position; it
         may be None where the mechanism does not read it
         (:meth:`~repro.core.consistency.ConsistencyMechanism.reads_current_hello`).
-        When the decision cache is enabled and the owner's stamp still
-        holds, the standing decision is returned with a refreshed
-        ``decided_at`` — bit-identical to a recomputation, without
-        building the cost graph.
+        One :meth:`gather` and one :meth:`settle`, as :meth:`decide_many`
+        for one owner, counted in the ``hello`` phase; raises the owner's
+        :class:`~repro.util.errors.ViewError` when it cannot decide.
         """
-        stamp = None
-        if self._cacheable(1):
-            stamp = self._stamp([table], [current_hello], version)
-            if self._cache.hits([table], *stamp, now, self._windowed):
-                self._trace([table], now, "hello", [0], [], True)
-                return self._serve([table], now)[0]
-        result = self.mechanism.decide(
-            self.protocol, table, now, current_hello, version=version
-        )
-        decision = self._decision(result, now)
-        if stamp is not None:
-            self._cache.store(*stamp, now, [table], [decision])
-            self.cache_misses += 1
-        self._trace([table], now, "hello", [], [0], stamp is not None)
-        return decision
+        gathered = self.gather([table], now, [current_hello], version, phase="hello")
+        if gathered.errors:
+            raise gathered.errors[0]
+        return self.settle([gathered])[0][0]
 
     def decide_many(
         self,
@@ -191,50 +213,101 @@ class MobilitySensitiveTopologyControl:
     ) -> list[NodeDecision | None]:
         """:meth:`decide` for many owners at once — packet-time redecision.
 
-        Hit/miss accounting, telemetry events included, is exactly that
-        of one :meth:`decide` per owner, in order, with the stamps of all
-        owners checked in one array compare; every owner that misses the
-        cache is then handed to the mechanism in one
-        :meth:`~repro.core.consistency.ConsistencyMechanism.decide_many`
-        call, which batches them where the mechanism and protocol can.
-        An owner whose view cannot be built gets None and counts no miss,
-        as if its :meth:`decide` had raised :class:`ViewError`.
+        One :meth:`gather` and one :meth:`settle`.  An owner whose view
+        cannot be built gets None and counts no miss, as if its
+        :meth:`decide` had raised :class:`ViewError`.
         """
-        decisions: list[NodeDecision | None] = [None] * len(tables)
-        pending = list(range(len(tables)))
+        return self.settle([self.gather(tables, now, current_hellos, version)])[0]
+
+    def gather(
+        self,
+        tables: Sequence[NeighborTable],
+        now: float,
+        current_hellos: Sequence[Hello | None],
+        version: int | None = None,
+        phase: str = "packet",
+    ) -> GatheredDecisions:
+        """Read many owners' decision inputs at *now*; :meth:`settle`
+        turns them into decisions later.
+
+        The owners' stamps are checked against the decision cache in one
+        array compare; each hit will be served the standing decision.
+        The mechanism gathers the view members of the other owners
+        (:meth:`~repro.core.consistency.ConsistencyMechanism.gather`),
+        and their stamps are stored, so the cache holds every gathered
+        decision's stamp while its selection waits.  Hit/miss accounting
+        and telemetry events happen here, per owner in order, with
+        *phase* (``hello`` or ``packet``) as their label.
+
+        A mechanism that does not recompute at packet time stores no
+        stamps: each of its decisions in a simulation follows a write to
+        the owner's table (its own Hello) or requests a new version (a
+        reactive round), so no later decision could hit.  Its decisions
+        skip the stamp and the probe, and still count one miss each.
+        """
+        kinds = [_FRESH] * len(tables)
         hits: list[int] = []
-        stamp = None
-        if self._cacheable(len(tables)) and tables:
-            stamp = self._stamp(tables, current_hellos, version)
-            hits = self._cache.hits(tables, *stamp, now, self._windowed)
-            if hits:
-                served = self._serve([tables[i] for i in hits], now)
-                for i, decision in zip(hits, served):
-                    decisions[i] = decision
-                pending = [i for i, decision in enumerate(decisions) if decision is None]
-        if not pending:
-            self._trace(tables, now, "packet", hits, [], True)
-            return decisions
-        results = self.mechanism.decide_many(
-            self.protocol,
-            [tables[i] for i in pending],
+        cached = self._cacheable(len(tables))
+        stored = cached and self.recompute_on_packet
+        if stored and tables:
+            owners, stamps = self._stamp(tables, current_hellos, version)
+            hits = self._cache.hits(tables, owners, stamps, now, self._windowed)
+            for i in hits:
+                kinds[i] = _HIT
+        misses = [i for i, kind in enumerate(kinds) if kind == _FRESH]
+        views, failed = self.mechanism.gather(
+            [tables[i] for i in misses] if hits else tables,
             now,
-            [current_hellos[i] for i in pending],
-            version=version,
+            [current_hellos[i] for i in misses] if hits else current_hellos,
+            version,
         )
-        for i, result in zip(pending, results):
-            if result is not None:
-                decisions[i] = self._decision(result, now)
-        done = [i for i in pending if decisions[i] is not None]
-        if stamp is not None and done:
-            owners, stamps = (column[done] for column in stamp)
-            self._cache.store(
-                owners, stamps, now,
-                [tables[i] for i in done], [decisions[i] for i in done],
-            )
-            self.cache_misses += len(done)
-        self._trace(tables, now, "packet", hits, done, stamp is not None)
-        return decisions
+        errors = {misses[j]: exc for j, exc in failed.items()}
+        for i in errors:
+            kinds[i] = _UNDECIDED
+        fresh = [i for i in misses if i not in errors]
+        if stored and fresh:
+            self._cache.store(owners[fresh], stamps[fresh], now, [tables[i] for i in fresh])
+        if cached:
+            self.cache_hits += len(hits)
+            self.cache_misses += len(fresh)
+        self._trace(tables, now, phase, hits, fresh, cached)
+        return GatheredDecisions(now, [t.owner for t in tables], kinds, views, errors, stored)
+
+    def settle(
+        self, gathered: Sequence[GatheredDecisions]
+    ) -> list[list[NodeDecision | None]]:
+        """The decisions of every :meth:`gather` in *gathered*, in order.
+
+        The fresh rows of all of them are selected in one
+        :meth:`~repro.core.consistency.ConsistencyMechanism.select` pass
+        (padded blocks for single-version mechanisms).  Each decision is
+        made at its own gather's instant (``decided_at``); a cache hit
+        gets the standing decision refreshed to that instant.  Settle
+        gathers in the order they were made, since a hit is served the
+        decision of the owner's previous gather.
+        """
+        views = [g.views for g in gathered if g.views.owners.size]
+        selected = iter(
+            self.mechanism.select(self.protocol, GatheredViews.concat(views)) if views else ()
+        )
+        decisions = self._cache.decisions
+        settled = []
+        for g in gathered:
+            out: list[NodeDecision | None] = []
+            for owner, kind in zip(g.owners, g.kinds):
+                if kind == _FRESH:
+                    decision = self._decision(next(selected), g.now)
+                    if g.stored:
+                        decisions[owner] = decision
+                elif kind == _HIT:
+                    decision = decisions[owner]
+                    if decision.decided_at != g.now:
+                        decision = replace(decision, decided_at=g.now)
+                else:
+                    decision = None
+                out.append(decision)
+            settled.append(out)
+        return settled
 
     # ------------------------------------------------------------------ #
     # decision-cache stamps
@@ -294,17 +367,6 @@ class MobilitySensitiveTopologyControl:
             return [(t.last_advertised or h).position for t, h in zip(tables, current_hellos)]
         return [h.position for h in current_hellos]
 
-    def _serve(self, tables: Sequence[NeighborTable], now: float) -> list[NodeDecision]:
-        """The standing decisions of cache hits, refreshed to *now*."""
-        served = []
-        for table in tables:
-            decision = self._cache.decisions[table.owner]
-            if decision.decided_at != now:
-                decision = replace(decision, decided_at=now)
-            served.append(decision)
-        self.cache_hits += len(tables)
-        return served
-
     def _decision(self, result: SelectionResult, now: float) -> NodeDecision:
         """A fresh selection as a standing decision made at *now*."""
         return NodeDecision(
@@ -322,19 +384,19 @@ class MobilitySensitiveTopologyControl:
         phase: str,
         hits: Sequence[int],
         fresh: Sequence[int],
-        stamped: bool,
+        cached: bool,
     ) -> None:
-        """Count and trace one call's decisions (armed telemetry only).
+        """Count and trace one gather's decisions (armed telemetry only).
 
         *hits* and *fresh* index *tables*: the owners served from the
-        cache and those freshly decided (*stamped* when the cache stored
-        them).  Events follow owner order, as one :meth:`decide` per
-        owner would emit them.
+        cache and those freshly decided (*cached* when the cache counted
+        them as misses).  Events follow owner order, as one
+        :meth:`decide` per owner would emit them.
         """
         tel = self._telemetry
         if tel is None:
             return
-        if stamped:
+        if cached:
             outcome = "miss"
         elif self.decision_cache_enabled:
             outcome = "uncacheable"
@@ -379,7 +441,9 @@ class MobilitySensitiveTopologyControl:
         }
 
     def clear_decision_cache(self) -> None:
-        """Drop all standing decisions (counters are kept)."""
+        """Drop all standing decisions (counters are kept).  Settle every
+        gathered decision first: a gathered cache hit is served from the
+        cache when it settles."""
         self._cache = _DecisionCache()
 
     def describe(self) -> str:
@@ -408,9 +472,12 @@ class _DecisionCache:
       ``tables``, so the id is not reused), ``mutations`` at decision
       time, requested version (:data:`NO_VERSION` for None),
       configuration id and the own position the mechanism read;
-    - ``decided``: the decision time.
+    - ``decided``: the decision time;
+    - ``decisions``: the decision itself.
 
-    A hit needs an equal stamp.  A decision that read the
+    The stamp and the time are written when a decision is gathered, the
+    decision when it settles, so a probe sees every gathered decision
+    while its selection waits.  A hit needs an equal stamp.  A decision that read the
     expiry-filtered live view also needs the same live neighbors now as
     at the decision time; with ``mutations`` unchanged the retained state
     is the one the decision read, so
@@ -447,16 +514,23 @@ class _DecisionCache:
         """Indices of the owners whose stamps still hold at *now*;
         *windowed* when the decisions read the expiry-filtered live view."""
         self._reserve(int(owners.max()) + 1)
-        found = np.flatnonzero((self.stamps[owners] == stamps).all(axis=1))
+        held = self.stamps[owners]
+        # A write since the standing decision is a certain miss, as for a
+        # decision right after the owner's own Hello: whole stamps are
+        # compared only where the write counts agree.
+        found = np.flatnonzero(held[:, 1] == stamps[:, 1])
+        if not found.size:
+            return []
+        found = found[(held[found] == stamps[found]).all(axis=1)]
         if windowed and found.size:
             held = [tables[i] for i in found.tolist()]
             found = found[live_unchanged(held, self.decided[owners[found]], now)]
         return found.tolist()
 
-    def store(self, owners, stamps, now, tables, decisions) -> None:
-        """Record fresh decisions made at *now* with their stamps."""
+    def store(self, owners, stamps, now, tables) -> None:
+        """Record the stamps of decisions gathered at *now*; their
+        decisions follow when they settle."""
         self.stamps[owners] = stamps
         self.decided[owners] = now
-        for owner, table, decision in zip(owners.tolist(), tables, decisions):
+        for owner, table in zip(owners.tolist(), tables):
             self.tables[owner] = table
-            self.decisions[owner] = decision

@@ -262,15 +262,18 @@ def _per_store(tables: Sequence[NeighborTable], read) -> tuple[np.ndarray, ...]:
 
 
 def latest_members(
-    tables: Sequence[NeighborTable], now: float
+    tables: Sequence[NeighborTable], now: float, expiry: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(counts, ids, xy)``: the neighbors of every table's
     :meth:`~NeighborTable.latest_view` as arrays, in record order, flat
     and grouped by table, with no Hello built
-    (:meth:`~repro.core.neighbor_state.NeighborState.latest_members`)."""
+    (:meth:`~repro.core.neighbor_state.NeighborState.latest_members`);
+    *expiry*, when given, replaces the tables' own."""
     return _per_store(
         tables,
-        lambda state, rows, expiry, _: state.latest_members(rows, now, expiry),
+        lambda state, rows, own, _: state.latest_members(
+            rows, now, own if expiry is None else expiry
+        ),
     )
 
 

@@ -24,6 +24,7 @@ Entry points: ``repro fuzz`` (CLI) and :func:`fuzz` (programmatic).
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,13 +39,12 @@ from repro.analysis.experiment import ExperimentSpec, build_mobility
 from repro.core.audit import audit_world
 from repro.core.buffer_zone import BufferZonePolicy, buffer_width
 from repro.core.consistency import (
-    ConsistencyMechanism,
     ViewSynchronization,
     available_mechanisms,
     make_mechanism,
 )
 from repro.core.manager import MobilitySensitiveTopologyControl
-from repro.core.views import LocalView
+from repro.core.tables import latest_members
 from repro.faults.oracles import OracleFinding, check_instant
 from repro.faults.schedule import (
     ClockSkew,
@@ -107,25 +107,11 @@ class BrokenViewSync(ViewSynchronization):
 
     name = "broken-view-sync"
     cacheable = False
-    # Packet-time redecision runs the mutation too: loop over decide
-    # instead of the real mechanism's batched gather.
-    decide_many = ConsistencyMechanism.decide_many
 
-    def decide(self, protocol, table, now, current_hello, version=None):
-        own = table.last_advertised
-        if own is None:
-            own = current_hello
-        neighbors = {
-            nid: table.history_of(nid)[-1] for nid in table.known_neighbors()
-        }
-        view = LocalView(
-            owner=table.owner,
-            own_hello=own,
-            neighbor_hellos=neighbors,
-            normal_range=table.normal_range,
-            sampled_at=now,
-        )
-        return protocol.select(view)
+    def members(self, tables, now, versions):
+        # Every retained neighbor's newest position, however stale.
+        counts, ids, xy = latest_members(tables, now, expiry=math.inf)
+        return counts, ids, np.ones(ids.size, dtype=np.int64), xy
 
 
 # --------------------------------------------------------------------- #

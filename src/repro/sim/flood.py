@@ -8,6 +8,15 @@ at the flood instant: node u's transmission reaches v iff v lies within
 u's extended range, and v accepts iff it appears in u's attached logical
 neighbor set (or always, in physical-neighbor mode).
 
+The decisions the flood reads are settled first.  A node's Hello-time
+decision is gathered at its Hello and selected later, together with
+every other decision gathered since, in padded blocks; the probe's
+snapshot (or, for the mechanisms below, its redecision) settles them,
+each at its own Hello's instant, so the flood sees exactly the
+decisions a select at every Hello would have made.  At 10 probes/s and
+one Hello per node per second, a 100-node world settles about ten
+Hello-time decisions per probe.
+
 For mechanisms that recompute on packet events (view synchronization,
 proactive consistency) every node re-decides at flood time first — under
 the proactive scheme on the packet's Hello version.  Those redecisions go

@@ -2,7 +2,9 @@
 
 A :class:`TraceRecorder` captures the time series a simulation produces —
 positions, ranges, logical adjacency, per-sample delivery — into plain
-NumPy arrays that save/load as a single ``.npz`` file.  This is what lets
+NumPy arrays that save/load as a single ``.npz`` file.  The logical
+adjacency is kept as CSR neighbor lists, so a trace of any network size
+takes memory in proportion to its links.  This is what lets
 long full-scale runs be analysed (or re-plotted) without re-simulating,
 and gives downstream users a stable interchange format.
 """
@@ -30,8 +32,10 @@ class SimulationTrace:
         ``(k,)`` sample instants.
     positions:
         ``(k, n, 2)`` true positions per sample.
-    logical:
-        ``(k, n, n)`` boolean logical adjacency per sample.
+    logical_indptr / logical_indices:
+        Logical adjacency per sample as CSR neighbor lists: sample ``i``'s
+        rows are ``logical_indptr[i]`` (``(k, n + 1)``), which index the
+        flat ``logical_indices`` of every sample (:meth:`logical_csr`).
     actual_ranges / extended_ranges:
         ``(k, n)`` per-node ranges per sample.
     delivery_ratios:
@@ -42,7 +46,8 @@ class SimulationTrace:
 
     times: np.ndarray
     positions: np.ndarray
-    logical: np.ndarray
+    logical_indptr: np.ndarray
+    logical_indices: np.ndarray
     actual_ranges: np.ndarray
     extended_ranges: np.ndarray
     delivery_ratios: np.ndarray
@@ -58,17 +63,26 @@ class SimulationTrace:
         """Number of nodes in the recorded world."""
         return int(self.positions.shape[1]) if self.n_samples else 0
 
+    def logical_csr(self, index: int) -> CSRGraph:
+        """The logical adjacency of sample *index*."""
+        indptr = self.logical_indptr[index]
+        return CSRGraph(
+            indptr - indptr[0],
+            self.logical_indices[indptr[0] : indptr[-1]],
+            n=indptr.shape[0] - 1,
+        )
+
     def snapshot(self, index: int) -> WorldSnapshot:
         """Reconstruct the :class:`WorldSnapshot` of sample *index*.
 
-        The stored dense adjacency becomes the snapshot's
+        The stored adjacency becomes the snapshot's
         :attr:`~WorldSnapshot.logical_csr`; every other topology is built
         from the positions on demand, as in a live snapshot.
         """
         return WorldSnapshot(
             time=float(self.times[index]),
             positions=self.positions[index],
-            logical_csr=CSRGraph.from_dense(self.logical[index]),
+            logical_csr=self.logical_csr(index),
             actual_ranges=self.actual_ranges[index],
             extended_ranges=self.extended_ranges[index],
             normal_range=float(self.meta.get("normal_range", np.inf)),
@@ -82,7 +96,8 @@ class SimulationTrace:
             path,
             times=self.times,
             positions=self.positions,
-            logical=self.logical,
+            logical_indptr=self.logical_indptr,
+            logical_indices=self.logical_indices,
             actual_ranges=self.actual_ranges,
             extended_ranges=self.extended_ranges,
             delivery_ratios=self.delivery_ratios,
@@ -92,7 +107,8 @@ class SimulationTrace:
 
     @classmethod
     def load(cls, path) -> "SimulationTrace":
-        """Read a trace written by :meth:`save`."""
+        """Read a trace written by :meth:`save`; a trace saved with a dense
+        ``(k, n, n)`` ``logical`` array loads too."""
         import ast
 
         with np.load(path, allow_pickle=True) as data:
@@ -100,10 +116,18 @@ class SimulationTrace:
                 str(k): ast.literal_eval(str(v))
                 for k, v in zip(data["meta_keys"], data["meta_vals"])
             }
+            if "logical" in data:
+                indptr, indices = _stack_csr(
+                    [CSRGraph.from_dense(adj) for adj in data["logical"]],
+                    data["positions"].shape[1],
+                )
+            else:
+                indptr, indices = data["logical_indptr"], data["logical_indices"]
             return cls(
                 times=data["times"],
                 positions=data["positions"],
-                logical=data["logical"],
+                logical_indptr=indptr,
+                logical_indices=indices,
                 actual_ranges=data["actual_ranges"],
                 extended_ranges=data["extended_ranges"],
                 delivery_ratios=data["delivery_ratios"],
@@ -126,7 +150,7 @@ class TraceRecorder:
         self.label = label
         self._times: list[float] = []
         self._positions: list[np.ndarray] = []
-        self._logical: list[np.ndarray] = []
+        self._logical: list[CSRGraph] = []
         self._actual: list[np.ndarray] = []
         self._extended: list[np.ndarray] = []
         self._delivery: list[float] = []
@@ -139,7 +163,7 @@ class TraceRecorder:
         snap = self.world.snapshot()
         self._times.append(snap.time)
         self._positions.append(snap.positions)
-        self._logical.append(snap.logical_csr.to_dense())
+        self._logical.append(snap.logical_csr)
         self._actual.append(snap.actual_ranges)
         self._extended.append(snap.extended_ranges)
         self._delivery.append(float(delivery_ratio))
@@ -174,14 +198,27 @@ class TraceRecorder:
             meta["telemetry"] = world.telemetry.summary().as_dict()
         if world.fault_injector is not None:
             meta["fault_schedule"] = world.fault_injector.schedule.as_dict()
+        indptr, indices = _stack_csr(self._logical, n)
         return SimulationTrace(
             times=np.asarray(self._times),
             positions=(
                 np.stack(self._positions) if k else np.zeros((0, n, 2))
             ),
-            logical=(np.stack(self._logical) if k else np.zeros((0, n, n), dtype=bool)),
+            logical_indptr=indptr,
+            logical_indices=indices,
             actual_ranges=(np.stack(self._actual) if k else np.zeros((0, n))),
             extended_ranges=(np.stack(self._extended) if k else np.zeros((0, n))),
             delivery_ratios=np.asarray(self._delivery),
             meta=meta,
         )
+
+
+def _stack_csr(graphs: list[CSRGraph], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of many *n*-node graphs: row ``i`` of the
+    ``(k, n + 1)`` *indptr* indexes graph ``i``'s neighbors in the flat
+    *indices* of all of them."""
+    if not graphs:
+        return np.zeros((0, n + 1), dtype=np.int64), np.zeros(0, dtype=np.intp)
+    offsets = np.cumsum([0] + [g.nnz for g in graphs[:-1]])
+    indptr = np.stack([g.indptr + offset for g, offset in zip(graphs, offsets)])
+    return indptr, np.concatenate([g.indices for g in graphs])

@@ -223,8 +223,16 @@ class TestCacheInvalidation:
 
     def test_mechanisms_opt_in_to_the_cache(self):
         class Timed(ConsistencyMechanism):
-            def decide(self, protocol, table, now, current_hello, version=None):
-                return BaselineConsistency().decide(protocol, table, now, current_hello)
+            baseline = BaselineConsistency()
+
+            def resolve(self, table, current_hello, version):
+                return self.baseline.resolve(table, current_hello, None)
+
+            def members(self, tables, now, versions):
+                return self.baseline.members(tables, now, versions)
+
+            def select(self, protocol, views):
+                return self.baseline.select(protocol, views)
 
         assert not Timed.cacheable
         for name in available_mechanisms():

@@ -136,7 +136,8 @@ class TestTraceRecorder:
         assert loaded.meta["label"] == "unit-test"
         assert loaded.meta["n_nodes"] == 10
         assert np.allclose(loaded.positions, trace.positions)
-        assert np.array_equal(loaded.logical, trace.logical)
+        assert np.array_equal(loaded.logical_indptr, trace.logical_indptr)
+        assert np.array_equal(loaded.logical_indices, trace.logical_indices)
 
     def test_empty_trace(self, small_world):
         trace = TraceRecorder(small_world).finish()
@@ -179,6 +180,63 @@ class TestTraceRecorder:
         # The embedded schedule rebuilds into an equal FaultSchedule.
         rebuilt = FaultSchedule.from_dict(loaded.meta["fault_schedule"])
         assert rebuilt == schedule
+
+    def test_records_worlds_above_the_dense_limit(self, monkeypatch, tmp_path):
+        # No frame is densified: with the limit below the world size,
+        # recording, saving, loading and measuring still work.
+        from repro.analysis.experiment import ExperimentSpec, build_world
+        from repro.geometry import csr as csr_mod
+        from repro.mobility.base import Area
+        from repro.sim.config import ScenarioConfig
+
+        monkeypatch.setattr(csr_mod, "DENSE_NODE_LIMIT", 8)
+        cfg = ScenarioConfig(
+            n_nodes=24, area=Area(440.0, 440.0), duration=5.0, warmup=2.0,
+            sample_rate=1.0,
+        )
+        world = build_world(
+            ExperimentSpec(protocol="rng", mean_speed=10.0, config=cfg), seed=3
+        )
+        rec = TraceRecorder(world)
+        live = []
+        for t in (2.0, 3.5, 5.0):
+            world.run_until(t)
+            rec.record()
+            snap = world.snapshot()
+            live.append((sample_topology(snap), strictly_connected(snap)))
+        path = tmp_path / "large.npz"
+        rec.finish().save(path)
+        loaded = SimulationTrace.load(path)
+        assert loaded.logical_indices.size > 0
+        for i, (topology, connected) in enumerate(live):
+            restored = loaded.snapshot(i)
+            assert sample_topology(restored) == topology
+            assert strictly_connected(restored) == connected
+
+    def test_loads_traces_saved_with_dense_adjacency(self, small_world, tmp_path):
+        rec = TraceRecorder(small_world)
+        for t in (2.0, 3.0):
+            small_world.run_until(t)
+            rec.record()
+        trace = rec.finish()
+        path = tmp_path / "dense.npz"
+        np.savez_compressed(
+            path,
+            times=trace.times,
+            positions=trace.positions,
+            logical=np.stack(
+                [trace.logical_csr(i).to_dense() for i in range(trace.n_samples)]
+            ),
+            actual_ranges=trace.actual_ranges,
+            extended_ranges=trace.extended_ranges,
+            delivery_ratios=trace.delivery_ratios,
+            meta_keys=np.array(["n_nodes"], dtype=object),
+            meta_vals=np.array(["10"], dtype=object),
+        )
+        loaded = SimulationTrace.load(path)
+        assert np.array_equal(loaded.logical_indptr, trace.logical_indptr)
+        assert np.array_equal(loaded.logical_indices, trace.logical_indices)
+        assert loaded.meta == {"n_nodes": 10}
 
 
 # --------------------------------------------------------------------- #
