@@ -142,6 +142,11 @@ CELLS = {
     # order owners are cut into blocks is pinned.
     "rng-view-sync-n100": Cell("rng", "view-sync", n_nodes=100),
     "spt4-proactive-n100": Cell("spt4", "proactive", n_nodes=100),
+    # Weak at n=100: the first settle of the 2.0 s probe holds about 200
+    # rows, several selection blocks of wide rows whose rings are filled
+    # to different depths.
+    "rng-weak-n100": Cell("rng", "weak", n_nodes=100),
+    "spt4-weak-n100": Cell("spt4", "weak", n_nodes=100),
     # Physical-neighbor forwarding, and no buffer zone at all.
     "rng-view-sync-pn": Cell("rng", "view-sync", spec={"physical_neighbor_mode": True}),
     "rng-baseline-buf0": Cell("rng", "baseline", spec={"buffer_width": 0.0}),
