@@ -19,11 +19,13 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   recorded gathers are replayed as blocks of one owner against the
   blocks the world settled.  ``--before FILE`` embeds these rows from
   another commit;
-- weak-consistency decisions (``weak_decision``): ``select_histories``
-  of RNG, SPT-4 and MST on every owner's multi-version view of a
-  100-node world at paper density, with and without the history gather;
-  ``--before FILE`` embeds these rows from another commit too, and a
-  digest of the decisions shows both commits decided the same;
+- weak-consistency decisions (``weak_decision``): one
+  ``WeakConsistency.select`` of RNG, SPT-4 and MST over one gather of
+  every owner's multi-version view in a 100-node world at paper
+  density, alone and with the history gather, and how many protocol
+  calls it makes; ``--before FILE`` embeds these rows from another
+  commit too, and a digest of the decisions shows both commits decided
+  the same;
 - the snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
@@ -373,27 +375,26 @@ def bench_hello_decisions(
 WEAK_PROTOCOLS = ("rng", "spt4", "mst")
 
 
-class _Recorder:
-    """Stands in for a protocol and keeps the ``select_histories``
-    arguments a mechanism passes it."""
+class _Counter:
+    """Stands in for a protocol and counts its ``select_histories`` calls."""
 
     def __init__(self, protocol) -> None:
         self.protocol = protocol
-        self.calls: list[tuple] = []
+        self.calls = 0
 
     def select_histories(self, *args):
-        self.calls.append(args)
+        self.calls += 1
         return self.protocol.select_histories(*args)
 
 
 def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 3.0) -> dict:
     """Weak-consistency decisions of every owner at paper density.
 
-    A weak world of *n* nodes at 20 m/s runs for *warm_t* seconds; each
-    owner's decision inputs are then recorded once through
-    :meth:`WeakConsistency.decide`.  One pass over all owners is timed
-    for ``select_histories`` alone and for the whole decision with its
-    history gather (median over passes, ns per owner).
+    A weak world of *n* nodes at 20 m/s runs for *warm_t* seconds; every
+    owner's decision inputs are then gathered at once
+    (:meth:`WeakConsistency.gather`).  One :meth:`WeakConsistency.select`
+    over that gather is timed alone and with the gather (median over
+    passes, ns per owner), and its protocol calls are counted.
     ``decisions_sha256`` digests the selections, so a before/after pair
     shows both sides decided the same.
     """
@@ -411,19 +412,19 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
     world = build_world(spec, seed)
     world.run_until(warm_t)
     mechanism = WeakConsistency()
-    recorder = _Recorder(world.manager.protocol)
-    owners = [
-        (node.table, world._current_hello(node.node_id, warm_t)) for node in world.nodes
-    ]
-    results = [mechanism.decide(recorder, table, warm_t, hello) for table, hello in owners]
-    calls = recorder.calls
-    protocol = recorder.protocol
+    protocol = world.manager.protocol
+    tables = [node.table for node in world.nodes]
+    hellos = [world._current_hello(node.node_id, warm_t) for node in world.nodes]
+    views, errors = mechanism.gather(tables, warm_t, hellos)
+    assert not errors
+    counter = _Counter(protocol)
+    results = mechanism.select(counter, views)
 
     def select_all() -> list:
-        return [protocol.select_histories(*args) for args in calls]
+        return mechanism.select(protocol, views)
 
     def decide_all() -> list:
-        return [mechanism.decide(protocol, table, warm_t, hello) for table, hello in owners]
+        return mechanism.select(protocol, mechanism.gather(tables, warm_t, hellos)[0])
 
     if select_all() != results or decide_all() != results:
         raise AssertionError(f"{name} weak decisions are not repeatable")
@@ -433,14 +434,18 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
         repr([(r.owner, sorted(r.logical_neighbors), r.actual_range) for r in results]).encode()
     ).hexdigest()
     print(
-        f"weak_decision {name:<5} n={n:<4} select_histories={select_ns / 1e3:8.1f} us   "
-        f"decide={decide_ns / 1e3:8.1f} us per owner"
+        f"weak_decision {name:<5} n={n:<4} select={select_ns / 1e3:8.1f} us   "
+        f"with gather={decide_ns / 1e3:8.1f} us per owner   "
+        f"{counter.calls} protocol calls"
     )
     return {
         "n": n,
-        "mean_members": round(float(np.mean([args[0].size for args in calls])), 2),
-        "mean_positions": round(float(np.mean([args[2].shape[0] for args in calls])), 2),
-        "select_histories_ns": round(select_ns),
+        "mean_members": round(float(np.mean(1 + views.counts)), 2),
+        "mean_positions": round(
+            float(views.own_counts.sum() + views.fills.sum()) / n, 2
+        ),
+        "protocol_calls": counter.calls,
+        "select_ns": round(select_ns),
         "decide_ns": round(decide_ns),
         "decisions_sha256": digest,
     }

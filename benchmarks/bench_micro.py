@@ -66,13 +66,12 @@ def test_spt_selection_speed(benchmark):
 
 def test_cost_graph_construction_speed(benchmark):
     # The interval cost graph of weak consistency: distance bounds over
-    # three retained positions per member.
+    # three retained positions per member, a block of one view.
     _, pts = _view().positions()
     rng = np.random.default_rng(1)
-    history = np.repeat(pts, 3, axis=0) + rng.normal(scale=5.0, size=(3 * len(pts), 2))
-    counts = np.full(len(pts), 3)
-    dist_low, dist_high = benchmark(distance_bounds, counts, history)
-    assert dist_low.shape == dist_high.shape == (19, 19)
+    history = pts[np.newaxis, :, np.newaxis] + rng.normal(scale=5.0, size=(1, len(pts), 3, 2))
+    dist_low, dist_high = benchmark(distance_bounds, history)
+    assert dist_low.shape == dist_high.shape == (1, 19, 19)
 
 
 def test_removal_condition_speed(benchmark):

@@ -30,7 +30,11 @@ Every mechanism reads its view members as arrays straight from the
 columnar neighbor store; no decision builds a Hello.  A decision is
 gathered (:meth:`ConsistencyMechanism.gather`) and selected
 (:meth:`ConsistencyMechanism.select`) in two steps, so views gathered
-at different instants select together in one block.
+at different instants select together in one block.  One selection
+body serves every mechanism: it pads the rows into blocks of member
+histories, one position each for the single-version mechanisms
+(``select_batch``) and the retained ones for weak consistency
+(``select_histories``).
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ __all__ = [
     "available_mechanisms",
     "make_mechanism",
 ]
+
+
+#: Owners per selection call.  A block's padded selection temporaries
+#: are (block, P, M, M) floats, one (M, M) plane per pair of history
+#: slots: about a megabyte at the paper's density for single-version
+#: views (P = 1), and ten times that for weak views of depth 3.
+_SELECT_BLOCK = 32
 
 
 class GatheredViews(NamedTuple):
@@ -126,6 +137,10 @@ class ConsistencyMechanism(ABC):
     #: own position above and the requested version, so a mechanism opts
     #: in only when its decisions read nothing else
     cacheable: bool = False
+    #: True if decisions run the protocol's conservative mode
+    #: (``select_histories``) on k-version views; else ``select_batch``
+    #: on single-version views
+    conservative: bool = False
 
     @abstractmethod
     def resolve(
@@ -150,11 +165,49 @@ class ConsistencyMechanism(ABC):
         at *now*, at its resolved version, as :class:`GatheredViews`
         holds them."""
 
-    @abstractmethod
     def select(
         self, protocol: TopologyControlProtocol, views: GatheredViews
     ) -> list[SelectionResult]:
-        """Run *protocol* on every row of *views*, in row order."""
+        """Run *protocol* on every row of *views*, in row order, in padded
+        blocks of up to :data:`_SELECT_BLOCK` rows.
+
+        Rows are cut into blocks by member count, so each block is padded
+        only to its own widest view: row ``b`` holds the owner in column
+        0 at its own positions, then its members; shorter rows are padded
+        with ID -1 at NaN positions.  Every history is padded to the
+        longest of the rows, ``K``, by repeating its newest position,
+        which changes no min or max.  A block goes to
+        ``protocol.select_histories`` when the mechanism is
+        :attr:`conservative`, else to ``protocol.select_batch`` (``K = 1``).
+        """
+        owners, ranges, own_counts, own_xy, counts, ids, fills, xy = views
+        depth = max(int(own_counts.max(initial=1)), int(fills.max(initial=1)))
+        own_pts = _padded(own_xy, own_counts, depth)
+        member_pts = _padded(xy, fills, depth)
+        starts = np.cumsum(counts) - counts
+        order = np.argsort(counts, kind="stable")
+        results: list[SelectionResult] = [None] * owners.size  # type: ignore[list-item]
+        for lo in range(0, owners.size, _SELECT_BLOCK):
+            block = order[lo : lo + _SELECT_BLOCK]
+            size = counts[block]
+            width = 1 + int(size.max())
+            # Row rank of every member: row b's members fill columns 1..size[b].
+            row = np.repeat(np.arange(block.size), size)
+            col = np.arange(1, row.size + 1) - np.repeat(np.cumsum(size) - size, size)
+            src = np.repeat(starts[block] - 1, size) + col
+            block_ids = np.full((block.size, width), -1, dtype=np.int64)
+            block_pts = np.full((block.size, width, depth, 2), np.nan)
+            block_ids[:, 0] = owners[block]
+            block_pts[:, 0] = own_pts[block]
+            block_ids[row, col] = ids[src]
+            block_pts[row, col] = member_pts[src]
+            if self.conservative:
+                selected = protocol.select_histories(block_ids, block_pts, ranges[block])
+            else:
+                selected = protocol.select_batch(block_ids, block_pts[:, :, 0], ranges[block])
+            for b, result in zip(block.tolist(), selected):
+                results[b] = result
+        return results
 
     def gather(
         self,
@@ -225,6 +278,7 @@ class ConsistencyMechanism(ABC):
         :meth:`select`.  An owner whose view cannot be built
         (:class:`ViewError`, e.g. it has not advertised the requested
         version) gets None; the others are unaffected."""
+        self.check_current_hellos(tables, current_hellos)
         views, errors = self.gather(tables, now, current_hellos, version)
         selected = iter(self.select(protocol, views))
         return [None if i in errors else next(selected) for i in range(len(tables))]
@@ -240,6 +294,7 @@ class ConsistencyMechanism(ABC):
         """Run *protocol* on the view this mechanism prescribes for one
         owner (:meth:`decide_many` for one table); raises the owner's
         :class:`ViewError` when it cannot decide."""
+        self.check_current_hellos([table], [current_hello])
         views, errors = self.gather([table], now, [current_hello], version)
         if errors:
             raise errors[0]
@@ -252,14 +307,30 @@ class ConsistencyMechanism(ABC):
             return table.last_advertised is None
         return self.own_position == "current"
 
+    def check_current_hellos(
+        self, tables: Sequence[NeighborTable], current_hellos: Sequence[Hello | None]
+    ) -> None:
+        """Raise :class:`ConfigurationError` if a decision at some table's
+        owner reads a current Hello (:meth:`reads_current_hello`) that is
+        None."""
+        for table, hello in zip(tables, current_hellos):
+            if hello is None and self.reads_current_hello(table):
+                raise ConfigurationError(
+                    f"node {table.owner} has no current Hello for its {self.name!r} decision"
+                )
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
-#: Owners per ``select_batch`` call.  A block's padded selection
-#: temporaries are (block, M, M) floats, about a megabyte at the paper's
-#: density.
-_SELECT_BLOCK = 32
+def _padded(xy: np.ndarray, fills: np.ndarray, depth: int) -> np.ndarray:
+    """``(len(fills), depth, 2)`` histories: history ``i`` holds the
+    ``fills[i]`` positions that follow those of history ``i - 1`` in
+    *xy*, oldest first, padded to *depth* by repeating its newest one."""
+    if depth == 1:
+        return xy[:, np.newaxis]
+    starts = np.cumsum(fills) - fills
+    return xy[starts[:, np.newaxis] + np.minimum(np.arange(depth), fills[:, np.newaxis] - 1)]
 
 
 class _SingleVersionMechanism(ConsistencyMechanism):
@@ -294,38 +365,6 @@ class _SingleVersionMechanism(ConsistencyMechanism):
         else:
             counts, ids, xy = versioned_members(tables, versions)
         return counts, ids, np.ones(ids.size, dtype=np.int64), xy
-
-    def select(self, protocol, views):
-        """``protocol.select_batch`` over the rows, in padded blocks.
-
-        Rows are cut into blocks by member count, so each block is padded
-        only to its own widest view: row ``b`` holds the owner in column
-        0 at its own position, then its members; shorter rows are padded
-        with ID -1 at NaN positions.
-        """
-        owners, ranges, _, own_xy, counts, ids, _, xy = views
-        n = owners.size
-        starts = np.cumsum(counts) - counts
-        order = np.argsort(counts, kind="stable")
-        results: list[SelectionResult] = [None] * n  # type: ignore[list-item]
-        for lo in range(0, n, _SELECT_BLOCK):
-            block = order[lo : lo + _SELECT_BLOCK]
-            size = counts[block]
-            width = 1 + int(size.max())
-            # Row rank of every member: row b's members fill columns 1..size[b].
-            row = np.repeat(np.arange(block.size), size)
-            col = np.arange(1, row.size + 1) - np.repeat(np.cumsum(size) - size, size)
-            src = np.repeat(starts[block] - 1, size) + col
-            block_ids = np.full((block.size, width), -1, dtype=np.int64)
-            block_pts = np.full((block.size, width, 2), np.nan)
-            block_ids[:, 0] = owners[block]
-            block_pts[:, 0] = own_xy[block]
-            block_ids[row, col] = ids[src]
-            block_pts[row, col] = xy[src]
-            selected = protocol.select_batch(block_ids, block_pts, ranges[block])
-            for b, result in zip(block.tolist(), selected):
-                results[b] = result
-        return results
 
 
 class BaselineConsistency(_SingleVersionMechanism):
@@ -422,11 +461,12 @@ class WeakConsistency(ConsistencyMechanism):
 
     Runs the protocol's enhanced link-removal conditions
     (:meth:`~repro.protocols.base.TopologyControlProtocol
-    .select_histories`) on the multi-version view
-    :meth:`~repro.core.tables.NeighborTable.multi_view` describes: every
-    live neighbor's retained positions, read as arrays straight from the
-    table (:func:`~repro.core.tables.history_members`), and the owner's
-    advertisement history plus its current position.  No Hello is built.
+    .select_histories`, in padded blocks of views) on the multi-version
+    view :meth:`~repro.core.tables.NeighborTable.multi_view` describes:
+    every live neighbor's retained positions, read as arrays straight
+    from the table (:func:`~repro.core.tables.history_members`), and the
+    owner's advertisement history plus its current position.  No Hello
+    is built.
     Theorem 4 guarantees a connected logical topology when views are weakly
     consistent, which Theorem 3 guarantees for sufficient *k*: the
     scenario's ``history_depth``, which sizes every table.
@@ -434,6 +474,7 @@ class WeakConsistency(ConsistencyMechanism):
 
     name = "weak"
     cacheable = True
+    conservative = True
 
     def resolve(self, table, current_hello, version):
         own = [h.position for h in table.own_history]
@@ -442,30 +483,6 @@ class WeakConsistency(ConsistencyMechanism):
 
     def members(self, tables, now, versions):
         return history_members(tables, now)
-
-    def select(self, protocol, views):
-        """``protocol.select_histories`` row by row: each row's owner
-        first, holding its own positions, then its members."""
-        owners, ranges, own_counts, own_xy, counts, ids, fills, xy = views
-        # Row b's members end at ends[b] in ids and fills, its own
-        # positions at own_ends[b] in own_xy; member i's positions end at
-        # held[i] in xy.
-        ends = np.cumsum(counts).tolist()
-        own_ends = np.cumsum(own_counts).tolist()
-        held = [0, *np.cumsum(fills).tolist()]
-        results = []
-        lo = own_lo = 0
-        for b, (hi, own_hi) in enumerate(zip(ends, own_ends)):
-            results.append(
-                protocol.select_histories(
-                    np.concatenate(([owners[b]], ids[lo:hi])),
-                    np.concatenate(([own_counts[b]], fills[lo:hi])),
-                    np.concatenate((own_xy[own_lo:own_hi], xy[held[lo] : held[hi]])),
-                    float(ranges[b]),
-                )
-            )
-            lo, own_lo = hi, own_hi
-        return results
 
 
 class GossipConsistency(_SingleVersionMechanism):

@@ -164,10 +164,7 @@ class MobilitySensitiveTopologyControl:
         # Armed telemetry or None (attach_telemetry); one None check on
         # the decide() path when disarmed — the fault-seam pattern.
         self._telemetry = None
-        if (
-            self.mechanism.name == "weak"
-            and not protocol.supports_conservative
-        ):
+        if self.mechanism.conservative and not protocol.supports_conservative:
             raise ProtocolError(
                 f"protocol {protocol.name!r} has no conservative mode; "
                 "weak consistency cannot drive it"
@@ -197,8 +194,11 @@ class MobilitySensitiveTopologyControl:
         (:meth:`~repro.core.consistency.ConsistencyMechanism.reads_current_hello`).
         One :meth:`gather` and one :meth:`settle`, as :meth:`decide_many`
         for one owner, counted in the ``hello`` phase; raises the owner's
-        :class:`~repro.util.errors.ViewError` when it cannot decide.
+        :class:`~repro.util.errors.ViewError` when it cannot decide, and
+        :class:`~repro.util.errors.ConfigurationError` when the mechanism
+        reads a *current_hello* that is None.
         """
+        self.mechanism.check_current_hellos([table], [current_hello])
         gathered = self.gather([table], now, [current_hello], version, phase="hello")
         if gathered.errors:
             raise gathered.errors[0]
@@ -217,6 +217,7 @@ class MobilitySensitiveTopologyControl:
         cannot be built gets None and counts no miss, as if its
         :meth:`decide` had raised :class:`ViewError`.
         """
+        self.mechanism.check_current_hellos(tables, current_hellos)
         return self.settle([self.gather(tables, now, current_hellos, version)])[0]
 
     def gather(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,23 +222,22 @@ class MultiVersionView:
             for b in self.hellos_of(v)
         ]
 
-    def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ids, counts, pts)``: the :attr:`members` as an int array,
-        how many Hellos each retains, and all their ``(sum(counts), 2)``
-        positions grouped per member, oldest first."""
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, pts)``: the :attr:`members` as an int array and their
+        ``(m, k, 2)`` retained positions, oldest first, every history
+        padded to the longest, ``k``, by repeating its newest position."""
         ids = self.members
-        histories = [self.hellos_of(nid) for nid in ids]
-        pts = np.array(
-            [h.position for hs in histories for h in hs], dtype=np.float64
-        )
-        counts = np.fromiter(map(len, histories), dtype=np.intp, count=len(ids))
-        return np.array(ids, dtype=np.int64), counts, pts
+        histories = [[h.position for h in self.hellos_of(nid)] for nid in ids]
+        k = max(map(len, histories))
+        pts = np.array([hs + hs[-1:] * (k - len(hs)) for hs in histories], dtype=np.float64)
+        return np.array(ids, dtype=np.int64), pts
 
     def distance_bounds(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """(members, dist_low, dist_high): :func:`distance_bounds` of
-        :meth:`positions`."""
-        ids, counts, pts = self.positions()
-        return ids.tolist(), *distance_bounds(counts, pts)
+        :meth:`positions` as a block of one."""
+        ids, pts = self.positions()
+        dist_low, dist_high = distance_bounds(pts[np.newaxis])
+        return ids.tolist(), dist_low[0], dist_high[0]
 
     def cost_bounds(self, u: int, v: int, cost_model: CostModel) -> tuple[float, float]:
         """(cMin, cMax) of link (u, v) in this view."""
@@ -276,60 +276,69 @@ class MultiVersionView:
         return 1 + len(self.neighbor_hellos)
 
 
-def distance_bounds(
-    counts: np.ndarray, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(dist_low, dist_high)`` between members of a multi-version view.
+@lru_cache(maxsize=16)
+def _history_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k)``, the history slot pairs ``k1 <= k2``."""
+    return np.triu_indices(k)
 
-    Member ``i`` retains ``counts[i]`` positions, which follow those of
-    member ``i - 1`` in *pts*.  ``dist_low[i, j]`` / ``dist_high[i, j]``
-    are the min / max distance between any retained position of member
-    ``i`` and any of member ``j`` (zero on the diagonal).  Fully
-    vectorized: every history is padded to the longest, ``k``, by
-    repeating its newest position, which changes no min or max, and one
-    ``(k, k, m, m)`` broadcast over the ``(k, m, 2)`` block holds every
-    position pair, reduced over its leading axes.  Because every cost
-    model is strictly increasing in distance, cost bounds follow by
-    applying the model to these matrices.
+
+def distance_bounds(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dist_low, dist_high)``, each ``(B, W, W)``, between the members
+    of a padded block of views.
+
+    ``pts`` (shape ``(B, W, K, 2)``) holds the retained positions of
+    row ``b``'s member ``i`` at ``pts[b, i]``, every history padded to
+    the block's longest, ``K``, by repeating its newest position, which
+    changes no min or max; a missing member is NaN throughout, and so
+    are its bounds to every other member.  ``dist_low[b, i, j]`` /
+    ``dist_high[b, i, j]`` are the min / max distance between any
+    retained position of member ``i`` and any of member ``j``.  With
+    ``K = 1`` the one distance array is both bounds; otherwise both are
+    zero on the diagonal.  Every cost model is strictly increasing in
+    distance, so cost bounds follow by applying the model to these.
+
+    One ``(B, P, W, W)`` broadcast holds the squared distances of the
+    ``P`` slot pairs ``k1 <= k2``: pair ``(k2, k1)`` is the exact
+    transpose of ``(k1, k2)``, and sqrt is monotone, so the roots of the
+    bounds over half the pairs, taken with their transposes, are the
+    distance bounds over all of them, bit for bit.
     """
-    ends = np.cumsum(counts)
-    held = np.minimum(np.arange(int(counts.max()))[:, np.newaxis], counts - 1)
-    block = pts[(ends - counts) + held]
-    x, y = block[..., 0], block[..., 1]
-    dist = x[:, np.newaxis, :, np.newaxis] - x[np.newaxis, :, np.newaxis, :]
-    dy = y[:, np.newaxis, :, np.newaxis] - y[np.newaxis, :, np.newaxis, :]
-    # sqrt(dx*dx + dy*dy) in place, the arithmetic of select_batch.
+    blocks, width, k = pts.shape[:3]
+    first, second = _history_pairs(k)
+    # (B, K, W) coordinates, so that the pair block below is C-ordered.
+    x = np.ascontiguousarray(pts[..., 0].transpose(0, 2, 1))
+    y = np.ascontiguousarray(pts[..., 1].transpose(0, 2, 1))
+    # dx*dx + dy*dy in place: two (B, P, W, W) floats at most.
+    dist = x[:, first, :, np.newaxis] - x[:, second, np.newaxis, :]
+    dy = y[:, first, :, np.newaxis] - y[:, second, np.newaxis, :]
     dist *= dist
     dy *= dy
     dist += dy
-    np.sqrt(dist, out=dist)
-    dist = dist.reshape(-1, *dist.shape[2:])
-    dist_low = dist.min(axis=0)
-    dist_high = dist.max(axis=0)
-    np.fill_diagonal(dist_low, 0.0)
-    np.fill_diagonal(dist_high, 0.0)
+    del dy
+    if k == 1:
+        dist = dist.reshape(blocks, width, width)
+        np.sqrt(dist, out=dist)
+        return dist, dist
+    dist_low = dist.min(axis=1)
+    dist_high = dist.max(axis=1)
+    dist_low = np.sqrt(np.minimum(dist_low, dist_low.transpose(0, 2, 1)))
+    dist_high = np.sqrt(np.maximum(dist_high, dist_high.transpose(0, 2, 1)))
+    diag = np.arange(width)
+    dist_low[:, diag, diag] = 0.0
+    dist_high[:, diag, diag] = 0.0
     return dist_low, dist_high
 
 
 def _view_links(view: LocalView) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(member IDs, distance matrix, index pairs of links) of one view.
-
-    Vectorized replacement for the old per-pair ``has_link`` scan: one
-    dense distance matrix, one boolean mask, one ``nonzero``.
-    """
+    """(member IDs, distance matrix, index pairs of links) of one view:
+    :func:`distance_bounds` of a block of one, one boolean mask, one
+    ``nonzero``."""
     ids, pts = view.positions()
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = distance_bounds(pts[np.newaxis, :, np.newaxis])[0][0]
     adj = dist <= view.normal_range
     np.fill_diagonal(adj, False)
     iu, iv = np.nonzero(np.triu(adj, k=1))
     return ids, dist, np.stack((iu, iv), axis=1)
-
-
-def _iter_view_links(view: LocalView) -> Iterable[tuple[int, int]]:
-    ids, _, pairs = _view_links(view)
-    for i, j in pairs:
-        yield (ids[i], ids[j])
 
 
 def views_consistent(

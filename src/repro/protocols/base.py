@@ -3,9 +3,9 @@
 A protocol never touches simulator state; it maps a padded block of
 single-version views, as arrays (:meth:`~TopologyControlProtocol
 .select_batch`; a :class:`LocalView` is a block of one), or, in
-conservative mode, one multi-version view as its members' position
-histories (:meth:`~TopologyControlProtocol.select_histories`; a
-:class:`MultiVersionView` flattens to them), to
+conservative mode, a padded block of multi-version views as their
+members' position histories (:meth:`~TopologyControlProtocol
+.select_histories`; a :class:`MultiVersionView` is a block of one), to
 :class:`SelectionResult` s.  This is what lets the same implementations
 run unchanged under baseline, view-synchronized, strongly consistent, and
 weakly consistent regimes — the paper's whole point is that the base
@@ -210,14 +210,16 @@ class TopologyControlProtocol(ABC):
         )[0]
 
     def select_histories(
-        self, ids: np.ndarray, counts: np.ndarray, pts: np.ndarray, normal_range: float
-    ) -> SelectionResult:
-        """Choose conservatively from one k-version view (enhanced conditions).
+        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
+    ) -> list[SelectionResult]:
+        """Choose conservatively for a padded block of k-version views
+        (enhanced conditions).
 
-        ``ids`` (shape ``(m,)``) holds the member IDs with the owner
-        first; member ``i`` retains ``counts[i]`` positions, which follow
-        those of member ``i - 1`` in ``pts`` (shape ``(sum(counts), 2)``),
-        oldest first.  The result does not depend on the member order.
+        Row ``b`` is one owner's view, laid out as for
+        :meth:`select_batch`, except that ``pts[b, i]`` (``pts`` has shape
+        ``(B, M, K, 2)``) holds member ``i``'s retained positions, oldest
+        first, padded to ``K`` by repeating its newest one.  Result ``b``
+        depends on row ``b`` alone, whatever the padding and member order.
 
         The default raises, because a protocol without cost-comparison
         structure has no sound conservative mode; cost-based subclasses
@@ -229,8 +231,11 @@ class TopologyControlProtocol(ABC):
 
     def select_conservative(self, view: MultiVersionView) -> SelectionResult:
         """Choose conservatively from a k-version view:
-        :meth:`select_histories` on its flattened histories."""
-        return self.select_histories(*view.positions(), view.normal_range)
+        :meth:`select_histories` on a block of one."""
+        ids, pts = view.positions()
+        return self.select_histories(
+            ids[np.newaxis], pts[np.newaxis], np.array([view.normal_range])
+        )[0]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -242,10 +247,10 @@ class ConditionProtocol(TopologyControlProtocol):
     Subclasses provide a cost model and :meth:`_batch_removable`, their
     removal condition as one array kernel over padded blocks of lower and
     upper cost bounds (the enhanced conditions: lower bounds for the
-    candidate link, upper bounds for witnesses).  Both routes end in the
-    same selection body: :meth:`select_batch` passes each view's
-    distances as both bounds, :meth:`select_histories` the members'
-    ``[dMin, dMax]`` (:func:`~repro.core.views.distance_bounds`).
+    candidate link, upper bounds for witnesses).  :meth:`select_batch`
+    is :meth:`select_histories` on histories of one position, whose
+    distances :func:`~repro.core.views.distance_bounds` passes as both
+    bounds; longer histories give the members' ``[dMin, dMax]``.
     """
 
     supports_conservative = True
@@ -269,17 +274,15 @@ class ConditionProtocol(TopologyControlProtocol):
         ignored.
         """
 
-    def _select(
-        self,
-        ids: np.ndarray,
-        dist_low: np.ndarray,
-        dist_high: np.ndarray,
-        normal_range: np.ndarray,
-    ) -> list[SelectionResult]:
-        """Select from padded ``(B, M, M)`` distance bounds: a pair is
-        adjacent if its lower bound is in range (conservative link
-        presence), survivors are the owner links :meth:`_batch_removable`
-        keeps, and the range covers each survivor's upper bound."""
+    def select_batch(self, ids, pts, normal_range):
+        return self.select_histories(ids, pts[:, :, np.newaxis], normal_range)
+
+    def select_histories(self, ids, pts, normal_range):
+        """Select from the members' distance bounds: a pair is adjacent if
+        its lower bound is in range (conservative link presence),
+        survivors are the owner links :meth:`_batch_removable` keeps, and
+        the range covers each survivor's upper bound."""
+        dist_low, dist_high = distance_bounds(pts)
         m = ids.shape[1]
         # NaN padding compares False, so padded members are never adjacent.
         adj = dist_low <= normal_range[:, np.newaxis, np.newaxis]
@@ -303,30 +306,6 @@ class ConditionProtocol(TopologyControlProtocol):
                 ids.tolist(), survivors.tolist(), ranges.tolist()
             )
         ]
-
-    def select_batch(
-        self, ids: np.ndarray, pts: np.ndarray, normal_range: np.ndarray
-    ) -> list[SelectionResult]:
-        x, y = pts[..., 0], pts[..., 1]
-        # sqrt(dx*dx + dy*dy) in place: the batch holds two (B, M, M)
-        # floats at most.
-        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
-        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
-        dist *= dist
-        dy *= dy
-        dist += dy
-        del dy
-        np.sqrt(dist, out=dist)
-        return self._select(ids, dist, dist, normal_range)
-
-    def select_histories(self, ids, counts, pts, normal_range):
-        dist_low, dist_high = distance_bounds(counts, pts)
-        return self._select(
-            ids[np.newaxis],
-            dist_low[np.newaxis],
-            dist_high[np.newaxis],
-            np.array([normal_range], dtype=np.float64),
-        )[0]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(cost_model={self.cost_model!r})"

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.framework import SelectionResult
-from repro.protocols.base import TopologyControlProtocol, owner_distances, view_rows
+from repro.protocols.base import TopologyControlProtocol, view_rows
 from repro.util.errors import ProtocolError
 
 __all__ = ["CompositeProtocol"]
@@ -56,49 +56,37 @@ class CompositeProtocol(TopologyControlProtocol):
             p.supports_conservative for p in self.protocols
         )
 
-    @staticmethod
-    def _survivors(results: list[SelectionResult]) -> frozenset[int]:
-        return frozenset.intersection(*(r.logical_neighbors for r in results))
-
     def select_batch(self, ids, pts, normal_range):
-        selected = zip(*(p.select_batch(ids, pts, normal_range) for p in self.protocols))
-        results = []
-        for (row, xy, _), constituents in zip(view_rows(ids, pts, normal_range), selected):
-            survivors = self._survivors(list(constituents))
-            distance = dict(zip(row, owner_distances(xy)))
-            results.append(
-                SelectionResult(
-                    owner=row[0],
-                    logical_neighbors=survivors,
-                    actual_range=max((distance[v] for v in survivors), default=0.0),
-                )
-            )
-        return results
+        selected = [p.select_batch(ids, pts, normal_range) for p in self.protocols]
+        return self._intersect(selected, ids, pts[:, :, np.newaxis], normal_range)
 
-    def select_histories(self, ids, counts, pts, normal_range):
+    def select_histories(self, ids, pts, normal_range):
         if not self.supports_conservative:
             # raises ProtocolError
-            return super().select_histories(ids, counts, pts, normal_range)
-        survivors = self._survivors(
-            [p.select_histories(ids, counts, pts, normal_range) for p in self.protocols]
-        )
-        # Conservative coverage: the farthest retained position pair, with
-        # Hello.distance_to's math.hypot arithmetic.
-        members, xy = ids.tolist(), pts.tolist()
-        owner = members[0]
-        ends = np.cumsum(counts).tolist()
-        history = {
-            nid: xy[end - count : end]
-            for nid, end, count in zip(members, ends, counts.tolist())
-        }
-        actual = 0.0
-        for v in survivors:
-            for x0, y0 in history[owner]:
-                for x, y in history[v]:
-                    actual = max(actual, math.hypot(x0 - x, y0 - y))
-        return SelectionResult(
-            owner=owner, logical_neighbors=survivors, actual_range=actual
-        )
+            return super().select_histories(ids, pts, normal_range)
+        selected = [p.select_histories(ids, pts, normal_range) for p in self.protocols]
+        return self._intersect(selected, ids, pts, normal_range)
+
+    @staticmethod
+    def _intersect(selected, ids, pts, normal_range) -> list[SelectionResult]:
+        """Each row's links that every constituent keeps, at the range
+        covering the farthest retained position pair of owner and
+        survivor, with Hello.distance_to's math.hypot arithmetic."""
+        results = []
+        for (row, held, _), chosen in zip(view_rows(ids, pts, normal_range), zip(*selected)):
+            survivors = frozenset.intersection(*(r.logical_neighbors for r in chosen))
+            history = dict(zip(row, held.tolist()))
+            reach = max(
+                (
+                    math.hypot(x0 - x, y0 - y)
+                    for v in survivors
+                    for x0, y0 in history[row[0]]
+                    for x, y in history[v]
+                ),
+                default=0.0,
+            )
+            results.append(SelectionResult(row[0], survivors, reach))
+        return results
 
     def __repr__(self) -> str:
         return f"CompositeProtocol({self.protocols!r})"

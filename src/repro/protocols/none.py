@@ -6,8 +6,6 @@ the default scenario) against which Table 1 measures the savings.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.framework import SelectionResult
 from repro.protocols.base import (
     TopologyControlProtocol,
@@ -27,20 +25,14 @@ class NoTopologyControl(TopologyControlProtocol):
     supports_conservative = True
 
     def select_batch(self, ids, pts, normal_range):
-        return [self._select_row(*row) for row in view_rows(ids, pts, normal_range)]
+        results = []
+        for row, xy, reach in view_rows(ids, pts, normal_range):
+            neighbors = frozenset(
+                nid for nid, d in zip(row[1:], owner_distances(xy)[1:]) if d <= reach
+            )
+            results.append(SelectionResult(row[0], neighbors, reach if neighbors else 0.0))
+        return results
 
-    def _select_row(self, ids, pts, normal_range) -> SelectionResult:
-        neighbors = frozenset(
-            nid
-            for nid, d in zip(ids[1:], owner_distances(pts)[1:])
-            if d <= normal_range
-        )
-        return SelectionResult(
-            owner=ids[0],
-            logical_neighbors=neighbors,
-            actual_range=normal_range if neighbors else 0.0,
-        )
-
-    def select_histories(self, ids, counts, pts, normal_range):
+    def select_histories(self, ids, pts, normal_range):
         # Every member at its newest retained position.
-        return self._select_row(ids.tolist(), pts[np.cumsum(counts) - 1], normal_range)
+        return self.select_batch(ids, pts[:, :, -1], normal_range)

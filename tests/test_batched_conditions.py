@@ -21,8 +21,10 @@ positions, gathered straight from the store
 1, 2, 3 and 5, wrapped rings, expired and pruned senders, private and
 shared stores) its decision must equal the protocol's
 ``select_conservative`` on the table's Hello-built ``multi_view``, for
-every protocol with a conservative mode; and a weak world must decide
-without building a single Hello.
+every protocol with a conservative mode.  So must one selection over
+the gather of more owners than a block holds, young rings and empty
+views among them, with one protocol call per padded block.  A weak
+world must decide without building a single Hello.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 
 from conftest import interval_graph
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
-from repro.core.consistency import WeakConsistency
+from repro.core.consistency import _SELECT_BLOCK, WeakConsistency
 from repro.core.costs import EnergyCost
 from removal_oracles import (
     LocalCostGraph,
@@ -316,6 +318,54 @@ def _weak_tables(ops, k: int, normal_range: float):
     return private, shared, t
 
 
+#: owners of the many-owner gather, more than one selection block
+MANY_OWNERS = _SELECT_BLOCK + 8
+#: owners that hear no one, so their views have no members
+DEAF = 3
+
+
+def _many_weak_tables(seed: int, k: int, normal_range: float):
+    """``(tables, final time)`` of :data:`MANY_OWNERS` owners on one
+    store after random Hellos, each heard by a random third of the
+    owners; owners advertise now and then, so own rings are young,
+    full or wrapped.  The first :data:`DEAF` owners hear no one, and a
+    last sender is heard once by all others, so its ring holds one
+    position."""
+    rng = np.random.default_rng(seed)
+    n = MANY_OWNERS + 4
+    state = NeighborState(n, history_depth=k)
+    tables = [
+        NeighborTable(owner, normal_range, history_depth=k, expiry=EXPIRY, state=state)
+        for owner in range(MANY_OWNERS)
+    ]
+    owners = np.arange(DEAF, MANY_OWNERS)
+    versions = [0] * n
+    t = 0.0
+    for sender in [*rng.integers(n - 1, size=60).tolist(), n - 1]:
+        t += 0.03
+        versions[sender] += 1
+        xy = tuple(rng.uniform(-40.0, 40.0, size=2).tolist())
+        hello = Hello(sender, versions[sender], xy, t, t + 0.001)
+        heard = owners if sender == n - 1 else owners[rng.random(owners.size) < 0.3]
+        state.record_batch(hello, heard[heard != sender])
+        if sender < MANY_OWNERS and rng.random() < 0.5:
+            tables[sender].record_own(hello)
+    return tables, t
+
+
+class _BlockCounter:
+    """Stands in for a protocol and records the rows of each
+    ``select_histories`` call."""
+
+    def __init__(self, protocol) -> None:
+        self.protocol = protocol
+        self.rows: list[int] = []
+
+    def select_histories(self, ids, pts, normal_range):
+        self.rows.append(ids.shape[0])
+        return self.protocol.select_histories(ids, pts, normal_range)
+
+
 def _conservative_oracle(protocol, view):
     """The conservative selection of *view* as the Hello-built route made
     it: condition predicates on the interval graph, ``none`` on the
@@ -379,15 +429,33 @@ class TestWeakFromHistories:
         later=st.sampled_from([0.0, 0.5, 2.0]),
         normal_range=st.sampled_from([15.0, 30.0, 45.0, 200.0]),
         current=st.tuples(coordinate, coordinate),
+        seed=st.integers(0, 2**16),
     )
     def test_weak_decision_equals_select_conservative(
-        self, name, ops, k, later, normal_range, current
+        self, name, ops, k, later, normal_range, current, seed
     ):
         protocol = CONSERVATIVE[name]()
         *tables, t = _weak_tables(ops, k, normal_range)
         hello = Hello(OWNER, 9, current, t + later, t + later)
         for table in tables:
             _weak_equals_multi_view(protocol, table, t + later, hello)
+        # One selection over many owners' gather, in padded blocks.
+        tables, t = _many_weak_tables(seed, k, normal_range)
+        now = t + later
+        hellos = [
+            Hello(table.owner, 9, (current[0] + table.owner, current[1]), now, now)
+            for table in tables
+        ]
+        mechanism = WeakConsistency()
+        views, errors = mechanism.gather(tables, now, hellos)
+        assert not errors and (views.counts[:DEAF] == 0).all()
+        assert later > EXPIRY or k == 1 or (views.fills < k).any()
+        counter = _BlockCounter(protocol)
+        assert mechanism.select(counter, views) == [
+            protocol.select_conservative(table.multi_view(now, own_hello=hello))
+            for table, hello in zip(tables, hellos)
+        ]
+        assert counter.rows == [_SELECT_BLOCK, MANY_OWNERS - _SELECT_BLOCK]
 
     @pytest.mark.parametrize("name", sorted(CONSERVATIVE))
     def test_wrapped_rings_expiry_and_prune(self, name):

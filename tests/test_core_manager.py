@@ -6,11 +6,16 @@ import pytest
 
 from conftest import make_hello
 from repro.core.buffer_zone import BufferZonePolicy
-from repro.core.consistency import ViewSynchronization, WeakConsistency
+from repro.core.consistency import (
+    ViewSynchronization,
+    WeakConsistency,
+    available_mechanisms,
+    make_mechanism,
+)
 from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.core.tables import NeighborTable
 from repro.protocols import CbtcProtocol, RngProtocol
-from repro.util.errors import ProtocolError
+from repro.util.errors import ConfigurationError, ProtocolError, ViewError
 
 
 @pytest.fixture
@@ -48,6 +53,52 @@ class TestDecide:
     def test_logical_set_comes_from_protocol(self, table, current):
         mstc = MobilitySensitiveTopologyControl(RngProtocol())
         assert mstc.decide(table, 1.0, current).logical_neighbors == frozenset({2})
+
+
+class TestNoCurrentHello:
+    """A table whose owner has not advertised, decided with no current
+    Hello: every mechanism that reads it refuses, naming the owner and
+    itself, before any cache stamp is stored or counted."""
+
+    @pytest.fixture
+    def unadvertised(self):
+        t = NeighborTable(owner=7, normal_range=100.0, expiry=10.0)
+        t.record_hello(make_hello(1, (10, 0), sent_at=0.1))
+        return t
+
+    @pytest.mark.parametrize("entry", ["decide", "decide_many"])
+    @pytest.mark.parametrize("name", available_mechanisms())
+    def test_refused_before_the_cache(self, name, entry, unadvertised):
+        mstc = MobilitySensitiveTopologyControl(RngProtocol(), make_mechanism(name))
+        if entry == "decide":
+            call = lambda: mstc.decide(unadvertised, 1.0, None)  # noqa: E731
+        else:
+            call = lambda: mstc.decide_many([unadvertised], 1.0, [None])  # noqa: E731
+        if mstc.mechanism.reads_current_hello(unadvertised):
+            with pytest.raises(ConfigurationError, match=rf"node 7 .*'{name}'"):
+                call()
+            assert mstc.cache_info() == dict.fromkeys(mstc.cache_info(), 0)
+            assert not mstc._cache.stamps.any()
+        elif entry == "decide":
+            # Versioned views never read it: no advertisement, no view.
+            with pytest.raises(ViewError):
+                call()
+        else:
+            assert call() == [None]
+        # The mechanism's own entry points refuse alike.
+        if mstc.mechanism.reads_current_hello(unadvertised):
+            with pytest.raises(ConfigurationError, match="node 7"):
+                mstc.mechanism.decide_many(RngProtocol(), [unadvertised], 1.0, [None])
+            with pytest.raises(ConfigurationError, match="node 7"):
+                mstc.mechanism.decide(RngProtocol(), unadvertised, 1.0, None)
+
+    def test_every_reading_mechanism_is_covered(self, unadvertised):
+        reads = {
+            name
+            for name in available_mechanisms()
+            if make_mechanism(name).reads_current_hello(unadvertised)
+        }
+        assert reads == {"baseline", "gossip", "view-sync", "weak"}
 
 
 class TestConfiguration:

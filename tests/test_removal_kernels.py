@@ -8,9 +8,10 @@ for each condition and cost model, on single-version views (one bound
 array passed twice) and on interval views (the members' distance
 bounds), with generic positions and with positions on an integer
 lattice, where distinct links cost exactly the same and only the
-``(cost, min id, max id)`` order decides.  The padded
-:func:`~repro.core.views.distance_bounds` must equal the grouped
-``reduceat`` reduction it replaced, bit for bit.
+``(cost, min id, max id)`` order decides.  The block
+:func:`~repro.core.views.distance_bounds` of ragged views, padded with
+missing members and repeated newest positions, must equal on every
+row the grouped ``reduceat`` reduction it replaced, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +65,23 @@ def _histories(rng, lattice: bool, depth: int):
     return ids, counts, pts
 
 
+def _history_block(histories):
+    """``(B, W, K, 2)`` positions of a block of views given as ``(counts,
+    pts)``: every history padded to the longest by repeating its newest
+    position, missing members NaN."""
+    width = max(counts.size for counts, _ in histories)
+    depth = max(int(counts.max()) for counts, _ in histories)
+    block = np.full((len(histories), width, depth, 2), np.nan)
+    for b, (counts, pts) in enumerate(histories):
+        end = 0
+        for i, count in enumerate(counts.tolist()):
+            held = pts[end : end + count]
+            block[b, i, :count] = held
+            block[b, i, count:] = held[-1]
+            end += count
+    return block
+
+
 def _padded(graphs, single: bool):
     """The kernel's inputs for a block of graphs: ``-1`` / ``False`` /
     NaN padding, and one cost array twice on single-version graphs."""
@@ -92,13 +110,24 @@ def test_kernel_equals_reference_predicate(name, bounds, layout):
         [sorted(CONDITIONS).index(name), int(single), int(layout == "lattice")]
     )
     for _ in range(BLOCKS):
+        views = [
+            _histories(rng, layout == "lattice", 1 if single else 3)
+            for _ in range(BLOCK_SIZE)
+        ]
+        block_low, block_high = distance_bounds(_history_block([v[1:] for v in views]))
+        # One position per member: the one distance array is both bounds.
+        assert (block_low is block_high) == single
         graphs = []
-        for _ in range(BLOCK_SIZE):
-            ids, counts, pts = _histories(rng, layout == "lattice", 1 if single else 3)
-            dist_low, dist_high = distance_bounds(counts, pts)
+        for b, (ids, counts, pts) in enumerate(views):
+            m = ids.size
+            dist_low, dist_high = block_low[b, :m, :m], block_high[b, :m, :m]
             reference = reduceat_distance_bounds(counts, pts)
             np.testing.assert_array_equal(dist_low, reference[0])
             np.testing.assert_array_equal(dist_high, reference[1])
+            # Missing members have no bounds to any other member of the row.
+            off = ~np.eye(block_low.shape[1], dtype=bool)[m:]
+            assert np.isnan(block_low[b, m:][off]).all()
+            assert np.isnan(block_high[b, m:][off]).all()
             graphs.append(LocalCostGraph.from_distance_bounds(
                 ids.tolist(), dist_low, dist_high,
                 float(rng.choice([15.0, 30.0, 45.0, 200.0])), protocol.cost_model,
@@ -115,8 +144,9 @@ def test_mst_owner_upper_bound_equal_to_another_lower_bound(ids, kept):
     # (0, u, v) witnesses against (0, v) iff (0, u)'s ID pair orders first.
     counts = np.array([1, 2, 2])
     pts = np.array([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (16.0, 12.0), (18.0, 13.5)])
-    members = np.array(ids)
-    result = MstProtocol().select_histories(members, counts, pts, 100.0)
+    (result,) = MstProtocol().select_histories(
+        np.array([ids]), _history_block([(counts, pts)]), np.array([100.0])
+    )
     assert result.logical_neighbors == frozenset(kept)
     graph = LocalCostGraph.from_distance_bounds(
         ids, *reduceat_distance_bounds(counts, pts), 100.0, MstProtocol().cost_model
