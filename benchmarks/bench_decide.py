@@ -26,6 +26,13 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   calls it makes; ``--before FILE`` embeds these rows from another
   commit too, and a digest of the decisions shows both commits decided
   the same;
+- the fixed cost of every Hello (``hello_traffic``): one run of the
+  ``paper-baseline`` scenario (rng, n = 100, 30 s) and one of the
+  ``scale-10k`` scenario (rng + proactive, n = 10,000, 2.5 s), each
+  Hello's time split into the receiver lookup, the sender position,
+  ``record_batch`` and the Hello-time gather, with a digest of every
+  receiver array and every adopted decision; ``--before FILE`` embeds
+  these rows from another commit;
 - the snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
@@ -58,6 +65,9 @@ from repro.analysis.experiment import ExperimentSpec, build_world, run_once
 from repro.analysis.scales import Scale
 from repro.core.consistency import WeakConsistency
 from repro.core.manager import MobilitySensitiveTopologyControl
+from repro.mobility.base import Area
+from repro.sim.config import ScenarioConfig
+from repro.sim.hello_batch import HelloReceiverOracle
 
 pytestmark = pytest.mark.decide_bench
 
@@ -153,32 +163,37 @@ MIXED_PHASES = {
 }
 
 
-def _phase_timers(phases: dict) -> tuple[dict[str, float], list[bool], list]:
+def _phase_timers(phases: dict) -> tuple[dict[str, float], dict[str, int], list[bool], list]:
     """Wrap one method per phase with a wall-time accumulator.
 
-    Returns ``(seconds per phase, armed flag, undo list of (class, name,
-    original))``; time accumulates only while ``armed[0]`` is True.
+    A phase is ``(module, class, method)``, or ``(module, class, method,
+    keep)`` where ``keep(kwargs)`` says whether a call counts.  Returns
+    ``(seconds per phase, calls per phase, armed flag, undo list of
+    (class, name, original))``; time accumulates only while ``armed[0]``
+    is True.
     """
     import importlib
 
     totals = dict.fromkeys(phases, 0.0)
+    calls = dict.fromkeys(phases, 0)
     armed = [False]
     undo = []
-    for phase, (module, cls_name, attr) in phases.items():
+    for phase, (module, cls_name, attr, *keep) in phases.items():
         cls = getattr(importlib.import_module(module), cls_name)
         original = vars(cls)[attr]
 
-        def timed(*args, _fn=original, _phase=phase, **kwargs):
+        def timed(*args, _fn=original, _phase=phase, _keep=keep, **kwargs):
             t0 = time.perf_counter()
             try:
                 return _fn(*args, **kwargs)
             finally:
-                if armed[0]:
+                if armed[0] and (not _keep or _keep[0](kwargs)):
                     totals[_phase] += time.perf_counter() - t0
+                    calls[_phase] += 1
 
         setattr(cls, attr, timed)
         undo.append((cls, attr, original))
-    return totals, armed, undo
+    return totals, calls, armed, undo
 
 
 def bench_redecide_mixed(
@@ -223,7 +238,7 @@ def bench_redecide_mixed(
     trace, samples, info = drive(True, [False])
     if drive(False, [False])[0] != trace:
         raise AssertionError("decision cache changed the mixed redecision outputs")
-    totals, armed, undo = _phase_timers(MIXED_PHASES)
+    totals, _, armed, undo = _phase_timers(MIXED_PHASES)
     try:
         split_trace, split_samples, _ = drive(True, armed)
     finally:
@@ -370,6 +385,122 @@ def bench_hello_decisions(
         )
     print(line)
     return row
+
+
+#: Where each phase of a Hello runs, as (module, class, method[, keep]).
+#: The sender's position is read once per emitted Hello; every
+#: ``record_batch`` is one Hello delivery; only gathers labelled
+#: ``phase="hello"`` are Hello-time decisions.
+HELLO_PHASES = {
+    "receiver_lookup": ("repro.sim.hello_batch", "HelloReceiverOracle", "receivers"),
+    "sender_position": ("repro.sim.world", "NetworkWorld", "_node_position"),
+    "record_batch": ("repro.core.neighbor_state", "NeighborState", "record_batch"),
+    "gather": (
+        "repro.core.manager",
+        "MobilitySensitiveTopologyControl",
+        "gather",
+        lambda kwargs: kwargs.get("phase") == "hello",
+    ),
+}
+
+#: The two e2e scenarios whose Hellos the ``hello_traffic`` row times, as
+#: (protocol, mechanism, n, duration, buffer width, warmup), with the
+#: smoke sizes the e2e self-test uses.
+HELLO_SCENARIOS = {
+    "paper-baseline": (("rng", "baseline", 100, 30.0, 10.0, 2.0), 30, 3.0),
+    "scale-10k": (("rng", "proactive", 10_000, 2.5, 0.0, 2.5), 600, 2.5),
+}
+
+
+def _scenario_spec(
+    protocol: str, mechanism: str, n: int, duration: float, buffer: float, warmup: float
+) -> ExperimentSpec:
+    """n nodes at paper density, 20 m/s, 10 samples/s after *warmup*."""
+    side = _side(n)
+    return ExperimentSpec(
+        protocol=protocol,
+        mechanism=mechanism,
+        buffer_width=buffer,
+        mean_speed=20.0,
+        config=ScenarioConfig(
+            n_nodes=n, area=Area(side, side), duration=duration, warmup=warmup,
+            sample_rate=10.0,
+        ),
+    )
+
+
+def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) -> dict:
+    """The fixed cost of every Hello in one e2e scenario.
+
+    ``run_s`` is the median wall time of ``run_once`` (three runs; one
+    with *smoke*) and ``per_hello_us`` that time per Hello sent.  One
+    more run, with every :data:`HELLO_PHASES` method wrapped, gives the
+    time per Hello spent in each phase and its call count, and digests
+    every receiver array (sender, time, receivers) and every adopted
+    decision, so a before/after pair shows both commits sent and decided
+    the same.
+    """
+    from repro.sim.world import NetworkWorld
+
+    args, smoke_n, smoke_duration = HELLO_SCENARIOS[scenario]
+    protocol, mechanism, n, duration, buffer, warmup = args
+    if smoke:
+        n, duration, warmup = smoke_n, smoke_duration, min(warmup, smoke_duration)
+    spec = _scenario_spec(protocol, mechanism, n, duration, buffer, warmup)
+    runs = []
+    for _ in range(1 if smoke else 3):
+        t0 = time.perf_counter()
+        result = run_once(spec, seed=seed)
+        runs.append(time.perf_counter() - t0)
+    hellos = result.stats.hello_messages
+
+    receivers = hashlib.sha256()
+    decisions = hashlib.sha256()
+    totals, calls, armed, undo = _phase_timers(HELLO_PHASES)
+    # The digests wrap the timers, so the phase times leave them out.
+    lookup = vars(HelloReceiverOracle)["receivers"]
+    adopt = vars(NetworkWorld)["_adopt"]
+
+    def digest_receivers(self, sender, t, *args, **kwargs):
+        out = lookup(self, sender, t, *args, **kwargs)
+        receivers.update(repr((sender, t)).encode() + out.tobytes())
+        return out
+
+    def digest_adopt(self, node, decision, t):
+        decisions.update(repr((
+            node.node_id, t, sorted(decision.logical_neighbors),
+            decision.actual_range, decision.extended_range,
+        )).encode())
+        return adopt(self, node, decision, t)
+
+    HelloReceiverOracle.receivers = digest_receivers
+    NetworkWorld._adopt = digest_adopt
+    try:
+        armed[0] = True
+        run_once(spec, seed=seed)
+    finally:
+        armed[0] = False
+        NetworkWorld._adopt = adopt
+        for cls, attr, original in undo:
+            setattr(cls, attr, original)
+    run_s = float(np.median(runs))
+    split = {f"{phase}_us": round(s * 1e6 / hellos, 2) for phase, s in totals.items()}
+    print(
+        f"hello_traffic {scenario:<14} n={n:<6} {hellos} Hellos   "
+        f"run={run_s:6.2f} s ({run_s * 1e6 / hellos:6.1f} us/Hello)   per Hello: "
+        + "   ".join(f"{k[:-3]}={v:6.1f} us" for k, v in split.items())
+    )
+    return {
+        "n": n,
+        "duration_s": duration,
+        "hellos": hellos,
+        "run_s": round(run_s, 3),
+        "per_hello_us": round(run_s * 1e6 / hellos, 2),
+        **split,
+        **{f"{phase}_calls": count for phase, count in calls.items()},
+        "receivers_sha256": receivers.hexdigest(),
+        "decisions_sha256": decisions.hexdigest(),
+    }
 
 
 WEAK_PROTOCOLS = ("rng", "spt4", "mst")
@@ -587,6 +718,13 @@ def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
             name: paired(earlier.get("weak_decision", {}).get(name), bench_weak_decision(name))
             for name in WEAK_PROTOCOLS
         },
+        "hello_traffic": {
+            name: paired(
+                earlier.get("hello_traffic", {}).get(name),
+                bench_hello_traffic(name, smoke=smoke),
+            )
+            for name in HELLO_SCENARIOS
+        },
         "gossip": {str(n): bench_gossip(n) for n in gossip_sizes},
         "scale_pipeline": {str(n): bench_scale_pipeline(n) for n in scale_sizes},
     }
@@ -599,6 +737,7 @@ def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
             "redecide_sizes": list(redecide_sizes),
             "hello_protocols": list(HELLO_PROTOCOLS),
             "weak_protocols": list(WEAK_PROTOCOLS),
+            "hello_scenarios": list(HELLO_SCENARIOS),
             "gossip_sizes": list(gossip_sizes),
             "scale_sizes": list(scale_sizes),
         },
@@ -635,8 +774,8 @@ def main() -> int:
         type=Path,
         default=None,
         help="a BENCH_decide.json from another commit: its redecide_mixed, "
-        "hello_decisions and weak_decision rows are kept as this file's "
-        "'before'",
+        "hello_decisions, weak_decision and hello_traffic rows are kept as "
+        "this file's 'before'",
     )
     parser.add_argument(
         "--out",

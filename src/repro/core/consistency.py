@@ -111,6 +111,14 @@ class GatheredViews(NamedTuple):
         return cls(*map(np.concatenate, zip(*views)))
 
 
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_XY = np.zeros((0, 2))
+#: The views of a gather in which no owner can decide.
+_NO_VIEWS = GatheredViews(
+    _NO_IDS, np.zeros(0), _NO_IDS, _NO_XY, _NO_IDS, _NO_IDS, _NO_IDS, _NO_XY
+)
+
+
 class ConsistencyMechanism(ABC):
     """Strategy: how a node builds the view behind each decision.
 
@@ -151,7 +159,9 @@ class ConsistencyMechanism(ABC):
         The own positions are those the decision reads, oldest first; the
         version is the one whose view the members come from, or None for
         the latest live view.  Raises :class:`ViewError` when the owner
-        cannot decide.
+        cannot decide, and :class:`ConfigurationError`
+        (:func:`no_current_hello`) when the decision reads a
+        *current_hello* that is None.
         """
 
     @abstractmethod
@@ -233,6 +243,8 @@ class ConsistencyMechanism(ABC):
 
         Returns the rows of the owners that can decide, in order, and the
         :class:`ViewError` of every other owner by its index in *tables*.
+        Raises :class:`ConfigurationError` when a decision reads a
+        current Hello that is None.
         """
         rows: list[NeighborTable] = []
         owns: list[tuple[float, float]] = []
@@ -249,11 +261,9 @@ class ConsistencyMechanism(ABC):
             owns.extend(own)
             own_counts.append(len(own))
             versions.append(resolved)
-        if rows:
-            counts, ids, fills, xy = self.members(rows, now, versions)
-        else:
-            counts = ids = fills = np.zeros(0, dtype=np.int64)
-            xy = np.zeros((0, 2))
+        if not rows:
+            return _NO_VIEWS, errors
+        counts, ids, fills, xy = self.members(rows, now, versions)
         views = GatheredViews(
             owners=np.array([t.owner for t in rows], dtype=np.int64),
             ranges=np.array([t.normal_range for t in rows], dtype=float),
@@ -278,7 +288,6 @@ class ConsistencyMechanism(ABC):
         :meth:`select`.  An owner whose view cannot be built
         (:class:`ViewError`, e.g. it has not advertised the requested
         version) gets None; the others are unaffected."""
-        self.check_current_hellos(tables, current_hellos)
         views, errors = self.gather(tables, now, current_hellos, version)
         selected = iter(self.select(protocol, views))
         return [None if i in errors else next(selected) for i in range(len(tables))]
@@ -294,7 +303,6 @@ class ConsistencyMechanism(ABC):
         """Run *protocol* on the view this mechanism prescribes for one
         owner (:meth:`decide_many` for one table); raises the owner's
         :class:`ViewError` when it cannot decide."""
-        self.check_current_hellos([table], [current_hello])
         views, errors = self.gather([table], now, [current_hello], version)
         if errors:
             raise errors[0]
@@ -307,20 +315,19 @@ class ConsistencyMechanism(ABC):
             return table.last_advertised is None
         return self.own_position == "current"
 
-    def check_current_hellos(
-        self, tables: Sequence[NeighborTable], current_hellos: Sequence[Hello | None]
-    ) -> None:
-        """Raise :class:`ConfigurationError` if a decision at some table's
-        owner reads a current Hello (:meth:`reads_current_hello`) that is
-        None."""
-        for table, hello in zip(tables, current_hellos):
-            if hello is None and self.reads_current_hello(table):
-                raise ConfigurationError(
-                    f"node {table.owner} has no current Hello for its {self.name!r} decision"
-                )
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def no_current_hello(
+    table: NeighborTable, mechanism: ConsistencyMechanism
+) -> ConfigurationError:
+    """The error of a decision at *table*'s owner that reads a current
+    Hello (:meth:`~ConsistencyMechanism.reads_current_hello`) given as
+    None."""
+    return ConfigurationError(
+        f"node {table.owner} has no current Hello for its {mechanism.name!r} decision"
+    )
 
 
 def _padded(xy: np.ndarray, fills: np.ndarray, depth: int) -> np.ndarray:
@@ -357,6 +364,8 @@ class _SingleVersionMechanism(ConsistencyMechanism):
 
     def resolve(self, table, current_hello, version):
         own, resolved = self._own_record(table, current_hello, version)
+        if own is None:
+            raise no_current_hello(table, self)
         return [own.position], resolved
 
     def members(self, tables, now, versions):
@@ -477,6 +486,8 @@ class WeakConsistency(ConsistencyMechanism):
     conservative = True
 
     def resolve(self, table, current_hello, version):
+        if current_hello is None:
+            raise no_current_hello(table, self)
         own = [h.position for h in table.own_history]
         own.append(current_hello.position)
         return own, None

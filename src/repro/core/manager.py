@@ -38,16 +38,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import (
     BaselineConsistency,
     ConsistencyMechanism,
     GatheredViews,
+    no_current_hello,
 )
 from repro.core.framework import SelectionResult
-from repro.core.neighbor_state import NO_VERSION
 from repro.core.tables import NeighborTable, live_unchanged
 from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
@@ -198,7 +196,6 @@ class MobilitySensitiveTopologyControl:
         :class:`~repro.util.errors.ConfigurationError` when the mechanism
         reads a *current_hello* that is None.
         """
-        self.mechanism.check_current_hellos([table], [current_hello])
         gathered = self.gather([table], now, [current_hello], version, phase="hello")
         if gathered.errors:
             raise gathered.errors[0]
@@ -217,7 +214,6 @@ class MobilitySensitiveTopologyControl:
         cannot be built gets None and counts no miss, as if its
         :meth:`decide` had raised :class:`ViewError`.
         """
-        self.mechanism.check_current_hellos(tables, current_hellos)
         return self.settle([self.gather(tables, now, current_hellos, version)])[0]
 
     def gather(
@@ -231,8 +227,8 @@ class MobilitySensitiveTopologyControl:
         """Read many owners' decision inputs at *now*; :meth:`settle`
         turns them into decisions later.
 
-        The owners' stamps are checked against the decision cache in one
-        array compare; each hit will be served the standing decision.
+        Each owner's stamp is checked against the decision cache; each
+        hit will be served the standing decision.
         The mechanism gathers the view members of the other owners
         (:meth:`~repro.core.consistency.ConsistencyMechanism.gather`),
         and their stamps are stored, so the cache holds every gathered
@@ -245,18 +241,25 @@ class MobilitySensitiveTopologyControl:
         the owner's table (its own Hello) or requests a new version (a
         reactive round), so no later decision could hit.  Its decisions
         skip the stamp and the probe, and still count one miss each.
+
+        Raises :class:`~repro.util.errors.ConfigurationError` when a
+        decision reads a current Hello that is None, before any stamp is
+        stored or counted.
         """
+        mechanism = self.mechanism
+        cached = self.decision_cache_enabled and mechanism.cacheable
+        stored = cached and mechanism.recompute_on_packet
         kinds = [_FRESH] * len(tables)
         hits: list[int] = []
-        cached = self._cacheable(len(tables))
-        stored = cached and self.recompute_on_packet
-        if stored and tables:
-            owners, stamps = self._stamp(tables, current_hellos, version)
-            hits = self._cache.hits(tables, owners, stamps, now, self._windowed)
+        if stored:
+            stamps = self._stamps(tables, current_hellos, version)
+            hits = self._cache.hits(tables, stamps, now, self._windowed)
             for i in hits:
                 kinds[i] = _HIT
-        misses = [i for i, kind in enumerate(kinds) if kind == _FRESH]
-        views, failed = self.mechanism.gather(
+        misses = (
+            [i for i, kind in enumerate(kinds) if kind == _FRESH] if hits else range(len(tables))
+        )
+        views, failed = mechanism.gather(
             [tables[i] for i in misses] if hits else tables,
             now,
             [current_hellos[i] for i in misses] if hits else current_hellos,
@@ -266,11 +269,13 @@ class MobilitySensitiveTopologyControl:
         for i in errors:
             kinds[i] = _UNDECIDED
         fresh = [i for i in misses if i not in errors]
-        if stored and fresh:
-            self._cache.store(owners[fresh], stamps[fresh], now, [tables[i] for i in fresh])
+        if stored:
+            self._cache.store([tables[i] for i in fresh], [stamps[i] for i in fresh], now)
         if cached:
             self.cache_hits += len(hits)
             self.cache_misses += len(fresh)
+        elif self.decision_cache_enabled:
+            self.cache_uncacheable += len(tables)
         self._trace(tables, now, phase, hits, fresh, cached)
         return GatheredDecisions(now, [t.owner for t in tables], kinds, views, errors, stored)
 
@@ -313,16 +318,6 @@ class MobilitySensitiveTopologyControl:
     # ------------------------------------------------------------------ #
     # decision-cache stamps
 
-    def _cacheable(self, count: int) -> bool:
-        """Whether *count* decisions go through the cache (counting them
-        uncacheable when the mechanism opts out)."""
-        if not self.decision_cache_enabled:
-            return False
-        if not self.mechanism.cacheable:
-            self.cache_uncacheable += count
-            return False
-        return True
-
     @property
     def _windowed(self) -> bool:
         """Whether decisions read the expiry-filtered live view."""
@@ -333,40 +328,47 @@ class MobilitySensitiveTopologyControl:
         config = (self.mechanism.name, self.buffer_policy, self.physical_neighbor_mode)
         return self._config_ids.setdefault(config, len(self._config_ids))
 
-    def _stamp(
+    def _stamps(
         self,
         tables: Sequence[NeighborTable],
         current_hellos: Sequence[Hello | None],
         version: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(owners, stamps)`` of many decisions, one int64 row each.
+    ) -> list[tuple]:
+        """The write stamps of many decisions, one tuple each.
 
-        A stamp row is (table identity, table mutations, requested
-        version, configuration id, own position); the own position is the
-        one the mechanism reads, (0, 0) for versioned views, held as the
-        bits of its two floats.  Adding 0.0 first turns -0.0 into 0.0, so
-        equal bits mean equal positions (positions are never NaN).
+        A stamp is (table, table mutations, requested version,
+        configuration id, own position); the own position is the one the
+        mechanism reads, None for versioned views.  The stamp holds the
+        table itself, so the cache keeps it alive and compares it by
+        identity.  Positions compare as floats, so -0.0 equals 0.0
+        (positions are never NaN).
         """
-        requested = NO_VERSION if version is None else version
         config = self._config_id()
-        head = np.array(
-            [(t.owner, id(t), t.mutations, requested, config) for t in tables],
-            dtype=np.int64,
-        )
-        own = np.array(self._own_positions(tables, current_hellos), dtype=float) + 0.0
-        rows = np.concatenate((head, own.view(np.int64)), axis=1)
-        return rows[:, 0], rows[:, 1:]
+        return [
+            (t, t.mutations, version, config, own)
+            for t, own in zip(tables, self._own_positions(tables, current_hellos))
+        ]
 
     def _own_positions(
         self, tables: Sequence[NeighborTable], current_hellos: Sequence[Hello | None]
-    ) -> list[tuple[float, float]]:
-        """The own position each decision reads; (0, 0) for versioned views."""
+    ) -> list[tuple[float, float] | None]:
+        """The own position each decision reads; None for versioned views.
+
+        Raises :class:`~repro.util.errors.ConfigurationError` when a
+        decision reads a current Hello that is None.
+        """
         mode = self.mechanism.own_position
         if mode is None:
-            return [(0.0, 0.0)] * len(tables)
+            return [None] * len(tables)
         if mode == "advertised":
-            return [(t.last_advertised or h).position for t, h in zip(tables, current_hellos)]
-        return [h.position for h in current_hellos]
+            hellos = [t.last_advertised or h for t, h in zip(tables, current_hellos)]
+        else:
+            hellos = current_hellos
+        try:
+            return [h.position for h in hellos]
+        except AttributeError:
+            table = next(t for t, h in zip(tables, hellos) if h is None)
+            raise no_current_hello(table, self.mechanism) from None
 
     def _decision(self, result: SelectionResult, now: float) -> NodeDecision:
         """A fresh selection as a standing decision made at *now*."""
@@ -467,71 +469,56 @@ class MobilitySensitiveTopologyControl:
 class _DecisionCache:
     """Standing decisions per owner, each with the write stamp it holds for.
 
-    Row ``owner`` of each array holds one owner's entry:
+    Keyed by owner:
 
-    - ``stamps``: table identity (``id``; the table is kept alive in
-      ``tables``, so the id is not reused), ``mutations`` at decision
-      time, requested version (:data:`NO_VERSION` for None),
-      configuration id and the own position the mechanism read;
+    - ``stamps``: the table (compared by identity; holding it keeps its
+      identity from being reused), its ``mutations`` at decision time,
+      the requested version, the configuration id and the own position
+      the mechanism read;
     - ``decided``: the decision time;
     - ``decisions``: the decision itself.
 
     The stamp and the time are written when a decision is gathered, the
     decision when it settles, so a probe sees every gathered decision
-    while its selection waits.  A hit needs an equal stamp.  A decision that read the
-    expiry-filtered live view also needs the same live neighbors now as
-    at the decision time; with ``mutations`` unchanged the retained state
-    is the one the decision read, so
+    while its selection waits.  A hit needs an equal stamp; tuples
+    compare field by field, so a write since the standing decision (a
+    decision right after the owner's own Hello) fails at ``mutations``.
+    A decision that read the expiry-filtered live view also needs the
+    same live neighbors now as at the decision time; with ``mutations``
+    unchanged the retained state is the one the decision read, so
     :meth:`~repro.core.neighbor_state.NeighborState.live_unchanged`
-    decides that exactly.  It runs only for owners whose stamps match.  An
-    empty row has table identity 0, which no object has.
+    decides that exactly.  It runs only for owners whose stamps match.
     """
 
     def __init__(self) -> None:
-        self.stamps = np.zeros((0, 6), dtype=np.int64)
-        self.decided = np.zeros(0)
-        self.tables = np.zeros(0, dtype=object)
-        self.decisions = np.zeros(0, dtype=object)
-
-    def _reserve(self, size: int) -> None:
-        cap = self.decided.size
-        if size <= cap:
-            return
-        size = max(size, 2 * cap)
-        for name in ("stamps", "decided", "tables", "decisions"):
-            old = getattr(self, name)
-            grown = np.zeros((size, *old.shape[1:]), dtype=old.dtype)
-            grown[:cap] = old
-            setattr(self, name, grown)
+        self.stamps: dict[int, tuple] = {}
+        self.decided: dict[int, float] = {}
+        self.decisions: dict[int, NodeDecision] = {}
 
     def hits(
         self,
         tables: Sequence[NeighborTable],
-        owners: np.ndarray,
-        stamps: np.ndarray,
+        stamps: Sequence[tuple],
         now: float,
         windowed: bool,
     ) -> list[int]:
         """Indices of the owners whose stamps still hold at *now*;
         *windowed* when the decisions read the expiry-filtered live view."""
-        self._reserve(int(owners.max()) + 1)
-        held = self.stamps[owners]
-        # A write since the standing decision is a certain miss, as for a
-        # decision right after the owner's own Hello: whole stamps are
-        # compared only where the write counts agree.
-        found = np.flatnonzero(held[:, 1] == stamps[:, 1])
-        if not found.size:
-            return []
-        found = found[(held[found] == stamps[found]).all(axis=1)]
-        if windowed and found.size:
-            held = [tables[i] for i in found.tolist()]
-            found = found[live_unchanged(held, self.decided[owners[found]], now)]
-        return found.tolist()
+        held = self.stamps
+        found = [
+            i for i, (t, stamp) in enumerate(zip(tables, stamps)) if held.get(t.owner) == stamp
+        ]
+        if windowed and found:
+            decided = self.decided
+            alive = live_unchanged(
+                [tables[i] for i in found], [decided[tables[i].owner] for i in found], now
+            )
+            found = [i for i, keep in zip(found, alive.tolist()) if keep]
+        return found
 
-    def store(self, owners, stamps, now, tables) -> None:
+    def store(self, tables: Sequence[NeighborTable], stamps: Sequence[tuple], now: float) -> None:
         """Record the stamps of decisions gathered at *now*; their
         decisions follow when they settle."""
-        self.stamps[owners] = stamps
-        self.decided[owners] = now
-        for owner, table in zip(owners.tolist(), tables):
-            self.tables[owner] = table
+        for t, stamp in zip(tables, stamps):
+            self.stamps[t.owner] = stamp
+            self.decided[t.owner] = now

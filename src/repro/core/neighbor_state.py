@@ -4,15 +4,18 @@ Every node keeps the ``k`` most recent Hellos per 1-hop neighbor.  At 10k
 nodes a single Hello generation reaches hundreds of thousands of
 (receiver, sender) pairs, so :class:`NeighborState` stores them
 *columnar*: one flat NumPy ring buffer of shape ``(slots, k)`` per field
-(version / x / y / sent_at / local timestamp), where a *slot* is one
-(receiver, sender) pair and ``k`` is the retained history depth.  One
-Hello delivery updates every receiver of a transmission with a single
-vectorized splice (:meth:`NeighborState.record_batch`).
+(version / position / sent_at / local timestamp; a position is an
+``(x, y)`` pair, so its ring is ``(slots, k, 2)``), where a *slot* is
+one (receiver, sender) pair and ``k`` is the retained history depth.
+One Hello delivery updates every receiver of a transmission with a
+single vectorized splice (:meth:`NeighborState.record_batch`).
 
 - per-receiver sender *insertion order* is kept (an insertion-ordered
   ``dict[sender -> slot]`` directory per receiver, mirrored as a cached
   slot array that only a new or pruned pair invalidates); view members
   and view dict iteration follow it;
+- a ring entry never written holds version :data:`NO_VERSION`, which no
+  versioned read asks for;
 - per-pair histories are bounded rings of depth ``k`` (oldest evicted),
   the exact ``deque(maxlen=k)`` behaviour;
 - ``mutations`` / ``hellos_received`` counters live in flat per-node
@@ -76,15 +79,14 @@ class NeighborState:
         "hellos_received",
         "_directory",
         "_version",
-        "_x",
-        "_y",
+        "_xy",
         "_sent",
         "_ts",
         "_writes",
         "_latest_sent",
         "_slot_sender",
         "_n_slots",
-        "_slot_cache",
+        "_ages",
         "_row_slots",
         "_memo",
     )
@@ -99,9 +101,8 @@ class NeighborState:
         self._directory: list[dict[int, int]] = [{} for _ in range(n_nodes)]
         cap = 1024
         k = self.k
-        self._version = np.zeros((cap, k), dtype=np.int64)
-        self._x = np.zeros((cap, k), dtype=np.float64)
-        self._y = np.zeros((cap, k), dtype=np.float64)
+        self._version = np.full((cap, k), NO_VERSION, dtype=np.int64)
+        self._xy = np.zeros((cap, k, 2), dtype=np.float64)
         self._sent = np.zeros((cap, k), dtype=np.float64)
         self._ts = np.zeros((cap, k), dtype=np.float64)
         #: total writes per slot; ring head = writes % k, fill = min(writes, k)
@@ -110,10 +111,8 @@ class NeighborState:
         self._latest_sent = np.full(cap, -np.inf, dtype=np.float64)
         self._slot_sender = np.zeros(cap, dtype=np.int64)
         self._n_slots = 0
-        #: per-sender ``(receivers, slots)`` fast path: consecutive Hello
-        #: generations usually reach the same receiver set, so the slot
-        #: gather is one ``array_equal`` instead of a per-receiver dict walk.
-        self._slot_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: ring ages, oldest first
+        self._ages = np.arange(k)
         #: per-receiver directory slots as an array, None until read again
         #: after the directory changed
         self._row_slots: list[np.ndarray | None] = [None] * n_nodes
@@ -130,9 +129,14 @@ class NeighborState:
             new_cap *= 2
         if new_cap == cap:
             return
-        for name in ("_version", "_x", "_y", "_sent", "_ts"):
+        for name, fill in (
+            ("_version", NO_VERSION),
+            ("_xy", 0.0),
+            ("_sent", 0.0),
+            ("_ts", 0.0),
+        ):
             old = getattr(self, name)
-            fresh = np.zeros((new_cap, self.k), dtype=old.dtype)
+            fresh = np.full((new_cap, *old.shape[1:]), fill, dtype=old.dtype)
             fresh[:cap] = old
             setattr(self, name, fresh)
         for name, fill in (
@@ -178,21 +182,10 @@ class NeighborState:
         """
         if receivers.size == 0:
             return
-        sender = hello.sender
-        cached = self._slot_cache.get(sender)
-        if (
-            cached is not None
-            and cached[0].size == receivers.size
-            and np.array_equal(cached[0], receivers)
-        ):
-            slots = cached[1]
-        else:
-            slots = self._slots_for(sender, receivers)
-            self._slot_cache[sender] = (receivers.copy(), slots)
+        slots = self._slots_for(hello.sender, receivers)
         pos = self._writes[slots] % self.k
         self._version[slots, pos] = hello.version
-        self._x[slots, pos] = hello.position[0]
-        self._y[slots, pos] = hello.position[1]
+        self._xy[slots, pos] = hello.position
         self._sent[slots, pos] = hello.sent_at
         self._ts[slots, pos] = hello.timestamp
         self._writes[slots] += 1
@@ -208,12 +201,10 @@ class NeighborState:
         if slot is None:
             slot = self._alloc_slot(sender)
             d[sender] = slot
-            self._slot_cache.pop(sender, None)
             self._row_slots[receiver] = None
         pos = int(self._writes[slot]) % self.k
         self._version[slot, pos] = hello.version
-        self._x[slot, pos] = hello.position[0]
-        self._y[slot, pos] = hello.position[1]
+        self._xy[slot, pos] = hello.position
         self._sent[slot, pos] = hello.sent_at
         self._ts[slot, pos] = hello.timestamp
         self._writes[slot] += 1
@@ -225,9 +216,8 @@ class NeighborState:
         """Drop *receiver*'s pairs not heard from within *expiry* seconds.
 
         Returns True (and bumps the receiver's mutation counter once)
-        when anything was dropped.  Dropped slots are never reused; the
-        per-sender slot caches touching them are invalidated so a later
-        Hello from the same sender starts a fresh history.
+        when anything was dropped.  Dropped slots are never reused, so a
+        later Hello from the same sender starts a fresh history.
         """
         d = self._directory[receiver]
         if not d:
@@ -237,9 +227,7 @@ class NeighborState:
         if not stale:
             return False
         for s in stale:
-            slot = d.pop(s)
-            self._memo.pop(slot, None)
-            self._slot_cache.pop(s, None)
+            self._memo.pop(d.pop(s), None)
         self._row_slots[receiver] = None
         self.mutations[receiver] += 1
         return True
@@ -256,15 +244,14 @@ class NeighborState:
         count = writes if writes < k else k
         sender = int(self._slot_sender[slot])
         version = self._version[slot]
-        x = self._x[slot]
-        y = self._y[slot]
+        xy = self._xy[slot]
         sent = self._sent[slot]
         ts = self._ts[slot]
         hellos = tuple(
             Hello(
                 sender=sender,
                 version=int(version[j]),
-                position=(float(x[j]), float(y[j])),
+                position=(float(xy[j, 0]), float(xy[j, 1])),
                 sent_at=float(sent[j]),
                 timestamp=float(ts[j]),
             )
@@ -352,10 +339,7 @@ class NeighborState:
         """
         counts, slots = self._live_slots(receivers, now, expiry)
         head = (self._writes[slots] - 1) % self.k
-        xy = np.empty((slots.size, 2))
-        xy[:, 0] = self._x[slots, head]
-        xy[:, 1] = self._y[slots, head]
-        return counts, self._slot_sender[slots], xy
+        return counts, self._slot_sender[slots], self._xy[slots, head]
 
     def history_members(
         self, receivers, now: float, expiry: float
@@ -370,10 +354,7 @@ class NeighborState:
         """
         counts, slots = self._live_slots(receivers, now, expiry)
         cols, held = self._ring_columns(slots)
-        rows = slots[:, np.newaxis]
-        xy = np.empty((np.count_nonzero(held), 2))
-        xy[:, 0] = self._x[rows, cols][held]
-        xy[:, 1] = self._y[rows, cols][held]
+        xy = self._xy[slots[:, np.newaxis], cols][held]
         return counts, self._slot_sender[slots], held.sum(axis=1), xy
 
     def live_unchanged(
@@ -397,7 +378,7 @@ class NeighborState:
         young slot fills fewer than ``k``)."""
         k = self.k
         writes = self._writes[slots][:, np.newaxis]
-        age = np.arange(k)
+        age = self._ages
         return (writes - np.minimum(writes, k) + age) % k, age < writes
 
     def _versioned_entries(
@@ -408,13 +389,15 @@ class NeighborState:
         Per sender, the oldest retained entry carrying the receiver's
         version (the ``next(h for h in history if h.version == v)``
         rule); senders holding none are left out.  Insertion order.
+
+        Each ring is read from the entry after the newest one on, which
+        is oldest first; a young slot's unwritten entries come first and
+        hold :data:`NO_VERSION`, so they never match.
         """
         counts, slots = self._gather(receivers)
-        cols, held = self._ring_columns(slots)
+        cols = (self._writes[slots][:, np.newaxis] + self._ages) % self.k
         want = np.repeat(np.asarray(versions, dtype=np.int64), counts)
-        match = held & (
-            self._version[slots[:, np.newaxis], cols] == want[:, np.newaxis]
-        )
+        match = self._version[slots[:, np.newaxis], cols] == want[:, np.newaxis]
         held = match.any(axis=1)
         first = match.argmax(axis=1)
         return _group_sizes(counts, held), slots[held], cols[held, first[held]]
@@ -426,10 +409,7 @@ class NeighborState:
         members are its senders' oldest retained Hellos of ``versions[b]``,
         in insertion order, without building them."""
         counts, slots, cols = self._versioned_entries(receivers, versions)
-        xy = np.empty((slots.size, 2))
-        xy[:, 0] = self._x[slots, cols]
-        xy[:, 1] = self._y[slots, cols]
-        return counts, self._slot_sender[slots], xy
+        return counts, self._slot_sender[slots], self._xy[slots, cols]
 
     @property
     def n_slots(self) -> int:

@@ -6,7 +6,10 @@ thousands, as in hierarchical-routing studies over dynamic networks) need
 sub-quadratic neighbor discovery.  :class:`GridIndex` hashes points into
 square cells of side ``cell_size`` (chosen equal to the query radius, so
 every neighbor of a point lies in its 3x3 cell neighborhood) and answers
-range queries by scanning only nearby cells.
+range queries by scanning only nearby cells.  The Hello receiver oracle
+(:mod:`repro.sim.hello_batch`) keeps one index over stale positions, with
+cells the query radius plus a movement slack wide, and reads whole 3x3
+blocks (:meth:`GridIndex.candidates_near_cell`) as its candidates.
 
 :class:`GraphBackend` is the dispatch seam: callers ask it for unit-disk
 adjacency or radius queries and it picks the dense matrix or the grid

@@ -96,31 +96,41 @@ class TrajectorySet:
         if np.any(np.diff(self.leg_times, axis=1) < 0):
             raise ConfigurationError("leg start times must be non-decreasing")
         self._row = np.arange(n)
+        # Leg-major flat views: leg j of node i is row i * k + j, so a
+        # leg lookup is one 1-D take instead of a 2-D fancy index.
+        self._flat_times = self.leg_times.reshape(-1)
+        self._flat_points = self.leg_points.reshape(-1, 2)
+        self._flat_velocities = self.leg_velocities.reshape(-1, 2)
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes covered by this trajectory set."""
         return self.leg_times.shape[0]
 
-    def _leg_index(self, t: float) -> np.ndarray:
-        # Index of the active leg per node: the last leg starting at or
-        # before t.  (leg_times <= t).sum() is a vectorized searchsorted
-        # across rows; k is small (tens of legs) so the O(n*k) scan wins
-        # over per-row binary searches.
-        idx = (self.leg_times <= t).sum(axis=1) - 1
-        return np.minimum(np.maximum(idx, 0), self.leg_times.shape[1] - 1)
+    def _legs(self, t: float, nodes: np.ndarray) -> np.ndarray:
+        """Flat row of each node's active leg at *t*, already clamped to
+        ``[0, horizon]``: the last leg starting at or before *t*.
+
+        Counting the leg starts ``<= t`` is a vectorized searchsorted
+        across rows; k is small (tens of legs), so the O(len(nodes) * k)
+        scan wins over per-row binary searches.  Every row starts at
+        0 <= t, so each count is between 1 and k.
+        """
+        legs = (self.leg_times.take(nodes, axis=0) <= t).sum(axis=1)
+        legs += nodes * self.leg_times.shape[1] - 1
+        return legs
 
     def positions(self, t: float) -> np.ndarray:
         """``(n, 2)`` positions of all nodes at time *t* (clamped to horizon)."""
-        t = min(max(float(t), 0.0), self.horizon)
-        idx = self._leg_index(t)
-        t0 = self.leg_times[self._row, idx]
-        p0 = self.leg_points[self._row, idx]
-        v = self.leg_velocities[self._row, idx]
-        return p0 + v * (t - t0)[:, np.newaxis]
+        return self.positions_at(t, self._row)
 
     def position(self, node: int, t: float) -> np.ndarray:
-        """Position of a single *node* at time *t*."""
+        """Position of a single *node* at time *t*.
+
+        One binary search in the node's own leg row; bit-identical to
+        ``positions(t)[node]``, because rows are non-decreasing and the
+        arithmetic is the same.
+        """
         t = min(max(float(t), 0.0), self.horizon)
         row_times = self.leg_times[node]
         idx = int(np.searchsorted(row_times, t, side="right")) - 1
@@ -132,28 +142,23 @@ class TrajectorySet:
     def positions_at(self, t: float, nodes: np.ndarray) -> np.ndarray:
         """``(len(nodes), 2)`` positions of a node subset at time *t*.
 
-        Runs the exact per-element arithmetic of :meth:`positions` on the
-        selected rows only — ``positions_at(t, nodes)`` is bit-identical
-        to ``positions(t)[nodes]`` — so subset evaluation (e.g. exact
+        Runs the same per-element arithmetic on the selected rows only,
+        so ``positions_at(t, nodes)`` is bit-identical to
+        ``positions(t)[nodes]`` and subset evaluation (e.g. exact
         receiver filtering in the batched Hello pipeline) never pays the
         full ``(n, k)`` leg scan.
         """
         t = min(max(float(t), 0.0), self.horizon)
-        nodes = np.asarray(nodes, dtype=np.intp)
-        times = self.leg_times[nodes]
-        idx = (times <= t).sum(axis=1) - 1
-        idx = np.minimum(np.maximum(idx, 0), times.shape[1] - 1)
-        rows = np.arange(nodes.shape[0])
-        t0 = times[rows, idx]
-        p0 = self.leg_points[nodes, idx]
-        v = self.leg_velocities[nodes, idx]
+        legs = self._legs(t, np.asarray(nodes, dtype=np.intp))
+        t0 = self._flat_times.take(legs)
+        p0 = self._flat_points.take(legs, axis=0)
+        v = self._flat_velocities.take(legs, axis=0)
         return p0 + v * (t - t0)[:, np.newaxis]
 
     def velocities(self, t: float) -> np.ndarray:
         """``(n, 2)`` instantaneous velocities at time *t*."""
         t = min(max(float(t), 0.0), self.horizon)
-        idx = self._leg_index(t)
-        return self.leg_velocities[self._row, idx].copy()
+        return self._flat_velocities.take(self._legs(t, self._row), axis=0)
 
     def max_speed(self) -> float:
         """Largest instantaneous speed over all nodes and legs."""

@@ -790,10 +790,11 @@ class NetworkWorld:
     def _node_position(self, node_id: int, t: float) -> np.ndarray:
         """True position of one node at *t*, cheapest exact route.
 
-        Memo hit: the already-evaluated positions array.  Otherwise a
-        single-row trajectory evaluation (bit-identical to
-        ``positions(t)[node_id]``), so per-emission work never forces an
-        O(n) geometry build.
+        Memo hit: the already-evaluated positions array.  Otherwise the
+        node's own leg at *t*
+        (:meth:`~repro.mobility.base.TrajectorySet.position`, bit-identical
+        to ``positions(t)[node_id]``), so per-emission work never forces
+        an O(n) geometry build.
         """
         memo = self._geometry_memo
         if memo is not None and memo[0] == t:

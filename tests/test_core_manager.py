@@ -55,6 +55,11 @@ class TestDecide:
         assert mstc.decide(table, 1.0, current).logical_neighbors == frozenset({2})
 
 
+#: The mechanisms whose decision at an owner that has not advertised
+#: reads its current Hello.
+READING = ("baseline", "gossip", "view-sync", "weak")
+
+
 class TestNoCurrentHello:
     """A table whose owner has not advertised, decided with no current
     Hello: every mechanism that reads it refuses, naming the owner and
@@ -66,31 +71,47 @@ class TestNoCurrentHello:
         t.record_hello(make_hello(1, (10, 0), sent_at=0.1))
         return t
 
-    @pytest.mark.parametrize("entry", ["decide", "decide_many"])
+    @pytest.mark.parametrize("entry", ["decide", "decide_many", "gather"])
     @pytest.mark.parametrize("name", available_mechanisms())
     def test_refused_before_the_cache(self, name, entry, unadvertised):
         mstc = MobilitySensitiveTopologyControl(RngProtocol(), make_mechanism(name))
-        if entry == "decide":
-            call = lambda: mstc.decide(unadvertised, 1.0, None)  # noqa: E731
-        else:
-            call = lambda: mstc.decide_many([unadvertised], 1.0, [None])  # noqa: E731
+        call = {
+            "decide": lambda: mstc.decide(unadvertised, 1.0, None),
+            "decide_many": lambda: mstc.decide_many([unadvertised], 1.0, [None]),
+            "gather": lambda: mstc.gather([unadvertised], 1.0, [None]),
+        }[entry]
         if mstc.mechanism.reads_current_hello(unadvertised):
             with pytest.raises(ConfigurationError, match=rf"node 7 .*'{name}'"):
                 call()
             assert mstc.cache_info() == dict.fromkeys(mstc.cache_info(), 0)
-            assert not mstc._cache.stamps.any()
+            assert not mstc._cache.stamps
         elif entry == "decide":
             # Versioned views never read it: no advertisement, no view.
             with pytest.raises(ViewError):
                 call()
-        else:
+        elif entry == "decide_many":
             assert call() == [None]
+        else:
+            assert list(call().errors) == [0]
         # The mechanism's own entry points refuse alike.
         if mstc.mechanism.reads_current_hello(unadvertised):
             with pytest.raises(ConfigurationError, match="node 7"):
                 mstc.mechanism.decide_many(RngProtocol(), [unadvertised], 1.0, [None])
             with pytest.raises(ConfigurationError, match="node 7"):
                 mstc.mechanism.decide(RngProtocol(), unadvertised, 1.0, None)
+            with pytest.raises(ConfigurationError, match="node 7"):
+                mstc.mechanism.gather([unadvertised], 1.0, [None])
+
+    @pytest.mark.parametrize("name", READING)
+    def test_gather_refuses_before_storing_any_row(self, name, table, unadvertised):
+        """An owner that can decide, then one that reads a missing Hello:
+        the gather raises, and the first owner's stamp is not stored."""
+        mstc = MobilitySensitiveTopologyControl(RngProtocol(), make_mechanism(name))
+        current = make_hello(0, (0, 0), version=2, sent_at=1.0)
+        with pytest.raises(ConfigurationError, match=rf"node 7 .*'{name}'"):
+            mstc.gather([table, unadvertised], 1.0, [current, None], phase="hello")
+        assert mstc.cache_info() == dict.fromkeys(mstc.cache_info(), 0)
+        assert not mstc._cache.stamps
 
     def test_every_reading_mechanism_is_covered(self, unadvertised):
         reads = {
@@ -98,7 +119,7 @@ class TestNoCurrentHello:
             for name in available_mechanisms()
             if make_mechanism(name).reads_current_hello(unadvertised)
         }
-        assert reads == {"baseline", "gossip", "view-sync", "weak"}
+        assert reads == set(READING)
 
 
 class TestConfiguration:

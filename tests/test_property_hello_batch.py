@@ -115,6 +115,105 @@ class TestReceiverOracle:
             assert got.tolist() == want.tolist()
             assert oracle.propagation_losses == channel.stats.propagation_losses
 
+    # The oracle's cells are the query radius plus the slack wide, so
+    # every receiver sits in the 3x3 block around the sender's cell.
+    # The cases below sit on the edges of that argument.
+
+    MODELS = ["unit-disk", "log-distance", "sinr"]
+    RADIUS = 120.0
+
+    @staticmethod
+    def _pair(mobility, model, radius=RADIUS):
+        bound = None if model == "unit-disk" else make_propagation(model).bind(3)
+        oracle = HelloReceiverOracle(mobility.trajectories, radius, propagation=bound)
+        return oracle, IdealChannel(propagation=bound)
+
+    @staticmethod
+    def _agree(mobility, oracle, channel, t, senders=None):
+        radius = oracle.radius
+        positions = mobility.positions(t)
+        for sender in range(positions.shape[0]) if senders is None else senders:
+            want = channel.receivers(sender, positions, radius, now=t)
+            assert oracle.receivers(sender, t).tolist() == want.tolist()
+            assert oracle.propagation_losses == channel.stats.propagation_losses
+
+    def _cell(self, model):
+        probe = StaticPlacement(Area(1.0, 1.0), 1, 5.0, positions=[[0.0, 0.0]])
+        return self._pair(probe, model)[0]._cell
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_static_nodes_on_cell_boundaries(self, model):
+        cell = self._cell(model)
+        r = self.RADIUS
+        # A lattice on the cell edges, plus nodes exactly one radius
+        # (the unit-disk boundary) and one cell beyond a lattice node.
+        lattice = [(i * cell, j * cell) for i in range(4) for j in range(4)]
+        extra = [(r, 0.0), (cell, r), (2 * cell + r, 3 * cell), (3 * cell, 2 * cell + r)]
+        points = np.array(lattice + extra)
+        side = float(points.max()) + 1.0
+        mobility = StaticPlacement(Area(side, side), len(points), 5.0, positions=points)
+        oracle, channel = self._pair(mobility, model)
+        assert oracle._cell == cell
+        for t in (0.0, 2.5):
+            self._agree(mobility, oracle, channel, t)
+        assert oracle.rebuilds == 1  # static nodes never leave their cells
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_last_reuse_before_a_rebuild(self, model):
+        mobility = RandomWaypoint(
+            Area(600.0, 600.0), 60, 20.0, mean_speed=15.0,
+            rng=np.random.default_rng(11),
+        )
+        oracle, channel = self._pair(mobility, model)
+        t0 = 1.0
+        self._agree(mobility, oracle, channel, t0, senders=[0])
+        vmax, slack = oracle._vmax, oracle._slack
+        # The latest instant the stale grid still serves:
+        # v_max * (t - t_g) == slack, to the last bit.
+        t = t0 + slack / vmax
+        while vmax * (t - t0) > slack:
+            t = np.nextafter(t, -np.inf)
+        while vmax * (np.nextafter(t, np.inf) - t0) <= slack:
+            t = np.nextafter(t, np.inf)
+        self._agree(mobility, oracle, channel, float(t))
+        assert oracle.rebuilds == 1
+        later = float(np.nextafter(t, np.inf))
+        self._agree(mobility, oracle, channel, later, senders=[0])
+        assert oracle.rebuilds == 2
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sender_alone_in_its_block(self, model):
+        cell = self._cell(model)
+        # Five cells wide: a cluster in one corner and a node in the far
+        # corner, more than a cell from the cluster's blocks.
+        side = 5 * cell
+        cluster = [(10.0 + 30.0 * i, 10.0 + 25.0 * j) for i in range(3) for j in range(3)]
+        points = np.array(cluster + [(side - 1.0, side - 1.0)])
+        mobility = StaticPlacement(Area(side, side), len(points), 5.0, positions=points)
+        oracle, channel = self._pair(mobility, model)
+        lonely = len(points) - 1
+        self._agree(mobility, oracle, channel, 1.0)
+        assert oracle._block(points[lonely], 1.0).tolist() == [lonely]
+        assert oracle.receivers(lonely, 1.0).size == 0
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_query_right_after_a_rebuild(self, model):
+        # Seven cells a side, so a block memoized before the rebuild
+        # would miss nodes that have moved into it since.
+        mobility = RandomWaypoint(
+            Area(1200.0, 1200.0), 120, 20.0, mean_speed=20.0,
+            rng=np.random.default_rng(5),
+        )
+        oracle, channel = self._pair(mobility, model)
+        self._agree(mobility, oracle, channel, 0.5)
+        t = 0.5 + 2.0 * oracle._slack / oracle._vmax
+        self._agree(mobility, oracle, channel, t, senders=[7])
+        assert oracle.rebuilds == 2 and oracle._grid_t == t
+        # Every sender at the rebuild instant, then once more just after.
+        self._agree(mobility, oracle, channel, t)
+        self._agree(mobility, oracle, channel, t + 0.01)
+        assert oracle.rebuilds == 2
+
 
 class TestFaultSeams:
     def test_receiver_down_at_arrival_is_blocked(self):
