@@ -63,6 +63,11 @@ FAULTS = FaultSchedule(
     )
 )
 
+#: Fault schedule of ``rng-proactive-outage0``: node 3 is down over its
+#: first two epochs and node 5's clock runs 1.5 s ahead, so they first
+#: advertise epochs 3 and 2 while the others start at 0 or 1.
+OUTAGE0 = FaultSchedule((NodeOutage(0.0, 2.2, node=3), ClockSkew(node=5, offset=1.5)))
+
 LOG_DISTANCE = {"propagation": "log-distance"}
 SINR = {"propagation": "sinr"}
 
@@ -166,6 +171,19 @@ CELLS = {
     "gabriel-weak-lattice": Cell("gabriel", "weak", lattice=True),
     "enclosure-weak-lattice": Cell("enclosure", "weak", lattice=True),
     "mst-baseline-lattice": Cell("mst", "baseline", lattice=True),
+    # Receiver lookups answered ahead of their Hellos.  Proactive nodes
+    # whose first advertised epochs differ (one down over its first two
+    # epochs, one clock a second and a half ahead), so the first
+    # Hello-time decision of each comes at a different epoch.
+    "rng-proactive-outage0": Cell("rng", "proactive", OUTAGE0),
+    # Every fault seam under synchronized rounds.
+    "rng-reactive-faulted": Cell("rng", "reactive", FAULTS),
+    # Hellos on the air for 5 ms: the collision window sees each Hello
+    # in send order, with its receivers known beforehand.
+    "rng-baseline-collisions": Cell("rng", "baseline", config={"hello_tx_duration": 0.005}),
+    # Three times the paper's speed at n=100: the stale receiver grid is
+    # rebuilt four times in 4 s, so lookups straddle rebuilds.
+    "rng-baseline-n100": Cell("rng", "baseline", n_nodes=100, spec={"mean_speed": 60.0}),
 }
 
 #: spacing of the lattice placement, the paper's 8100 m^2 per node
@@ -184,11 +202,10 @@ def cell_spec(
     further :class:`ExperimentSpec` fields and *config* further
     :class:`ScenarioConfig` fields."""
     side = math.sqrt(n_nodes * 8100.0)
-    fields = {"buffer_width": 10.0, **(spec or {})}
+    fields = {"buffer_width": 10.0, "mean_speed": 20.0, **(spec or {})}
     return ExperimentSpec(
         protocol=protocol,
         mechanism=mechanism,
-        mean_speed=20.0,
         **fields,
         config=ScenarioConfig(
             n_nodes=n_nodes,
