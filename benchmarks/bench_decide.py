@@ -32,7 +32,8 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   Hello's time split into the receiver lookup, the sender position,
   ``record_batch`` and the Hello-time gather, with a digest of every
   receiver array and every adopted decision; ``--before FILE`` embeds
-  these rows from another commit;
+  these rows from another commit (where the oracle answers Hellos in
+  batches, the lookup phase holds the sender positions too);
 - the snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
@@ -167,7 +168,10 @@ def _phase_timers(phases: dict) -> tuple[dict[str, float], dict[str, int], list[
     """Wrap one method per phase with a wall-time accumulator.
 
     A phase is ``(module, class, method)``, or ``(module, class, method,
-    keep)`` where ``keep(kwargs)`` says whether a call counts.  Returns
+    keep)`` where ``keep(kwargs)`` says whether a call counts.  *method*
+    may be a tuple of names: the first the class defines is wrapped, so
+    a phase that moved to a new method still runs at older commits.
+    Returns
     ``(seconds per phase, calls per phase, armed flag, undo list of
     (class, name, original))``; time accumulates only while ``armed[0]``
     is True.
@@ -180,6 +184,8 @@ def _phase_timers(phases: dict) -> tuple[dict[str, float], dict[str, int], list[
     undo = []
     for phase, (module, cls_name, attr, *keep) in phases.items():
         cls = getattr(importlib.import_module(module), cls_name)
+        if isinstance(attr, tuple):
+            attr = next(name for name in attr if name in vars(cls))
         original = vars(cls)[attr]
 
         def timed(*args, _fn=original, _phase=phase, _keep=keep, **kwargs):
@@ -388,11 +394,15 @@ def bench_hello_decisions(
 
 
 #: Where each phase of a Hello runs, as (module, class, method[, keep]).
-#: The sender's position is read once per emitted Hello; every
-#: ``record_batch`` is one Hello delivery; only gathers labelled
+#: The receiver lookup is the oracle's batched ``lookup``, which also
+#: gives the senders' positions, or ``receivers`` at commits without
+#: it, where the sender's position is read once per emitted Hello;
+#: every ``record_batch`` is one Hello delivery; only gathers labelled
 #: ``phase="hello"`` are Hello-time decisions.
 HELLO_PHASES = {
-    "receiver_lookup": ("repro.sim.hello_batch", "HelloReceiverOracle", "receivers"),
+    "receiver_lookup": (
+        "repro.sim.hello_batch", "HelloReceiverOracle", ("lookup", "receivers")
+    ),
     "sender_position": ("repro.sim.world", "NetworkWorld", "_node_position"),
     "record_batch": ("repro.core.neighbor_state", "NeighborState", "record_batch"),
     "gather": (
@@ -458,12 +468,16 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
     decisions = hashlib.sha256()
     totals, calls, armed, undo = _phase_timers(HELLO_PHASES)
     # The digests wrap the timers, so the phase times leave them out.
-    lookup = vars(HelloReceiverOracle)["receivers"]
+    # The world asks the oracle once per Hello: ``hello`` (position and
+    # receivers), or ``receivers`` at commits without it.
+    per_hello = "hello" if "hello" in vars(HelloReceiverOracle) else "receivers"
+    lookup = getattr(HelloReceiverOracle, per_hello)
     adopt = vars(NetworkWorld)["_adopt"]
 
     def digest_receivers(self, sender, t, *args, **kwargs):
         out = lookup(self, sender, t, *args, **kwargs)
-        receivers.update(repr((sender, t)).encode() + out.tobytes())
+        hit = out[1] if per_hello == "hello" else out
+        receivers.update(repr((sender, t)).encode() + hit.tobytes())
         return out
 
     def digest_adopt(self, node, decision, t):
@@ -473,7 +487,7 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
         )).encode())
         return adopt(self, node, decision, t)
 
-    HelloReceiverOracle.receivers = digest_receivers
+    setattr(HelloReceiverOracle, per_hello, digest_receivers)
     NetworkWorld._adopt = digest_adopt
     try:
         armed[0] = True
@@ -481,6 +495,7 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
     finally:
         armed[0] = False
         NetworkWorld._adopt = adopt
+        setattr(HelloReceiverOracle, per_hello, lookup)
         for cls, attr, original in undo:
             setattr(cls, attr, original)
     run_s = float(np.median(runs))

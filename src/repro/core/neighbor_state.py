@@ -149,26 +149,30 @@ class NeighborState:
             fresh[:cap] = old
             setattr(self, name, fresh)
 
-    def _alloc_slot(self, sender: int) -> int:
-        slot = self._n_slots
-        if slot >= self._version.shape[0]:
-            self._grow(slot + 1)
-        self._n_slots = slot + 1
-        self._slot_sender[slot] = sender
-        return slot
+    def _alloc(self, sender: int, count: int) -> int:
+        """First of *count* consecutive new slots for pairs of *sender*."""
+        first = self._n_slots
+        if first + count > self._version.shape[0]:
+            self._grow(first + count)
+        self._n_slots = first + count
+        self._slot_sender[first : first + count] = sender
+        return first
 
     def _slots_for(self, sender: int, receivers: np.ndarray) -> np.ndarray:
-        slots = np.empty(receivers.size, dtype=np.intp)
+        """Each receiver's slot for *sender*; the receivers that hold none
+        get new slots, one block in receiver order."""
         directory = self._directory
-        for i, rid in enumerate(receivers.tolist()):
-            d = directory[rid]
-            slot = d.get(sender)
-            if slot is None:
-                slot = self._alloc_slot(sender)
-                d[sender] = slot
-                self._row_slots[rid] = None
-            slots[i] = slot
-        return slots
+        rids = receivers.tolist()
+        found = [directory[r].get(sender, -1) for r in rids]
+        if -1 in found:
+            fresh = [i for i, slot in enumerate(found) if slot < 0]
+            row_slots = self._row_slots
+            for slot, i in enumerate(fresh, self._alloc(sender, len(fresh))):
+                found[i] = slot
+                r = rids[i]
+                directory[r][sender] = slot
+                row_slots[r] = None
+        return np.array(found, dtype=np.intp)
 
     # ------------------------------------------------------------------ #
     # writes
@@ -199,7 +203,7 @@ class NeighborState:
         sender = hello.sender
         slot = d.get(sender)
         if slot is None:
-            slot = self._alloc_slot(sender)
+            slot = self._alloc(sender, 1)
             d[sender] = slot
             self._row_slots[receiver] = None
         pos = int(self._writes[slot]) % self.k

@@ -107,15 +107,18 @@ class TrajectorySet:
         """Number of nodes covered by this trajectory set."""
         return self.leg_times.shape[0]
 
-    def _legs(self, t: float, nodes: np.ndarray) -> np.ndarray:
+    def _legs(self, t, nodes: np.ndarray) -> np.ndarray:
         """Flat row of each node's active leg at *t*, already clamped to
         ``[0, horizon]``: the last leg starting at or before *t*.
 
-        Counting the leg starts ``<= t`` is a vectorized searchsorted
-        across rows; k is small (tens of legs), so the O(len(nodes) * k)
-        scan wins over per-row binary searches.  Every row starts at
-        0 <= t, so each count is between 1 and k.
+        *t* is a scalar or one time per node.  Counting the leg starts
+        ``<= t`` is a vectorized searchsorted across rows; k is small
+        (tens of legs), so the O(len(nodes) * k) scan wins over per-row
+        binary searches.  Every row starts at 0 <= t, so each count is
+        between 1 and k.
         """
+        if np.ndim(t):
+            t = t[:, np.newaxis]
         legs = (self.leg_times.take(nodes, axis=0) <= t).sum(axis=1)
         legs += nodes * self.leg_times.shape[1] - 1
         return legs
@@ -139,16 +142,24 @@ class TrajectorySet:
             t - row_times[idx]
         )
 
-    def positions_at(self, t: float, nodes: np.ndarray) -> np.ndarray:
+    def positions_at(self, t, nodes: np.ndarray) -> np.ndarray:
         """``(len(nodes), 2)`` positions of a node subset at time *t*.
 
-        Runs the same per-element arithmetic on the selected rows only,
-        so ``positions_at(t, nodes)`` is bit-identical to
-        ``positions(t)[nodes]`` and subset evaluation (e.g. exact
-        receiver filtering in the batched Hello pipeline) never pays the
-        full ``(n, k)`` leg scan.
+        *t* is one time for every node, or an array of one time per
+        node: ``positions_at(times, nodes)[i]`` is then the position of
+        ``nodes[i]`` at ``times[i]``, the same bits as
+        ``positions_at(times[i], nodes)[i]``.  Runs the same per-element
+        arithmetic on the selected rows only, so ``positions_at(t,
+        nodes)`` is bit-identical to ``positions(t)[nodes]`` and subset
+        evaluation (e.g. exact receiver filtering in the batched Hello
+        pipeline) never pays the full ``(n, k)`` leg scan.
         """
-        t = min(max(float(t), 0.0), self.horizon)
+        if np.ndim(t):
+            # The scalar clamp's exact semantics (-0.0 stays -0.0).
+            t = np.asarray(t, dtype=np.float64)
+            t = np.where(t < 0.0, 0.0, np.where(t > self.horizon, self.horizon, t))
+        else:
+            t = min(max(float(t), 0.0), self.horizon)
         legs = self._legs(t, np.asarray(nodes, dtype=np.intp))
         t0 = self._flat_times.take(legs)
         p0 = self._flat_points.take(legs, axis=0)

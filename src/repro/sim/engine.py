@@ -303,6 +303,14 @@ class PeriodicTimer:
         """Number of times the timer has fired."""
         return self._tick
 
+    @property
+    def next_time(self) -> float:
+        """Time of the pending next tick (inf once stopped).  Inside the
+        callback it is already the following tick's time."""
+        if self._stopped or self._handle is None:
+            return math.inf
+        return self._handle.time
+
     def stop(self) -> None:
         """Stop the timer; the pending next tick is cancelled."""
         self._stopped = True

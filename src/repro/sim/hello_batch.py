@@ -25,6 +25,18 @@ subset filter**:
   subset kernel :meth:`~repro.mobility.base.TrajectorySet.positions_at`
   and filtered with the exact boundary-inclusive ``d <= r`` predicate.
 
+A Hello's sender position and receivers depend only on (sender, t), so
+:meth:`HelloReceiverOracle.lookup` answers many Hellos at once: one
+``positions_at`` over the senders at their own times, one over every
+candidate of every block at its Hello's time, one distance and filter
+pass.  The world writes each node's next scheduled Hello time into
+:attr:`HelloReceiverOracle.due`; :meth:`HelloReceiverOracle.hello`
+answers a Hello from a batch computed ahead, and on a miss computes the
+next ``_PREFETCH`` due Hellos that fall before the grid must be rebuilt.
+A precomputed answer is used only for the exact (sender, t) it was
+computed for, so a wrong schedule costs a miss and never an output, and
+the grid is rebuilt at the same Hellos as when each is answered alone.
+
 The distance kernel (:func:`~repro.geometry.points.distances_from`) and
 the position interpolation are elementwise, hence subset-stable: filtering
 a superset of candidates yields the *bit-identical* ascending receiver
@@ -53,6 +65,10 @@ from repro.mobility.base import TrajectorySet
 __all__ = ["HelloReceiverOracle"]
 
 _EMPTY = np.empty(0, dtype=np.intp)
+
+#: Most Hellos one :meth:`HelloReceiverOracle.hello` miss answers ahead;
+#: bounds the concatenated candidate temporaries to this many blocks.
+_PREFETCH = 256
 
 
 class HelloReceiverOracle:
@@ -86,6 +102,7 @@ class HelloReceiverOracle:
         "radius",
         "propagation",
         "propagation_losses",
+        "due",
         "_query_radius",
         "_slack",
         "_cell",
@@ -93,6 +110,7 @@ class HelloReceiverOracle:
         "_grid",
         "_grid_t",
         "_blocks",
+        "_ahead",
         "rebuilds",
         "queries",
     )
@@ -110,6 +128,9 @@ class HelloReceiverOracle:
             None if propagation is None or propagation.is_unit_disk else propagation
         )
         self.propagation_losses = 0
+        #: next scheduled Hello time per node (inf: unknown), written by
+        #: whoever schedules the Hellos; :meth:`hello` answers those ahead
+        self.due = np.full(trajectories.n_nodes, np.inf)
         self._query_radius = (
             self.radius
             if self.propagation is None
@@ -125,6 +146,9 @@ class HelloReceiverOracle:
         self._grid_t = 0.0
         #: cell -> ascending IDs of the grid's 3x3 block around it
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
+        #: sender -> (t, position, receivers, propagation rejects) of its
+        #: Hello answered ahead, until asked for or the grid is rebuilt
+        self._ahead: dict[int, tuple[float, np.ndarray, np.ndarray, int]] = {}
         self.rebuilds = 0
         self.queries = 0
 
@@ -136,51 +160,154 @@ class HelloReceiverOracle:
         """Exact positions of a node subset at *t* (``positions(t)[nodes]``)."""
         return self.trajectories.positions_at(t, nodes)
 
-    def _block(self, p: np.ndarray, t: float) -> np.ndarray:
-        """Ascending IDs of every node that can be within the query
-        radius of *p* at *t*: the stale grid's 3x3 block around *p*'s
-        cell, rebuilding the grid once nodes may have left it."""
+    def _refresh(self, t: float) -> None:
+        """Rebuild the grid at *t* once nodes may have left it."""
         if self._grid is None or self._vmax * (t - self._grid_t) > self._slack:
             self._grid = GridIndex(self.trajectories.positions(t), cell_size=self._cell)
             self._grid_t = t
             self._blocks.clear()
+            self._ahead.clear()
             self.rebuilds += 1
-        cell = self._cell
-        key = (math.floor(p[0] / cell), math.floor(p[1] / cell))
+
+    def _block(self, key: tuple[int, int]) -> np.ndarray:
+        """Ascending IDs of the grid's 3x3 cell block around cell *key*:
+        every node that can be within the query radius of a point in
+        that cell while the grid stands."""
         block = self._blocks.get(key)
         if block is None:
             block = np.sort(self._grid.candidates_near_cell(*key))
             self._blocks[key] = block
         return block
 
-    def receivers(self, sender: int, t: float, sender_pos: np.ndarray | None = None) -> np.ndarray:
+    def lookup(
+        self, senders, times
+    ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """Sender positions, receivers and propagation rejects of many Hellos.
+
+        Hello ``i`` is sent by ``senders[i]`` at ``times[i]``; *times*
+        must be non-decreasing.  Returns ``(positions, receivers,
+        rejects)``: the ``(B, 2)`` sender positions, one ascending
+        receiver array per Hello, each what :meth:`receivers` returns,
+        and per Hello the count :meth:`receivers` adds to
+        :attr:`propagation_losses`.  The grid is rebuilt at the same
+        Hellos as by one :meth:`receivers` call per Hello in order; the
+        counters are left to the caller.
+        """
+        senders = np.asarray(senders, dtype=np.intp)
+        times = np.asarray(times, dtype=np.float64)
+        if np.any(times[1:] < times[:-1]):
+            raise ValueError("Hello times must be non-decreasing")
+        positions = self.trajectories.positions_at(times, senders)
+        rejects = np.zeros(senders.size, dtype=np.int64)
+        if self.radius <= 0.0:
+            return positions, [_EMPTY] * senders.size, rejects
+        answers: list[np.ndarray] = []
+        lo = 0
+        while lo < senders.size:
+            # The Hellos up to hi share the grid that stands at times[lo].
+            self._refresh(float(times[lo]))
+            hi = lo + max(1, int(
+                np.count_nonzero(self._vmax * (times[lo:] - self._grid_t) <= self._slack)
+            ))
+            answers += self._answer(
+                senders[lo:hi], times[lo:hi], positions[lo:hi], rejects[lo:hi]
+            )
+            lo = hi
+        return positions, answers, rejects
+
+    def _answer(
+        self,
+        senders: np.ndarray,
+        times: np.ndarray,
+        positions: np.ndarray,
+        rejects: np.ndarray,
+    ) -> list[np.ndarray]:
+        """Receivers of Hellos that all fall within the standing grid's
+        lifetime, with their propagation rejects written to *rejects*."""
+        cell = self._cell
+        keys = np.floor(positions / cell).astype(np.int64).tolist()
+        blocks = [self._block((kx, ky)) for kx, ky in keys]
+        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+        cand = np.concatenate(blocks)
+        row = np.repeat(np.arange(senders.size), sizes)
+        diff = self.trajectories.positions_at(times[row], cand) - positions[row]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        model = self.propagation
+        if model is None:
+            keep = (d <= self.radius) & (cand != senders[row])
+        else:
+            other = cand != senders[row]
+            cand, row, d = cand[other], row[other], d[other]
+            keep = model.accept(senders[row], cand, d, self.radius, times[row])
+            # Same counted set as IdealChannel.receivers: candidates the
+            # unit disk would reach but the model rejects (d <= query
+            # radius always holds for them in any candidate superset).
+            lost = ~keep & (d <= min(self.radius, self._query_radius))
+            rejects += np.bincount(row[lost], minlength=senders.size)
+        counts = np.bincount(row[keep], minlength=senders.size)
+        return np.split(cand[keep], np.cumsum(counts[:-1]))
+
+    def receivers(self, sender: int, t: float) -> np.ndarray:
         """Ascending indices of the nodes that hear *sender* at *t*.
 
         Bit-identical to ``IdealChannel.receivers(sender, positions(t),
         radius, now=t)`` under the same propagation model — same
         candidate superset guarantee, same exact filter (``d <= radius``
         for the unit disk, the model's keyed ``accept`` otherwise), same
-        ascending order, sender excluded.
+        ascending order, sender excluded.  A :meth:`lookup` of one Hello.
         """
         if self.radius <= 0.0:
             return _EMPTY
+        _, (hit,), rejects = self.lookup([sender], [t])
         self.queries += 1
-        p = self.node_position(sender, t) if sender_pos is None else sender_pos
-        cand = self._block(p, t)
-        model = self.propagation
-        if model is None:
-            d = distances_from(p, self.trajectories.positions_at(t, cand))
-            hit = cand[d <= self.radius]
-            return hit[hit != sender]
-        cand = cand[cand != sender]
-        if cand.size == 0:
-            return _EMPTY
-        d = distances_from(p, self.trajectories.positions_at(t, cand))
-        ok = model.accept(sender, cand, d, self.radius, t)
-        # Same counted set as IdealChannel.receivers: candidates the unit
-        # disk would reach but the model rejects (d <= query radius always
-        # holds for them in any candidate superset).
-        self.propagation_losses += int(
-            np.count_nonzero(~ok & (d <= min(self.radius, self._query_radius)))
-        )
-        return cand[ok]
+        self.propagation_losses += int(rejects[0])
+        return hit
+
+    def hello(self, sender: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(position, receivers)`` of *sender*'s Hello at *t*.
+
+        The position is ``node_position(sender, t)`` and the receivers
+        are :meth:`receivers` ``(sender, t)``, with the same counters.
+        Answered from a batch computed ahead when one was computed for
+        exactly this (sender, t); otherwise one :meth:`lookup` answers it
+        together with the next :data:`_PREFETCH` - 1 Hellos :attr:`due`
+        before the grid must be rebuilt.
+        """
+        if self.radius <= 0.0:
+            return self.node_position(sender, t), _EMPTY
+        entry = self._ahead.pop(sender, None)
+        if entry is None or entry[0] != t:
+            entry = self._prefetch(sender, t)
+        self.queries += 1
+        self.propagation_losses += entry[3]
+        return entry[1], entry[2]
+
+    def _prefetch(self, sender: int, t: float) -> tuple[float, np.ndarray, np.ndarray, int]:
+        """Answer *sender*'s Hello at *t* and keep the answers of the next
+        due Hellos the standing grid covers; return the first."""
+        self._refresh(t)
+        due = self.due
+        ok = (due >= t) & (self._vmax * (due - self._grid_t) <= self._slack)
+        if due[sender] == t:
+            ok[sender] = False
+        ahead = np.flatnonzero(ok)
+        room = _PREFETCH - 1
+        if ahead.size > room:
+            # The earliest, ties in node order (the engine's order for
+            # Hellos scheduled at one instant): all before the first time
+            # that may not fit, then that time's nodes while room lasts.
+            times = due[ahead]
+            last = np.partition(times, room)[room]
+            early = times < last
+            tied = ahead[times == last][: room - np.count_nonzero(early)]
+            ahead = np.concatenate((ahead[early], tied))
+        ahead = ahead[np.argsort(due[ahead], kind="stable")]
+        senders = np.concatenate(([sender], ahead))
+        times = np.concatenate(([t], due[ahead]))
+        positions, answers, rejects = self.lookup(senders, times)
+        store = self._ahead
+        for s, ts, p, hit, lost in zip(
+            ahead.tolist(), times[1:].tolist(), positions[1:], answers[1:], rejects[1:].tolist()
+        ):
+            store[s] = (ts, p, hit, lost)
+        return t, positions[0], answers[0], int(rejects[0])

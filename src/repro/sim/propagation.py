@@ -160,14 +160,15 @@ class PropagationModel:
         receivers: np.ndarray,
         distances: np.ndarray,
         tx_range: float | np.ndarray,
-        now: float,
+        now: float | np.ndarray,
     ) -> np.ndarray:
         """Boolean mask: which candidate receivers hear the broadcast.
 
         Elementwise and subset-stable — the verdict for a given
         (sender, receiver, distance, range, time) tuple never depends on
-        which other candidates are evaluated alongside it.  *sender* and
-        *tx_range* broadcast against *receivers*/*distances*.
+        which other candidates are evaluated alongside it.  *sender*,
+        *tx_range* and *now* broadcast against *receivers*/*distances*
+        (the Hello oracle answers many Hellos in one call).
         """
         raise NotImplementedError
 
@@ -363,7 +364,7 @@ class ProbabilisticSINR(PropagationModel):
         return np.where(d <= np.asarray(tx_range) * self.cutoff, p, 0.0)
 
     def _draw(self, key: np.ndarray, now: float) -> np.ndarray:
-        t_bits = np.float64(now).view(np.uint64)
+        t_bits = np.asarray(now, dtype=np.float64).view(np.uint64)
         return _unit(_mix64(_mix64(key ^ self._key) ^ t_bits))
 
     def accept(self, sender, receivers, distances, tx_range, now):

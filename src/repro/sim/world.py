@@ -7,9 +7,11 @@
   epoch boundaries with epoch-numbered versions (proactive), or
   initiator-flooded synchronized rounds (reactive);
 - **Hello delivery** is one batched route: a receiver oracle finds who
-  hears a Hello, and each distinct arrival time is one engine event that
-  records the Hello at all of its receivers in the columnar
-  :class:`~repro.core.neighbor_state.NeighborState` with one splice.  An
+  hears a Hello (the world tells it when each node sends next, so it
+  answers the coming Hellos in batches), and each distinct arrival time
+  is one engine event that records the Hello at all of its receivers in
+  the columnar :class:`~repro.core.neighbor_state.NeighborState` with
+  one splice.  An
   armed fault schedule acts on the same route: outages suppress sends and
   block receptions, loss bursts thin the receiver array, delivery delays
   split it into one event per arrival time, and an overtaken Hello is
@@ -499,13 +501,20 @@ class NetworkWorld:
     # Hello protocol
 
     def _setup_hello_schedule(self) -> None:
+        """Schedule every node's Hellos, writing each node's next Hello
+        time into the receiver oracle's ``due`` wherever a Hello is
+        scheduled (the oracle answers those Hellos ahead)."""
         cfg = self.config
+        due = self._oracle.due
+        #: per-node Hello timers (asynchronous mechanisms only)
+        self._hello_timers: list[PeriodicTimer] = []
         if self.manager.mechanism.name == "proactive":
             for node in self.nodes:
                 first_epoch = (
                     self.clocks.epoch(node.node_id, 0.0, cfg.hello_interval) + 1
                 )
                 t0 = self.clocks.epoch_start(node.node_id, first_epoch, cfg.hello_interval)
+                due[node.node_id] = max(t0, 0.0)
                 self.engine.schedule_at(
                     max(t0, 0.0), self._send_hello_proactive, node.node_id, first_epoch
                 )
@@ -529,11 +538,14 @@ class NetworkWorld:
                     # close without touching the timer machinery.
                     def tick_interval(nid=node.node_id, base=interval):
                         return base * inj.interval_scale(nid, self.engine.now)
-                PeriodicTimer(
-                    self.engine,
-                    tick_interval,
-                    lambda _tick, nid=node.node_id: self._send_hello_async(nid),
-                    first_at=first,
+                due[node.node_id] = first
+                self._hello_timers.append(
+                    PeriodicTimer(
+                        self.engine,
+                        tick_interval,
+                        lambda _tick, nid=node.node_id: self._send_hello_async(nid),
+                        first_at=first,
+                    )
                 )
 
     def _emit_hello(self, node_id: int, version: int) -> Hello | None:
@@ -558,7 +570,9 @@ class NetworkWorld:
             return None
         node = self.nodes[node_id]
         oracle = self._oracle
-        pos = self._node_position(node_id, t)
+        before = oracle.propagation_losses
+        pos, hit = oracle.hello(node_id, t)
+        lost = oracle.propagation_losses - before
         # GPS noise perturbs what the node *advertises* (and therefore its
         # own record), never the true position the radio propagates from.
         # Its draws come before the loss-burst draws below.
@@ -574,22 +588,16 @@ class NetworkWorld:
         node.hellos_sent += 1
         stats = self.channel.stats
         stats.hello_messages += 1
-        if oracle.propagation is None:
-            hit = oracle.receivers(node_id, t, pos)
-        else:
+        if lost:
             # Fold the oracle's per-query propagation rejects into the
             # channel counters.
-            before = oracle.propagation_losses
-            hit = oracle.receivers(node_id, t, pos)
-            lost = oracle.propagation_losses - before
-            if lost:
-                stats.propagation_losses += lost
-                if tel is not None:
-                    tel.count("hello_dropped", lost, reason="propagation")
-                    tel.event(
-                        "hello_dropped", t=t, node=node_id,
-                        count=lost, reason="propagation",
-                    )
+            stats.propagation_losses += lost
+            if tel is not None:
+                tel.count("hello_dropped", lost, reason="propagation")
+                tel.event(
+                    "hello_dropped", t=t, node=node_id,
+                    count=lost, reason="propagation",
+                )
         receivers = self.channel.surviving_hello_receivers(
             hit, sender=node_id, now=t
         )
@@ -720,6 +728,8 @@ class NetworkWorld:
         return np.asarray(surviving, dtype=np.intp)
 
     def _send_hello_async(self, node_id: int) -> None:
+        # The timer has already scheduled its next tick.
+        self._oracle.due[node_id] = self._hello_timers[node_id].next_time
         node = self.nodes[node_id]
         hello = self._emit_hello(node_id, node.next_version)
         if hello is None:  # node down: no Hello, no decision, version unused
@@ -730,18 +740,20 @@ class NetworkWorld:
 
     def _send_hello_proactive(self, node_id: int, epoch: int) -> None:
         node = self.nodes[node_id]
+        next_t = self.clocks.epoch_start(node_id, epoch + 1, self.config.hello_interval)
+        self._oracle.due[node_id] = next_t
         hello = self._emit_hello(node_id, epoch)
         node.next_version = epoch + 1
-        next_t = self.clocks.epoch_start(node_id, epoch + 1, self.config.hello_interval)
         self.engine.schedule_at(next_t, self._send_hello_proactive, node_id, epoch + 1)
         if hello is None:  # down: epoch numbering advances, the node sleeps
             return
         # Decide on the last *complete* version: everyone's epoch-(e-1)
-        # Hellos have arrived by now (skew + delay < one interval).
-        try:
+        # Hellos have arrived by now (skew + delay < one interval).  The
+        # decision falls back to the newest older version the node has
+        # advertised, so it can decide iff it advertised one before this
+        # epoch; on its first advertised epoch it has nothing complete.
+        if min(node.table.available_versions()) < epoch:
             self.decide_node(node_id, version=epoch - 1)
-        except ViewError:
-            pass  # first epoch: nothing complete yet
 
     def _run_reactive_round(self, round_index: int) -> None:
         cfg = self.config
@@ -749,10 +761,12 @@ class NetworkWorld:
         # Initiation flood: every node forwards once (the paper's overhead
         # complaint about the reactive scheme).
         self.channel.stats.sync_messages += cfg.n_nodes
+        due = self._oracle.due
         for node in self.nodes:
             offset = float(
                 self._round_rng.uniform(cfg.propagation_delay, cfg.reactive_flood_delay)
             )
+            due[node.node_id] = t + offset
             self.engine.schedule_at(
                 t + offset, self._send_hello_reactive, node.node_id, round_index
             )

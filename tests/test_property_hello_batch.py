@@ -193,7 +193,8 @@ class TestReceiverOracle:
         oracle, channel = self._pair(mobility, model)
         lonely = len(points) - 1
         self._agree(mobility, oracle, channel, 1.0)
-        assert oracle._block(points[lonely], 1.0).tolist() == [lonely]
+        key = tuple(np.floor(points[lonely] / cell).astype(int).tolist())
+        assert oracle._block(key).tolist() == [lonely]
         assert oracle.receivers(lonely, 1.0).size == 0
 
     @pytest.mark.parametrize("model", MODELS)

@@ -1,8 +1,10 @@
 """The three position routes of a :class:`TrajectorySet` agree bit for bit.
 
 ``position(i, t)`` (one binary search in node i's leg row) gives the
-sender position of every Hello; ``positions_at(t, nodes)`` evaluates the
-receiver candidates; ``positions(t)`` every node.  The receiver oracle
+position of one node; ``positions_at(t, nodes)`` evaluates the receiver
+candidates, and ``positions_at(times, nodes)`` with one time per node
+the senders and candidates of many Hellos at once; ``positions(t)``
+every node.  The receiver oracle
 and the geometry memo mix them freely, so each must equal the others bit
 for bit, for every mobility model and at the awkward instants: exactly
 on a leg start, on the repeated times of padded legs, below 0 and above
@@ -99,16 +101,51 @@ def test_padded_legs_are_exercised():
 )
 def test_position_matches_every_route(seed, node, where, pick, offset):
     for traj in (model.trajectories for model in _models(seed).values()):
-        times = traj.leg_times[node]
-        if where == "leg":
-            t = float(times[pick % times.size])
-        elif where == "padded":
-            repeated = times[1:][np.diff(times) == 0]
-            t = float(repeated[pick % repeated.size]) if repeated.size else traj.horizon
-        elif where == "below":
-            t = -offset - 1e-9
-        elif where == "above":
-            t = traj.horizon + offset + 1e-9
-        else:
-            t = traj.horizon * (pick / 2**16)
-        _assert_routes_agree(traj, node, t)
+        _assert_routes_agree(traj, node, _instant(traj, node, where, pick, offset))
+
+
+def _instant(traj, node: int, where: str, pick: int, offset: float) -> float:
+    """An awkward instant for *node*: a leg start, a padded leg's
+    repeated time, below 0, above the horizon, or anywhere inside."""
+    times = traj.leg_times[node]
+    if where == "leg":
+        return float(times[pick % times.size])
+    if where == "padded":
+        repeated = times[1:][np.diff(times) == 0]
+        return float(repeated[pick % repeated.size]) if repeated.size else traj.horizon
+    if where == "below":
+        return -offset - 1e-9
+    if where == "above":
+        return traj.horizon + offset + 1e-9
+    return traj.horizon * (pick / 2**16)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    hellos=st.lists(
+        st.tuples(
+            st.integers(0, N - 1),
+            st.sampled_from(["leg", "padded", "below", "above", "inside", "zero"]),
+            st.integers(0, 2**16),
+            st.floats(0.0, 50.0),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_per_element_times_match_scalar_routes(seed, hellos):
+    """``positions_at`` with one time per node equals, row by row, the
+    scalar-time ``positions_at`` and ``position`` bit for bit."""
+    for traj in (model.trajectories for model in _models(seed).values()):
+        nodes = np.array([node for node, *_ in hellos], dtype=np.intp)
+        times = np.array([
+            -0.0 if where == "zero" else _instant(traj, node, where, pick, offset)
+            for node, where, pick, offset in hellos
+        ])
+        got = traj.positions_at(times, nodes)
+        assert got.shape == (nodes.size, 2)
+        for i, (node, t) in enumerate(zip(nodes.tolist(), times.tolist())):
+            want = traj.position(node, t).tobytes()
+            assert got[i].tobytes() == want
+            assert traj.positions_at(t, nodes)[i].tobytes() == want
