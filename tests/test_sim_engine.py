@@ -251,6 +251,20 @@ class TestPeriodicTimer:
         assert ticks == [0, 1, 2]
         assert timer.ticks == 3
 
+    def test_next_time_is_the_following_tick_inside_the_callback(self):
+        eng = Engine()
+        intervals = iter([1.0, 2.0, 4.0, 100.0])
+        seen = []
+        timer = PeriodicTimer(
+            eng, lambda: next(intervals), lambda _t: seen.append(timer.next_time),
+            first_at=0.5,
+        )
+        assert timer.next_time == 0.5
+        eng.run(until=8.0)
+        assert seen == [1.5, 3.5, 7.5, 107.5]
+        timer.stop()
+        assert timer.next_time == float("inf")
+
     def test_nonpositive_interval_raises(self):
         eng = Engine()
         PeriodicTimer(eng, 0.0, lambda _t: None, first_at=0.0)
