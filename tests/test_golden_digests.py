@@ -68,6 +68,11 @@ FAULTS = FaultSchedule(
 #: advertise epochs 3 and 2 while the others start at 0 or 1.
 OUTAGE0 = FaultSchedule((NodeOutage(0.0, 2.2, node=3), ClockSkew(node=5, offset=1.5)))
 
+#: Fault schedule of ``rng-gossip-loss``: nine in ten Hello deliveries
+#: lost over the whole run, so most pairs are first written by a gossip
+#: merge and direct Hellos race relayed copies of the same versions.
+LOSS = FaultSchedule((HelloLossBurst(0.0, 4.0, probability=0.9),))
+
 LOG_DISTANCE = {"propagation": "log-distance"}
 SINR = {"propagation": "sinr"}
 
@@ -136,6 +141,15 @@ CELLS = {
     # Every fault seam on the Hello route, under four mechanisms.
     "rng-view-sync-faulted": Cell("rng", "view-sync", FAULTS),
     "rng-gossip-faulted": Cell("rng", "gossip", FAULTS),
+    # Gossip under heavy loss with three peers per round: merges of many
+    # senders at one receiver, new pairs opened by merges, and the
+    # strictly-newer rule against direct Hellos.  No loss burst at n=30
+    # in 4 s makes a view go silent for two rounds while peers are in
+    # range (every exchange ships the peer's own advertisement), so no
+    # mayday fires here; tests/test_gossip.py drives that path.
+    "rng-gossip-loss": Cell(
+        "rng", "gossip", LOSS, spec={"mechanism_kwargs": {"fanout": 3}}
+    ),
     "rng-weak-faulted": Cell("rng", "weak", FAULTS),
     "spt4-proactive-faulted": Cell("spt4", "proactive", FAULTS),
     # A non-unit-disk model: the receiver oracle's keyed predicate.
