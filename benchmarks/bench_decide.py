@@ -22,10 +22,10 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
 - weak-consistency decisions (``weak_decision``): one
   ``WeakConsistency.select`` of RNG, SPT-4 and MST over one gather of
   every owner's multi-version view in a 100-node world at paper
-  density, alone and with the history gather, and how many protocol
-  calls it makes; ``--before FILE`` embeds these rows from another
-  commit too, and a digest of the decisions shows both commits decided
-  the same;
+  density, the history gather alone, and both together, timed in one
+  alternating loop, and how many protocol calls the selection makes;
+  ``--before FILE`` embeds these rows from another commit too, and a
+  digest of the decisions shows both commits decided the same;
 - the fixed cost of every Hello (``hello_traffic``): one run of the
   ``paper-baseline`` scenario (rng, n = 100, 30 s) and one of the
   ``scale-10k`` scenario (rng + proactive, n = 10,000, 2.5 s), each
@@ -34,6 +34,11 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   receiver array and every adopted decision; ``--before FILE`` embeds
   these rows from another commit (where the oracle answers Hellos in
   batches, the lookup phase holds the sender positions too);
+- the gossip mechanism (``gossip``): the warm-up wall time of an rng +
+  gossip world at n in {100, 1000} against the same world under view
+  synchronization, with the dissemination counters; ``--before FILE``
+  embeds these rows from another commit, and equal counters on both
+  sides show both commits gossiped the same;
 - the snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
@@ -91,6 +96,26 @@ def _median_ns(fn, budget_s: float = 2.0, min_reps: int = 5) -> float:
         fn()
         samples.append(time.perf_counter() - t0)
     return float(np.median(samples) * 1e9)
+
+
+def _alternating_medians_ns(
+    fns: dict, budget_s: float = 2.0, min_reps: int = 5
+) -> dict[str, float]:
+    """Median wall time of each ``fns[name]()`` in nanoseconds, timed in
+    one loop that runs every function once per pass, so a slow spell of
+    the host falls on all of them alike (self-sizing reps)."""
+    start = time.perf_counter()
+    for fn in fns.values():
+        fn()
+    est = time.perf_counter() - start
+    reps = max(min_reps, min(200, int(budget_s / max(est, 1e-9))))
+    samples: dict[str, list[float]] = {name: [] for name in fns}
+    for _ in range(reps):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            samples[name].append(time.perf_counter() - t0)
+    return {name: float(np.median(times) * 1e9) for name, times in samples.items()}
 
 
 def _decisions(world) -> list:
@@ -539,8 +564,9 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
     A weak world of *n* nodes at 20 m/s runs for *warm_t* seconds; every
     owner's decision inputs are then gathered at once
     (:meth:`WeakConsistency.gather`).  One :meth:`WeakConsistency.select`
-    over that gather is timed alone and with the gather (median over
-    passes, ns per owner), and its protocol calls are counted.
+    over that gather, the gather alone, and both together are timed in
+    one alternating loop (median over passes, ns per owner), and the
+    selection's protocol calls are counted.
     ``decisions_sha256`` digests the selections, so a before/after pair
     shows both sides decided the same.
     """
@@ -569,19 +595,27 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
     def select_all() -> list:
         return mechanism.select(protocol, views)
 
+    def gather_all():
+        return mechanism.gather(tables, warm_t, hellos)
+
     def decide_all() -> list:
-        return mechanism.select(protocol, mechanism.gather(tables, warm_t, hellos)[0])
+        return mechanism.select(protocol, gather_all()[0])
 
     if select_all() != results or decide_all() != results:
         raise AssertionError(f"{name} weak decisions are not repeatable")
-    select_ns = _median_ns(select_all, budget_s=1.0) / n
-    decide_ns = _median_ns(decide_all, budget_s=1.0) / n
+    medians = _alternating_medians_ns(
+        {"select": select_all, "gather": gather_all, "decide": decide_all}
+    )
+    select_ns, gather_ns, decide_ns = (
+        medians[phase] / n for phase in ("select", "gather", "decide")
+    )
     digest = hashlib.sha256(
         repr([(r.owner, sorted(r.logical_neighbors), r.actual_range) for r in results]).encode()
     ).hexdigest()
     print(
         f"weak_decision {name:<5} n={n:<4} select={select_ns / 1e3:8.1f} us   "
-        f"with gather={decide_ns / 1e3:8.1f} us per owner   "
+        f"gather={gather_ns / 1e3:8.1f} us   "
+        f"both={decide_ns / 1e3:8.1f} us per owner   "
         f"{counter.calls} protocol calls"
     )
     return {
@@ -592,6 +626,7 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
         ),
         "protocol_calls": counter.calls,
         "select_ns": round(select_ns),
+        "gather_ns": round(gather_ns),
         "decide_ns": round(decide_ns),
         "decisions_sha256": digest,
     }
@@ -606,7 +641,9 @@ def bench_gossip(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
     The same scenario runs under view synchronization as the control, so
     the row reads as "what the epidemic layer costs on top of an
     otherwise identical world".  The gossip world's determinism is
-    asserted (two same-seed builds, identical counters) before timing.
+    asserted (two same-seed builds, identical counters) before timing;
+    in a before/after pair, equal counters on both sides show both
+    commits gossiped the same.
     """
     scale = Scale(
         name="bench-gossip",
@@ -740,7 +777,10 @@ def run_benchmark(smoke: bool = False, before: Path | None = None) -> dict:
             )
             for name in HELLO_SCENARIOS
         },
-        "gossip": {str(n): bench_gossip(n) for n in gossip_sizes},
+        "gossip": {
+            str(n): paired(earlier.get("gossip", {}).get(str(n)), bench_gossip(n))
+            for n in gossip_sizes
+        },
         "scale_pipeline": {str(n): bench_scale_pipeline(n) for n in scale_sizes},
     }
     return {
@@ -789,8 +829,8 @@ def main() -> int:
         type=Path,
         default=None,
         help="a BENCH_decide.json from another commit: its redecide_mixed, "
-        "hello_decisions, weak_decision and hello_traffic rows are kept as "
-        "this file's 'before'",
+        "hello_decisions, weak_decision, hello_traffic and gossip rows are "
+        "kept as this file's 'before'",
     )
     parser.add_argument(
         "--out",

@@ -443,12 +443,6 @@ class MobilitySensitiveTopologyControl:
             "decision_cache_uncacheable": self.cache_uncacheable,
         }
 
-    def clear_decision_cache(self) -> None:
-        """Drop all standing decisions (counters are kept).  Settle every
-        gathered decision first: a gathered cache hit is served from the
-        cache when it settles."""
-        self._cache = _DecisionCache()
-
     def describe(self) -> str:
         """Compact configuration label used in reports and figures."""
         parts = [self.protocol.name, self.mechanism.name]

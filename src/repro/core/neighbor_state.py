@@ -28,17 +28,18 @@ receivers' slot arrays, mask them, and return the members flat, grouped
 by receiver, with no Hello built.  Every decision reads them: the
 single-version mechanisms one position per member, weak consistency each
 member's whole retained history, read oldest first from the ring
-columns.
+columns.  Single pairs (the world's stale discard, gossip, packet
+forwarding) are read through :meth:`newest`, the newest entry per pair
+as arrays, and overhead accounting reads the ring fills
+(:meth:`retained`).  Writes share one splice body, reached from
+:meth:`record_batch` (one Hello at many receivers) and
+:meth:`record_entries` (many senders' Hellos at one receiver).
 
-Hello objects are *materialised on read* only for the :meth:`history`
-readers: gossip digests and deltas, packets, the audit, the fuzzer's
-oracles, overhead accounting and the
-:class:`~repro.core.tables.NeighborTable` reference views.  Each slot's
-tuple is memoised until the slot is written again; gossip reads the same
-unchanged histories round after round, and without the memo a gossip
-run takes about three times as long.  :class:`~repro.core.views.Hello`
-is a frozen value type, so a materialised copy compares equal to the
-original.
+:meth:`history` rebuilds a pair's Hellos from the columns on each call;
+only the :class:`~repro.core.tables.NeighborTable` reference views, the
+audit and the fuzzer's oracles read it.
+:class:`~repro.core.views.Hello` is a frozen value type, so a rebuilt
+copy compares equal to the original.
 
 The per-node facade over this storage is
 :class:`~repro.core.tables.NeighborTable`; the Hello delivery that feeds
@@ -54,10 +55,8 @@ from repro.util.validate import check_int_range
 
 __all__ = ["NeighborState", "NO_VERSION"]
 
-_EMPTY_F = np.empty(0, dtype=np.float64)
-
-#: :meth:`NeighborState.newest_versions` of a pair that holds no Hello;
-#: below every version, so ``version <= newest`` is False for it.
+#: Version :meth:`NeighborState.newest` reads for a pair that holds no
+#: Hello; below every version, so ``version <= newest`` is False for it.
 NO_VERSION = np.iinfo(np.int64).min
 
 
@@ -88,7 +87,6 @@ class NeighborState:
         "_n_slots",
         "_ages",
         "_row_slots",
-        "_memo",
     )
 
     def __init__(self, n_nodes: int, history_depth: int) -> None:
@@ -110,14 +108,13 @@ class NeighborState:
         #: sent_at of the newest entry per slot (freshness / expiry checks)
         self._latest_sent = np.full(cap, -np.inf, dtype=np.float64)
         self._slot_sender = np.zeros(cap, dtype=np.int64)
-        self._n_slots = 0
+        #: slot 0 is never written: a pair that holds nothing reads it
+        self._n_slots = 1
         #: ring ages, oldest first
         self._ages = np.arange(k)
         #: per-receiver directory slots as an array, None until read again
         #: after the directory changed
         self._row_slots: list[np.ndarray | None] = [None] * n_nodes
-        #: per-slot materialisation memo: ``slot -> (writes, tuple[Hello])``
-        self._memo: dict[int, tuple[int, tuple[Hello, ...]]] = {}
 
     # ------------------------------------------------------------------ #
     # storage management
@@ -149,28 +146,36 @@ class NeighborState:
             fresh[:cap] = old
             setattr(self, name, fresh)
 
-    def _alloc(self, sender: int, count: int) -> int:
-        """First of *count* consecutive new slots for pairs of *sender*."""
-        first = self._n_slots
-        if first + count > self._version.shape[0]:
-            self._grow(first + count)
-        self._n_slots = first + count
-        self._slot_sender[first : first + count] = sender
-        return first
+    def _slots(self, receivers, senders, create: bool = False) -> np.ndarray:
+        """Slot of each (receiver, sender) pair.
 
-    def _slots_for(self, sender: int, receivers: np.ndarray) -> np.ndarray:
-        """Each receiver's slot for *sender*; the receivers that hold none
-        get new slots, one block in receiver order."""
+        One side is a single node id and the other a list: many
+        receivers of one sender, or many senders at one receiver.  A
+        pair that holds nothing reads slot 0, or with *create* gets a new
+        slot: the new pairs take one block of slots in pair order.
+        """
         directory = self._directory
-        rids = receivers.tolist()
-        found = [directory[r].get(sender, -1) for r in rids]
-        if -1 in found:
-            fresh = [i for i, slot in enumerate(found) if slot < 0]
+        one_row = isinstance(senders, list)
+        if one_row:
+            d = directory[receivers]
+            found = [d.get(s, 0) for s in senders]
+        else:
+            found = [directory[r].get(senders, 0) for r in receivers]
+        if create and 0 in found:
+            fresh = [i for i, slot in enumerate(found) if not slot]
+            pairs = [
+                (receivers, senders[i]) if one_row else (receivers[i], senders)
+                for i in fresh
+            ]
+            first = self._n_slots
+            self._n_slots = end = first + len(pairs)
+            if end > self._version.shape[0]:
+                self._grow(end)
+            self._slot_sender[first:end] = [s for _, s in pairs]
             row_slots = self._row_slots
-            for slot, i in enumerate(fresh, self._alloc(sender, len(fresh))):
+            for slot, i, (r, s) in zip(range(first, end), fresh, pairs):
                 found[i] = slot
-                r = rids[i]
-                directory[r][sender] = slot
+                directory[r][s] = slot
                 row_slots[r] = None
         return np.array(found, dtype=np.intp)
 
@@ -184,37 +189,44 @@ class NeighborState:
         receiver array).  Equivalent to ``table.record_hello(hello)`` at
         each receiver, in array order.
         """
-        if receivers.size == 0:
-            return
-        slots = self._slots_for(hello.sender, receivers)
-        pos = self._writes[slots] % self.k
-        self._version[slots, pos] = hello.version
-        self._xy[slots, pos] = hello.position
-        self._sent[slots, pos] = hello.sent_at
-        self._ts[slots, pos] = hello.timestamp
-        self._writes[slots] += 1
-        self._latest_sent[slots] = hello.sent_at
-        self.hellos_received[receivers] += 1
-        self.mutations[receivers] += 1
+        if receivers.size:
+            slots = self._slots(receivers.tolist(), hello.sender, create=True)
+            self._splice(
+                slots, receivers, 1,
+                hello.version, hello.position, hello.sent_at, hello.timestamp,
+            )
 
-    def record_one(self, receiver: int, hello: Hello) -> None:
-        """:meth:`record_batch` for a single receiver."""
-        d = self._directory[receiver]
-        sender = hello.sender
-        slot = d.get(sender)
-        if slot is None:
-            slot = self._alloc(sender, 1)
-            d[sender] = slot
-            self._row_slots[receiver] = None
-        pos = int(self._writes[slot]) % self.k
-        self._version[slot, pos] = hello.version
-        self._xy[slot, pos] = hello.position
-        self._sent[slot, pos] = hello.sent_at
-        self._ts[slot, pos] = hello.timestamp
-        self._writes[slot] += 1
-        self._latest_sent[slot] = hello.sent_at
-        self.hellos_received[receiver] += 1
-        self.mutations[receiver] += 1
+    def record_entries(self, receiver: int, hellos) -> None:
+        """Record many senders' Hellos at one receiver in one splice.
+
+        Equivalent to recording them one by one, in order: a sender that
+        recurs starts a further splice.
+        """
+        if not hellos:
+            return
+        senders = [h.sender for h in hellos]
+        if len(set(senders)) < len(senders):
+            cut = next(i for i, s in enumerate(senders) if s in senders[:i])
+            self.record_entries(receiver, hellos[:cut])
+            self.record_entries(receiver, hellos[cut:])
+            return
+        self._splice(
+            self._slots(receiver, senders, create=True), receiver, len(senders),
+            *zip(*((h.version, h.position, h.sent_at, h.timestamp) for h in hellos)),
+        )
+
+    def _splice(self, slots, receivers, count, version, xy, sent, ts) -> None:
+        """Write each entry at the ring head of its slot (slots distinct)
+        and count *count* Hellos at each of *receivers*."""
+        pos = self._writes[slots] % self.k
+        self._version[slots, pos] = version
+        self._xy[slots, pos] = xy
+        self._sent[slots, pos] = sent
+        self._ts[slots, pos] = ts
+        self._writes[slots] += 1
+        self._latest_sent[slots] = sent
+        self.hellos_received[receivers] += count
+        self.mutations[receivers] += count
 
     def prune(self, receiver: int, now: float, expiry: float) -> bool:
         """Drop *receiver*'s pairs not heard from within *expiry* seconds.
@@ -231,73 +243,58 @@ class NeighborState:
         if not stale:
             return False
         for s in stale:
-            self._memo.pop(d.pop(s), None)
+            del d[s]
         self._row_slots[receiver] = None
         self.mutations[receiver] += 1
         return True
 
     # ------------------------------------------------------------------ #
-    # reads (materialisation)
-
-    def _materialize(self, slot: int) -> tuple[Hello, ...]:
-        writes = int(self._writes[slot])
-        memo = self._memo.get(slot)
-        if memo is not None and memo[0] == writes:
-            return memo[1]
-        k = self.k
-        count = writes if writes < k else k
-        sender = int(self._slot_sender[slot])
-        version = self._version[slot]
-        xy = self._xy[slot]
-        sent = self._sent[slot]
-        ts = self._ts[slot]
-        hellos = tuple(
-            Hello(
-                sender=sender,
-                version=int(version[j]),
-                position=(float(xy[j, 0]), float(xy[j, 1])),
-                sent_at=float(sent[j]),
-                timestamp=float(ts[j]),
-            )
-            for j in ((writes - count + i) % k for i in range(count))
-        )
-        self._memo[slot] = (writes, hellos)
-        return hellos
+    # reads
 
     def senders(self, receiver: int) -> list[int]:
         """Sender ids recorded at *receiver*, in insertion order."""
         return list(self._directory[receiver])
 
     def history(self, receiver: int, sender: int) -> tuple[Hello, ...]:
-        """Retained Hellos of one (receiver, sender) pair, oldest first."""
+        """Retained Hellos of one (receiver, sender) pair, oldest first, rebuilt
+        entry by entry apart from the array reads (the reference views' read)."""
         slot = self._directory[receiver].get(sender)
-        return () if slot is None else self._materialize(slot)
+        if slot is None:
+            return ()
+        writes, k = int(self._writes[slot]), self.k
+        count = min(writes, k)
+        sender = int(self._slot_sender[slot])
+        return tuple(
+            Hello(
+                sender, int(self._version[slot, j]), tuple(self._xy[slot, j].tolist()),
+                float(self._sent[slot, j]), float(self._ts[slot, j]),
+            )
+            for j in ((writes - count + i) % k for i in range(count))
+        )
 
-    def newest_versions(self, receivers, senders) -> np.ndarray:
-        """Version of the newest retained Hello per (receiver, sender) pair.
+    def newest(
+        self, receivers, senders
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The newest retained entry of each (receiver, sender) pair.
 
         One side is a single node id and the other an array: one sender
-        at many receivers, or many senders at one receiver.
-        :data:`NO_VERSION` where a receiver holds nothing from a sender.
-        A Hello of version ``v`` is strictly newer than what a receiver
-        holds iff ``v > newest``: the rule behind both the world's
+        at many receivers, or many senders at one receiver.  Returns
+        ``(version, sent_at, xy, timestamp)``; a pair that holds nothing
+        reads version :data:`NO_VERSION` and ``sent_at`` ``-inf``.  A
+        Hello of version ``v`` is strictly newer than what a receiver
+        holds iff ``v > version``: the rule behind both the world's
         stale-delivery discard and the gossip merge.
         """
         if np.ndim(receivers) == 0:
-            d = self._directory[int(receivers)]
-            found = [d.get(s, -1) for s in np.asarray(senders).tolist()]
+            slots = self._slots(int(receivers), np.asarray(senders).tolist())
         else:
-            sender = int(senders)
-            directory = self._directory
-            found = [
-                directory[r].get(sender, -1) for r in np.asarray(receivers).tolist()
-            ]
-        slots = np.array(found, dtype=np.intp)
-        held = slots >= 0
-        out = np.full(slots.size, NO_VERSION, dtype=np.int64)
-        slots = slots[held]
-        out[held] = self._version[slots, (self._writes[slots] - 1) % self.k]
-        return out
+            slots = self._slots(np.asarray(receivers).tolist(), int(senders))
+        at = (slots, (self._writes[slots] - 1) % self.k)
+        return self._version[at], self._latest_sent[slots], self._xy[at], self._ts[at]
+
+    def retained(self, receiver: int) -> int:
+        """Hellos *receiver* retains over all its pairs (ring fills)."""
+        return int(np.minimum(self._writes[self._slots_of(receiver)], self.k).sum())
 
     def _slots_of(self, receiver: int) -> np.ndarray:
         """*receiver*'s slots in insertion order (cached until its
@@ -414,11 +411,6 @@ class NeighborState:
         in insertion order, without building them."""
         counts, slots, cols = self._versioned_entries(receivers, versions)
         return counts, self._slot_sender[slots], self._xy[slots, cols]
-
-    @property
-    def n_slots(self) -> int:
-        """Total (receiver, sender) pairs ever allocated (diagnostics)."""
-        return self._n_slots
 
 
 def _group_sizes(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ Decisions never build these views.  The module functions
 :func:`history_members` give the same members as arrays, read straight
 from the store for many tables at once; the view methods are built from
 :meth:`~NeighborTable.history_of` instead, so they share no code with
-the gathers and serve as their test references.
+the gathers and serve as their test references.  Gossip, packets and
+overhead accounting read the arrays of :meth:`~NeighborTable.newest`.
 """
 
 from __future__ import annotations
@@ -111,9 +112,13 @@ class NeighborTable:
 
     def record_hello(self, hello: Hello) -> None:
         """Store a received neighbor Hello (keeps the newest ``k``)."""
-        if hello.sender == self.owner:
+        self.record_hellos((hello,))
+
+    def record_hellos(self, hellos: Sequence[Hello]) -> None:
+        """Store received neighbor Hellos, in order, in one splice."""
+        if any(h.sender == self.owner for h in hellos):
             raise ViewError("a node does not receive its own Hello")
-        self._state.record_one(self._row, hello)
+        self._state.record_entries(self._row, hellos)
 
     def prune(self, now: float) -> None:
         """Drop neighbors not heard from within the expiry window."""
@@ -142,10 +147,15 @@ class NeighborTable:
         """Retained Hellos of one neighbor, oldest first."""
         return self._state.history(self._row, neighbor)
 
-    def newest_versions(self, neighbors) -> np.ndarray:
-        """Version of each neighbor's newest retained Hello
-        (:data:`~repro.core.neighbor_state.NO_VERSION` where none is held)."""
-        return self._state.newest_versions(self._row, neighbors)
+    def newest(self, neighbors) -> tuple[np.ndarray, ...]:
+        """``(version, sent_at, xy, timestamp)`` arrays of each neighbor's
+        newest retained Hello (:meth:`NeighborState.newest`)."""
+        return self._state.newest(self._row, neighbors)
+
+    @property
+    def retained(self) -> int:
+        """Neighbor Hellos retained over all pairs."""
+        return self._state.retained(self._row)
 
     def message_versions_in_use(self, neighbor: int) -> set[int]:
         """Versions of *neighbor*'s Hellos currently retained (``M(t, v)``)."""

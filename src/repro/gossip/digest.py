@@ -15,18 +15,31 @@ functions implement the protocol's data plane over the existing
   retained version for that sender, so per-sender version order (audit
   invariant 5) is preserved and re-merging is idempotent.
 
-All three are deterministic and side-effect free except for
-:func:`merge_entries`' explicit table writes, which makes the merge
-algebra (monotone / commutative / idempotent on the latest-entry state)
-directly property-testable — see ``tests/test_property_gossip.py``.
+All three read the table's newest entries as arrays and build Hellos
+only for the entries a delta ships.  They are deterministic and free of
+side effects except for :func:`merge_entries`' one-splice table write,
+which makes the merge algebra (monotone / commutative / idempotent on
+the latest-entry state) directly property-testable — see
+``tests/test_property_gossip.py``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 
 __all__ = ["view_digest", "entries_newer_than", "merge_entries"]
+
+
+def _live_newest(table: NeighborTable, now: float, removal_age: float):
+    """``(ids, version, sent_at, xy, timestamp)`` of every known
+    neighbor's newest entry younger than *removal_age*, ascending id."""
+    ids = np.array(table.known_neighbors(), dtype=np.int64)
+    version, sent, xy, ts = table.newest(ids)
+    live = now - sent <= removal_age
+    return ids[live], version[live], sent[live], xy[live], ts[live]
 
 
 def view_digest(
@@ -44,10 +57,8 @@ def view_digest(
     own = table.last_advertised
     if own is not None:
         digest[table.owner] = own.version
-    for nid in table.known_neighbors():
-        latest = table.history_of(nid)[-1]
-        if now - latest.sent_at <= removal_age:
-            digest[nid] = latest.version
+    ids, version, *_ = _live_newest(table, now, removal_age)
+    digest.update(zip(ids.tolist(), version.tolist()))
     return digest
 
 
@@ -63,20 +74,20 @@ def entries_newer_than(
     entry the peer provably lacks — its digest names an older version, or
     no version at all.  Entries older than *removal_age* are never
     relayed (an expired entry cannot influence any expiry-filtered view,
-    so shipping it would be pure overhead).  Hellos are frozen, so the
-    returned objects are shared, never copied.
+    so shipping it would be pure overhead).  The owner's advertisement
+    comes first, then neighbor entries, rebuilt by ascending sender id.
     """
     out: list[Hello] = []
     own = table.last_advertised
     if own is not None and digest.get(table.owner, -1) < own.version:
         out.append(own)
-    for nid in table.known_neighbors():
-        latest = table.history_of(nid)[-1]
-        if (
-            now - latest.sent_at <= removal_age
-            and digest.get(nid, -1) < latest.version
-        ):
-            out.append(latest)
+    ids, version, sent, xy, ts = _live_newest(table, now, removal_age)
+    claimed = [digest.get(nid, -1) for nid in ids.tolist()]
+    newer = np.array(claimed, dtype=np.int64) < version
+    out.extend(map(
+        Hello, ids[newer].tolist(), version[newer].tolist(),
+        map(tuple, xy[newer].tolist()), sent[newer].tolist(), ts[newer].tolist(),
+    ))
     return tuple(out)
 
 
@@ -86,7 +97,7 @@ def merge_entries(table: NeighborTable, entries: tuple[Hello, ...]) -> int:
     An entry is recorded only when strictly newer than the newest
     retained version for its sender; entries about the owner itself are
     skipped (a node is the sole authority on its own advertisements).
-    Returns the number of entries actually recorded.
+    Returns the number of entries recorded, all in one splice.
 
     The strictly-newer rule gives the merge its algebraic contract on the
     latest-entry state: versions never decrease (monotone), merge order
@@ -94,12 +105,12 @@ def merge_entries(table: NeighborTable, entries: tuple[Hello, ...]) -> int:
     is a no-op (idempotent).
     """
     senders = [hello.sender for hello in entries]
-    newest = dict(zip(senders, table.newest_versions(senders).tolist()))
-    merged = 0
+    newest = dict(zip(senders, table.newest(senders)[0].tolist()))
+    accepted = []
     for hello in entries:
         if hello.sender == table.owner or hello.version <= newest[hello.sender]:
             continue
-        table.record_hello(hello)
+        accepted.append(hello)
         newest[hello.sender] = hello.version
-        merged += 1
-    return merged
+    table.record_hellos(accepted)
+    return len(accepted)

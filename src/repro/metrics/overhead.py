@@ -65,11 +65,7 @@ def measure_overhead(world: NetworkWorld) -> OverheadReport:
     elapsed = max(world.engine.now, 1e-9)
     n = max(world.config.n_nodes, 1)
     stats = world.channel.stats
-    stored = sum(
-        len(node.table.history_of(nbr))
-        for node in world.nodes
-        for nbr in node.table.known_neighbors()
-    )
+    stored = sum(node.table.retained for node in world.nodes)
     packet_decisions = sum(node.packet_decisions for node in world.nodes)
     gossip_messages = 0 if world.gossip is None else world.gossip.messages
     return OverheadReport(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.views import Hello
+from repro.core.neighbor_state import NO_VERSION
 from repro.sim.world import NetworkWorld
 from repro.util.validate import check_int_range, check_positive
 
@@ -137,19 +137,15 @@ class UnicastTraffic:
     # ------------------------------------------------------------------ #
 
     def _believed_positions(self, node_id: int):
-        """(ids, believed positions) of the node's logical neighbors."""
+        """(ids, believed positions) of the node's logical neighbors: the
+        newest position each advertised, for those the table still holds."""
         node = self.world.nodes[node_id]
         if node.decision is None:
             return [], []
-        now = self.world.engine.now
-        ids, positions = [], []
-        for v in node.decision.logical_neighbors:
-            history = node.table.history_of(v)
-            if not history:
-                continue
-            ids.append(v)
-            positions.append(history[-1].position)
-        return ids, positions
+        ids = list(node.decision.logical_neighbors)
+        version, _, xy, _ = node.table.newest(ids)
+        held = version != NO_VERSION
+        return [v for v, h in zip(ids, held.tolist()) if h], xy[held].tolist()
 
     def _forward(self, record: PacketRecord, holder: int) -> None:
         if record.delivered or record.dropped_at is not None:

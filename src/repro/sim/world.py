@@ -651,9 +651,7 @@ class NetworkWorld:
             for r in receivers[down].tolist():
                 inj.note("blocked_receptions", now, node=r, sender=sender)
             receivers = receivers[~down]
-            stale = hello.version <= self._neighbor_state.newest_versions(
-                receivers, sender
-            )
+            stale = hello.version <= self._neighbor_state.newest(receivers, sender)[0]
             for r in receivers[stale].tolist():
                 inj.note("stale_discards", now, node=r, sender=sender)
             receivers = receivers[~stale]

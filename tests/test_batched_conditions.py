@@ -480,12 +480,12 @@ class TestWeakFromHistories:
 @pytest.mark.parametrize("protocol", ["rng", "rng&spt2"])
 def test_weak_world_builds_no_hello(protocol, monkeypatch):
     # Every decision, at Hello time and at packet time, reads the ring
-    # columns; only history() readers materialise Hellos, and a weak
-    # world's run has none.
+    # columns; only history() builds Hellos from the store, and a weak
+    # world's run never calls it.
     want = _drive(protocol, "weak")
 
-    def refuse(self, slot):
+    def refuse(self, receiver, sender):
         raise AssertionError("a weak decision built a Hello")
 
-    monkeypatch.setattr(NeighborState, "_materialize", refuse)
+    monkeypatch.setattr(NeighborState, "history", refuse)
     assert _drive(protocol, "weak") == want

@@ -142,12 +142,14 @@ class TestStorage:
         assert table.known_neighbors() == [2, 7]
         assert table.known_neighbors(now=3.5) == [2]
         assert [h.version for h in table.history_of(2)] == [1, 2]
-        assert table.newest_versions([2, 3, 7]).tolist() == [2, NO_VERSION, 1]
+        assert table.newest([2, 3, 7])[0].tolist() == [2, NO_VERSION, 1]
         assert table.hellos_received == 3 and table.mutations == 4
+        assert table.retained == 3
         view = table.versioned_view(3.5, version=1)
         assert view.owner == 5 and set(view.neighbor_hellos) == {2, 7}
         table.prune(now=3.5)
         assert table.history_of(7) == () and table.mutations == 5
+        assert table.retained == 2
 
     def test_shared_store_row_is_the_owner(self):
         state = NeighborState(8, history_depth=3)

@@ -200,6 +200,13 @@ STALE_CLAIMS = [
         "and its environment override were deleted, and the propagation "
         "models' dense predicate is a test oracle",
     ),
+    (
+        r"`_materialize`|materiali[sz]ed \(and memoi[sz]ed\)"
+        r"|per-slot memo stays?\b",
+        "NeighborState.history builds Hellos on each call with no per-slot "
+        "memo, and gossip, packets and overhead accounting read the newest "
+        "entry per pair as arrays",
+    ),
 ]
 
 
@@ -211,7 +218,7 @@ STALE_CLAIMS = [
         "local-pool-backend", "local-backend", "spt-mst-no-batch",
         "columnar-table", "scalar-hello-route", "view-fingerprint",
         "prefers-dense", "sparse-switch", "supports-batch", "live-histories",
-        "dense-snapshot-views",
+        "dense-snapshot-views", "hello-memo",
     ],
 )
 def test_docs_make_no_stale_claim(pattern, why):

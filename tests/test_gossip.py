@@ -37,14 +37,17 @@ from repro.core.consistency import (
     available_mechanisms,
     make_mechanism,
 )
+from repro.core.neighbor_state import NeighborState
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
+from repro.faults.schedule import FaultSchedule, HelloLossBurst
 from repro.faults.fuzz import MECHANISMS as FUZZ_MECHANISMS
 from repro.gossip import entries_newer_than, merge_entries, view_digest
 from repro.metrics.overhead import measure_overhead
 from repro.mobility.base import Area
 from repro.orchestrator import OrchestrationContext, RunStore
 from repro.sim.config import ScenarioConfig
+from repro.sim.packets import UnicastTraffic
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EVENT_KINDS, EventLog, TelemetryEvent
 from repro.telemetry.export import write_jsonl
@@ -90,6 +93,15 @@ class TestDigestLayer:
         table.record_hello(_hello(1, 2, sent_at=1.0))
         table.record_hello(_hello(2, 7, sent_at=1.2))
         assert view_digest(table, now=1.5, removal_age=2.5) == {0: 4, 1: 2, 2: 7}
+
+    def test_entry_exactly_removal_age_old_still_circulates(self):
+        table = _table(0)
+        table.record_hello(_hello(1, 2, sent_at=1.0))
+        assert view_digest(table, now=3.5, removal_age=2.5) == {1: 2}
+        assert entries_newer_than(table, {}, now=3.5, removal_age=2.5) == (
+            _hello(1, 2, sent_at=1.0),
+        )
+        assert view_digest(table, now=3.75, removal_age=2.5) == {}
 
     def test_digest_age_filters_silent_peers(self):
         table = _table(0)
@@ -150,6 +162,104 @@ class TestDigestLayer:
         merge_entries(table, (_hello(1, 2), _hello(1, 8)))
         versions = [h.version for h in table.history_of(1)]
         assert versions == sorted(versions) == [5, 8]
+
+
+# --------------------------------------------------------------------- #
+# column reads against history_of references
+
+
+def _reference_digest(table, now, removal_age):
+    digest = {}
+    own = table.last_advertised
+    if own is not None:
+        digest[table.owner] = own.version
+    for nid in table.known_neighbors():
+        latest = table.history_of(nid)[-1]
+        if now - latest.sent_at <= removal_age:
+            digest[nid] = latest.version
+    return digest
+
+
+def _reference_entries(table, digest, now, removal_age):
+    out = []
+    own = table.last_advertised
+    if own is not None and digest.get(table.owner, -1) < own.version:
+        out.append(own)
+    for nid in table.known_neighbors():
+        latest = table.history_of(nid)[-1]
+        if now - latest.sent_at <= removal_age and digest.get(nid, -1) < latest.version:
+            out.append(latest)
+    return tuple(out)
+
+
+LOSSY = FaultSchedule((HelloLossBurst(0.5, 4.0, probability=0.7),))
+
+
+class TestColumnReads:
+    """Digests, deltas, packet positions and the stored-Hello count read
+    the store's columns; each equals a reference rebuilt from
+    ``history_of`` on a live lossy gossip world."""
+
+    def test_digests_and_deltas_equal_history_references(self):
+        world = build_world(GOSSIP_SPEC, seed=4, faults=LOSSY)
+        removal_age = world.gossip.removal_age
+        tables = [node.table for node in world.nodes]
+        for t in (1.3, 2.6, 4.2):
+            world.run_until(t)
+            for table in tables:
+                for age in (removal_age, 0.6):
+                    want = _reference_digest(table, t, age)
+                    got = view_digest(table, t, age)
+                    assert list(got.items()) == list(want.items())
+                    for peer in tables[:4]:
+                        claimed = view_digest(peer, t, removal_age)
+                        assert entries_newer_than(
+                            table, claimed, t, age
+                        ) == _reference_entries(table, claimed, t, age)
+                    assert entries_newer_than(
+                        table, {}, t, age
+                    ) == _reference_entries(table, {}, t, age)
+
+    def test_believed_positions_and_stored_count_equal_history_references(self):
+        world = build_world(GOSSIP_SPEC, seed=4, faults=LOSSY)
+        traffic = UnicastTraffic(world)
+        for t in (2.4, 4.5):
+            world.run_until(t)
+            for node in world.nodes:
+                ids, positions = traffic._believed_positions(node.node_id)
+                held = [
+                    (v, node.table.history_of(v)[-1].position)
+                    for v in node.decision.logical_neighbors
+                    if node.table.history_of(v)
+                ]
+                assert list(zip(ids, map(tuple, positions))) == held
+            stored = sum(
+                len(node.table.history_of(v))
+                for node in world.nodes
+                for v in node.table.known_neighbors()
+            )
+            report = measure_overhead(world)
+            assert report.stored_hellos_per_node == stored / len(world.nodes)
+
+    def test_gossip_run_never_rebuilds_hellos_from_the_store(self, monkeypatch):
+        # Only the reference views, the audit and the fuzzer's oracles call
+        # NeighborState.history; a lossy gossip run with packets and
+        # overhead accounting reads the columns throughout.
+        def drive():
+            world = build_world(GOSSIP_SPEC, seed=4, faults=LOSSY)
+            traffic = UnicastTraffic(world)
+            traffic.start_cbr(0, 7, interval=0.3, count=10)
+            world.run_until(4.5)
+            return world.gossip_stats(), traffic.stats(), measure_overhead(world)
+
+        want = drive()
+        assert want[0]["gossip_merged"] > 0
+
+        def refuse(self, receiver, sender):
+            raise AssertionError("a Hello was rebuilt from the store")
+
+        monkeypatch.setattr(NeighborState, "history", refuse)
+        assert drive() == want
 
 
 # --------------------------------------------------------------------- #

@@ -308,28 +308,59 @@ def _hello(sender: int, version: int, sent_at: float, x: float = 1.0) -> Hello:
     )
 
 
+def _one_by_one(state: NeighborState, receiver: int, hellos) -> None:
+    for hello in hellos:
+        state.record_entries(receiver, [hello])
+
+
 class TestNeighborState:
     def test_ring_evicts_oldest_beyond_depth(self):
         state = NeighborState(4, history_depth=3)
-        for v in range(5):
-            state.record_one(0, _hello(1, v, float(v)))
+        _one_by_one(state, 0, [_hello(1, v, float(v)) for v in range(5)])
         history = state.history(0, 1)
         assert [h.version for h in history] == [2, 3, 4]
         assert state.hellos_received[0] == 5 and state.mutations[0] == 5
 
-    def test_record_batch_equals_record_one(self):
+    def test_record_batch_equals_single_hello_splices(self):
         batch, one = NeighborState(6, 2), NeighborState(6, 2)
         receivers = np.array([0, 2, 5], dtype=np.intp)
         for v in range(3):
             hello = _hello(1, v, float(v))
             batch.record_batch(hello, receivers)  # second call hits the slot cache
             for rid in receivers:
-                one.record_one(int(rid), hello)
+                one.record_entries(int(rid), [hello])
         for rid in receivers:
             assert batch.history(int(rid), 1) == one.history(int(rid), 1)
             assert batch.senders(int(rid)) == one.senders(int(rid))
         assert np.array_equal(batch.mutations, one.mutations)
         assert np.array_equal(batch.hellos_received, one.hellos_received)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        held=st.lists(st.integers(1, 6), max_size=4),
+        entries=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(0, 9)), max_size=12
+        ),
+        depth=st.integers(1, 3),
+    )
+    def test_record_entries_equals_one_by_one(self, held, entries, depth):
+        # Senders the receiver already holds and new ones, some recurring
+        # (written by further splices), against one splice per Hello.
+        spliced, one = NeighborState(2, depth), NeighborState(2, depth)
+        before = [_hello(s, 0, 0.5, x=float(s)) for s in held]
+        hellos = [_hello(s, v, float(v), x=float(10 * s + v)) for s, v in entries]
+        for state in (spliced, one):
+            _one_by_one(state, 1, before)
+        spliced.record_entries(1, hellos)
+        _one_by_one(one, 1, hellos)
+        assert spliced.senders(1) == one.senders(1)
+        for sender in one.senders(1):
+            assert spliced.history(1, sender) == one.history(1, sender)
+        assert np.array_equal(spliced.mutations, one.mutations)
+        assert np.array_equal(spliced.hellos_received, one.hellos_received)
+        assert spliced.retained(1) == one.retained(1) == sum(
+            len(one.history(1, s)) for s in one.senders(1)
+        )
 
     def test_prune_drops_stale_and_restarts_history(self):
         state = NeighborState(2, 3)
@@ -338,6 +369,7 @@ class TestNeighborState:
         assert state.prune(0, now=10.0, expiry=2.5)
         assert state.history(0, 1) == ()
         assert state.senders(0) == []
+        assert state.retained(0) == 0
         assert state.mutations[0] == 4  # one bump per pruning pass with drops
         # A later Hello starts a fresh depth-1 history, like a new deque.
         state.record_batch(_hello(1, 9, 11.0), np.array([0], dtype=np.intp))
@@ -345,7 +377,7 @@ class TestNeighborState:
 
     def test_prune_without_stale_is_a_noop(self):
         state = NeighborState(2, 3)
-        state.record_one(0, _hello(1, 0, 5.0))
+        state.record_entries(0, [_hello(1, 0, 5.0)])
         assert not state.prune(0, now=6.0, expiry=2.5)
         assert state.mutations[0] == 1
 
@@ -353,21 +385,36 @@ class TestNeighborState:
         state = NeighborState(4, history_depth=2)
         for v in (3, 7, 5):
             state.record_batch(_hello(1, v, float(v)), np.array([0, 2], dtype=np.intp))
-        state.record_one(3, _hello(1, 9, 9.0))
-        state.record_one(0, _hello(2, 1, 9.0))
-        got = state.newest_versions(np.array([3, 1, 0, 2], dtype=np.intp), 1)
+        state.record_entries(3, [_hello(1, 9, 9.0)])
+        state.record_entries(0, [_hello(2, 1, 9.0)])
+        got = state.newest(np.array([3, 1, 0, 2], dtype=np.intp), 1)[0]
         assert got.tolist() == [9, NO_VERSION, 5, 5]
-        assert state.newest_versions(0, np.array([2, 1, 3])).tolist() == [
+        assert state.newest(0, np.array([2, 1, 3]))[0].tolist() == [
             1, 5, NO_VERSION,
         ]
-        assert state.newest_versions(np.empty(0, dtype=np.intp), 1).size == 0
+        assert state.newest(np.empty(0, dtype=np.intp), 1)[0].size == 0
         state.prune(3, now=20.0, expiry=2.5)
-        assert state.newest_versions(np.array([3]), 1).tolist() == [NO_VERSION]
+        assert state.newest(np.array([3]), 1)[0].tolist() == [NO_VERSION]
+
+    def test_newest_is_the_last_retained_hello(self):
+        state = NeighborState(3, history_depth=2)
+        for v in (1, 2, 3):
+            state.record_batch(_hello(4, v, v + 0.25, x=float(v)), np.array([0, 1]))
+        state.record_entries(1, [_hello(5, 8, 7.5, x=-3.0)])
+        version, sent, xy, ts = state.newest(1, [4, 6, 5])
+        for i, sender in enumerate((4, 6, 5)):
+            history = state.history(1, sender)
+            if not history:
+                assert version[i] == NO_VERSION and sent[i] == -np.inf
+                continue
+            last = history[-1]
+            assert (version[i], sent[i], tuple(xy[i]), ts[i]) == (
+                last.version, last.sent_at, last.position, last.timestamp,
+            )
 
     def test_live_ids_preserve_insertion_order(self):
         state = NeighborState(2, 3)
-        for sender in (7, 3, 5):
-            state.record_one(0, _hello(sender, 0, 1.0))
+        state.record_entries(0, [_hello(sender, 0, 1.0) for sender in (7, 3, 5)])
         assert state.live_ids(0, now=2.0, expiry=2.5) == (7, 3, 5)
         assert state.latest_members([0], 2.0, 2.5)[1].tolist() == [7, 3, 5]
 
