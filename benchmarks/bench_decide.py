@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import tempfile
 import time
@@ -71,6 +72,7 @@ from repro.analysis.experiment import ExperimentSpec, build_world, run_once
 from repro.analysis.scales import Scale
 from repro.core.consistency import WeakConsistency
 from repro.core.manager import MobilitySensitiveTopologyControl
+from repro.core.views import Hello
 from repro.mobility.base import Area
 from repro.sim.config import ScenarioConfig
 from repro.sim.hello_batch import HelloReceiverOracle
@@ -586,8 +588,12 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
     mechanism = WeakConsistency()
     protocol = world.manager.protocol
     tables = [node.table for node in world.nodes]
-    hellos = [world._current_hello(node.node_id, warm_t) for node in world.nodes]
-    views, errors = mechanism.gather(tables, warm_t, hellos)
+    # Every owner's true position now; a commit whose gather still takes
+    # current Hellos reads only their positions.
+    own = [(x, y) for x, y in world.positions(warm_t).tolist()]
+    if "current_hellos" in inspect.signature(mechanism.gather).parameters:
+        own = [Hello(i, 0, xy, warm_t, warm_t) for i, xy in enumerate(own)]
+    views, errors = mechanism.gather(tables, warm_t, own)
     assert not errors
     counter = _Counter(protocol)
     results = mechanism.select(counter, views)
@@ -596,7 +602,7 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
         return mechanism.select(protocol, views)
 
     def gather_all():
-        return mechanism.gather(tables, warm_t, hellos)
+        return mechanism.gather(tables, warm_t, own)
 
     def decide_all() -> list:
         return mechanism.select(protocol, gather_all()[0])

@@ -26,9 +26,14 @@ node base its logical-neighbor decision on, and when does it re-decide?*
   view synchronization, lagging by at most ``rounds_to_converge ×
   interval`` (see ``docs/GOSSIP.md``).
 
-Every mechanism reads its view members as arrays straight from the
-columnar neighbor store; no decision builds a Hello.  A decision is
-gathered (:meth:`ConsistencyMechanism.gather`) and selected
+Which own position a decision reads is said in one place per
+mechanism, :meth:`ConsistencyMechanism.resolve`: the current position
+the caller passes (baseline; weak reads it after its advertisement
+history), the last advertised one (view
+synchronization, gossip) or the advertisement of the resolved version
+(proactive, reactive).  Every mechanism reads its view members as arrays
+straight from the columnar neighbor store; no decision builds a Hello.
+A decision is gathered (:meth:`ConsistencyMechanism.gather`) and selected
 (:meth:`ConsistencyMechanism.select`) in two steps, so views gathered
 at different instants select together in one block.  One selection
 body serves every mechanism: it pads the rows into blocks of member
@@ -54,7 +59,6 @@ from repro.core.tables import (
     latest_members,
     versioned_members,
 )
-from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
 from repro.util.errors import ConfigurationError, ViewError
 from repro.util.validate import check_int_range, check_positive
@@ -122,11 +126,12 @@ _NO_VIEWS = GatheredViews(
 class ConsistencyMechanism(ABC):
     """Strategy: how a node builds the view behind each decision.
 
-    A decision has two steps.  :meth:`gather` reads each owner's view
-    members as arrays at the decision instant; :meth:`select` runs the
-    protocol on the gathered rows.  Rows gathered at different instants
-    can be selected together later, with the same results, because a
-    row is selected from its own arrays alone.
+    A decision has two steps.  :meth:`gather` resolves each owner's own
+    positions and version (:meth:`resolve`) and reads its view members
+    as arrays at the decision instant; :meth:`select` runs the protocol
+    on the gathered rows.  Rows gathered at different instants can be
+    selected together later, with the same results, because a row is
+    selected from its own arrays alone.
     """
 
     #: registry key and report label
@@ -135,15 +140,11 @@ class ConsistencyMechanism(ABC):
     recompute_on_packet: bool = False
     #: True if Hello versions must be globally aligned (epoch-based)
     synchronized_versions: bool = False
-    #: The own position a decision reads: ``"current"`` (the current
-    #: Hello's true position), ``"advertised"`` (the owner's last
-    #: advertised one; the current one before any), or None for
-    #: versioned views, which read neither it nor the expiry window.
-    own_position: str | None = "current"
     #: True if the decision cache may serve this mechanism's decisions:
-    #: a stamp covers only the table's writes, its live neighbors, the
-    #: own position above and the requested version, so a mechanism opts
-    #: in only when its decisions read nothing else
+    #: a stamp covers only the table's writes, its live neighbors (for a
+    #: latest view), the resolved own positions and the requested
+    #: version, so a mechanism opts in only when its decisions read
+    #: nothing else
     cacheable: bool = False
     #: True if decisions run the protocol's conservative mode
     #: (``select_histories``) on k-version views; else ``select_batch``
@@ -152,17 +153,40 @@ class ConsistencyMechanism(ABC):
 
     @abstractmethod
     def resolve(
-        self, table: NeighborTable, current_hello: Hello | None, version: int | None
+        self,
+        table: NeighborTable,
+        position: tuple[float, float] | None,
+        version: int | None,
     ) -> tuple[list[tuple[float, float]], int | None]:
-        """``(own positions, version)`` of a decision at *table*'s owner.
+        """``(own positions, version)`` of a decision at *table*'s owner,
+        whose current position is *position*.
 
-        The own positions are those the decision reads, oldest first; the
-        version is the one whose view the members come from, or None for
-        the latest live view.  Raises :class:`ViewError` when the owner
-        cannot decide, and :class:`ConfigurationError`
-        (:func:`no_current_hello`) when the decision reads a
-        *current_hello* that is None.
+        This is the one place that says which own position a decision
+        reads.  The own positions are those the decision reads, oldest
+        first; the version is the one whose view the members come from,
+        or None for the latest live view.  Raises :class:`ViewError`
+        when the owner cannot decide, and :class:`ConfigurationError`
+        when the decision reads a *position* that is None.
         """
+
+    def resolve_many(
+        self,
+        tables: Sequence[NeighborTable],
+        positions: Sequence[tuple[float, float] | None],
+        version: int | None,
+    ) -> tuple[list[tuple | None], dict[int, ViewError]]:
+        """:meth:`resolve` once per owner, in order: each output, or None
+        where the owner cannot decide, and the :class:`ViewError` of each
+        such owner by its index in *tables*."""
+        resolved: list[tuple | None] = []
+        errors: dict[int, ViewError] = {}
+        for i, (table, position) in enumerate(zip(tables, positions)):
+            try:
+                resolved.append(self.resolve(table, position, version))
+            except ViewError as exc:
+                errors[i] = exc
+                resolved.append(None)
+        return resolved, errors
 
     @abstractmethod
     def members(
@@ -174,6 +198,56 @@ class ConsistencyMechanism(ABC):
         """``(counts, ids, fills, xy)``: the members of each table's view
         at *now*, at its resolved version, as :class:`GatheredViews`
         holds them."""
+
+    def views(
+        self, tables: Sequence[NeighborTable], now: float, resolved: Sequence[tuple]
+    ) -> GatheredViews:
+        """The views at *now* of owners that can decide, one row per
+        table, from their :meth:`resolve` outputs."""
+        if not tables:
+            return _NO_VIEWS
+        counts, ids, fills, xy = self.members(tables, now, [v for _, v in resolved])
+        return GatheredViews(
+            owners=np.array([t.owner for t in tables], dtype=np.int64),
+            ranges=np.array([t.normal_range for t in tables], dtype=float),
+            own_counts=np.array([len(own) for own, _ in resolved], dtype=np.int64),
+            own_xy=np.array([p for own, _ in resolved for p in own], dtype=float).reshape(-1, 2),
+            counts=counts,
+            ids=ids,
+            fills=fills,
+            xy=xy,
+        )
+
+    def gather(
+        self,
+        tables: Sequence[NeighborTable],
+        now: float,
+        positions: Sequence[tuple[float, float] | None],
+        version: int | None = None,
+    ) -> tuple[GatheredViews, dict[int, ViewError]]:
+        """The views of the owners that can decide now, and why the others
+        cannot.
+
+        Parameters
+        ----------
+        tables:
+            The deciding nodes' neighbor tables.
+        now:
+            Physical time of the decisions.
+        positions:
+            The nodes' current positions ``(x, y)``, or None; a decision
+            reads one only where :meth:`resolve` says so.
+        version:
+            Global Hello version a packet mandates (proactive/reactive).
+
+        Returns the rows of the owners that can decide, in order, and the
+        :class:`ViewError` of every other owner by its index in *tables*.
+        Raises :class:`ConfigurationError` when a decision reads a
+        position that is None.
+        """
+        resolved, errors = self.resolve_many(tables, positions, version)
+        rows = [i for i, r in enumerate(resolved) if r is not None]
+        return self.views([tables[i] for i in rows], now, [resolved[i] for i in rows]), errors
 
     def select(
         self, protocol: TopologyControlProtocol, views: GatheredViews
@@ -219,114 +293,15 @@ class ConsistencyMechanism(ABC):
                 results[b] = result
         return results
 
-    def gather(
-        self,
-        tables: Sequence[NeighborTable],
-        now: float,
-        current_hellos: Sequence[Hello | None],
-        version: int | None = None,
-    ) -> tuple[GatheredViews, dict[int, ViewError]]:
-        """The views of the owners that can decide now, and why the others
-        cannot.
-
-        Parameters
-        ----------
-        tables:
-            The deciding nodes' neighbor tables.
-        now:
-            Physical time of the decisions.
-        current_hellos:
-            Hellos describing the nodes' *current true* positions (only
-            mechanisms that are allowed to use them do).
-        version:
-            Global Hello version a packet mandates (proactive/reactive).
-
-        Returns the rows of the owners that can decide, in order, and the
-        :class:`ViewError` of every other owner by its index in *tables*.
-        Raises :class:`ConfigurationError` when a decision reads a
-        current Hello that is None.
-        """
-        rows: list[NeighborTable] = []
-        owns: list[tuple[float, float]] = []
-        own_counts: list[int] = []
-        versions: list[int | None] = []
-        errors: dict[int, ViewError] = {}
-        for i, (table, current_hello) in enumerate(zip(tables, current_hellos)):
-            try:
-                own, resolved = self.resolve(table, current_hello, version)
-            except ViewError as exc:
-                errors[i] = exc
-                continue
-            rows.append(table)
-            owns.extend(own)
-            own_counts.append(len(own))
-            versions.append(resolved)
-        if not rows:
-            return _NO_VIEWS, errors
-        counts, ids, fills, xy = self.members(rows, now, versions)
-        views = GatheredViews(
-            owners=np.array([t.owner for t in rows], dtype=np.int64),
-            ranges=np.array([t.normal_range for t in rows], dtype=float),
-            own_counts=np.array(own_counts, dtype=np.int64),
-            own_xy=np.array(owns, dtype=float).reshape(-1, 2),
-            counts=counts,
-            ids=ids,
-            fills=fills,
-            xy=xy,
-        )
-        return views, errors
-
-    def decide_many(
-        self,
-        protocol: TopologyControlProtocol,
-        tables: Sequence[NeighborTable],
-        now: float,
-        current_hellos: Sequence[Hello | None],
-        version: int | None = None,
-    ) -> list[SelectionResult | None]:
-        """Decide for many owners at once, in order: :meth:`gather`, then
-        :meth:`select`.  An owner whose view cannot be built
-        (:class:`ViewError`, e.g. it has not advertised the requested
-        version) gets None; the others are unaffected."""
-        views, errors = self.gather(tables, now, current_hellos, version)
-        selected = iter(self.select(protocol, views))
-        return [None if i in errors else next(selected) for i in range(len(tables))]
-
-    def decide(
-        self,
-        protocol: TopologyControlProtocol,
-        table: NeighborTable,
-        now: float,
-        current_hello: Hello | None,
-        version: int | None = None,
-    ) -> SelectionResult:
-        """Run *protocol* on the view this mechanism prescribes for one
-        owner (:meth:`decide_many` for one table); raises the owner's
-        :class:`ViewError` when it cannot decide."""
-        views, errors = self.gather([table], now, [current_hello], version)
-        if errors:
-            raise errors[0]
-        return self.select(protocol, views)[0]
-
-    def reads_current_hello(self, table: NeighborTable) -> bool:
-        """Whether a decision at *table*'s owner reads the current Hello;
-        when it does not, callers may pass None for it."""
-        if self.own_position == "advertised":
-            return table.last_advertised is None
-        return self.own_position == "current"
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
-def no_current_hello(
-    table: NeighborTable, mechanism: ConsistencyMechanism
-) -> ConfigurationError:
+def _no_position(table: NeighborTable, mechanism: ConsistencyMechanism) -> ConfigurationError:
     """The error of a decision at *table*'s owner that reads a current
-    Hello (:meth:`~ConsistencyMechanism.reads_current_hello`) given as
-    None."""
+    position given as None."""
     return ConfigurationError(
-        f"node {table.owner} has no current Hello for its {mechanism.name!r} decision"
+        f"node {table.owner} has no current position for its {mechanism.name!r} decision"
     )
 
 
@@ -343,8 +318,8 @@ def _padded(xy: np.ndarray, fills: np.ndarray, depth: int) -> np.ndarray:
 class _SingleVersionMechanism(ConsistencyMechanism):
     """A mechanism that decides from one Hello per view member.
 
-    A subclass names the own record and the global version a decision
-    uses (:meth:`_own_record`).  The other members are the neighbors'
+    A subclass names the own position and the global version a decision
+    uses (:meth:`_own`).  The other members are the neighbors'
     latest live Hellos when that version is None (for every owner), else
     their Hellos of that version.  Every protocol reads the members as
     arrays straight from the tables through ``select_batch``, with no
@@ -354,19 +329,22 @@ class _SingleVersionMechanism(ConsistencyMechanism):
     cacheable = True
 
     @abstractmethod
-    def _own_record(
-        self, table: NeighborTable, current_hello: Hello | None, version: int | None
-    ) -> tuple[Hello, int | None]:
-        """``(own record, version or None for the latest view)``.
+    def _own(
+        self,
+        table: NeighborTable,
+        position: tuple[float, float] | None,
+        version: int | None,
+    ) -> tuple[tuple[float, float] | None, int | None]:
+        """``(own position, version or None for the latest view)``.
 
         Raises :class:`ViewError` when the owner cannot decide.
         """
 
-    def resolve(self, table, current_hello, version):
-        own, resolved = self._own_record(table, current_hello, version)
+    def resolve(self, table, position, version):
+        own, resolved = self._own(table, position, version)
         if own is None:
-            raise no_current_hello(table, self)
-        return [own.position], resolved
+            raise _no_position(table, self)
+        return [own], resolved
 
     def members(self, tables, now, versions):
         if versions[0] is None:
@@ -381,8 +359,8 @@ class BaselineConsistency(_SingleVersionMechanism):
 
     name = "baseline"
 
-    def _own_record(self, table, current_hello, version):
-        return current_hello, None
+    def _own(self, table, position, version):
+        return position, None
 
 
 class ViewSynchronization(_SingleVersionMechanism):
@@ -398,15 +376,15 @@ class ViewSynchronization(_SingleVersionMechanism):
 
     name = "view-sync"
     recompute_on_packet = True
-    # The own position is the *last advertised* one, which only changes
-    # with a table mutation: this is what makes a packet-time
-    # recomputation hit while no Hello arrived since the last one.
-    own_position = "advertised"
 
-    def _own_record(self, table, current_hello, version):
+    def _own(self, table, position, version):
+        # The own position is the *last advertised* one, which only
+        # changes with a table mutation: this is what makes a packet-time
+        # recomputation hit while no Hello arrived since the last one.
         # Nothing advertised yet: the node is invisible to neighbors
         # anyway, so deciding from the current position is harmless.
-        return table.last_advertised or current_hello, None
+        advertised = table.last_advertised
+        return (position if advertised is None else advertised.position), None
 
 
 class ProactiveConsistency(_SingleVersionMechanism):
@@ -422,12 +400,11 @@ class ProactiveConsistency(_SingleVersionMechanism):
     name = "proactive"
     recompute_on_packet = True
     synchronized_versions = True
-    # Versioned views ignore the expiry window and never read the current
-    # true position: the retained state plus the requested version pin a
-    # decision, fallback resolution included.
-    own_position = None
 
-    def _own_record(self, table, current_hello, version):
+    def _own(self, table, position, version):
+        # A versioned view never reads the current position: the retained
+        # state plus the requested version pin a decision, fallback
+        # resolution included.
         available = table.available_versions()
         if version is None:
             if not available:
@@ -447,7 +424,7 @@ class ProactiveConsistency(_SingleVersionMechanism):
                     f"node {table.owner} has not advertised version {version} yet"
                 )
             version = max(older)
-        return table.advertisement(version), version
+        return table.advertisement(version).position, version
 
 
 class ReactiveConsistency(ProactiveConsistency):
@@ -485,27 +462,28 @@ class WeakConsistency(ConsistencyMechanism):
     cacheable = True
     conservative = True
 
-    def resolve(self, table, current_hello, version):
-        if current_hello is None:
-            raise no_current_hello(table, self)
+    def resolve(self, table, position, version):
+        if position is None:
+            raise _no_position(table, self)
         own = [h.position for h in table.own_history]
-        own.append(current_hello.position)
+        own.append(position)
         return own, None
 
     def members(self, tables, now, versions):
         return history_members(tables, now)
 
 
-class GossipConsistency(_SingleVersionMechanism):
+class GossipConsistency(ViewSynchronization):
     """Anti-entropy epidemic views (ROADMAP item 4; see docs/GOSSIP.md).
 
     Hello state spreads by periodic push–pull digest exchange with
     ``fanout`` sampled in-range peers, merged monotonically
     (last-writer-wins per sender), with age-based peer removal and a
     mayday re-request when the local view goes silent.  The decision
-    itself is view-synchronization-shaped: the latest expiry-filtered
-    entries plus the node's previously advertised own position — only the
-    *transport* of those entries is epidemic.  The dissemination driver
+    itself is view synchronization's (the class inherits its own-position
+    rule): the latest expiry-filtered entries plus the node's previously
+    advertised own position — only the *transport* of those entries is
+    epidemic, and a packet triggers no decision.  The dissemination driver
     (:class:`~repro.gossip.GossipEngine`) is wired by the world whenever
     this mechanism is selected.
 
@@ -527,10 +505,7 @@ class GossipConsistency(_SingleVersionMechanism):
     """
 
     name = "gossip"
-    # Every gossip merge records through the table and therefore bumps its
-    # mutation counter, so cached decisions fall exactly when epidemic
-    # state arrives.
-    own_position = "advertised"
+    recompute_on_packet = False
 
     def __init__(
         self,
@@ -549,9 +524,6 @@ class GossipConsistency(_SingleVersionMechanism):
             if mayday_after is None
             else check_positive("mayday_after", mayday_after)
         )
-
-    def _own_record(self, table, current_hello, version):
-        return table.last_advertised or current_hello, None
 
     def staleness_bound(self, n_nodes: int) -> float:
         """Worst-case extra view lag in seconds at population *n_nodes*.

@@ -28,7 +28,8 @@ instance.  :class:`MobilitySensitiveTopologyControl` therefore keeps a
 **write-stamp decision cache**: an equality-of-inputs memo (never an
 approximation) that returns the standing selection while the owner's
 table has not been written, no live neighbor has expired, and the own
-position, requested version and configuration are unchanged.  See
+positions the mechanism resolves, the requested version and the
+configuration are unchanged.  See
 ``docs/PERFORMANCE.md`` for the stamp contents and why they are exact.
 """
 
@@ -43,11 +44,9 @@ from repro.core.consistency import (
     BaselineConsistency,
     ConsistencyMechanism,
     GatheredViews,
-    no_current_hello,
 )
 from repro.core.framework import SelectionResult
 from repro.core.tables import NeighborTable, live_unchanged
-from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
 from repro.util.errors import ProtocolError, ViewError
 
@@ -182,21 +181,22 @@ class MobilitySensitiveTopologyControl:
         self,
         table: NeighborTable,
         now: float,
-        current_hello: Hello | None,
+        position: tuple[float, float] | None,
         version: int | None = None,
     ) -> NodeDecision:
         """Make a full topology control decision for one node.
 
-        *current_hello* describes the node's current true position; it
-        may be None where the mechanism does not read it
-        (:meth:`~repro.core.consistency.ConsistencyMechanism.reads_current_hello`).
-        One :meth:`gather` and one :meth:`settle`, as :meth:`decide_many`
-        for one owner, counted in the ``hello`` phase; raises the owner's
-        :class:`~repro.util.errors.ViewError` when it cannot decide, and
+        *position* is the node's current position ``(x, y)``; it may be
+        None where the mechanism does not read it
+        (:meth:`~repro.core.consistency.ConsistencyMechanism.resolve`
+        says).  One :meth:`gather` and one :meth:`settle`, as
+        :meth:`decide_many` for one owner, counted in the ``hello``
+        phase; raises the owner's :class:`~repro.util.errors.ViewError`
+        when it cannot decide, and
         :class:`~repro.util.errors.ConfigurationError` when the mechanism
-        reads a *current_hello* that is None.
+        reads a *position* that is None.
         """
-        gathered = self.gather([table], now, [current_hello], version, phase="hello")
+        gathered = self.gather([table], now, [position], version, phase="hello")
         if gathered.errors:
             raise gathered.errors[0]
         return self.settle([gathered])[0][0]
@@ -205,7 +205,7 @@ class MobilitySensitiveTopologyControl:
         self,
         tables: Sequence[NeighborTable],
         now: float,
-        current_hellos: Sequence[Hello | None],
+        positions: Sequence[tuple[float, float] | None],
         version: int | None = None,
     ) -> list[NodeDecision | None]:
         """:meth:`decide` for many owners at once — packet-time redecision.
@@ -214,23 +214,26 @@ class MobilitySensitiveTopologyControl:
         cannot be built gets None and counts no miss, as if its
         :meth:`decide` had raised :class:`ViewError`.
         """
-        return self.settle([self.gather(tables, now, current_hellos, version)])[0]
+        return self.settle([self.gather(tables, now, positions, version)])[0]
 
     def gather(
         self,
         tables: Sequence[NeighborTable],
         now: float,
-        current_hellos: Sequence[Hello | None],
+        positions: Sequence[tuple[float, float] | None],
         version: int | None = None,
         phase: str = "packet",
     ) -> GatheredDecisions:
         """Read many owners' decision inputs at *now*; :meth:`settle`
         turns them into decisions later.
 
-        Each owner's stamp is checked against the decision cache; each
-        hit will be served the standing decision.
-        The mechanism gathers the view members of the other owners
-        (:meth:`~repro.core.consistency.ConsistencyMechanism.gather`),
+        The mechanism resolves each owner once
+        (:meth:`~repro.core.consistency.ConsistencyMechanism.resolve`:
+        its own positions and version).  Each resolved owner's stamp is
+        built from that output and checked against the decision cache;
+        each hit will be served the standing decision.  The mechanism
+        gathers the view members of the other owners
+        (:meth:`~repro.core.consistency.ConsistencyMechanism.views`),
         and their stamps are stored, so the cache holds every gathered
         decision's stamp while its selection waits.  Hit/miss accounting
         and telemetry events happen here, per owner in order, with
@@ -243,34 +246,32 @@ class MobilitySensitiveTopologyControl:
         skip the stamp and the probe, and still count one miss each.
 
         Raises :class:`~repro.util.errors.ConfigurationError` when a
-        decision reads a current Hello that is None, before any stamp is
-        stored or counted.
+        decision reads a position that is None, from ``resolve``, before
+        any stamp is stored or counted.
         """
         mechanism = self.mechanism
         cached = self.decision_cache_enabled and mechanism.cacheable
         stored = cached and mechanism.recompute_on_packet
-        kinds = [_FRESH] * len(tables)
+        resolved, errors = mechanism.resolve_many(tables, positions, version)
+        kinds = [_UNDECIDED if r is None else _FRESH for r in resolved]
+        fresh = [i for i, r in enumerate(resolved) if r is not None]
         hits: list[int] = []
         if stored:
-            stamps = self._stamps(tables, current_hellos, version)
-            hits = self._cache.hits(tables, stamps, now, self._windowed)
-            for i in hits:
-                kinds[i] = _HIT
-        misses = (
-            [i for i, kind in enumerate(kinds) if kind == _FRESH] if hits else range(len(tables))
-        )
-        views, failed = mechanism.gather(
-            [tables[i] for i in misses] if hits else tables,
-            now,
-            [current_hellos[i] for i in misses] if hits else current_hellos,
-            version,
-        )
-        errors = {misses[j]: exc for j, exc in failed.items()}
-        for i in errors:
-            kinds[i] = _UNDECIDED
-        fresh = [i for i in misses if i not in errors]
-        if stored:
-            self._cache.store([tables[i] for i in fresh], [stamps[i] for i in fresh], now)
+            config = self._config_id()
+            # (table, table mutations, requested version, configuration
+            # id, resolved own positions)
+            stamps = {
+                i: (tables[i], tables[i].mutations, version, config, resolved[i][0])
+                for i in fresh
+            }
+            windowed = [r is not None and r[1] is None for r in resolved]
+            hits = self._cache.hits(stamps, windowed, now)
+            if hits:
+                for i in hits:
+                    kinds[i] = _HIT
+                fresh = [i for i in fresh if kinds[i] == _FRESH]
+            self._cache.store([stamps[i] for i in fresh], now)
+        views = mechanism.views([tables[i] for i in fresh], now, [resolved[i] for i in fresh])
         if cached:
             self.cache_hits += len(hits)
             self.cache_misses += len(fresh)
@@ -318,57 +319,10 @@ class MobilitySensitiveTopologyControl:
     # ------------------------------------------------------------------ #
     # decision-cache stamps
 
-    @property
-    def _windowed(self) -> bool:
-        """Whether decisions read the expiry-filtered live view."""
-        return self.mechanism.own_position is not None
-
     def _config_id(self) -> int:
         """Id of the (mechanism, buffer policy, PN mode) in force."""
         config = (self.mechanism.name, self.buffer_policy, self.physical_neighbor_mode)
         return self._config_ids.setdefault(config, len(self._config_ids))
-
-    def _stamps(
-        self,
-        tables: Sequence[NeighborTable],
-        current_hellos: Sequence[Hello | None],
-        version: int | None,
-    ) -> list[tuple]:
-        """The write stamps of many decisions, one tuple each.
-
-        A stamp is (table, table mutations, requested version,
-        configuration id, own position); the own position is the one the
-        mechanism reads, None for versioned views.  The stamp holds the
-        table itself, so the cache keeps it alive and compares it by
-        identity.  Positions compare as floats, so -0.0 equals 0.0
-        (positions are never NaN).
-        """
-        config = self._config_id()
-        return [
-            (t, t.mutations, version, config, own)
-            for t, own in zip(tables, self._own_positions(tables, current_hellos))
-        ]
-
-    def _own_positions(
-        self, tables: Sequence[NeighborTable], current_hellos: Sequence[Hello | None]
-    ) -> list[tuple[float, float] | None]:
-        """The own position each decision reads; None for versioned views.
-
-        Raises :class:`~repro.util.errors.ConfigurationError` when a
-        decision reads a current Hello that is None.
-        """
-        mode = self.mechanism.own_position
-        if mode is None:
-            return [None] * len(tables)
-        if mode == "advertised":
-            hellos = [t.last_advertised or h for t, h in zip(tables, current_hellos)]
-        else:
-            hellos = current_hellos
-        try:
-            return [h.position for h in hellos]
-        except AttributeError:
-            table = next(t for t, h in zip(tables, hellos) if h is None)
-            raise no_current_hello(table, self.mechanism) from None
 
     def _decision(self, result: SelectionResult, now: float) -> NodeDecision:
         """A fresh selection as a standing decision made at *now*."""
@@ -467,8 +421,8 @@ class _DecisionCache:
 
     - ``stamps``: the table (compared by identity; holding it keeps its
       identity from being reused), its ``mutations`` at decision time,
-      the requested version, the configuration id and the own position
-      the mechanism read;
+      the requested version, the configuration id and the own positions
+      the mechanism resolved;
     - ``decided``: the decision time;
     - ``decisions``: the decision itself.
 
@@ -481,7 +435,8 @@ class _DecisionCache:
     same live neighbors now as at the decision time; with ``mutations``
     unchanged the retained state is the one the decision read, so
     :meth:`~repro.core.neighbor_state.NeighborState.live_unchanged`
-    decides that exactly.  It runs only for owners whose stamps match.
+    decides that exactly.  It runs only for owners whose stamps match;
+    a decision read the live view when its resolved version is None.
     """
 
     def __init__(self) -> None:
@@ -490,29 +445,25 @@ class _DecisionCache:
         self.decisions: dict[int, NodeDecision] = {}
 
     def hits(
-        self,
-        tables: Sequence[NeighborTable],
-        stamps: Sequence[tuple],
-        now: float,
-        windowed: bool,
+        self, stamps: dict[int, tuple], windowed: Sequence[bool], now: float
     ) -> list[int]:
-        """Indices of the owners whose stamps still hold at *now*;
-        *windowed* when the decisions read the expiry-filtered live view."""
+        """The keys of *stamps* (in order) whose stamps still hold at
+        *now*; ``windowed[i]`` when decision ``i`` read the
+        expiry-filtered live view."""
         held = self.stamps
-        found = [
-            i for i, (t, stamp) in enumerate(zip(tables, stamps)) if held.get(t.owner) == stamp
-        ]
-        if windowed and found:
-            decided = self.decided
-            alive = live_unchanged(
-                [tables[i] for i in found], [decided[tables[i].owner] for i in found], now
-            )
-            found = [i for i, keep in zip(found, alive.tolist()) if keep]
+        found = [i for i, stamp in stamps.items() if held.get(stamp[0].owner) == stamp]
+        live = [i for i in found if windowed[i]]
+        if live:
+            tables = [stamps[i][0] for i in live]
+            alive = live_unchanged(tables, [self.decided[t.owner] for t in tables], now)
+            gone = {i for i, keep in zip(live, alive.tolist()) if not keep}
+            found = [i for i in found if i not in gone]
         return found
 
-    def store(self, tables: Sequence[NeighborTable], stamps: Sequence[tuple], now: float) -> None:
+    def store(self, stamps: Sequence[tuple], now: float) -> None:
         """Record the stamps of decisions gathered at *now*; their
         decisions follow when they settle."""
-        for t, stamp in zip(tables, stamps):
-            self.stamps[t.owner] = stamp
-            self.decided[t.owner] = now
+        for stamp in stamps:
+            owner = stamp[0].owner
+            self.stamps[owner] = stamp
+            self.decided[owner] = now

@@ -20,11 +20,14 @@ Hello-time decisions per probe.
 For mechanisms that recompute on packet events (view synchronization,
 proactive consistency) every node re-decides at flood time first — under
 the proactive scheme on the packet's Hello version.  Those redecisions go
-through the manager's write-stamp decision cache.  An owner hits only
-when its table has recorded no write since its standing decision, the
-requested version, configuration and own position are unchanged, and
-(for a decision that read the expiry-filtered live view) the same
-neighbors are still live.  At the paper's 10 probes/s about ten
+through the manager's write-stamp decision cache.  The manager
+resolves each owner once (``ConsistencyMechanism.resolve``: its own
+positions and version) and stamps that output.  An owner hits only when
+its table has recorded no write since its standing decision, the
+requested version, the configuration and the resolved own positions
+are unchanged, and (for a decision that read the expiry-filtered live
+view, whose resolved version is None) the same neighbors are still
+live.  At the paper's 10 probes/s about ten
 Hellos arrive between two probes, so most owners miss: a 20-s rng
 view-sync run (n = 100 at the paper's density, 40 m/s, 10 m buffer,
 seed 1) counts 1,587 hits against 18,560 misses (8%), while spt4

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.neighbor_state import NO_VERSION
 from repro.sim.world import NetworkWorld
+from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
 
 __all__ = ["PacketRecord", "TrafficStats", "UnicastTraffic"]
@@ -163,8 +164,8 @@ class UnicastTraffic:
             # packet events refresh the logical set (view synchronization)
             try:
                 self.world.decide_node(holder)
-            except Exception:  # pragma: no cover - bootstrap corner
-                pass
+            except ViewError:
+                pass  # bootstrap: the holder has not advertised the version
         ids, believed = self._believed_positions(holder)
         if not ids:
             record.dropped_at = now

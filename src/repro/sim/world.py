@@ -734,7 +734,7 @@ class NetworkWorld:
             return
         node.next_version += 1
         # The paper's timing (Fig. 3): decide right after sending.
-        self.decide_node(node_id, current_hello=hello)
+        self.decide_node(node_id, position=hello.position)
 
     def _send_hello_proactive(self, node_id: int, epoch: int) -> None:
         node = self.nodes[node_id]
@@ -751,7 +751,7 @@ class NetworkWorld:
         # advertised, so it can decide iff it advertised one before this
         # epoch; on its first advertised epoch it has nothing complete.
         if min(node.table.available_versions()) < epoch:
-            self.decide_node(node_id, version=epoch - 1)
+            self.decide_node(node_id, version=epoch - 1, position=hello.position)
 
     def _run_reactive_round(self, round_index: int) -> None:
         cfg = self.config
@@ -813,17 +813,6 @@ class NetworkWorld:
             return memo[1][node_id]
         return self._oracle.node_position(node_id, t)
 
-    def _current_hello(self, node_id: int, t: float) -> Hello:
-        """A Hello at the node's true position *now* (not advertised)."""
-        pos = self._node_position(node_id, t)
-        return Hello(
-            sender=node_id,
-            version=self.nodes[node_id].next_version,
-            position=(float(pos[0]), float(pos[1])),
-            sent_at=t,
-            timestamp=self.clocks.local_time(node_id, t),
-        )
-
     def _adopt(self, node: SimNode, decision: NodeDecision, t: float) -> None:
         """Install a new standing decision made at *t*, tracing a range
         change."""
@@ -844,10 +833,13 @@ class NetworkWorld:
         self,
         node_id: int,
         version: int | None = None,
-        current_hello: Hello | None = None,
+        position: tuple[float, float] | None = None,
     ) -> None:
         """Run topology control at one node, updating its standing decision.
 
+        *position* is the node's current position as the decision may
+        read it: the one its Hello just advertised at Hello time, else
+        (None) its true position now.
         The decision's inputs are gathered now, and a node that cannot
         decide raises :class:`ViewError` now; the selection waits until
         the decision is settled: when any standing decision is read, at
@@ -857,13 +849,9 @@ class NetworkWorld:
         """
         node = self.nodes[node_id]
         t = self.engine.now
-        if current_hello is None and self.manager.mechanism.reads_current_hello(
-            node.table
-        ):
-            current_hello = self._current_hello(node_id, t)
-        gathered = self.manager.gather(
-            [node.table], t, [current_hello], version, phase="hello"
-        )
+        if position is None:
+            position = tuple(self._node_position(node_id, t).tolist())
+        gathered = self.manager.gather([node.table], t, [position], version, phase="hello")
         if gathered.errors:
             raise gathered.errors[0]
         self._pending.append(gathered)
@@ -893,9 +881,8 @@ class NetworkWorld:
         for reachability and keeps the hot path vectorizable: the live
         nodes go to
         :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.decide_many`
-        (one call per 256 nodes), traced as one ``redecide`` span with
-        no per-node ``decide`` spans.  A current Hello is built only for a
-        node whose decision reads it.
+        (one call per 256 nodes) with their true positions now, traced
+        as one ``redecide`` span with no per-node ``decide`` spans.
         """
         tel = self._tel
         if tel is None:
@@ -910,26 +897,20 @@ class NetworkWorld:
         self._settle()
         inj = self.fault_injector
         now = self.engine.now
-        # Warm the per-tick geometry memo once: every current Hello below
-        # shares the single vectorized mobility evaluation.
-        self._geometry(now)
+        # Every decision below reads the tick's one vectorized mobility
+        # evaluation.
+        positions, _ = self._geometry(now)
         # A crashed node forwards nothing and decides nothing.
         nodes = [
             node
             for node in self.nodes
             if inj is None or not inj.node_down(node.node_id, now)
         ]
-        reads = self.manager.mechanism.reads_current_hello
         for lo in range(0, len(nodes), _REDECIDE_CHUNK):
             chunk = nodes[lo : lo + _REDECIDE_CHUNK]
+            xy = positions[[node.node_id for node in chunk]].tolist()
             decisions = self.manager.decide_many(
-                [node.table for node in chunk],
-                now,
-                [
-                    self._current_hello(node.node_id, now) if reads(node.table) else None
-                    for node in chunk
-                ],
-                version=version,
+                [node.table for node in chunk], now, list(map(tuple, xy)), version=version
             )
             for node, decision in zip(chunk, decisions):
                 # None: a node that has never advertised cannot decide; it

@@ -40,6 +40,23 @@ def make_hello(
     )
 
 
+def select_all(mechanism, protocol, tables, now, positions, version=None):
+    """Each owner's selection through the mechanism's ``gather`` and
+    ``select``, in order; None where the owner cannot decide."""
+    views, errors = mechanism.gather(tables, now, positions, version)
+    selected = iter(mechanism.select(protocol, views))
+    return [None if i in errors else next(selected) for i in range(len(tables))]
+
+
+def select_one(mechanism, protocol, table, now, position, version=None):
+    """One owner's selection through the mechanism's ``gather`` and
+    ``select``; raises the owner's ViewError when it cannot decide."""
+    views, errors = mechanism.gather([table], now, [position], version)
+    if errors:
+        raise errors[0]
+    return mechanism.select(protocol, views)[0]
+
+
 def make_view(
     owner: int,
     positions: dict[int, tuple[float, float]],

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_graph
+from conftest import interval_graph, select_one
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
 from repro.core.consistency import _SELECT_BLOCK, WeakConsistency
 from repro.core.costs import EnergyCost
@@ -392,7 +392,7 @@ def _conservative_oracle(protocol, view):
 
 
 def _weak_equals_multi_view(protocol, table, now, current):
-    got = WeakConsistency().decide(protocol, table, now, current)
+    got = select_one(WeakConsistency(), protocol, table, now, current.position)
     view = table.multi_view(now, own_hello=current)
     assert got == protocol.select_conservative(view)
     assert got == _conservative_oracle(protocol, view)
@@ -447,7 +447,7 @@ class TestWeakFromHistories:
             for table in tables
         ]
         mechanism = WeakConsistency()
-        views, errors = mechanism.gather(tables, now, hellos)
+        views, errors = mechanism.gather(tables, now, [h.position for h in hellos])
         assert not errors and (views.counts[:DEAF] == 0).all()
         assert later > EXPIRY or k == 1 or (views.fills < k).any()
         counter = _BlockCounter(protocol)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import select_all, select_one
 from removal_oracles import LocalCostGraph, apply_removal_condition, rng_removable_batch
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
 from repro.core.consistency import ViewSynchronization, available_mechanisms
@@ -253,9 +254,9 @@ class TestColumnarGather:
     def test_degree_sorted_blocks_match_one_decision_per_owner(self, ops, k):
         tables, t = _shared_tables(ops, k)
         protocol, mechanism = RngProtocol(), ViewSynchronization()
-        owns = [table.last_advertised for table in tables]
-        assert mechanism.decide_many(protocol, tables, t, owns) == [
-            mechanism.decide(protocol, table, t, own)
+        owns = [table.last_advertised.position for table in tables]
+        assert select_all(mechanism, protocol, tables, t, owns) == [
+            select_one(mechanism, protocol, table, t, own)
             for table, own in zip(tables, owns)
         ]
 
@@ -349,6 +350,6 @@ class TestTwinWorlds:
         protocol = make_protocol("gabriel")
         table = NeighborTable(0, normal_range=100.0)
         table.record_hello(Hello(1, 1, (30.0, 0.0), 0.0, 0.0))
-        own = Hello(0, 1, (0.0, 0.0), 0.0, 0.0)
-        (result,) = ViewSynchronization().decide_many(protocol, [table], 0.0, [own])
-        assert result == ViewSynchronization().decide(protocol, table, 0.0, own)
+        own = (0.0, 0.0)
+        (result,) = select_all(ViewSynchronization(), protocol, [table], 0.0, [own])
+        assert result == select_one(ViewSynchronization(), protocol, table, 0.0, own)

@@ -13,6 +13,7 @@ from repro.core.consistency import (
     WeakConsistency,
     make_mechanism,
 )
+from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.core.tables import NeighborTable
 from repro.protocols import MstProtocol, RngProtocol
 from repro.util.errors import ConfigurationError, ViewError
@@ -29,12 +30,19 @@ def table():
 
 @pytest.fixture
 def current():
-    return make_hello(0, (0.5, 0.0), version=2, sent_at=1.0)
+    """The owner's current position."""
+    return (0.5, 0.0)
+
+
+def decide(mechanism, protocol, table, now, position, version=None):
+    """One decision through the manager, the one decide entry point."""
+    manager = MobilitySensitiveTopologyControl(protocol, mechanism)
+    return manager.decide(table, now, position, version)
 
 
 class TestBaseline:
     def test_uses_current_position(self, table, current):
-        result = BaselineConsistency().decide(RngProtocol(), table, 1.0, current)
+        result = decide(BaselineConsistency(), RngProtocol(), table, 1.0, current)
         # (0,1) removable via witness 2: decision exists and excludes 1.
         assert result.logical_neighbors == frozenset({2})
 
@@ -48,16 +56,16 @@ class TestViewSynchronization:
     def test_uses_last_advertised_position(self, table, current):
         # Advertised position is (0,0); current is (0.5,0) — the decision
         # must be identical to one taken from (0,0).
-        vs = ViewSynchronization().decide(RngProtocol(), table, 1.0, current)
-        base_from_advertised = BaselineConsistency().decide(
-            RngProtocol(), table, 1.0, table.last_advertised
+        vs = decide(ViewSynchronization(), RngProtocol(), table, 1.0, current)
+        base_from_advertised = decide(
+            BaselineConsistency(), RngProtocol(), table, 1.0, table.last_advertised.position
         )
         assert vs.logical_neighbors == base_from_advertised.logical_neighbors
 
     def test_falls_back_to_current_when_never_advertised(self, current):
         empty = NeighborTable(owner=0, normal_range=100.0)
         empty.record_hello(make_hello(1, (10, 0), sent_at=0.0))
-        result = ViewSynchronization().decide(RngProtocol(), empty, 1.0, current)
+        result = decide(ViewSynchronization(), RngProtocol(), empty, 1.0, current)
         assert 1 in result.logical_neighbors
 
     def test_recomputes_on_packet(self):
@@ -68,27 +76,27 @@ class TestProactive:
     def test_decides_on_requested_version(self, table, current):
         table.record_own(make_hello(0, (0, 0), version=2, sent_at=1.0))
         table.record_hello(make_hello(1, (50, 0), version=2, sent_at=1.1))
-        r1 = ProactiveConsistency().decide(RngProtocol(), table, 2.0, current, version=1)
-        r2 = ProactiveConsistency().decide(RngProtocol(), table, 2.0, current, version=2)
+        r1 = decide(ProactiveConsistency(), RngProtocol(), table, 2.0, current, version=1)
+        r2 = decide(ProactiveConsistency(), RngProtocol(), table, 2.0, current, version=2)
         # version-2 view lacks node 2, so the long link (0,1) survives there.
         assert 1 not in r1.logical_neighbors
         assert 1 in r2.logical_neighbors
 
     def test_default_version_is_latest(self, table, current):
-        result = ProactiveConsistency().decide(RngProtocol(), table, 1.0, current)
+        result = decide(ProactiveConsistency(), RngProtocol(), table, 1.0, current)
         assert result.logical_neighbors == frozenset({2})
 
     def test_falls_back_to_older_version(self, table, current):
         # Version 5 never advertised: fall back to version 1.
-        result = ProactiveConsistency().decide(
-            RngProtocol(), table, 1.0, current, version=5
+        result = decide(
+            ProactiveConsistency(), RngProtocol(), table, 1.0, current, version=5
         )
         assert result.logical_neighbors == frozenset({2})
 
     def test_raises_before_first_advertisement(self, current):
         empty = NeighborTable(owner=0, normal_range=100.0)
         with pytest.raises(ViewError):
-            ProactiveConsistency().decide(RngProtocol(), empty, 0.0, current)
+            decide(ProactiveConsistency(), RngProtocol(), empty, 0.0, current)
 
     def test_flags(self):
         m = ProactiveConsistency()
@@ -97,8 +105,8 @@ class TestProactive:
 
 class TestReactive:
     def test_inherits_versioned_behavior(self, table, current):
-        result = ReactiveConsistency().decide(
-            RngProtocol(), table, 1.0, current, version=1
+        result = decide(
+            ReactiveConsistency(), RngProtocol(), table, 1.0, current, version=1
         )
         assert result.logical_neighbors == frozenset({2})
 
@@ -116,8 +124,8 @@ class TestWeak:
         t.record_hello(make_hello(1, (10, 0), version=1, sent_at=0.0))
         t.record_hello(make_hello(1, (4, 0), version=2, sent_at=1.0))
         t.record_hello(make_hello(2, (5, 1), version=1, sent_at=0.0))
-        weak = WeakConsistency().decide(MstProtocol(), t, 1.5, current)
-        base = BaselineConsistency().decide(MstProtocol(), t, 1.5, current)
+        weak = decide(WeakConsistency(), MstProtocol(), t, 1.5, current)
+        base = decide(BaselineConsistency(), MstProtocol(), t, 1.5, current)
         assert base.logical_neighbors <= weak.logical_neighbors
 
     def test_history_depth_is_not_a_mechanism_option(self):

@@ -29,7 +29,8 @@ def table():
 
 @pytest.fixture
 def current():
-    return make_hello(0, (0, 0), version=2, sent_at=1.0)
+    """The owner's current position."""
+    return (0.0, 0.0)
 
 
 class TestDecide:
@@ -56,14 +57,26 @@ class TestDecide:
 
 
 #: The mechanisms whose decision at an owner that has not advertised
-#: reads its current Hello.
+#: reads its current position.
 READING = ("baseline", "gossip", "view-sync", "weak")
+
+
+def reads_position(mechanism, table) -> bool:
+    """Whether a decision at *table*'s owner reads its current position:
+    the mechanism's ``resolve`` refuses a None one."""
+    try:
+        mechanism.resolve(table, None, None)
+    except ConfigurationError:
+        return True
+    except ViewError:
+        pass
+    return False
 
 
 class TestNoCurrentHello:
     """A table whose owner has not advertised, decided with no current
-    Hello: every mechanism that reads it refuses, naming the owner and
-    itself, before any cache stamp is stored or counted."""
+    position: every mechanism that reads it refuses, naming the owner
+    and itself, before any cache stamp is stored or counted."""
 
     @pytest.fixture
     def unadvertised(self):
@@ -80,7 +93,7 @@ class TestNoCurrentHello:
             "decide_many": lambda: mstc.decide_many([unadvertised], 1.0, [None]),
             "gather": lambda: mstc.gather([unadvertised], 1.0, [None]),
         }[entry]
-        if mstc.mechanism.reads_current_hello(unadvertised):
+        if reads_position(mstc.mechanism, unadvertised):
             with pytest.raises(ConfigurationError, match=rf"node 7 .*'{name}'"):
                 call()
             assert mstc.cache_info() == dict.fromkeys(mstc.cache_info(), 0)
@@ -94,20 +107,21 @@ class TestNoCurrentHello:
         else:
             assert list(call().errors) == [0]
         # The mechanism's own entry points refuse alike.
-        if mstc.mechanism.reads_current_hello(unadvertised):
+        if reads_position(mstc.mechanism, unadvertised):
             with pytest.raises(ConfigurationError, match="node 7"):
-                mstc.mechanism.decide_many(RngProtocol(), [unadvertised], 1.0, [None])
+                mstc.mechanism.resolve_many([unadvertised], [None], None)
             with pytest.raises(ConfigurationError, match="node 7"):
-                mstc.mechanism.decide(RngProtocol(), unadvertised, 1.0, None)
+                mstc.mechanism.resolve(unadvertised, None, None)
             with pytest.raises(ConfigurationError, match="node 7"):
                 mstc.mechanism.gather([unadvertised], 1.0, [None])
 
     @pytest.mark.parametrize("name", READING)
     def test_gather_refuses_before_storing_any_row(self, name, table, unadvertised):
-        """An owner that can decide, then one that reads a missing Hello:
-        the gather raises, and the first owner's stamp is not stored."""
+        """An owner that can decide, then one that reads a missing
+        position: the gather raises, and the first owner's stamp is not
+        stored."""
         mstc = MobilitySensitiveTopologyControl(RngProtocol(), make_mechanism(name))
-        current = make_hello(0, (0, 0), version=2, sent_at=1.0)
+        current = (0.0, 0.0)
         with pytest.raises(ConfigurationError, match=rf"node 7 .*'{name}'"):
             mstc.gather([table, unadvertised], 1.0, [current, None], phase="hello")
         assert mstc.cache_info() == dict.fromkeys(mstc.cache_info(), 0)
@@ -117,7 +131,7 @@ class TestNoCurrentHello:
         reads = {
             name
             for name in available_mechanisms()
-            if make_mechanism(name).reads_current_hello(unadvertised)
+            if reads_position(make_mechanism(name), unadvertised)
         }
         assert reads == set(READING)
 

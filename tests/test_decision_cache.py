@@ -62,9 +62,9 @@ class TestCacheHits:
     def test_identical_inputs_hit(self):
         manager = make_manager()
         table = make_table()
-        hello = make_hello(0, (1.0, 1.0), version=2, sent_at=1.0)
-        first = manager.decide(table, 1.0, hello)
-        second = manager.decide(table, 1.0, hello)
+        position = (1.0, 1.0)
+        first = manager.decide(table, 1.0, position)
+        second = manager.decide(table, 1.0, position)
         assert manager.cache_misses == 1
         assert manager.cache_hits == 1
         assert first == second
@@ -72,9 +72,9 @@ class TestCacheHits:
     def test_hit_refreshes_decided_at_only(self):
         manager = make_manager()
         table = make_table()
-        hello = make_hello(0, (1.0, 1.0), version=2, sent_at=1.0)
-        first = manager.decide(table, 1.0, hello)
-        later = manager.decide(table, 1.5, hello)
+        position = (1.0, 1.0)
+        first = manager.decide(table, 1.0, position)
+        later = manager.decide(table, 1.5, position)
         assert manager.cache_hits == 1
         assert later.decided_at == 1.5
         assert later.logical_neighbors == first.logical_neighbors
@@ -86,16 +86,16 @@ class TestCacheHits:
         # node still hits between Hello generations (the redecide_all case)
         manager = make_manager()
         table = make_table()
-        manager.decide(table, 1.0, make_hello(0, (1.0, 0.0), version=2, sent_at=1.0))
-        manager.decide(table, 1.2, make_hello(0, (5.0, 0.0), version=2, sent_at=1.2))
+        manager.decide(table, 1.0, (1.0, 0.0))
+        manager.decide(table, 1.2, (5.0, 0.0))
         assert manager.cache_hits == 1
 
     def test_disabled_cache_never_counts(self):
         manager = make_manager(decision_cache=False)
         table = make_table()
-        hello = make_hello(0, (1.0, 1.0), version=2, sent_at=1.0)
-        manager.decide(table, 1.0, hello)
-        manager.decide(table, 1.0, hello)
+        position = (1.0, 1.0)
+        manager.decide(table, 1.0, position)
+        manager.decide(table, 1.0, position)
         assert manager.cache_info() == {
             "decision_cache_hits": 0,
             "decision_cache_misses": 0,
@@ -108,9 +108,9 @@ class TestCacheHits:
 
         manager = make_manager(mechanism=Opaque())
         table = make_table()
-        hello = make_hello(0, (0.0, 0.0), version=2, sent_at=1.0)
-        manager.decide(table, 1.0, hello)
-        manager.decide(table, 1.0, hello)
+        position = (0.0, 0.0)
+        manager.decide(table, 1.0, position)
+        manager.decide(table, 1.0, position)
         assert manager.cache_uncacheable == 2
         assert manager.cache_hits == 0
 
@@ -119,21 +119,21 @@ class TestCacheInvalidation:
     def test_new_hello_misses(self):
         manager = make_manager()
         table = make_table()
-        hello = make_hello(0, (1.0, 1.0), version=2, sent_at=1.0)
-        manager.decide(table, 1.0, hello)
+        position = (1.0, 1.0)
+        manager.decide(table, 1.0, position)
         table.record_hello(make_hello(1, (35.0, 0.0), version=2, sent_at=1.1))
-        manager.decide(table, 1.2, hello)
+        manager.decide(table, 1.2, position)
         assert manager.cache_hits == 0
         assert manager.cache_misses == 2
 
     def test_expired_entry_misses(self):
         manager = make_manager()
         table = make_table()
-        hello = make_hello(0, (1.0, 1.0), version=2, sent_at=1.0)
-        first = manager.decide(table, 1.0, hello)
+        position = (1.0, 1.0)
+        first = manager.decide(table, 1.0, position)
         assert 1 in first.logical_neighbors or 2 in first.logical_neighbors
         # no mutation — neighbors expire purely by time passing (> 2.5 s)
-        stale = manager.decide(table, 4.0, hello)
+        stale = manager.decide(table, 4.0, position)
         assert manager.cache_hits == 0
         assert manager.cache_misses == 2
         assert stale.logical_neighbors == frozenset()
@@ -141,10 +141,10 @@ class TestCacheInvalidation:
     def test_buffer_width_change_misses(self):
         manager = make_manager()
         table = make_table()
-        hello = make_hello(0, (1.0, 1.0), version=2, sent_at=1.0)
-        narrow = manager.decide(table, 1.0, hello)
+        position = (1.0, 1.0)
+        narrow = manager.decide(table, 1.0, position)
         manager.buffer_policy = BufferZonePolicy(width=10.0, cap=250.0)
-        wide = manager.decide(table, 1.0, hello)
+        wide = manager.decide(table, 1.0, position)
         assert manager.cache_hits == 0
         assert manager.cache_misses == 2
         assert wide.extended_range == pytest.approx(narrow.extended_range + 10.0)
@@ -155,18 +155,18 @@ class TestCacheInvalidation:
         table.record_own(make_hello(0, (2.0, 0.0), version=2, sent_at=1.0))
         table.record_hello(make_hello(1, (32.0, 0.0), version=2, sent_at=1.0))
         table.record_hello(make_hello(2, (0.0, 42.0), version=2, sent_at=1.0))
-        hello = make_hello(0, (2.0, 0.0), version=3, sent_at=1.5)
-        manager.decide(table, 1.5, hello, version=1)
-        manager.decide(table, 1.5, hello, version=2)
+        position = (2.0, 0.0)
+        manager.decide(table, 1.5, position, version=1)
+        manager.decide(table, 1.5, position, version=2)
         assert manager.cache_misses == 2
-        manager.decide(table, 1.5, hello, version=2)
+        manager.decide(table, 1.5, position, version=2)
         assert manager.cache_hits == 1
 
     def test_baseline_misses_when_own_position_moves(self):
         manager = make_manager(mechanism=BaselineConsistency())
         table = make_table()
-        manager.decide(table, 1.0, make_hello(0, (0.0, 0.0), version=2, sent_at=1.0))
-        manager.decide(table, 1.2, make_hello(0, (3.0, 0.0), version=2, sent_at=1.2))
+        manager.decide(table, 1.0, (0.0, 0.0))
+        manager.decide(table, 1.2, (3.0, 0.0))
         assert manager.cache_misses == 2
 
     def test_expiry_is_exact_in_both_directions_of_time(self):
@@ -178,31 +178,31 @@ class TestCacheInvalidation:
         table.record_own(make_hello(0, (0.0, 0.0), version=1, sent_at=0.0))
         table.record_hello(make_hello(1, (30.0, 0.0), version=1, sent_at=0.0))
         table.record_hello(make_hello(2, (0.0, 40.0), version=1, sent_at=1.0))
-        hello = make_hello(0, (0.0, 0.0), version=2, sent_at=2.0)
-        manager.decide(table, 2.0, hello)  # both live
+        position = (0.0, 0.0)
+        manager.decide(table, 2.0, position)  # both live
         for now, hit in ((2.5, True), (1.0, True), (2.6, False), (2.0, True),
                          (3.6, False)):
             before = manager.cache_hits
-            manager.decide(table, now, hello)
+            manager.decide(table, now, position)
             assert (manager.cache_hits > before) is hit, now
             if not hit:
-                manager.decide(table, 2.0, hello)  # restore the both-live stamp
+                manager.decide(table, 2.0, position)  # restore the both-live stamp
 
     def test_decide_many_hits_like_decide(self):
         # Same stamps, same counters and the same event stream, in owner
         # order: one decide per owner and one decide_many.
         owners = (0, 3, 4, 5, 6)
         tables = [make_table(owner) for owner in owners]
-        hellos = [make_hello(o, (1.0, 1.0), version=2, sent_at=1.0) for o in owners]
+        positions = [(1.0, 1.0)] * len(owners)
         single, batched = make_manager(), make_manager()
         for manager in (single, batched):
-            for table, hello in zip(tables, hellos):
-                manager.decide(table, 1.0, hello)
+            for table, position in zip(tables, positions):
+                manager.decide(table, 1.0, position)
             manager.attach_telemetry(Telemetry())
         tables[1].record_hello(make_hello(1, (35.0, 0.0), version=2, sent_at=1.1))
         tables[3].record_hello(make_hello(1, (35.0, 0.0), version=2, sent_at=1.1))
-        want = [single.decide(t, 1.2, h) for t, h in zip(tables, hellos)]
-        assert batched.decide_many(tables, 1.2, hellos) == want
+        want = [single.decide(t, 1.2, p) for t, p in zip(tables, positions)]
+        assert batched.decide_many(tables, 1.2, positions) == want
         assert batched.cache_info() == single.cache_info()
         assert single.cache_hits == 3 and single.cache_misses == 7
 
@@ -225,8 +225,8 @@ class TestCacheInvalidation:
         class Timed(ConsistencyMechanism):
             baseline = BaselineConsistency()
 
-            def resolve(self, table, current_hello, version):
-                return self.baseline.resolve(table, current_hello, None)
+            def resolve(self, table, position, version):
+                return self.baseline.resolve(table, position, None)
 
             def members(self, tables, now, versions):
                 return self.baseline.members(tables, now, versions)
@@ -239,9 +239,9 @@ class TestCacheInvalidation:
             assert make_mechanism(name).cacheable, name
         manager = make_manager(mechanism=Timed())
         table = make_table()
-        hello = make_hello(0, (0.0, 0.0), version=2, sent_at=1.0)
-        manager.decide(table, 1.0, hello)
-        manager.decide_many([table], 1.0, [hello])
+        position = (0.0, 0.0)
+        manager.decide(table, 1.0, position)
+        manager.decide_many([table], 1.0, [position])
         assert manager.cache_uncacheable == 2
         assert manager.cache_hits == manager.cache_misses == 0
 
@@ -255,9 +255,9 @@ class TestCacheInvalidation:
     def test_two_tables_same_owner_do_not_alias(self):
         manager = make_manager()
         a, b = make_table(), make_table()
-        hello = make_hello(0, (1.0, 1.0), version=2, sent_at=1.0)
-        manager.decide(a, 1.0, hello)
-        manager.decide(b, 1.0, hello)
+        position = (1.0, 1.0)
+        manager.decide(a, 1.0, position)
+        manager.decide(b, 1.0, position)
         assert manager.cache_hits == 0
         assert manager.cache_misses == 2
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.experiment import ExperimentSpec
 from repro.core.consistency import ViewSynchronization
+from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.faults.fuzz import (
@@ -180,10 +181,14 @@ class TestBrokenViewSyncUnit:
         # mechanism drops it, the mutation keeps it at packet time too.
         table = NeighborTable(0, normal_range=100.0, expiry=1.0)
         table.record_hello(Hello(1, 1, (30.0, 0.0), 0.0, 0.0))
-        own = Hello(0, 1, (0.0, 0.0), 5.0, 5.0)
+        own = (0.0, 0.0)
         protocol = RngProtocol()
-        (broken,) = BrokenViewSync().decide_many(protocol, [table], 5.0, [own])
-        (healthy,) = ViewSynchronization().decide_many(protocol, [table], 5.0, [own])
+        (broken,) = MobilitySensitiveTopologyControl(protocol, BrokenViewSync()).decide_many(
+            [table], 5.0, [own]
+        )
+        (healthy,) = MobilitySensitiveTopologyControl(
+            protocol, ViewSynchronization()
+        ).decide_many([table], 5.0, [own])
         assert broken.logical_neighbors == frozenset({1})
         assert healthy.logical_neighbors == frozenset()
 

@@ -10,8 +10,8 @@ Three layers:
   directory;
 - :meth:`versioned_view`, whose Hellos (one per matching sender, built
   from the retained histories) must be the ones in each history;
-- the mechanisms: a batched decision (``decide`` as a batch of one, and
-  ``decide_many``) against the LocalView route it replaced, on every
+- the mechanisms: a batched decision (``gather`` + ``select`` of one
+  owner and of many) against the LocalView route it replaced, on every
   proactive fallback branch including the :class:`ViewError` one.
 """
 
@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import select_all, select_one
 from repro.core.consistency import (
     BaselineConsistency,
     GossipConsistency,
@@ -236,14 +237,14 @@ class TestProactiveDecisions:
                     view = _old_proactive_view(table, 10.0, version)
                 except ViewError:
                     with pytest.raises(ViewError):
-                        mechanism.decide(protocol, table, 10.0, None, version=version)
+                        select_one(mechanism, protocol, table, 10.0, None, version=version)
                     expected.append(None)
                     continue
-                result = mechanism.decide(protocol, table, 10.0, None, version=version)
+                result = select_one(mechanism, protocol, table, 10.0, None, version=version)
                 assert result == protocol.select(view)
                 expected.append(result)
-        got = mechanism.decide_many(
-            protocol, tables, 10.0, [None] * len(tables), version=version
+        got = select_all(
+            mechanism, protocol, tables, 10.0, [None] * len(tables), version=version
         )
         assert got == expected
 
@@ -264,28 +265,28 @@ class TestProactiveDecisions:
         table = self._table()
         protocol = RngProtocol()
         mechanism = ProactiveConsistency()
-        (many,) = mechanism.decide_many(protocol, [table], 9.0, [None], version=version)
+        (many,) = select_all(mechanism, protocol, [table], 9.0, [None], version=version)
         if used is None:
             with pytest.raises(ViewError, match="has not advertised"):
-                mechanism.decide(protocol, table, 9.0, None, version=version)
+                select_one(mechanism, protocol, table, 9.0, None, version=version)
             assert many is None
             return
-        result = mechanism.decide(protocol, table, 9.0, None, version=version)
+        result = select_one(mechanism, protocol, table, 9.0, None, version=version)
         assert result == many
         assert result.actual_range == 10.0 * used
 
     def test_nothing_advertised(self):
         table = NeighborTable(OWNER, 50.0)
         with pytest.raises(ViewError, match="before advertising"):
-            ProactiveConsistency().decide(RngProtocol(), table, 0.0, None)
-        assert ProactiveConsistency().decide_many(
-            RngProtocol(), [table], 0.0, [None]
+            select_one(ProactiveConsistency(), RngProtocol(), table, 0.0, None)
+        assert select_all(
+            ProactiveConsistency(), RngProtocol(), [table], 0.0, [None]
         ) == [None]
 
     def test_protocol_without_batch_keeps_the_view_route(self):
         table = self._table()
         protocol = make_protocol("gabriel")
-        result = ProactiveConsistency().decide(protocol, table, 9.0, None, version=4)
+        result = select_one(ProactiveConsistency(), protocol, table, 9.0, None, version=4)
         assert result == protocol.select(table.versioned_view(9.0, 3))
 
 
@@ -306,5 +307,5 @@ class TestLatestDecisions:
             if mechanism.name != "baseline":
                 own = table.last_advertised or current
             want = protocol.select(table.latest_view(now, own_hello=own))
-            assert mechanism.decide(protocol, table, now, current) == want
-            assert mechanism.decide_many(protocol, [table], now, [current]) == [want]
+            assert select_one(mechanism, protocol, table, now, current.position) == want
+            assert select_all(mechanism, protocol, [table], now, [current.position]) == [want]

@@ -77,6 +77,19 @@ class TestUnicastTraffic:
         assert stats.sent == 5
         assert stats.delivered + stats.dropped == 5
 
+    def test_forwarder_configuration_error_propagates(self, monkeypatch):
+        # Only a forwarder's ViewError (it has not advertised the version;
+        # the proactive packet pin crosses such forwarders) is swallowed.
+        world = world_for(speed=2.0, mechanism="view-sync")
+        world.run_until(4.0)
+
+        def misconfigured(node_id, version=None, position=None):
+            raise ConfigurationError(f"node {node_id} is misconfigured")
+
+        monkeypatch.setattr(world, "decide_node", misconfigured)
+        with pytest.raises(ConfigurationError, match="node 0 is misconfigured"):
+            UnicastTraffic(world).send(0, 10)
+
     def test_stats_on_empty_traffic(self):
         world = world_for()
         world.run_until(3.0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_hello, make_multi_view, make_view
+from conftest import make_hello, make_multi_view, make_view, select_one
 from repro.core.consistency import BaselineConsistency, WeakConsistency
 from repro.core.tables import NeighborTable
 from repro.core.views import views_consistent
@@ -205,15 +205,15 @@ class TestViewSynchronizationScenario:
         table.record_own(make_hello(U, (0, 0), sent_at=0.0))
         table.record_hello(make_hello(V, (5, 0), sent_at=0.0))
         table.record_hello(make_hello(W, (8.5, 2.6), sent_at=0.0))
-        current = make_hello(U, (3.0, 0.0), version=2, sent_at=1.0)  # u moved
+        current = (3.0, 0.0)  # u moved
         from repro.core.consistency import ViewSynchronization
 
-        vs = ViewSynchronization().decide(MstProtocol(), table, 1.0, current)
-        baseline = BaselineConsistency().decide(MstProtocol(), table, 1.0, current)
+        vs = select_one(ViewSynchronization(), MstProtocol(), table, 1.0, current)
+        baseline = select_one(BaselineConsistency(), MstProtocol(), table, 1.0, current)
         # From (3,0), w at distance ~6.1 vs v at 2: baseline keeps different
         # links than the advertised-position decision.
-        advertised = BaselineConsistency().decide(
-            MstProtocol(), table, 1.0, table.last_advertised
+        advertised = select_one(
+            BaselineConsistency(), MstProtocol(), table, 1.0, table.last_advertised.position
         )
         assert vs.logical_neighbors == advertised.logical_neighbors
         assert vs.actual_range == advertised.actual_range
