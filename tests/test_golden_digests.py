@@ -198,6 +198,13 @@ CELLS = {
     # Three times the paper's speed at n=100: the stale receiver grid is
     # rebuilt four times in 4 s, so lookups straddle rebuilds.
     "rng-baseline-n100": Cell("rng", "baseline", n_nodes=100, spec={"mean_speed": 60.0}),
+    # Rings of depth 1: every newer Hello evicts the entry a pending
+    # versioned decision reads, so its members are read before the write.
+    "rng-proactive-k1": Cell("rng", "proactive", config={"history_depth": 1}),
+    "rng-reactive-k1": Cell("rng", "reactive", config={"history_depth": 1}),
+    # Fig. 9's fastest point at n=100: local SPT paths over several hops,
+    # and every probe's redecision settles the Hello-time decisions.
+    "spt2-view-sync-n100": Cell("spt2", "view-sync", n_nodes=100, spec={"mean_speed": 160.0}),
 }
 
 #: spacing of the lattice placement, the paper's 8100 m^2 per node
