@@ -14,8 +14,9 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
 - Hello-time decisions (``hello_decisions``): one 30-s (5-s with
   ``--smoke``), 100-node baseline run per protocol (mst, rng, spt4,
   spt2), timed end to end
-  and inside the manager's decision entry points, with a digest of
-  every decision; where the manager settles gathered decisions, the
+  and inside the manager's decision entry points, with the number of
+  decisions made and a digest of the decisions each snapshot reads;
+  where the manager settles gathered decisions, the
   recorded gathers are replayed as blocks of one owner against the
   blocks the world settled.  ``--before FILE`` embeds these rows from
   another commit;
@@ -31,7 +32,9 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   ``scale-10k`` scenario (rng + proactive, n = 10,000, 2.5 s), each
   Hello's time split into the receiver lookup, the sender position,
   ``record_batch`` and the Hello-time gather, with a digest of every
-  receiver array and every adopted decision; ``--before FILE`` embeds
+  receiver array and of the decisions each snapshot reads, and counts of
+  gathers, view rows read, rows selected and gathers dropped unread;
+  ``--before FILE`` embeds
   these rows from another commit (where the oracle answers Hellos in
   batches, the lookup phase holds the sender positions too);
 - the gossip mechanism (``gossip``): the warm-up wall time of an rng +
@@ -305,15 +308,35 @@ HELLO_PROTOCOLS = ("mst", "rng", "spt4", "spt2")
 DECISION_ENTRIES = ("decide", "gather", "settle")
 
 
-def _decision_digest(decisions) -> str:
-    return hashlib.sha256(
-        repr(
-            [
-                (d.owner, d.decided_at, sorted(d.logical_neighbors), d.actual_range)
-                for d in decisions
-            ]
-        ).encode()
-    ).hexdigest()
+def _snapshot_digest():
+    """Digest every node's decision as each world snapshot reads it.
+
+    Wraps ``NetworkWorld._snapshot_impl`` (every waiting decision has
+    settled by then); returns the running hash and a function that
+    unwraps.  A decision that no snapshot reads is left out, since a
+    commit may drop it unselected.
+    """
+    from repro.sim.world import NetworkWorld
+
+    digest = hashlib.sha256()
+    snapshot = vars(NetworkWorld)["_snapshot_impl"]
+
+    def digest_snapshot(self, now):
+        digest.update(repr((now, [
+            None if d is None else (
+                d.owner, d.decided_at, sorted(d.logical_neighbors),
+                d.actual_range, d.extended_range,
+            )
+            for d in (node._decision for node in self.nodes)
+        ])).encode())
+        return snapshot(self, now)
+
+    NetworkWorld._snapshot_impl = digest_snapshot
+
+    def undo() -> None:
+        NetworkWorld._snapshot_impl = snapshot
+
+    return digest, undo
 
 
 def bench_hello_decisions(
@@ -325,8 +348,10 @@ def bench_hello_decisions(
     the part spent inside the manager's outermost decision calls
     (``decide``, or ``gather`` and ``settle`` where the manager defers
     selection), all of them Hello-time under baseline views.
-    ``decisions_sha256`` digests every decision in the order it was
-    made, so a before/after pair shows both sides decided the same.
+    ``decisions`` counts the decisions made (selected), and
+    ``decisions_sha256`` digests every node's decision as each snapshot
+    reads it, so a before/after pair shows both sides decided the same
+    even where one drops decisions nothing reads.
 
     Where the manager has ``settle``, the run's gathers are recorded and
     replayed against the settled manager: each owner settled alone (a
@@ -374,11 +399,13 @@ def bench_hello_decisions(
     originals = {attr: vars(cls)[attr] for attr in DECISION_ENTRIES if attr in vars(cls)}
     for attr, original in originals.items():
         setattr(cls, attr, timed(attr, original))
+    read, undo = _snapshot_digest()
     try:
         t0 = time.perf_counter()
         run_once(spec, seed=seed)
         run_s = time.perf_counter() - t0
     finally:
+        undo()
         for attr, original in originals.items():
             setattr(cls, attr, original)
     row = {
@@ -387,7 +414,7 @@ def bench_hello_decisions(
         "decisions": len(decided),
         "run_s": round(run_s, 3),
         "decide_s": round(inside[0], 3),
-        "decisions_sha256": _decision_digest(decided),
+        "decisions_sha256": read.hexdigest(),
     }
     line = (
         f"hello_decisions {name:<5} n={n:<4} run={run_s:6.2f} s   "
@@ -440,6 +467,48 @@ HELLO_PHASES = {
     ),
 }
 
+#: What the ``hello_traffic`` row counts, as (module, class, method,
+#: amount per call): the manager's gathers, the view rows the neighbor
+#: store reads members for, the rows selected, and the gathers a world
+#: drops unread (a method a commit lacks counts 0).
+HELLO_COUNTERS = {
+    "gathers": [("repro.core.manager", "MobilitySensitiveTopologyControl", "gather",
+                 lambda *args, **kwargs: 1)],
+    "rows_read": [
+        ("repro.core.neighbor_state", "NeighborState", read,
+         lambda self, receivers, *args, **kwargs: len(receivers))
+        for read in ("latest_members", "versioned_members", "history_members")
+    ],
+    "rows_selected": [("repro.core.consistency", "ConsistencyMechanism", "select",
+                       lambda self, protocol, views: int(views.owners.size))],
+    "superseded": [("repro.core.manager", "MobilitySensitiveTopologyControl", "discard",
+                    lambda self, gathered: len(gathered))],
+}
+
+
+def _counters(counters: dict, armed: list[bool], undo: list) -> dict[str, int]:
+    """Wrap each method of *counters* to add its amount per call to its
+    counter while ``armed[0]`` is True; the originals go on *undo*."""
+    import importlib
+
+    totals = dict.fromkeys(counters, 0)
+    for name, targets in counters.items():
+        for module, cls_name, attr, amount in targets:
+            cls = getattr(importlib.import_module(module), cls_name)
+            original = vars(cls).get(attr)
+            if original is None:
+                continue
+
+            def counted(*args, _fn=original, _name=name, _amount=amount, **kwargs):
+                if armed[0]:
+                    totals[_name] += _amount(*args, **kwargs)
+                return _fn(*args, **kwargs)
+
+            setattr(cls, attr, counted)
+            undo.append((cls, attr, original))
+    return totals
+
+
 #: The two e2e scenarios whose Hellos the ``hello_traffic`` row times, as
 #: (protocol, mechanism, n, duration, buffer width, warmup), with the
 #: smoke sizes the e2e self-test uses.
@@ -473,12 +542,14 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
     with *smoke*) and ``per_hello_us`` that time per Hello sent.  One
     more run, with every :data:`HELLO_PHASES` method wrapped, gives the
     time per Hello spent in each phase and its call count, and digests
-    every receiver array (sender, time, receivers) and every adopted
-    decision, so a before/after pair shows both commits sent and decided
-    the same.
+    every receiver array (sender, time, receivers) and every node's
+    decision as each snapshot reads it, so a before/after pair shows
+    both commits sent and decided the same: a decision no snapshot
+    reads is left out, since a commit may drop it unselected.  The same
+    run counts :data:`HELLO_COUNTERS`: the manager's gathers, the view
+    rows whose members the neighbor store read, the rows selected, and
+    the gathers dropped unread (0 at commits that drop none).
     """
-    from repro.sim.world import NetworkWorld
-
     args, smoke_n, smoke_duration = HELLO_SCENARIOS[scenario]
     protocol, mechanism, n, duration, buffer, warmup = args
     if smoke:
@@ -492,14 +563,13 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
     hellos = result.stats.hello_messages
 
     receivers = hashlib.sha256()
-    decisions = hashlib.sha256()
     totals, calls, armed, undo = _phase_timers(HELLO_PHASES)
+    counts = _counters(HELLO_COUNTERS, armed, undo)
     # The digests wrap the timers, so the phase times leave them out.
     # The world asks the oracle once per Hello: ``hello`` (position and
     # receivers), or ``receivers`` at commits without it.
     per_hello = "hello" if "hello" in vars(HelloReceiverOracle) else "receivers"
     lookup = getattr(HelloReceiverOracle, per_hello)
-    adopt = vars(NetworkWorld)["_adopt"]
 
     def digest_receivers(self, sender, t, *args, **kwargs):
         out = lookup(self, sender, t, *args, **kwargs)
@@ -507,23 +577,16 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
         receivers.update(repr((sender, t)).encode() + hit.tobytes())
         return out
 
-    def digest_adopt(self, node, decision, t):
-        decisions.update(repr((
-            node.node_id, t, sorted(decision.logical_neighbors),
-            decision.actual_range, decision.extended_range,
-        )).encode())
-        return adopt(self, node, decision, t)
-
     setattr(HelloReceiverOracle, per_hello, digest_receivers)
-    NetworkWorld._adopt = digest_adopt
+    decisions, undo_digest = _snapshot_digest()
     try:
         armed[0] = True
         run_once(spec, seed=seed)
     finally:
         armed[0] = False
-        NetworkWorld._adopt = adopt
+        undo_digest()
         setattr(HelloReceiverOracle, per_hello, lookup)
-        for cls, attr, original in undo:
+        for cls, attr, original in reversed(undo):
             setattr(cls, attr, original)
     run_s = float(np.median(runs))
     split = {f"{phase}_us": round(s * 1e6 / hellos, 2) for phase, s in totals.items()}
@@ -540,6 +603,7 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
         "per_hello_us": round(run_s * 1e6 / hellos, 2),
         **split,
         **{f"{phase}_calls": count for phase, count in calls.items()},
+        **counts,
         "receivers_sha256": receivers.hexdigest(),
         "decisions_sha256": decisions.hexdigest(),
     }

@@ -35,7 +35,9 @@ synchronization, gossip) or the advertisement of the resolved version
 straight from the columnar neighbor store; no decision builds a Hello.
 A decision is gathered (:meth:`ConsistencyMechanism.gather`) and selected
 (:meth:`ConsistencyMechanism.select`) in two steps, so views gathered
-at different instants select together in one block.  One selection
+at different instants select together in one block; the members of a
+versioned view are pinned when it is gathered and read, as of then,
+when it is selected (:class:`PendingViews`).  One selection
 body serves every mechanism: it pads the rows into blocks of member
 histories, one position each for the single-version mechanisms
 (``select_batch``) and the retained ones for weak consistency
@@ -53,10 +55,13 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.framework import SelectionResult
+from repro.core.neighbor_state import VersionedRead
 from repro.core.tables import (
     NeighborTable,
     history_members,
     latest_members,
+    pin_versioned_members,
+    read_pinned,
     versioned_members,
 )
 from repro.protocols.base import TopologyControlProtocol
@@ -66,6 +71,7 @@ from repro.util.validate import check_int_range, check_positive
 __all__ = [
     "ConsistencyMechanism",
     "GatheredViews",
+    "PendingViews",
     "BaselineConsistency",
     "ViewSynchronization",
     "ProactiveConsistency",
@@ -108,11 +114,55 @@ class GatheredViews(NamedTuple):
     xy: np.ndarray
 
     @classmethod
-    def concat(cls, views: Sequence["GatheredViews"]) -> "GatheredViews":
-        """The rows of every view in *views*, in order."""
+    def concat(cls, views: Sequence["GatheredViews | PendingViews"]) -> "GatheredViews":
+        """The rows of every view in *views*, in order; the members of
+        every :class:`PendingViews` among them are read first, in one
+        call per store."""
+        reads = [r for v in views if type(v) is PendingViews for r in v.reads]
+        if reads:
+            read_pinned(reads)
+            views = [v.settled() if type(v) is PendingViews else v for v in views]
         if len(views) == 1:
             return views[0]
         return cls(*map(np.concatenate, zip(*views)))
+
+
+class PendingViews(NamedTuple):
+    """Versioned views whose members are read when they settle
+    (:meth:`GatheredViews.concat`), as of the instant they were
+    gathered: the owners' *tables* and :meth:`ConsistencyMechanism.resolve`
+    outputs, and their member *reads*, pinned in the neighbor store,
+    which answers each before a write would change it."""
+
+    tables: tuple[NeighborTable, ...]
+    resolved: tuple[tuple, ...]
+    reads: tuple[VersionedRead, ...]
+
+    def settled(self) -> GatheredViews:
+        """These views with their members read."""
+        counts, ids, xy = read_pinned(self.reads)
+        return _views(
+            self.tables, self.resolved, (counts, ids, np.ones(ids.size, dtype=np.int64), xy)
+        )
+
+    def release(self) -> None:
+        """Unpin the reads of views that will never settle."""
+        for read in self.reads:
+            read.state.release(read)
+
+
+def _views(
+    tables: Sequence[NeighborTable], resolved: Sequence[tuple], members: tuple
+) -> GatheredViews:
+    """The views of *tables* from their :meth:`ConsistencyMechanism.resolve`
+    outputs and their ``(counts, ids, fills, xy)`` members."""
+    return GatheredViews(
+        np.array([t.owner for t in tables], dtype=np.int64),
+        np.array([t.normal_range for t in tables], dtype=float),
+        np.array([len(own) for own, _ in resolved], dtype=np.int64),
+        np.array([p for own, _ in resolved for p in own], dtype=float).reshape(-1, 2),
+        *members,
+    )
 
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
@@ -199,24 +249,27 @@ class ConsistencyMechanism(ABC):
         at *now*, at its resolved version, as :class:`GatheredViews`
         holds them."""
 
+    def pin(
+        self, tables: Sequence[NeighborTable], versions: Sequence[int | None]
+    ) -> Sequence[VersionedRead] | None:
+        """Pinned reads of the members of each table's view at its
+        resolved version, to be read when they settle, or None (the
+        default) when :meth:`members` reads them now."""
+        return None
+
     def views(
         self, tables: Sequence[NeighborTable], now: float, resolved: Sequence[tuple]
-    ) -> GatheredViews:
+    ) -> GatheredViews | PendingViews:
         """The views at *now* of owners that can decide, one row per
-        table, from their :meth:`resolve` outputs."""
+        table, from their :meth:`resolve` outputs; :class:`PendingViews`
+        when :meth:`pin` defers their members."""
         if not tables:
             return _NO_VIEWS
-        counts, ids, fills, xy = self.members(tables, now, [v for _, v in resolved])
-        return GatheredViews(
-            owners=np.array([t.owner for t in tables], dtype=np.int64),
-            ranges=np.array([t.normal_range for t in tables], dtype=float),
-            own_counts=np.array([len(own) for own, _ in resolved], dtype=np.int64),
-            own_xy=np.array([p for own, _ in resolved for p in own], dtype=float).reshape(-1, 2),
-            counts=counts,
-            ids=ids,
-            fills=fills,
-            xy=xy,
-        )
+        versions = [v for _, v in resolved]
+        reads = self.pin(tables, versions)
+        if reads is not None:
+            return PendingViews(tuple(tables), tuple(resolved), reads)
+        return _views(tables, resolved, self.members(tables, now, versions))
 
     def gather(
         self,
@@ -247,7 +300,8 @@ class ConsistencyMechanism(ABC):
         """
         resolved, errors = self.resolve_many(tables, positions, version)
         rows = [i for i, r in enumerate(resolved) if r is not None]
-        return self.views([tables[i] for i in rows], now, [resolved[i] for i in rows]), errors
+        views = self.views([tables[i] for i in rows], now, [resolved[i] for i in rows])
+        return GatheredViews.concat([views]), errors
 
     def select(
         self, protocol: TopologyControlProtocol, views: GatheredViews
@@ -345,6 +399,9 @@ class _SingleVersionMechanism(ConsistencyMechanism):
         if own is None:
             raise _no_position(table, self)
         return [own], resolved
+
+    def pin(self, tables, versions):
+        return None if versions[0] is None else pin_versioned_members(tables, versions)
 
     def members(self, tables, now, versions):
         if versions[0] is None:

@@ -35,8 +35,9 @@ configuration are unchanged.  See
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import NamedTuple
 
 from repro.core.buffer_zone import BufferZonePolicy
@@ -44,6 +45,7 @@ from repro.core.consistency import (
     BaselineConsistency,
     ConsistencyMechanism,
     GatheredViews,
+    PendingViews,
 )
 from repro.core.framework import SelectionResult
 from repro.core.tables import NeighborTable, live_unchanged
@@ -69,6 +71,9 @@ class NodeDecision:
         Actual range plus the buffer-zone width (what the radio uses).
     decided_at:
         Physical decision time.
+    version:
+        Hello version of the view the decision read (proactive,
+        reactive), or None for a latest or multi-version view.
     """
 
     owner: int
@@ -76,10 +81,13 @@ class NodeDecision:
     actual_range: float
     extended_range: float
     decided_at: float
+    version: int | None = None
 
 
 #: What becomes of one owner of a gather (:attr:`GatheredDecisions.kinds`).
 _UNDECIDED, _HIT, _FRESH = 0, 1, 2
+#: The errors of a gather in which every owner can decide.
+_NO_ERRORS: Mapping[int, ViewError] = MappingProxyType({})
 
 
 class GatheredDecisions(NamedTuple):
@@ -89,16 +97,23 @@ class GatheredDecisions(NamedTuple):
     ``kinds[i]`` says what becomes of the call's table ``i`` (owner
     ``owners[i]``): no decision (its :class:`ViewError` is
     ``errors[i]``), the standing decision served from the cache, or a
-    fresh selection from the next row of ``views``.  *stored* when the
-    cache holds the fresh rows' stamps and takes their decisions.
+    fresh selection from the next row of ``views`` (whose members, for
+    versioned views, are read when they settle), at the next of
+    ``versions``.  *stored* when the cache holds the fresh rows' stamps
+    and takes their decisions.
     """
 
     now: float
-    owners: list[int]
-    kinds: list[int]
-    views: GatheredViews
-    errors: dict[int, ViewError]
+    owners: tuple[int, ...]
+    kinds: tuple[int, ...]
+    views: GatheredViews | PendingViews
+    versions: tuple[int | None, ...]
+    errors: Mapping[int, ViewError]
     stored: bool
+
+    def fresh_owners(self) -> list[int]:
+        """The owners this gather decides afresh (cache misses)."""
+        return [o for o, kind in zip(self.owners, self.kinds) if kind == _FRESH]
 
 
 class MobilitySensitiveTopologyControl:
@@ -235,7 +250,10 @@ class MobilitySensitiveTopologyControl:
         gathers the view members of the other owners
         (:meth:`~repro.core.consistency.ConsistencyMechanism.views`),
         and their stamps are stored, so the cache holds every gathered
-        decision's stamp while its selection waits.  Hit/miss accounting
+        decision's stamp while its selection waits.  Latest and
+        multi-version members are read now; versioned members (a
+        resolved version that is not None) are pinned now and read at
+        :meth:`settle`, as of now.  Hit/miss accounting
         and telemetry events happen here, per owner in order, with
         *phase* (``hello`` or ``packet``) as their label.
 
@@ -278,14 +296,20 @@ class MobilitySensitiveTopologyControl:
         elif self.decision_cache_enabled:
             self.cache_uncacheable += len(tables)
         self._trace(tables, now, phase, hits, fresh, cached)
-        return GatheredDecisions(now, [t.owner for t in tables], kinds, views, errors, stored)
+        owners = tuple([t.owner for t in tables])
+        versions = tuple([resolved[i][1] for i in fresh])
+        # A gather waits until it settles: no empty dict per gather.
+        return GatheredDecisions(
+            now, owners, tuple(kinds), views, versions, errors or _NO_ERRORS, stored
+        )
 
     def settle(
         self, gathered: Sequence[GatheredDecisions]
     ) -> list[list[NodeDecision | None]]:
         """The decisions of every :meth:`gather` in *gathered*, in order.
 
-        The fresh rows of all of them are selected in one
+        The pinned versioned members of all of them are read in one call
+        per neighbor store, and their fresh rows are selected in one
         :meth:`~repro.core.consistency.ConsistencyMechanism.select` pass
         (padded blocks for single-version mechanisms).  Each decision is
         made at its own gather's instant (``decided_at``); a cache hit
@@ -293,7 +317,7 @@ class MobilitySensitiveTopologyControl:
         gathers in the order they were made, since a hit is served the
         decision of the owner's previous gather.
         """
-        views = [g.views for g in gathered if g.views.owners.size]
+        views = [g.views for g in gathered if _FRESH in g.kinds]
         selected = iter(
             self.mechanism.select(self.protocol, GatheredViews.concat(views)) if views else ()
         )
@@ -301,9 +325,10 @@ class MobilitySensitiveTopologyControl:
         settled = []
         for g in gathered:
             out: list[NodeDecision | None] = []
+            versions = iter(g.versions)
             for owner, kind in zip(g.owners, g.kinds):
                 if kind == _FRESH:
-                    decision = self._decision(next(selected), g.now)
+                    decision = self._decision(next(selected), g.now, next(versions))
                     if g.stored:
                         decisions[owner] = decision
                 elif kind == _HIT:
@@ -316,6 +341,14 @@ class MobilitySensitiveTopologyControl:
             settled.append(out)
         return settled
 
+    def discard(self, gathered: Sequence[GatheredDecisions]) -> None:
+        """Forget gathers that will never settle (newer decisions of the
+        same owners replace them): their pinned reads are released.
+        Their stamps and counters stand."""
+        for g in gathered:
+            if isinstance(g.views, PendingViews):
+                g.views.release()
+
     # ------------------------------------------------------------------ #
     # decision-cache stamps
 
@@ -324,14 +357,18 @@ class MobilitySensitiveTopologyControl:
         config = (self.mechanism.name, self.buffer_policy, self.physical_neighbor_mode)
         return self._config_ids.setdefault(config, len(self._config_ids))
 
-    def _decision(self, result: SelectionResult, now: float) -> NodeDecision:
-        """A fresh selection as a standing decision made at *now*."""
+    def _decision(
+        self, result: SelectionResult, now: float, version: int | None
+    ) -> NodeDecision:
+        """A fresh selection of a *version* view as a standing decision
+        made at *now*."""
         return NodeDecision(
             owner=result.owner,
             logical_neighbors=result.logical_neighbors,
             actual_range=result.actual_range,
             extended_range=self.buffer_policy.extended_range(result.actual_range),
             decided_at=now,
+            version=version,
         )
 
     def _trace(

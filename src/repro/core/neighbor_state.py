@@ -35,6 +35,14 @@ as arrays, and overhead accounting reads the ring fills
 :meth:`record_batch` (one Hello at many receivers) and
 :meth:`record_entries` (many senders' Hellos at one receiver).
 
+A versioned read can be asked now and answered later, as of the instant
+it was asked (:meth:`pin`, :meth:`answer`): the decisions that read it
+are selected only when something reads them.  The members of (receiver,
+version ``v``) change only when a write to that receiver carries version
+``v`` or overwrites a ring entry of version ``v`` (or a prune drops a
+pair); before such a write the splice body answers the reads it would
+change, and with nothing pinned that check is one test.
+
 :meth:`history` rebuilds a pair's Hellos from the columns on each call;
 only the :class:`~repro.core.tables.NeighborTable` reference views, the
 audit and the fuzzer's oracles read it.
@@ -48,16 +56,41 @@ it lives in :mod:`repro.sim.world`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.core.views import Hello
 from repro.util.validate import check_int_range
 
-__all__ = ["NeighborState", "NO_VERSION"]
+__all__ = ["NeighborState", "NO_VERSION", "VersionedRead"]
 
 #: Version :meth:`NeighborState.newest` reads for a pair that holds no
 #: Hello; below every version, so ``version <= newest`` is False for it.
 NO_VERSION = np.iinfo(np.int64).min
+#: Pinned version of a receiver no read is pinned at, and of one that
+#: reads are pinned at under several versions (every write there answers
+#: them); neither equals a Hello's version.
+_UNPINNED = np.iinfo(np.int64).max
+_MIXED = _UNPINNED - 1
+
+
+class VersionedRead:
+    """:meth:`NeighborState.versioned_members` of some receivers, asked at
+    one instant and answered as of it (:meth:`NeighborState.pin`).
+
+    ``members`` is None until answered, then ``(counts, ids, xy)``.
+    """
+
+    __slots__ = ("state", "rows", "versions", "members")
+
+    def __init__(
+        self, state: "NeighborState", rows: Sequence[int], versions: Sequence[int]
+    ) -> None:
+        self.state = state
+        self.rows = rows
+        self.versions = versions
+        self.members: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 class NeighborState:
@@ -87,6 +120,8 @@ class NeighborState:
         "_n_slots",
         "_ages",
         "_row_slots",
+        "_pins",
+        "_pinned",
     )
 
     def __init__(self, n_nodes: int, history_depth: int) -> None:
@@ -115,6 +150,10 @@ class NeighborState:
         #: per-receiver directory slots as an array, None until read again
         #: after the directory changed
         self._row_slots: list[np.ndarray | None] = [None] * n_nodes
+        #: receiver -> [(read, version)] of the unanswered reads pinned there
+        self._pins: dict[int, list[tuple[VersionedRead, int]]] = {}
+        #: per receiver its pinned version, _UNPINNED or _MIXED
+        self._pinned = np.full(n_nodes, _UNPINNED, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # storage management
@@ -217,8 +256,23 @@ class NeighborState:
 
     def _splice(self, slots, receivers, count, version, xy, sent, ts) -> None:
         """Write each entry at the ring head of its slot (slots distinct)
-        and count *count* Hellos at each of *receivers*."""
+        and count *count* Hellos at each of *receivers*.
+
+        First answers every pinned read the write changes: a read pinned
+        at a written receiver under the entry's version or under the
+        version it overwrites.  A pair this write opens holds no version
+        yet, so a read answered here does not see it.
+        """
         pos = self._writes[slots] % self.k
+        if self._pins:
+            pinned = self._pinned[receivers]
+            hit = (
+                (pinned == _MIXED)
+                | (pinned == np.asarray(version))
+                | (pinned == self._version[slots, pos])
+            )
+            if hit.any():
+                self._answer_at(np.broadcast_to(receivers, hit.shape)[hit].tolist())
         self._version[slots, pos] = version
         self._xy[slots, pos] = xy
         self._sent[slots, pos] = sent
@@ -242,11 +296,71 @@ class NeighborState:
         stale = [s for s, slot in d.items() if now - latest[slot] > expiry]
         if not stale:
             return False
+        if receiver in self._pins:
+            self._answer_at([receiver])
         for s in stale:
             del d[s]
         self._row_slots[receiver] = None
         self.mutations[receiver] += 1
         return True
+
+    # ------------------------------------------------------------------ #
+    # deferred versioned reads
+
+    def pin(self, rows: Sequence[int], versions: Sequence[int]) -> VersionedRead:
+        """Ask :meth:`versioned_members` of *rows* at *versions* now, to be
+        answered as of now by :meth:`answer`."""
+        read = VersionedRead(self, rows, versions)
+        pins, pinned = self._pins, self._pinned
+        for row, version in zip(rows, versions):
+            held = pins.setdefault(row, [])
+            held.append((read, version))
+            pinned[row] = version if len(held) == 1 or pinned[row] == version else _MIXED
+        return read
+
+    def answer(self, reads: Sequence[VersionedRead]) -> None:
+        """Answer every read of *reads* not answered yet, in one
+        :meth:`versioned_members` call, and unpin them."""
+        todo = [read for read in reads if read.members is None]
+        if not todo:
+            return
+        counts, ids, xy = self.versioned_members(
+            [row for read in todo for row in read.rows],
+            [v for read in todo for v in read.versions],
+        )
+        row_end = np.cumsum([len(read.rows) for read in todo])
+        member_end = np.concatenate(([0], np.cumsum(counts)))[row_end].tolist()
+        row_lo = member_lo = 0
+        for read, row_hi, member_hi in zip(todo, row_end.tolist(), member_end):
+            read.members = (
+                counts[row_lo:row_hi], ids[member_lo:member_hi], xy[member_lo:member_hi]
+            )
+            row_lo, member_lo = row_hi, member_hi
+            self.release(read)
+
+    def release(self, read: VersionedRead) -> None:
+        """Unpin *read*: no write answers it from now on."""
+        pins, pinned = self._pins, self._pinned
+        for row in read.rows:
+            held = pins.pop(row, None)
+            if held is None:
+                continue
+            rest = [entry for entry in held if entry[0] is not read]
+            if rest:
+                pins[row] = rest
+                versions = {version for _, version in rest}
+                pinned[row] = versions.pop() if len(versions) == 1 else _MIXED
+            else:
+                pinned[row] = _UNPINNED
+
+    def _answer_at(self, receivers: list[int]) -> None:
+        """Answer every read pinned at any of *receivers*."""
+        reads = {
+            id(read): read
+            for r in receivers
+            for read, _ in self._pins.get(r, ())
+        }
+        self.answer(list(reads.values()))
 
     # ------------------------------------------------------------------ #
     # reads

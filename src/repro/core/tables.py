@@ -17,7 +17,9 @@ transmission at once; a table built alone keeps a private one-row store.
 Decisions never build these views.  The module functions
 :func:`latest_members`, :func:`versioned_members` and
 :func:`history_members` give the same members as arrays, read straight
-from the store for many tables at once; the view methods are built from
+from the store for many tables at once (versioned members can also be
+pinned now and read later, as of now: :func:`pin_versioned_members`,
+:func:`read_pinned`); the view methods are built from
 :meth:`~NeighborTable.history_of` instead, so they share no code with
 the gathers and serve as their test references.  Gossip, packets and
 overhead accounting read the arrays of :meth:`~NeighborTable.newest`.
@@ -30,14 +32,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.neighbor_state import NeighborState
+from repro.core.neighbor_state import NeighborState, VersionedRead
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
 
 __all__ = [
     "NeighborTable", "latest_members", "versioned_members", "history_members",
-    "live_unchanged",
+    "pin_versioned_members", "read_pinned", "live_unchanged",
 ]
 
 class NeighborTable:
@@ -293,12 +295,37 @@ def versioned_members(
     """``(counts, ids, xy)``: the neighbors of each table's
     :meth:`~NeighborTable.versioned_view` at its own version, as
     :func:`latest_members` gives them; the owner's own record of the
-    version is not required."""
-    versions = np.asarray(versions, dtype=np.int64)
-    return _per_store(
-        tables,
-        lambda state, rows, _, which: state.versioned_members(rows, versions[which]),
-    )
+    version is not required.  A pin read at once
+    (:func:`pin_versioned_members`, :func:`read_pinned`)."""
+    return read_pinned(pin_versioned_members(tables, versions))
+
+
+def pin_versioned_members(
+    tables: Sequence[NeighborTable], versions: Sequence[int]
+) -> tuple[VersionedRead, ...]:
+    """:func:`versioned_members` asked now, to be read by
+    :func:`read_pinned` as of now: one pinned read per store (one for a
+    world's tables)
+    (:meth:`~repro.core.neighbor_state.NeighborState.pin`)."""
+    versions = tuple(int(v) for v in versions)
+    state = tables[0]._state
+    if all(t._state is state for t in tables):
+        return (state.pin(tuple(t._row for t in tables), versions),)
+    return tuple(t._state.pin((t._row,), (v,)) for t, v in zip(tables, versions))
+
+
+def read_pinned(reads: Sequence[VersionedRead]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, ids, xy)`` of every read in *reads*, in order, as
+    :func:`versioned_members` gives them; each store answers its reads
+    not answered yet in one call."""
+    stores: dict[int, list[VersionedRead]] = {}
+    for read in reads:
+        stores.setdefault(id(read.state), []).append(read)
+    for group in stores.values():
+        group[0].state.answer(group)
+    if len(reads) == 1:
+        return reads[0].members
+    return tuple(np.concatenate(column) for column in zip(*(r.members for r in reads)))
 
 
 def history_members(

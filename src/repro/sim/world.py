@@ -19,8 +19,9 @@
 - **decisions** are made right after each Hello (the paper's Fig. 3
   timing): their inputs are gathered then, and the selections of many
   of them settle together in padded blocks when a decision is next read
-  (:meth:`decide_node`).  Packet-recomputing mechanisms decide again at
-  packet time via :meth:`redecide_all`;
+  (:meth:`decide_node`); one that a newer decision of the same node
+  replaces before any read is never selected.  Packet-recomputing
+  mechanisms decide again at packet time via :meth:`redecide_all`;
 - **snapshots** freeze the directed effective topology at the current
   instant for the metrics layer, as CSR neighbor lists at every network
   size.
@@ -63,11 +64,9 @@ from repro.util.randomness import SeedSequenceFactory
 
 __all__ = ["NetworkWorld", "WorldSnapshot"]
 
-# Decisions per settle: nodes per ``decide_many`` call in packet-time
-# redecision, and the most Hello-time decisions gathered before they
-# settle.  Every paper-sized world redecides in one call; at 10k nodes
-# the gather arrays and the fresh decisions of one chunk are alive at
-# once, not the whole network's.
+# Nodes per gather and per settle in packet-time redecision.  Every
+# paper-sized world redecides in one chunk; at 10k nodes one chunk's
+# selection temporaries and fresh decisions are alive at a time.
 _REDECIDE_CHUNK = 256
 
 
@@ -387,8 +386,11 @@ class NetworkWorld:
             config.normal_range,
             propagation=self._propagation,
         )
-        # Hello-time decisions gathered but not yet selected, in order.
-        self._pending: list[GatheredDecisions] = []
+        # Hello-time decisions gathered but not yet selected, in gather
+        # order (keyed by a running count), and each owner's latest key.
+        self._pending: dict[int, GatheredDecisions] = {}
+        self._unread: dict[int, int] = {}
+        self._gathers = 0
         settle = self._settle  # one bound method shared by every node
         self.nodes = [
             SimNode(
@@ -842,10 +844,12 @@ class NetworkWorld:
         (None) its true position now.
         The decision's inputs are gathered now, and a node that cannot
         decide raises :class:`ViewError` now; the selection waits until
-        the decision is settled: when any standing decision is read, at
-        :meth:`snapshot` and :meth:`redecide_all`, or once
-        ``_REDECIDE_CHUNK`` decisions wait.  It is made at this instant
-        whenever it settles.
+        the decision is read: at :meth:`snapshot` and
+        :meth:`redecide_all`, or when any node's standing decision is
+        read or assigned.  It is made at this instant whenever it
+        settles.  A newer decision of the node that misses the cache
+        drops this one while it waits (:meth:`_supersede`), so each node
+        has at most one decision waiting unless cache hits follow it.
         """
         node = self.nodes[node_id]
         t = self.engine.now
@@ -854,21 +858,54 @@ class NetworkWorld:
         gathered = self.manager.gather([node.table], t, [position], version, phase="hello")
         if gathered.errors:
             raise gathered.errors[0]
-        self._pending.append(gathered)
-        if len(self._pending) >= _REDECIDE_CHUNK:
-            self._settle()
+        self._supersede(gathered)
+        key = self._gathers
+        self._gathers += 1
+        self._pending[key] = gathered
+        self._unread[node_id] = key
 
-    def _settle(self) -> None:
-        """Select every gathered decision in one pass and adopt each, in
-        order, at the instant it was gathered (one ``decide`` span)."""
-        pending = self._pending
-        if not pending:
+    def _supersede(self, gathered: GatheredDecisions) -> None:
+        """Drop the latest waiting Hello-time decision of every owner that
+        *gathered* decides afresh: nothing has read it (a read settles
+        every waiting decision), and the fresh decision replaces it
+        before anything could.  A cache hit is served the decision its
+        owner gathered before, so a hit drops nothing, and a decision a
+        hit follows is no owner's latest: it waits to be settled.  Armed
+        telemetry reads every decision as it is adopted (a range change
+        is measured against the previous range), so an armed world drops
+        none."""
+        if self._tel is not None:
             return
-        self._pending = []
-        with self.telemetry.span("decide"):
-            settled = self.manager.settle(pending)
+        unread = self._unread
+        for owner in gathered.fresh_owners():
+            key = unread.pop(owner, None)
+            if key is not None:
+                self.manager.discard([self._pending.pop(key)])
+
+    def _take_pending(self) -> list[GatheredDecisions]:
+        """The waiting Hello-time decisions, in gather order; none wait
+        afterwards."""
+        pending = list(self._pending.values())
+        self._pending = {}
+        self._unread = {}
+        return pending
+
+    def _adopt_pending(
+        self, pending: list[GatheredDecisions], settled: list[list[NodeDecision | None]]
+    ) -> None:
+        """Adopt settled Hello-time decisions, each at its gather's instant."""
         for gathered, (decision,) in zip(pending, settled):
             self._adopt(self.nodes[gathered.owners[0]], decision, gathered.now)
+
+    def _settle(self) -> None:
+        """Select every waiting decision in one pass and adopt each, in
+        order, at the instant it was gathered (one ``decide`` span)."""
+        if not self._pending:
+            return
+        pending = self._take_pending()
+        with self.telemetry.span("decide"):
+            settled = self.manager.settle(pending)
+        self._adopt_pending(pending, settled)
 
     def redecide_all(self, version: int | None = None) -> None:
         """Re-decide every node *now* — packet-time recomputation.
@@ -879,10 +916,15 @@ class NetworkWorld:
         the proactive scheme every node decides on the packet's *version*.
         Recomputing all nodes (not only eventual forwarders) is equivalent
         for reachability and keeps the hot path vectorizable: the live
-        nodes go to
-        :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.decide_many`
-        (one call per 256 nodes) with their true positions now, traced
-        as one ``redecide`` span with no per-node ``decide`` spans.
+        nodes are gathered with their true positions now, 256 per
+        :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.gather`,
+        and every owner that misses the cache drops its waiting
+        Hello-time decision.  The chunks then settle one
+        :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.settle`
+        each, the decisions still waiting ahead of the first chunk, since
+        a hit is served the decision of its owner's previous gather.
+        Traced as one ``redecide`` span with no per-node ``decide``
+        spans.
         """
         tel = self._tel
         if tel is None:
@@ -892,9 +934,6 @@ class NetworkWorld:
                 self._redecide_all_impl(version)
 
     def _redecide_all_impl(self, version: int | None) -> None:
-        # Hello-time decisions settle first: a cache hit below is served
-        # the decision of the owner's previous gather.
-        self._settle()
         inj = self.fault_injector
         now = self.engine.now
         # Every decision below reads the tick's one vectorized mobility
@@ -902,20 +941,32 @@ class NetworkWorld:
         positions, _ = self._geometry(now)
         # A crashed node forwards nothing and decides nothing.
         nodes = [
-            node
+            node.node_id
             for node in self.nodes
             if inj is None or not inj.node_down(node.node_id, now)
         ]
+        gathers = []
         for lo in range(0, len(nodes), _REDECIDE_CHUNK):
-            chunk = nodes[lo : lo + _REDECIDE_CHUNK]
-            xy = positions[[node.node_id for node in chunk]].tolist()
-            decisions = self.manager.decide_many(
-                [node.table for node in chunk], now, list(map(tuple, xy)), version=version
+            ids = nodes[lo : lo + _REDECIDE_CHUNK]
+            gathered = self.manager.gather(
+                [self.nodes[i].table for i in ids], now,
+                list(map(tuple, positions[ids].tolist())), version,
             )
-            for node, decision in zip(chunk, decisions):
+            self._supersede(gathered)
+            gathers.append(gathered)
+        # The decisions still waiting settle with the first chunk, before
+        # any hit that is served one of them (with no live node they keep
+        # waiting).
+        pending = self._take_pending() if gathers else []
+        for gathered in gathers:
+            settled = self.manager.settle(pending + [gathered])
+            self._adopt_pending(pending, settled)
+            pending = []
+            for node_id, decision in zip(gathered.owners, settled[-1]):
                 # None: a node that has never advertised cannot decide; it
                 # keeps (the absence of) its standing decision.
                 if decision is not None:
+                    node = self.nodes[node_id]
                     self._adopt(node, decision, now)
                     node.packet_decisions += 1
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiment import ExperimentSpec, build_world
@@ -73,6 +75,22 @@ class TestAuditWorld:
         )
         kinds = {v.invariant for v in audit_world(world)}
         assert "range-without-neighbors" in kinds
+
+    def test_versioned_decision_is_measured_at_its_version(self):
+        world = world_for(mechanism="proactive")
+        world.run_until(5.0)
+        node = next(n for n in world.nodes if n.decision and n.decision.logical_neighbors)
+        decision = node.decision
+        assert decision.version is not None
+        assert audit_world(world) == []
+        short = 0.9 * decision.actual_range
+        node.decision = replace(
+            decision, actual_range=short,
+            extended_range=world.manager.buffer_policy.extended_range(short),
+        )
+        found = [v for v in audit_world(world) if v.invariant == "range-coverage"]
+        assert [v.node for v in found] == [node.node_id]
+        assert f"version-{decision.version}" in found[0].detail
 
     def test_violation_str(self):
         v = Violation(node=3, invariant="x", detail="y")

@@ -1,13 +1,13 @@
 """Settle points change nothing: deferred decisions equal eager ones.
 
 A Hello-time decision is gathered at the Hello and selected when it
-settles: when a standing decision is read or assigned, at a snapshot, at
-a packet-time redecision, or once ``_REDECIDE_CHUNK`` decisions wait.
-With that bound patched to 1 every decision settles as it is gathered.
-Both worlds must run the same: equal results, counters and telemetry
-counters, and equal decisions (``decided_at`` included) whenever a
-decision is read, including from engine callbacks between two Hellos
-and from packets forwarded inside engine events.
+settles: when a standing decision is read or assigned, at a snapshot, or
+at a packet-time redecision.  The reference world settles every decision
+as soon as it is gathered (:func:`settle_every_gather`).  Both worlds
+must run the same: equal results, counters and telemetry counters, and
+equal decisions (``decided_at`` included) whenever a decision is read,
+including from engine callbacks between two Hellos and from packets
+forwarded inside engine events.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import pytest
 
 from repro.analysis.experiment import build_world, run_once
 from repro.core.consistency import available_mechanisms
-from repro.core.manager import NodeDecision
-from repro.sim import world as world_module
+from repro.core.manager import MobilitySensitiveTopologyControl, NodeDecision
 from repro.sim.packets import UnicastTraffic
+from repro.sim.world import NetworkWorld
 from repro.telemetry import Telemetry
 from test_golden_digests import FAULTS, SEED, cell_spec, digest
 
@@ -28,9 +28,19 @@ from test_golden_digests import FAULTS, SEED, cell_spec, digest
 READ_TIMES = np.arange(0.31, 4.0, 0.23)
 
 
-def eager(monkeypatch) -> None:
-    """Settle every decision as soon as it is gathered."""
-    monkeypatch.setattr(world_module, "_REDECIDE_CHUNK", 1)
+def settle_every_gather(monkeypatch) -> None:
+    """Make every world settle each Hello-time decision as soon as it is
+    gathered, so no decision waits and none is dropped unread."""
+    decide_node = NetworkWorld.decide_node
+
+    def decide_and_settle(self, *args, **kwargs):
+        try:
+            decide_node(self, *args, **kwargs)
+        finally:
+            self._settle()
+        assert not self._pending
+
+    monkeypatch.setattr(NetworkWorld, "decide_node", decide_and_settle)
 
 
 def range_changes(telemetry: Telemetry) -> list[dict]:
@@ -60,7 +70,7 @@ class TestSettlePoints:
         spec = cell_spec("rng", mechanism)
         deferred_tel, eager_tel = Telemetry(), Telemetry()
         deferred = run_once(spec, seed=SEED, faults=faults, telemetry=deferred_tel)
-        eager(monkeypatch)
+        settle_every_gather(monkeypatch)
         settled = run_once(spec, seed=SEED, faults=faults, telemetry=eager_tel)
         assert digest(deferred) == digest(settled)
         assert (
@@ -73,7 +83,7 @@ class TestSettlePoints:
     def test_reads_between_hellos_are_unchanged(self, mechanism, faulted, monkeypatch):
         faults = FAULTS if faulted else None
         deferred = read_decisions(mechanism, faults)
-        eager(monkeypatch)
+        settle_every_gather(monkeypatch)
         settled = read_decisions(mechanism, faults)
         assert deferred == settled
         assert any(d is not None for d in deferred[-1])
@@ -95,7 +105,7 @@ def unicast_paths(mechanism: str) -> list[tuple]:
 @pytest.mark.parametrize("mechanism", ["view-sync", "baseline"])
 def test_unicast_packets_read_the_same_decisions(mechanism, monkeypatch):
     deferred = unicast_paths(mechanism)
-    eager(monkeypatch)
+    settle_every_gather(monkeypatch)
     assert unicast_paths(mechanism) == deferred
     assert any(len(path) > 2 for _, _, path, *_ in deferred)
 
@@ -115,3 +125,20 @@ def test_assigned_decision_outranks_pending_ones():
     snap = world.snapshot()
     assert snap.extended_ranges[0] == 0.0
     assert snap.logical_csr.degrees()[0] == 0
+
+
+def test_the_reference_settles_every_gather(monkeypatch):
+    settles = []
+    settle = MobilitySensitiveTopologyControl.settle
+
+    def counted(self, gathered):
+        settles.append(len(gathered))
+        return settle(self, gathered)
+
+    monkeypatch.setattr(MobilitySensitiveTopologyControl, "settle", counted)
+    settle_every_gather(monkeypatch)
+    world = build_world(cell_spec("rng", "baseline"), seed=SEED)
+    world.run_until(2.95)
+    # No snapshot and no redecision ran: one settle per Hello-time gather.
+    assert len(settles) == sum(node.hellos_sent for node in world.nodes)
+    assert set(settles) == {1}
