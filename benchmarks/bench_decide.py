@@ -629,7 +629,7 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
 
     A weak world of *n* nodes at 20 m/s runs for *warm_t* seconds; every
     owner's decision inputs are then gathered at once
-    (:meth:`WeakConsistency.gather`).  One :meth:`WeakConsistency.select`
+    (:meth:`WeakConsistency.resolve_many`, then :meth:`WeakConsistency.views`).  One :meth:`WeakConsistency.select`
     over that gather, the gather alone, and both together are timed in
     one alternating loop (median over passes, ns per owner), and the
     selection's protocol calls are counted.
@@ -655,9 +655,17 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
     # Every owner's true position now; a commit whose gather still takes
     # current Hellos reads only their positions.
     own = [(x, y) for x, y in world.positions(warm_t).tolist()]
-    if "current_hellos" in inspect.signature(mechanism.gather).parameters:
+    gather = getattr(mechanism, "gather", None)
+    if gather is None:
+        # Commits without the mechanism-level gather compose its steps.
+        from repro.core.consistency import GatheredViews
+
+        def gather(tables, now, positions):
+            resolved, errors = mechanism.resolve_many(tables, positions, None)
+            return GatheredViews.concat([mechanism.views(tables, now, resolved)]), errors
+    elif "current_hellos" in inspect.signature(gather).parameters:
         own = [Hello(i, 0, xy, warm_t, warm_t) for i, xy in enumerate(own)]
-    views, errors = mechanism.gather(tables, warm_t, own)
+    views, errors = gather(tables, warm_t, own)
     assert not errors
     counter = _Counter(protocol)
     results = mechanism.select(counter, views)
@@ -666,7 +674,7 @@ def bench_weak_decision(name: str, n: int = 100, seed: int = 7, warm_t: float = 
         return mechanism.select(protocol, views)
 
     def gather_all():
-        return mechanism.gather(tables, warm_t, own)
+        return gather(tables, warm_t, own)
 
     def decide_all() -> list:
         return mechanism.select(protocol, gather_all()[0])

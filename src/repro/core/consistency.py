@@ -33,7 +33,8 @@ history), the last advertised one (view
 synchronization, gossip) or the advertisement of the resolved version
 (proactive, reactive).  Every mechanism reads its view members as arrays
 straight from the columnar neighbor store; no decision builds a Hello.
-A decision is gathered (:meth:`ConsistencyMechanism.gather`) and selected
+A decision is gathered (:meth:`ConsistencyMechanism.resolve_many`, then
+:meth:`ConsistencyMechanism.views`) and selected
 (:meth:`ConsistencyMechanism.select`) in two steps, so views gathered
 at different instants select together in one block; the members of a
 versioned view are pinned when it is gathered and read, as of then,
@@ -62,7 +63,6 @@ from repro.core.tables import (
     latest_members,
     pin_versioned_members,
     read_pinned,
-    versioned_members,
 )
 from repro.protocols.base import TopologyControlProtocol
 from repro.util.errors import ConfigurationError, ViewError
@@ -176,12 +176,13 @@ _NO_VIEWS = GatheredViews(
 class ConsistencyMechanism(ABC):
     """Strategy: how a node builds the view behind each decision.
 
-    A decision has two steps.  :meth:`gather` resolves each owner's own
-    positions and version (:meth:`resolve`) and reads its view members
-    as arrays at the decision instant; :meth:`select` runs the protocol
-    on the gathered rows.  Rows gathered at different instants can be
-    selected together later, with the same results, because a row is
-    selected from its own arrays alone.
+    A decision has two steps.  :meth:`resolve_many` resolves each
+    owner's own positions and version (:meth:`resolve`) and
+    :meth:`views` reads its view members as arrays at the decision
+    instant (or pins them, :meth:`pin`); :meth:`select` runs the
+    protocol on the gathered rows.  Rows gathered at different instants
+    can be selected together later, with the same results, because a
+    row is selected from its own arrays alone.
     """
 
     #: registry key and report label
@@ -270,38 +271,6 @@ class ConsistencyMechanism(ABC):
         if reads is not None:
             return PendingViews(tuple(tables), tuple(resolved), reads)
         return _views(tables, resolved, self.members(tables, now, versions))
-
-    def gather(
-        self,
-        tables: Sequence[NeighborTable],
-        now: float,
-        positions: Sequence[tuple[float, float] | None],
-        version: int | None = None,
-    ) -> tuple[GatheredViews, dict[int, ViewError]]:
-        """The views of the owners that can decide now, and why the others
-        cannot.
-
-        Parameters
-        ----------
-        tables:
-            The deciding nodes' neighbor tables.
-        now:
-            Physical time of the decisions.
-        positions:
-            The nodes' current positions ``(x, y)``, or None; a decision
-            reads one only where :meth:`resolve` says so.
-        version:
-            Global Hello version a packet mandates (proactive/reactive).
-
-        Returns the rows of the owners that can decide, in order, and the
-        :class:`ViewError` of every other owner by its index in *tables*.
-        Raises :class:`ConfigurationError` when a decision reads a
-        position that is None.
-        """
-        resolved, errors = self.resolve_many(tables, positions, version)
-        rows = [i for i, r in enumerate(resolved) if r is not None]
-        views = self.views([tables[i] for i in rows], now, [resolved[i] for i in rows])
-        return GatheredViews.concat([views]), errors
 
     def select(
         self, protocol: TopologyControlProtocol, views: GatheredViews
@@ -404,10 +373,8 @@ class _SingleVersionMechanism(ConsistencyMechanism):
         return None if versions[0] is None else pin_versioned_members(tables, versions)
 
     def members(self, tables, now, versions):
-        if versions[0] is None:
-            counts, ids, xy = latest_members(tables, now)
-        else:
-            counts, ids, xy = versioned_members(tables, versions)
+        # Versioned views are pinned (:meth:`pin`); these are latest ones.
+        counts, ids, xy = latest_members(tables, now)
         return counts, ids, np.ones(ids.size, dtype=np.int64), xy
 
 
@@ -461,27 +428,19 @@ class ProactiveConsistency(_SingleVersionMechanism):
     def _own(self, table, position, version):
         # A versioned view never reads the current position: the retained
         # state plus the requested version pin a decision, fallback
-        # resolution included.
-        available = table.available_versions()
-        if version is None:
-            if not available:
+        # resolution included.  A node that has not reached epoch
+        # `version` yet (clock skew or a packet racing ahead of Hello
+        # emission) falls back to the most recent version it *has*
+        # advertised — the paper's "wait before migrating to the next
+        # local view" rule seen from the packet's perspective.
+        own = table.newest_advertised(version)
+        if own is None:
+            if version is None:
                 raise ViewError(
                     f"node {table.owner} cannot decide proactively before advertising"
                 )
-            version = max(available)
-        elif version not in available:
-            # The node has not reached epoch `version` yet (clock skew or a
-            # packet racing ahead of Hello emission): fall back to the most
-            # recent version it *has* advertised — the paper's "wait before
-            # migrating to the next local view" rule seen from the packet's
-            # perspective.
-            older = [v for v in available if v < version]
-            if not older:
-                raise ViewError(
-                    f"node {table.owner} has not advertised version {version} yet"
-                )
-            version = max(older)
-        return table.advertisement(version).position, version
+            raise ViewError(f"node {table.owner} has not advertised version {version} yet")
+        return own.position, own.version
 
 
 class ReactiveConsistency(ProactiveConsistency):
@@ -505,11 +464,11 @@ class WeakConsistency(ConsistencyMechanism):
     Runs the protocol's enhanced link-removal conditions
     (:meth:`~repro.protocols.base.TopologyControlProtocol
     .select_histories`, in padded blocks of views) on the multi-version
-    view :meth:`~repro.core.tables.NeighborTable.multi_view` describes:
-    every live neighbor's retained positions, read as arrays straight
-    from the table (:func:`~repro.core.tables.history_members`), and the
-    owner's advertisement history plus its current position.  No Hello
-    is built.
+    view (Definition 2): every live neighbor's retained positions, read
+    as arrays straight from the table
+    (:func:`~repro.core.tables.history_members`), and the owner's
+    advertisement history plus its current position.  No Hello is
+    built.
     Theorem 4 guarantees a connected logical topology when views are weakly
     consistent, which Theorem 3 guarantees for sufficient *k*: the
     scenario's ``history_depth``, which sizes every table.

@@ -43,11 +43,10 @@ version ``v``) change only when a write to that receiver carries version
 pair); before such a write the splice body answers the reads it would
 change, and with nothing pinned that check is one test.
 
-:meth:`history` rebuilds a pair's Hellos from the columns on each call;
-only the :class:`~repro.core.tables.NeighborTable` reference views, the
-audit and the fuzzer's oracles read it.
-:class:`~repro.core.views.Hello` is a frozen value type, so a rebuilt
-copy compares equal to the original.
+:meth:`rings` reads one receiver's pairs whole, ring by ring, oldest
+first: the audit and the fuzzer's oracles check each pair's retained
+entries there.  No read rebuilds a :class:`~repro.core.views.Hello`;
+Hellos exist only where a node emits one and on gossip's wire.
 
 The per-node facade over this storage is
 :class:`~repro.core.tables.NeighborTable`; the Hello delivery that feeds
@@ -369,22 +368,21 @@ class NeighborState:
         """Sender ids recorded at *receiver*, in insertion order."""
         return list(self._directory[receiver])
 
-    def history(self, receiver: int, sender: int) -> tuple[Hello, ...]:
-        """Retained Hellos of one (receiver, sender) pair, oldest first, rebuilt
-        entry by entry apart from the array reads (the reference views' read)."""
-        slot = self._directory[receiver].get(sender)
-        if slot is None:
-            return ()
-        writes, k = int(self._writes[slot]), self.k
-        count = min(writes, k)
-        sender = int(self._slot_sender[slot])
-        return tuple(
-            Hello(
-                sender, int(self._version[slot, j]), tuple(self._xy[slot, j].tolist()),
-                float(self._sent[slot, j]), float(self._ts[slot, j]),
-            )
-            for j in ((writes - count + i) % k for i in range(count))
-        )
+    def rings(
+        self, receiver: int, senders
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each (*receiver*, sender) pair's retained entries, oldest first.
+
+        Returns ``(held, version, sent_at, xy)``, ``(len(senders), k)``
+        arrays (``xy`` with a trailing axis of 2): row ``i`` is
+        ``senders[i]``'s ring in age order, and ``held[i, j]`` says
+        whether age ``j`` holds an entry.  A young ring's unwritten ages
+        come last; a pair that holds nothing holds none.
+        """
+        slots = self._slots(receiver, [int(s) for s in senders])
+        cols, held = self._ring_columns(slots)
+        at = (slots[:, np.newaxis], cols)
+        return held, self._version[at], self._sent[at], self._xy[at]
 
     def newest(
         self, receivers, senders

@@ -1,8 +1,9 @@
 """Per-node neighbor tables: the Hello history behind every local view.
 
-A :class:`NeighborTable` stores the ``k`` most recent Hellos per 1-hop
-neighbor (plus the owner's own advertisement history) and materialises the
-three kinds of views the paper's mechanisms are defined on:
+A :class:`NeighborTable` is one node's row of the neighbor store: the
+``k`` most recent Hellos per 1-hop neighbor, plus the owner's own
+advertisement history.  The paper's mechanisms decide from three kinds of
+views over it:
 
 - the *latest* single-version view (baseline and view-synchronization),
 - a *versioned* view using one global Hello version everywhere (proactive
@@ -14,15 +15,15 @@ Received Hellos live in a columnar
 shared store, which its Hello delivery updates for every receiver of a
 transmission at once; a table built alone keeps a private one-row store.
 
-Decisions never build these views.  The module functions
-:func:`latest_members`, :func:`versioned_members` and
-:func:`history_members` give the same members as arrays, read straight
-from the store for many tables at once (versioned members can also be
-pinned now and read later, as of now: :func:`pin_versioned_members`,
-:func:`read_pinned`); the view methods are built from
-:meth:`~NeighborTable.history_of` instead, so they share no code with
-the gathers and serve as their test references.  Gossip, packets and
-overhead accounting read the arrays of :meth:`~NeighborTable.newest`.
+No view is built from Hellos.  The module functions
+:func:`latest_members` and :func:`history_members` give each view's
+members as arrays, read straight from the store for many tables at once;
+versioned members are pinned now and read later, as of now
+(:func:`pin_versioned_members`, :func:`read_pinned`).  Gossip, packets
+and overhead accounting read the arrays of :meth:`~NeighborTable.newest`,
+and the audit reads each pair's ring (:meth:`~NeighborTable.rings`).
+The Hello-built views these gathers are tested against live with the
+test suite, as free functions over a table.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.neighbor_state import NeighborState, VersionedRead
-from repro.core.views import Hello, LocalView, MultiVersionView
+from repro.core.views import Hello
 from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
 
 __all__ = [
-    "NeighborTable", "latest_members", "versioned_members", "history_members",
+    "NeighborTable", "latest_members", "history_members",
     "pin_versioned_members", "read_pinned", "live_unchanged",
 ]
 
@@ -145,10 +146,6 @@ class NeighborTable:
             return sorted(self._state.senders(self._row))
         return sorted(self._state.live_ids(self._row, now, self.expiry))
 
-    def history_of(self, neighbor: int) -> tuple[Hello, ...]:
-        """Retained Hellos of one neighbor, oldest first."""
-        return self._state.history(self._row, neighbor)
-
     def newest(self, neighbors) -> tuple[np.ndarray, ...]:
         """``(version, sent_at, xy, timestamp)`` arrays of each neighbor's
         newest retained Hello (:meth:`NeighborState.newest`)."""
@@ -159,96 +156,27 @@ class NeighborTable:
         """Neighbor Hellos retained over all pairs."""
         return self._state.retained(self._row)
 
-    def message_versions_in_use(self, neighbor: int) -> set[int]:
-        """Versions of *neighbor*'s Hellos currently retained (``M(t, v)``)."""
-        return {h.version for h in self.history_of(neighbor)}
+    def rings(self, neighbors) -> tuple[np.ndarray, ...]:
+        """``(held, version, sent_at, xy)`` arrays of each neighbor's
+        retained Hellos, oldest first (:meth:`NeighborState.rings`)."""
+        return self._state.rings(self._row, neighbors)
 
-    # ------------------------------------------------------------------ #
-    # view materialisation
+    def newest_advertised(self, version: int | None = None) -> Hello | None:
+        """The owner's retained advertisement of the newest version up to
+        *version* (of any version when None), the oldest one of that
+        version, or None when there is none.
 
-    def latest_view(self, now: float, own_hello: Hello) -> LocalView:
-        """Single-version view from each neighbor's most recent live Hello.
-
-        Built from the retained histories, independently of the columnar
-        gather :func:`latest_members` that decisions read, so it serves
-        as that gather's reference.
+        One pass over the advertisement history: a versioned decision's
+        own record, falling back to an older version when the owner has
+        not reached *version*.
         """
-        newest = (self.history_of(s)[-1] for s in self._state.senders(self._row))
-        return LocalView(
-            owner=self.owner,
-            own_hello=own_hello,
-            neighbor_hellos={
-                h.sender: h for h in newest if now - h.sent_at <= self.expiry
-            },
-            normal_range=self.normal_range,
-            sampled_at=now,
-        )
-
-    def advertisement(self, version: int) -> Hello:
-        """The owner's oldest retained own Hello of *version*.
-
-        Raises :class:`ViewError` when the owner has not advertised that
-        version (or it has left the retained history).
-        """
-        own = next((h for h in self._own if h.version == version), None)
-        if own is None:
-            raise ViewError(
-                f"node {self.owner} has not advertised version {version} yet"
-            )
-        return own
-
-    def versioned_view(self, now: float, version: int) -> LocalView:
-        """View built *only* from Hellos carrying the given global version.
-
-        Neighbors with no retained Hello of that version are absent — the
-        proactive scheme's rule that enforces ``|M(t, v)| = 1``.  The
-        owner's own record must exist for that version.  Built from the
-        retained histories, like :meth:`latest_view`, as the reference of
-        :func:`versioned_members`.
-        """
-        matches = (
-            next((h for h in self.history_of(s) if h.version == version), None)
-            for s in self._state.senders(self._row)
-        )
-        return LocalView(
-            owner=self.owner,
-            own_hello=self.advertisement(version),
-            neighbor_hellos={h.sender: h for h in matches if h is not None},
-            normal_range=self.normal_range,
-            sampled_at=now,
-        )
-
-    def available_versions(self) -> set[int]:
-        """Versions for which the owner has advertised (candidates for views)."""
-        return {h.version for h in self._own}
-
-    def multi_view(self, now: float, own_hello: Hello | None = None) -> MultiVersionView:
-        """Multi-version view over all retained live Hellos (weak consistency).
-
-        The owner contributes its advertisement history; *own_hello*, when
-        given, is appended as the freshest own record (a node always knows
-        where it is *now* — but under weak consistency its neighbors may be
-        using any of its retained advertisements, hence the history).
-        Built from the retained histories, like :meth:`latest_view`, as
-        the reference of :func:`history_members`.
-        """
-        own = list(self._own)
-        if own_hello is not None:
-            own.append(own_hello)
-        if not own:
-            raise ViewError(f"node {self.owner} has no own position record")
-        histories = (self.history_of(s) for s in self._state.senders(self._row))
-        return MultiVersionView(
-            owner=self.owner,
-            own_hellos=own,
-            neighbor_hellos={
-                hs[-1].sender: hs
-                for hs in histories
-                if now - hs[-1].sent_at <= self.expiry
-            },
-            normal_range=self.normal_range,
-            sampled_at=now,
-        )
+        best = None
+        for h in self._own:
+            if (version is None or h.version <= version) and (
+                best is None or h.version > best.version
+            ):
+                best = h
+        return best
 
 
 # ---------------------------------------------------------------------- #
@@ -276,10 +204,10 @@ def _per_store(tables: Sequence[NeighborTable], read) -> tuple[np.ndarray, ...]:
 def latest_members(
     tables: Sequence[NeighborTable], now: float, expiry: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(counts, ids, xy)``: the neighbors of every table's
-    :meth:`~NeighborTable.latest_view` as arrays, in record order, flat
-    and grouped by table, with no Hello built
-    (:meth:`~repro.core.neighbor_state.NeighborState.latest_members`);
+    """``(counts, ids, xy)``: the members of every table's latest view
+    (its neighbors whose newest Hello is live, at those positions) as
+    arrays, in record order, flat and grouped by table, with no Hello
+    built (:meth:`~repro.core.neighbor_state.NeighborState.latest_members`);
     *expiry*, when given, replaces the tables' own."""
     return _per_store(
         tables,
@@ -289,21 +217,12 @@ def latest_members(
     )
 
 
-def versioned_members(
-    tables: Sequence[NeighborTable], versions: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(counts, ids, xy)``: the neighbors of each table's
-    :meth:`~NeighborTable.versioned_view` at its own version, as
-    :func:`latest_members` gives them; the owner's own record of the
-    version is not required.  A pin read at once
-    (:func:`pin_versioned_members`, :func:`read_pinned`)."""
-    return read_pinned(pin_versioned_members(tables, versions))
-
-
 def pin_versioned_members(
     tables: Sequence[NeighborTable], versions: Sequence[int]
 ) -> tuple[VersionedRead, ...]:
-    """:func:`versioned_members` asked now, to be read by
+    """The members of each table's versioned view at its own version
+    (its neighbors' oldest retained Hellos of that version; the owner's
+    own record of it is not required), asked now, to be read by
     :func:`read_pinned` as of now: one pinned read per store (one for a
     world's tables)
     (:meth:`~repro.core.neighbor_state.NeighborState.pin`)."""
@@ -316,8 +235,9 @@ def pin_versioned_members(
 
 def read_pinned(reads: Sequence[VersionedRead]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(counts, ids, xy)`` of every read in *reads*, in order, as
-    :func:`versioned_members` gives them; each store answers its reads
-    not answered yet in one call."""
+    :func:`latest_members` gives them; each store answers its reads not
+    answered yet in one call
+    (:meth:`~repro.core.neighbor_state.NeighborState.versioned_members`)."""
     stores: dict[int, list[VersionedRead]] = {}
     for read in reads:
         stores.setdefault(id(read.state), []).append(read)
@@ -331,9 +251,9 @@ def read_pinned(reads: Sequence[VersionedRead]) -> tuple[np.ndarray, np.ndarray,
 def history_members(
     tables: Sequence[NeighborTable], now: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(counts, ids, fills, xy)``: the neighbors of every table's
-    :meth:`~NeighborTable.multi_view`, as :func:`latest_members` gives
-    them, each with all ``fills[i]`` of its retained positions, oldest
+    """``(counts, ids, fills, xy)``: the members of every table's
+    multi-version view, as :func:`latest_members` gives them, each with
+    all ``fills[i]`` of its retained positions, oldest
     first (:meth:`~repro.core.neighbor_state.NeighborState
     .history_members`); the owner's own records are not included."""
     return _per_store(

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.audit import audit_world
+import numpy as np
+
+from repro.core.audit import audit_world, gossip_staleness, noise_bound
 from repro.faults.schedule import ClockSkew, DeliveryDelay, HelloIntervalScale
 from repro.metrics.connectivity import (
     logical_topology_connected,
@@ -99,25 +101,6 @@ def _interval_stretch(world: NetworkWorld) -> float:
     return stretch
 
 
-def _noise_bound(world: NetworkWorld) -> float:
-    inj = world.fault_injector
-    return 0.0 if inj is None else inj.position_noise_bound()
-
-
-def _gossip_staleness(world: NetworkWorld) -> float:
-    """Extra view lag the gossip mechanism may legitimately carry.
-
-    Anti-entropy views converge in ``rounds_to_converge × interval``
-    (:meth:`~repro.core.consistency.GossipConsistency.staleness_bound`);
-    until then a node may decide from a relayed Hello that old.  Zero for
-    every other mechanism, so their slack values are unchanged.
-    """
-    mech = world.manager.mechanism
-    if mech.name != "gossip":
-        return 0.0
-    return mech.staleness_bound(world.config.n_nodes)
-
-
 def audit_oracle(world: NetworkWorld) -> list[OracleFinding]:
     """Structural invariants (:func:`~repro.core.audit.audit_world`)."""
     now = world.engine.now
@@ -130,7 +113,8 @@ def freshness_oracle(world: NetworkWorld) -> list[OracleFinding]:
     """No expiry-filtered decision may rest on exclusively stale Hellos.
 
     For every standing decision of an expiry-filtered mechanism, each
-    selected logical neighbor must have *some* retained Hello no older
+    selected logical neighbor must have *some* retained Hello (the newest
+    ``sent_at`` of its ring in the neighbor store) no older
     (relative to the decision instant) than the expiry window.  A correct
     mechanism satisfies this by construction — the neighbor was live when
     selected, and later Hellos can only be fresher — while a mechanism
@@ -150,23 +134,24 @@ def freshness_oracle(world: NetworkWorld) -> list[OracleFinding]:
         decision = node.decision
         if decision is None:
             continue
-        for v in decision.logical_neighbors:
-            history = node.table.history_of(v)
-            if not history:
-                continue  # flagged as ghost-neighbor by the audit oracle
-            # Negative ages (Hellos newer than the decision) make the min
-            # negative — freshness is then unprovable either way, so pass.
-            age = min(decision.decided_at - h.sent_at for h in history)
-            if age > cfg.hello_expiry + tol:
-                findings.append(
-                    OracleFinding(
-                        "freshness", now,
-                        f"node {node.node_id} decided at "
-                        f"t={decision.decided_at:.2f}s with neighbor {v} "
-                        f"whose freshest retained Hello was {age:.2f}s old "
-                        f"(expiry {cfg.hello_expiry:g}s)",
-                    )
+        logical = list(decision.logical_neighbors)
+        held, _, sent, _ = node.table.rings(logical)
+        # The age of each neighbor's freshest retained Hello; a neighbor
+        # with none is flagged as ghost-neighbor by the audit oracle.
+        # Negative ages (Hellos newer than the decision) are freshness
+        # unprovable either way, so they pass.
+        ages = decision.decided_at - np.where(held, sent, -np.inf).max(axis=1, initial=-np.inf)
+        stale = held.any(axis=1) & (ages > cfg.hello_expiry + tol)
+        for i in np.flatnonzero(stale).tolist():
+            findings.append(
+                OracleFinding(
+                    "freshness", now,
+                    f"node {node.node_id} decided at "
+                    f"t={decision.decided_at:.2f}s with neighbor {logical[i]} "
+                    f"whose freshest retained Hello was {ages[i]:.2f}s old "
+                    f"(expiry {cfg.hello_expiry:g}s)",
                 )
+            )
     return findings
 
 
@@ -188,7 +173,7 @@ def theorem5_slack(world: NetworkWorld) -> float:
     cfg = world.config
     v_max = world.mobility.max_speed()
     return (
-        2.0 * _noise_bound(world)
+        2.0 * noise_bound(world)
         + 2.0 * v_max * (2.0 * _skew_bound(world) + cfg.propagation_delay)
         # Interval stretch beyond nominal ages the decision past what the
         # buffer was sized for; charge the excess drift to slack.
@@ -198,7 +183,7 @@ def theorem5_slack(world: NetworkWorld) -> float:
         + 2.0 * v_max * world.propagation.staleness_allowance(cfg)
         # Epidemic dissemination: gossip views may lag behind direct
         # delivery by up to rounds_to_converge × gossip_interval.
-        + 2.0 * v_max * _gossip_staleness(world)
+        + 2.0 * v_max * gossip_staleness(world)
         + 1e-6
     )
 
@@ -225,7 +210,7 @@ def theorem5_oracle(world: NetworkWorld) -> list[OracleFinding]:
         cfg.hello_expiry
         + _interval_stretch(world) * cfg.max_hello_interval
         + world.propagation.staleness_allowance(cfg)
-        + _gossip_staleness(world)
+        + gossip_staleness(world)
     )
     slack = theorem5_slack(world)
     delay_sum = 0.0

@@ -124,9 +124,10 @@ def flood(
             # the one before the Hello it most recently sent (everyone's
             # Hellos of that version have arrived by now).
             src = world.nodes[source]
-            available = src.table.available_versions()
-            complete = [v for v in available if v < src.next_version - 1]
-            version = max(complete, default=max(available, default=None))
+            own = src.table.newest_advertised(src.next_version - 2)
+            if own is None:
+                own = src.table.newest_advertised()
+            version = None if own is None else own.version
         world.redecide_all(version=version)
     snap = world.snapshot()
     reached = csr_bfs(snap.effective_directed_csr(pn_mode), source)

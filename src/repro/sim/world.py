@@ -752,7 +752,7 @@ class NetworkWorld:
         # decision falls back to the newest older version the node has
         # advertised, so it can decide iff it advertised one before this
         # epoch; on its first advertised epoch it has nothing complete.
-        if min(node.table.available_versions()) < epoch:
+        if node.table.newest_advertised(epoch - 1) is not None:
             self.decide_node(node_id, version=epoch - 1, position=hello.position)
 
     def _run_reactive_round(self, round_index: int) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.consistency import GatheredViews
 from repro.core.costs import CostModel, DistanceCost
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.mobility.base import Area
@@ -40,18 +41,28 @@ def make_hello(
     )
 
 
+def gather(mechanism, tables, now, positions, version=None):
+    """``(views, errors)``: the views of the owners that can decide now,
+    read at once, and the ViewError of every other owner by its index,
+    through the mechanism's ``resolve_many`` and ``views``."""
+    resolved, errors = mechanism.resolve_many(tables, positions, version)
+    rows = [i for i, r in enumerate(resolved) if r is not None]
+    views = mechanism.views([tables[i] for i in rows], now, [resolved[i] for i in rows])
+    return GatheredViews.concat([views]), errors
+
+
 def select_all(mechanism, protocol, tables, now, positions, version=None):
-    """Each owner's selection through the mechanism's ``gather`` and
+    """Each owner's selection through :func:`gather` and the mechanism's
     ``select``, in order; None where the owner cannot decide."""
-    views, errors = mechanism.gather(tables, now, positions, version)
+    views, errors = gather(mechanism, tables, now, positions, version)
     selected = iter(mechanism.select(protocol, views))
     return [None if i in errors else next(selected) for i in range(len(tables))]
 
 
 def select_one(mechanism, protocol, table, now, position, version=None):
-    """One owner's selection through the mechanism's ``gather`` and
+    """One owner's selection through :func:`gather` and the mechanism's
     ``select``; raises the owner's ViewError when it cannot decide."""
-    views, errors = mechanism.gather([table], now, [position], version)
+    views, errors = gather(mechanism, [table], now, [position], version)
     if errors:
         raise errors[0]
     return mechanism.select(protocol, views)[0]

@@ -24,7 +24,7 @@ shared stores) its decision must equal the protocol's
 every protocol with a conservative mode.  So must one selection over
 the gather of more owners than a block holds, young rings and empty
 views among them, with one protocol call per padded block.  A weak
-world must decide without building a single Hello.
+world must build no Hello beyond the ones its nodes emit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_graph, select_one
+from conftest import gather, interval_graph, select_one
+from neighbor_oracles import count_hello_builds, multi_view
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
 from repro.core.consistency import _SELECT_BLOCK, WeakConsistency
 from repro.core.costs import EnergyCost
@@ -393,7 +394,7 @@ def _conservative_oracle(protocol, view):
 
 def _weak_equals_multi_view(protocol, table, now, current):
     got = select_one(WeakConsistency(), protocol, table, now, current.position)
-    view = table.multi_view(now, own_hello=current)
+    view = multi_view(table, now, own_hello=current)
     assert got == protocol.select_conservative(view)
     assert got == _conservative_oracle(protocol, view)
 
@@ -410,7 +411,7 @@ class TestWeakFromHistories:
         gathered = []
         for table in tables:
             counts, ids, fills, xy = history_members([table], t + later)
-            view = table.multi_view(t + later, own_hello=Hello(OWNER, 1, (0, 0), t, t))
+            view = multi_view(table, t + later, own_hello=Hello(OWNER, 1, (0, 0), t, t))
             assert counts.tolist() == [ids.size] and fills.sum() == xy.shape[0]
             assert ids.tolist() == list(view.neighbor_hellos)
             ends = np.cumsum(fills)
@@ -447,12 +448,12 @@ class TestWeakFromHistories:
             for table in tables
         ]
         mechanism = WeakConsistency()
-        views, errors = mechanism.gather(tables, now, [h.position for h in hellos])
+        views, errors = gather(mechanism, tables, now, [h.position for h in hellos])
         assert not errors and (views.counts[:DEAF] == 0).all()
         assert later > EXPIRY or k == 1 or (views.fills < k).any()
         counter = _BlockCounter(protocol)
         assert mechanism.select(counter, views) == [
-            protocol.select_conservative(table.multi_view(now, own_hello=hello))
+            protocol.select_conservative(multi_view(table, now, own_hello=hello))
             for table, hello in zip(tables, hellos)
         ]
         assert counter.rows == [_SELECT_BLOCK, MANY_OWNERS - _SELECT_BLOCK]
@@ -480,12 +481,8 @@ class TestWeakFromHistories:
 @pytest.mark.parametrize("protocol", ["rng", "rng&spt2"])
 def test_weak_world_builds_no_hello(protocol, monkeypatch):
     # Every decision, at Hello time and at packet time, reads the ring
-    # columns; only history() builds Hellos from the store, and a weak
-    # world's run never calls it.
-    want = _drive(protocol, "weak")
-
-    def refuse(self, receiver, sender):
-        raise AssertionError("a weak decision built a Hello")
-
-    monkeypatch.setattr(NeighborState, "history", refuse)
-    assert _drive(protocol, "weak") == want
+    # columns: the only Hellos a weak world's run builds are the ones its
+    # nodes emit.
+    built = count_hello_builds(monkeypatch)
+    _, stats = _drive(protocol, "weak")
+    assert built == {"repro.sim.world": stats["hello_messages"]}

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import select_all, select_one
+from neighbor_oracles import history_of, latest_view
 from removal_oracles import LocalCostGraph, apply_removal_condition, rng_removable_batch
 from repro.analysis.experiment import ExperimentSpec, RunStats, build_world
 from repro.core.consistency import ViewSynchronization, available_mechanisms
@@ -31,7 +32,8 @@ from repro.core.tables import (
     NeighborTable,
     latest_members,
     live_unchanged,
-    versioned_members,
+    pin_versioned_members,
+    read_pinned,
 )
 from repro.core.neighbor_state import NeighborState
 from repro.core.views import Hello, LocalView
@@ -166,7 +168,7 @@ class TestLatestPositions:
     def test_both_tables_match_latest_view(self, now):
         for table in self._tables():
             _, ids, xy = latest_members([table], now)
-            view = table.latest_view(now, own_hello=Hello(0, 1, (0.0, 0.0), now, now))
+            view = latest_view(table, now, own_hello=Hello(0, 1, (0.0, 0.0), now, now))
             assert ids.tolist() == list(view.neighbor_hellos)
             assert [tuple(p) for p in xy.tolist()] == [
                 h.position for h in view.neighbor_hellos.values()
@@ -217,22 +219,22 @@ class TestColumnarGather:
         now = t + ahead
         counts, ids, xy = latest_members(tables, now)
         assert counts.tolist() == [
-            len(table.latest_view(now, own_hello=table.last_advertised).neighbor_hellos)
+            len(latest_view(table, now, own_hello=table.last_advertised).neighbor_hellos)
             for table in tables
         ]
         want = [
             (s, h.position)
             for table in tables
-            for s, h in table.latest_view(now, table.last_advertised)
+            for s, h in latest_view(table, now, table.last_advertised)
             .neighbor_hellos.items()
         ]
         assert list(zip(ids.tolist(), map(tuple, xy.tolist()))) == want
         versions = [o % 4 for o in range(N_OWNERS)]
-        counts, ids, xy = versioned_members(tables, versions)
+        counts, ids, xy = read_pinned(pin_versioned_members(tables, versions))
         want = []
         for table, v in zip(tables, versions):
             for s in table._state.senders(table._row):
-                held = [h for h in table.history_of(s) if h.version == v]
+                held = [h for h in history_of(table, s) if h.version == v]
                 if held:
                     want.append((s, held[0].position))
         assert list(zip(ids.tolist(), map(tuple, xy.tolist()))) == want

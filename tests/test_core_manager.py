@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_hello
+from conftest import gather, make_hello
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import (
     ViewSynchronization,
@@ -113,7 +113,7 @@ class TestNoCurrentHello:
             with pytest.raises(ConfigurationError, match="node 7"):
                 mstc.mechanism.resolve(unadvertised, None, None)
             with pytest.raises(ConfigurationError, match="node 7"):
-                mstc.mechanism.gather([unadvertised], 1.0, [None])
+                gather(mstc.mechanism, [unadvertised], 1.0, [None])
 
     @pytest.mark.parametrize("name", READING)
     def test_gather_refuses_before_storing_any_row(self, name, table, unadvertised):

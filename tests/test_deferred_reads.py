@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neighbor_oracles import history
 from repro.analysis.experiment import build_world, run_once
 from repro.core.consistency import available_mechanisms
 from repro.core.manager import MobilitySensitiveTopologyControl
@@ -102,7 +103,7 @@ class TestPinnedReads:
             elif kind in ("pin", "pin-next"):
                 held = sorted(
                     {(r, h.version) for r in range(N_NODES)
-                     for s in state.senders(r) for h in state.history(r, s)}
+                     for s in state.senders(r) for h in history(state, r, s)}
                 )
                 if kind == "pin-next":
                     pairs = [(r, newest + 1) for r in step[1]]

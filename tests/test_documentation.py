@@ -203,9 +203,9 @@ STALE_CLAIMS = [
     (
         r"`_materialize`|materiali[sz]ed \(and memoi[sz]ed\)"
         r"|per-slot memo stays?\b",
-        "NeighborState.history builds Hellos on each call with no per-slot "
-        "memo, and gossip, packets and overhead accounting read the newest "
-        "entry per pair as arrays",
+        "the neighbor store keeps no per-slot Hello memo and builds no "
+        "Hello: gossip, packets and overhead accounting read the newest "
+        "entry per pair as arrays, the audit each pair's ring",
     ),
 ]
 

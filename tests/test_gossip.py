@@ -26,6 +26,7 @@ import math
 
 import pytest
 
+from neighbor_oracles import count_hello_builds, history_of
 from repro.analysis.experiment import ExperimentSpec, build_world, run_once
 from repro.analysis.overhead_study import (
     STUDY_MECHANISMS,
@@ -37,7 +38,6 @@ from repro.core.consistency import (
     available_mechanisms,
     make_mechanism,
 )
-from repro.core.neighbor_state import NeighborState
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.faults.schedule import FaultSchedule, HelloLossBurst
@@ -141,13 +141,13 @@ class TestDigestLayer:
             table, (_hello(1, 2), _hello(1, 3), _hello(1, 5), _hello(2, 1))
         )
         assert merged == 2
-        assert [h.version for h in table.history_of(1)] == [3, 5]
-        assert [h.version for h in table.history_of(2)] == [1]
+        assert [h.version for h in history_of(table, 1)] == [3, 5]
+        assert [h.version for h in history_of(table, 2)] == [1]
 
     def test_merge_skips_entries_about_the_owner(self):
         table = _table(0)
         assert merge_entries(table, (_hello(0, 9),)) == 0
-        assert table.history_of(0) == ()
+        assert history_of(table, 0) == ()
 
     def test_merge_is_idempotent(self):
         table = _table(0)
@@ -160,7 +160,7 @@ class TestDigestLayer:
         table = _table(0)
         merge_entries(table, (_hello(1, 5),))
         merge_entries(table, (_hello(1, 2), _hello(1, 8)))
-        versions = [h.version for h in table.history_of(1)]
+        versions = [h.version for h in history_of(table, 1)]
         assert versions == sorted(versions) == [5, 8]
 
 
@@ -174,7 +174,7 @@ def _reference_digest(table, now, removal_age):
     if own is not None:
         digest[table.owner] = own.version
     for nid in table.known_neighbors():
-        latest = table.history_of(nid)[-1]
+        latest = history_of(table, nid)[-1]
         if now - latest.sent_at <= removal_age:
             digest[nid] = latest.version
     return digest
@@ -186,7 +186,7 @@ def _reference_entries(table, digest, now, removal_age):
     if own is not None and digest.get(table.owner, -1) < own.version:
         out.append(own)
     for nid in table.known_neighbors():
-        latest = table.history_of(nid)[-1]
+        latest = history_of(table, nid)[-1]
         if now - latest.sent_at <= removal_age and digest.get(nid, -1) < latest.version:
             out.append(latest)
     return tuple(out)
@@ -228,13 +228,13 @@ class TestColumnReads:
             for node in world.nodes:
                 ids, positions = traffic._believed_positions(node.node_id)
                 held = [
-                    (v, node.table.history_of(v)[-1].position)
+                    (v, history_of(node.table, v)[-1].position)
                     for v in node.decision.logical_neighbors
-                    if node.table.history_of(v)
+                    if history_of(node.table, v)
                 ]
                 assert list(zip(ids, map(tuple, positions))) == held
             stored = sum(
-                len(node.table.history_of(v))
+                len(history_of(node.table, v))
                 for node in world.nodes
                 for v in node.table.known_neighbors()
             )
@@ -242,9 +242,9 @@ class TestColumnReads:
             assert report.stored_hellos_per_node == stored / len(world.nodes)
 
     def test_gossip_run_never_rebuilds_hellos_from_the_store(self, monkeypatch):
-        # Only the reference views, the audit and the fuzzer's oracles call
-        # NeighborState.history; a lossy gossip run with packets and
-        # overhead accounting reads the columns throughout.
+        # A lossy gossip run with packets and overhead accounting reads the
+        # columns throughout: Hellos are built where nodes emit them and
+        # on gossip's wire, nowhere else.
         def drive():
             world = build_world(GOSSIP_SPEC, seed=4, faults=LOSSY)
             traffic = UnicastTraffic(world)
@@ -254,12 +254,9 @@ class TestColumnReads:
 
         want = drive()
         assert want[0]["gossip_merged"] > 0
-
-        def refuse(self, receiver, sender):
-            raise AssertionError("a Hello was rebuilt from the store")
-
-        monkeypatch.setattr(NeighborState, "history", refuse)
+        built = count_hello_builds(monkeypatch)
         assert drive() == want
+        assert set(built) == {"repro.sim.world", "repro.gossip.digest"}
 
 
 # --------------------------------------------------------------------- #

@@ -2,14 +2,16 @@
 
 Three layers:
 
-- the columnar gather :func:`versioned_members` on a standalone
-  table and on one whose row sits in a shared store, against the members
-  of :meth:`versioned_view` and the
+- the columnar versioned gather (:func:`pin_versioned_members` read at
+  once by :func:`read_pinned`) on a standalone table and on one whose
+  row sits in a shared store, against the members of the reference
+  :func:`versioned_view` and the
   ``next(h for h in history if h.version == v)`` rule — ring wrap-around,
   repeated versions, pruned senders, a version nobody holds, an empty
   directory;
-- :meth:`versioned_view`, whose Hellos (one per matching sender, built
-  from the retained histories) must be the ones in each history;
+- the reference :func:`versioned_view`, whose Hellos (one per matching
+  sender, built from the retained histories) must be the ones in each
+  history;
 - the mechanisms: a batched decision (``gather`` + ``select`` of one
   owner and of many) against the LocalView route it replaced, on every
   proactive fallback branch including the :class:`ViewError` one.
@@ -23,6 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import select_all, select_one
+from neighbor_oracles import (
+    advertisement,
+    available_versions,
+    history_of,
+    latest_view,
+    versioned_view,
+)
 from repro.core.consistency import (
     BaselineConsistency,
     GossipConsistency,
@@ -31,7 +40,7 @@ from repro.core.consistency import (
     ViewSynchronization,
 )
 from repro.core.neighbor_state import NeighborState
-from repro.core.tables import NeighborTable, versioned_members
+from repro.core.tables import NeighborTable, pin_versioned_members, read_pinned
 from repro.core.views import Hello
 from repro.protocols import RngProtocol, make_protocol
 from repro.util.errors import ViewError
@@ -96,7 +105,7 @@ def _reference(table, version):
     """``{sender: position}`` by the first-match rule over the history."""
     out = {}
     for nid in table.known_neighbors():
-        match = next((h for h in table.history_of(nid) if h.version == version), None)
+        match = next((h for h in history_of(table, nid) if h.version == version), None)
         if match is not None:
             out[nid] = match.position
     return out
@@ -108,7 +117,7 @@ def _as_map(ids, xy):
 
 def _positions(table, version):
     """One table's version-*version* members, from the columnar gather."""
-    _, ids, xy = versioned_members([table], [version])
+    _, ids, xy = read_pinned(pin_versioned_members([table], [version]))
     return ids, xy
 
 
@@ -123,8 +132,8 @@ class TestVersionedPositions:
                 ids, xy = _positions(table, version)
                 assert ids.dtype == np.int64 and xy.shape == (ids.size, 2)
                 assert _as_map(ids, xy) == _reference(table, version)
-                if version in table.available_versions():
-                    view = table.versioned_view(now, version)
+                if version in available_versions(table):
+                    view = versioned_view(table, now, version)
                     view_ids, view_pts = view.positions()
                     members = {
                         i: tuple(p)
@@ -141,11 +150,11 @@ class TestVersionedPositions:
     def test_columnar_versioned_view_hellos_are_identical(self, ops, k):
         *tables, now = _replay(ops, k)
         for table in tables:
-            for version in table.available_versions():
-                view = table.versioned_view(now, version)
+            for version in available_versions(table):
+                view = versioned_view(table, now, version)
                 want = {}
                 for nid in table.known_neighbors():
-                    history = table.history_of(nid)
+                    history = history_of(table, nid)
                     match = next((h for h in history if h.version == version), None)
                     if match is not None:
                         want[nid] = match
@@ -153,7 +162,7 @@ class TestVersionedPositions:
                 assert list(view.neighbor_hellos) == [
                     nid for nid in table._state.senders(table._row) if nid in want
                 ]
-                assert view.own_hello == table.advertisement(version)
+                assert view.own_hello == advertisement(table, version)
 
     def _tables(self, k=2):
         state = NeighborState(8, history_depth=k)
@@ -201,16 +210,16 @@ class TestVersionedPositions:
 def _old_proactive_view(table, now, version):
     """The LocalView the proactive scheme decided from before batching."""
     if version is None:
-        version = max(table.available_versions(), default=None)
+        version = max(available_versions(table), default=None)
         if version is None:
             raise ViewError("not advertised")
     try:
-        return table.versioned_view(now, version)
+        return versioned_view(table, now, version)
     except ViewError:
-        candidates = [v for v in table.available_versions() if v < version]
+        candidates = [v for v in available_versions(table) if v < version]
         if not candidates:
             raise
-        return table.versioned_view(now, max(candidates))
+        return versioned_view(table, now, max(candidates))
 
 
 requested = st.one_of(st.none(), st.sampled_from(list(VERSIONS)))
@@ -287,7 +296,7 @@ class TestProactiveDecisions:
         table = self._table()
         protocol = make_protocol("gabriel")
         result = select_one(ProactiveConsistency(), protocol, table, 9.0, None, version=4)
-        assert result == protocol.select(table.versioned_view(9.0, 3))
+        assert result == protocol.select(versioned_view(table, 9.0, 3))
 
 
 class TestLatestDecisions:
@@ -306,6 +315,6 @@ class TestLatestDecisions:
             own = current
             if mechanism.name != "baseline":
                 own = table.last_advertised or current
-            want = protocol.select(table.latest_view(now, own_hello=own))
+            want = protocol.select(latest_view(table, now, own_hello=own))
             assert select_one(mechanism, protocol, table, now, current.position) == want
             assert select_all(mechanism, protocol, [table], now, [current.position]) == [want]

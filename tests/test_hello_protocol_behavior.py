@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from neighbor_oracles import available_versions, history_of, multi_view, versioned_view
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import (
     BaselineConsistency,
@@ -57,7 +58,7 @@ class TestInformationStaleness:
         world.run_until(5.0)
         for node in world.nodes:
             for nbr in node.table.known_neighbors(world.engine.now):
-                for hello in node.table.history_of(nbr):
+                for hello in history_of(node.table, nbr):
                     true_then = world.mobility.position(nbr, hello.sent_at)
                     assert np.allclose(hello.position, true_then, atol=1e-9)
 
@@ -67,7 +68,7 @@ class TestInformationStaleness:
         now = world.engine.now
         for node in world.nodes:
             for nbr in node.table.known_neighbors(now):
-                latest = node.table.history_of(nbr)[-1]
+                latest = history_of(node.table, nbr)[-1]
                 assert now - latest.sent_at <= world.config.hello_expiry + 1e-9
 
     def test_history_depth_respected(self):
@@ -75,14 +76,14 @@ class TestInformationStaleness:
         world.run_until(9.0)
         for node in world.nodes:
             for nbr in node.table.known_neighbors():
-                assert len(node.table.history_of(nbr)) <= 2
+                assert len(history_of(node.table, nbr)) <= 2
 
     def test_versions_strictly_increase_per_sender(self):
         world = build()
         world.run_until(8.0)
         for node in world.nodes:
             for nbr in node.table.known_neighbors():
-                versions = [h.version for h in node.table.history_of(nbr)]
+                versions = [h.version for h in history_of(node.table, nbr)]
                 assert versions == sorted(versions)
                 assert len(set(versions)) == len(versions)
 
@@ -113,7 +114,7 @@ class TestDecisionTiming:
             if node.decision is None:
                 continue
             for nbr in node.table.known_neighbors():
-                for hello in node.table.history_of(nbr):
+                for hello in history_of(node.table, nbr):
                     assert hello.sent_at <= world.engine.now + 1e-9
 
 
@@ -122,9 +123,9 @@ class TestProactiveSemantics:
         world = build(mechanism=ProactiveConsistency(), speed=5.0)
         world.run_until(6.0)
         node = world.nodes[0]
-        versions = sorted(node.table.available_versions())
+        versions = sorted(available_versions(node.table))
         v = versions[-2] if len(versions) > 1 else versions[-1]
-        view = node.table.versioned_view(world.engine.now, v)
+        view = versioned_view(node.table, world.engine.now, v)
         for nid in view.members:
             assert view.hello_of(nid).version == v
 
@@ -132,9 +133,9 @@ class TestProactiveSemantics:
         world = build(mechanism=ProactiveConsistency(), speed=0.0)
         world.run_until(6.0)
         node = world.nodes[0]
-        versions = sorted(node.table.available_versions())
+        versions = sorted(available_versions(node.table))
         complete = versions[-2]
-        view = node.table.versioned_view(world.engine.now, complete)
+        view = versioned_view(node.table, world.engine.now, complete)
         # On a static network the version-complete view matches the live set.
         live = set(node.table.known_neighbors(world.engine.now))
         assert set(view.neighbor_hellos) == live
@@ -162,7 +163,7 @@ class TestWeakSemantics:
             decision = node.decision
             if decision is None:
                 continue
-            own = node.table.multi_view(world.engine.now)
+            own = multi_view(node.table, world.engine.now)
             known = lambda h: h.sent_at + prop <= decision.decided_at + 1e-12
             for nbr in decision.logical_neighbors:
                 if nbr not in own:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_hello, make_view
+from neighbor_oracles import multi_view, versioned_view
 from repro.core.tables import NeighborTable
 from repro.core.views import views_consistent, views_weakly_consistent
 from repro.geometry.graphs import is_connected, unit_disk_graph
@@ -104,7 +105,7 @@ class TestTheorem2:
                     table.record_hello(
                         make_hello(other, tuple(points[other]), version=1)
                     )
-            views.append(table.versioned_view(1.0, version=1))
+            views.append(versioned_view(table, 1.0, version=1))
         assert views_consistent(views)
 
 
@@ -156,7 +157,7 @@ class TestTheorem3:
                         table.record_own(hello)
                     else:
                         table.record_hello(hello)
-            views.append(table.multi_view(tau))
+            views.append(multi_view(table, tau))
         assert views_weakly_consistent(views)
 
 
@@ -202,7 +203,7 @@ class TestTheorem4:
                     table.record_hello(
                         make_hello(other, tuple(new[other]), version=2, sent_at=1.0)
                     )
-            views.append(table.multi_view(2.0))
+            views.append(multi_view(table, 2.0))
 
         assert views_weakly_consistent(views)
 

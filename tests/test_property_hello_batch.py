@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neighbor_oracles import history, history_of
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import make_mechanism
 from repro.core.manager import MobilitySensitiveTopologyControl
@@ -86,7 +87,7 @@ def _quiet_world(*events) -> NetworkWorld:
 def _versions(world: NetworkWorld, sender: int) -> list[list[int]]:
     """Per node, the retained versions of *sender*'s Hellos."""
     return [
-        [h.version for h in node.table.history_of(sender)] for node in world.nodes
+        [h.version for h in history_of(node.table, sender)] for node in world.nodes
     ]
 
 
@@ -235,7 +236,7 @@ class TestFaultSeams:
         world._receive_hello_batch(Hello(1, 5, (2.0, 0.0), 1.0, 1.0), receivers[:1])
         assert _versions(world, 1) == [[5], [], [], [5], [4], []]
         assert world.fault_stats()["fault_stale_discards"] == 3
-        assert world.nodes[0].table.history_of(1)[0].position == (1.0, 0.0)
+        assert history_of(world.nodes[0].table, 1)[0].position == (1.0, 0.0)
 
     def test_delay_groups_arrive_at_their_own_times(self):
         world = _quiet_world(
@@ -317,8 +318,8 @@ class TestNeighborState:
     def test_ring_evicts_oldest_beyond_depth(self):
         state = NeighborState(4, history_depth=3)
         _one_by_one(state, 0, [_hello(1, v, float(v)) for v in range(5)])
-        history = state.history(0, 1)
-        assert [h.version for h in history] == [2, 3, 4]
+        retained = history(state, 0, 1)
+        assert [h.version for h in retained] == [2, 3, 4]
         assert state.hellos_received[0] == 5 and state.mutations[0] == 5
 
     def test_record_batch_equals_single_hello_splices(self):
@@ -330,7 +331,7 @@ class TestNeighborState:
             for rid in receivers:
                 one.record_entries(int(rid), [hello])
         for rid in receivers:
-            assert batch.history(int(rid), 1) == one.history(int(rid), 1)
+            assert history(batch, int(rid), 1) == history(one, int(rid), 1)
             assert batch.senders(int(rid)) == one.senders(int(rid))
         assert np.array_equal(batch.mutations, one.mutations)
         assert np.array_equal(batch.hellos_received, one.hellos_received)
@@ -355,11 +356,11 @@ class TestNeighborState:
         _one_by_one(one, 1, hellos)
         assert spliced.senders(1) == one.senders(1)
         for sender in one.senders(1):
-            assert spliced.history(1, sender) == one.history(1, sender)
+            assert history(spliced, 1, sender) == history(one, 1, sender)
         assert np.array_equal(spliced.mutations, one.mutations)
         assert np.array_equal(spliced.hellos_received, one.hellos_received)
         assert spliced.retained(1) == one.retained(1) == sum(
-            len(one.history(1, s)) for s in one.senders(1)
+            len(history(one, 1, s)) for s in one.senders(1)
         )
 
     def test_prune_drops_stale_and_restarts_history(self):
@@ -367,13 +368,13 @@ class TestNeighborState:
         for v in range(3):
             state.record_batch(_hello(1, v, float(v)), np.array([0], dtype=np.intp))
         assert state.prune(0, now=10.0, expiry=2.5)
-        assert state.history(0, 1) == ()
+        assert history(state, 0, 1) == ()
         assert state.senders(0) == []
         assert state.retained(0) == 0
         assert state.mutations[0] == 4  # one bump per pruning pass with drops
         # A later Hello starts a fresh depth-1 history, like a new deque.
         state.record_batch(_hello(1, 9, 11.0), np.array([0], dtype=np.intp))
-        assert [h.version for h in state.history(0, 1)] == [9]
+        assert [h.version for h in history(state, 0, 1)] == [9]
 
     def test_prune_without_stale_is_a_noop(self):
         state = NeighborState(2, 3)
@@ -403,11 +404,11 @@ class TestNeighborState:
         state.record_entries(1, [_hello(5, 8, 7.5, x=-3.0)])
         version, sent, xy, ts = state.newest(1, [4, 6, 5])
         for i, sender in enumerate((4, 6, 5)):
-            history = state.history(1, sender)
-            if not history:
+            retained = history(state, 1, sender)
+            if not retained:
                 assert version[i] == NO_VERSION and sent[i] == -np.inf
                 continue
-            last = history[-1]
+            last = retained[-1]
             assert (version[i], sent[i], tuple(xy[i]), ts[i]) == (
                 last.version, last.sent_at, last.position, last.timestamp,
             )

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neighbor_oracles import history_of
 from repro.analysis.experiment import ExperimentSpec, run_repetitions
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import make_mechanism
@@ -103,7 +104,7 @@ def _assert_twins_identical(a: NetworkWorld, b: NetworkWorld) -> None:
         assert ta.hellos_received == tb.hellos_received
         assert ta.known_neighbors() == tb.known_neighbors()
         for neighbor in ta.known_neighbors():
-            assert ta.history_of(neighbor) == tb.history_of(neighbor)
+            assert history_of(ta, neighbor) == history_of(tb, neighbor)
         assert ta.own_history == tb.own_history
 
 
