@@ -31,9 +31,10 @@ Measures the incremental decision pipeline (see ``docs/PERFORMANCE.md``):
   ``paper-baseline`` scenario (rng, n = 100, 30 s) and one of the
   ``scale-10k`` scenario (rng + proactive, n = 10,000, 2.5 s), each
   Hello's time split into the receiver lookup, the sender position,
-  ``record_batch`` and the Hello-time gather, with a digest of every
-  receiver array and of the decisions each snapshot reads, and counts of
-  gathers, view rows read, rows selected and gathers dropped unread;
+  ``record_batch``, the flush of queued deliveries and the Hello-time
+  gather, with a digest of every receiver array and of the decisions
+  each snapshot reads, and counts of gathers, view rows read, rows
+  selected, gathers dropped unread, flushes and pairs flushed;
   ``--before FILE`` embeds
   these rows from another commit (where the oracle answers Hellos in
   batches, the lookup phase holds the sender positions too);
@@ -200,7 +201,8 @@ def _phase_timers(phases: dict) -> tuple[dict[str, float], dict[str, int], list[
     A phase is ``(module, class, method)``, or ``(module, class, method,
     keep)`` where ``keep(kwargs)`` says whether a call counts.  *method*
     may be a tuple of names: the first the class defines is wrapped, so
-    a phase that moved to a new method still runs at older commits.
+    a phase that moved to a new method still runs at older commits; a
+    phase whose class defines none of them reads 0.
     Returns
     ``(seconds per phase, calls per phase, armed flag, undo list of
     (class, name, original))``; time accumulates only while ``armed[0]``
@@ -214,8 +216,10 @@ def _phase_timers(phases: dict) -> tuple[dict[str, float], dict[str, int], list[
     undo = []
     for phase, (module, cls_name, attr, *keep) in phases.items():
         cls = getattr(importlib.import_module(module), cls_name)
-        if isinstance(attr, tuple):
-            attr = next(name for name in attr if name in vars(cls))
+        attr = next((a for a in (attr if isinstance(attr, tuple) else (attr,))
+                     if a in vars(cls)), None)
+        if attr is None:
+            continue
         original = vars(cls)[attr]
 
         def timed(*args, _fn=original, _phase=phase, _keep=keep, **kwargs):
@@ -451,14 +455,19 @@ def bench_hello_decisions(
 #: The receiver lookup is the oracle's batched ``lookup``, which also
 #: gives the senders' positions, or ``receivers`` at commits without
 #: it, where the sender's position is read once per emitted Hello;
-#: every ``record_batch`` is one Hello delivery; only gathers labelled
-#: ``phase="hello"`` are Hello-time decisions.
+#: every ``record_batch`` is one Hello delivery (queued where the store
+#: writes behind); ``flush`` applies the queued deliveries (0 at commits
+#: that write at once), inside the call that triggered it: a read (so
+#: the gather's time holds it too) or ``record_batch`` at the queue
+#: bound; only gathers labelled ``phase="hello"`` are Hello-time
+#: decisions.
 HELLO_PHASES = {
     "receiver_lookup": (
         "repro.sim.hello_batch", "HelloReceiverOracle", ("lookup", "receivers")
     ),
     "sender_position": ("repro.sim.world", "NetworkWorld", "_node_position"),
     "record_batch": ("repro.core.neighbor_state", "NeighborState", "record_batch"),
+    "flush": ("repro.core.neighbor_state", "NeighborState", "_flush"),
     "gather": (
         "repro.core.manager",
         "MobilitySensitiveTopologyControl",
@@ -469,8 +478,10 @@ HELLO_PHASES = {
 
 #: What the ``hello_traffic`` row counts, as (module, class, method,
 #: amount per call): the manager's gathers, the view rows the neighbor
-#: store reads members for, the rows selected, and the gathers a world
-#: drops unread (a method a commit lacks counts 0).
+#: store reads members for, the rows selected, the gathers a world
+#: drops unread, and the neighbor store's flushes that applied queued
+#: deliveries and the (receiver, sender) pairs they applied (a method a
+#: commit lacks counts 0).
 HELLO_COUNTERS = {
     "gathers": [("repro.core.manager", "MobilitySensitiveTopologyControl", "gather",
                  lambda *args, **kwargs: 1)],
@@ -483,6 +494,10 @@ HELLO_COUNTERS = {
                        lambda self, protocol, views: int(views.owners.size))],
     "superseded": [("repro.core.manager", "MobilitySensitiveTopologyControl", "discard",
                     lambda self, gathered: len(gathered))],
+    "flushes": [("repro.core.neighbor_state", "NeighborState", "_flush",
+                 lambda self: int(bool(self._queue)))],
+    "pairs_flushed": [("repro.core.neighbor_state", "NeighborState", "_flush",
+                       lambda self: sum(receivers.size for _, receivers in self._queue))],
 }
 
 
@@ -547,8 +562,10 @@ def bench_hello_traffic(scenario: str, smoke: bool = False, seed: int = 1000) ->
     both commits sent and decided the same: a decision no snapshot
     reads is left out, since a commit may drop it unselected.  The same
     run counts :data:`HELLO_COUNTERS`: the manager's gathers, the view
-    rows whose members the neighbor store read, the rows selected, and
-    the gathers dropped unread (0 at commits that drop none).
+    rows whose members the neighbor store read, the rows selected, the
+    gathers dropped unread (0 at commits that drop none), and the
+    flushes of queued deliveries and the pairs they applied (0 at
+    commits that write at once).
     """
     args, smoke_n, smoke_duration = HELLO_SCENARIOS[scenario]
     protocol, mechanism, n, duration, buffer, warmup = args

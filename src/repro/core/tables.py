@@ -143,13 +143,19 @@ class NeighborTable:
     def known_neighbors(self, now: float | None = None) -> list[int]:
         """IDs of neighbors with a live (non-expired) Hello."""
         if now is None:
-            return sorted(self._state.senders(self._row))
+            return self.newest_row()[0].tolist()
         return sorted(self._state.live_ids(self._row, now, self.expiry))
 
     def newest(self, neighbors) -> tuple[np.ndarray, ...]:
         """``(version, sent_at, xy, timestamp)`` arrays of each neighbor's
         newest retained Hello (:meth:`NeighborState.newest`)."""
         return self._state.newest(self._row, neighbors)
+
+    def newest_row(self) -> tuple[np.ndarray, ...]:
+        """``(ids, version, sent_at, xy, timestamp)`` arrays of every
+        neighbor's newest retained Hello, by ascending id
+        (:meth:`NeighborState.newest_row`)."""
+        return self._state.newest_row(self._row)
 
     @property
     def retained(self) -> int:

@@ -35,9 +35,9 @@ __all__ = ["view_digest", "entries_newer_than", "merge_entries"]
 
 def _live_newest(table: NeighborTable, now: float, removal_age: float):
     """``(ids, version, sent_at, xy, timestamp)`` of every known
-    neighbor's newest entry younger than *removal_age*, ascending id."""
-    ids = np.array(table.known_neighbors(), dtype=np.int64)
-    version, sent, xy, ts = table.newest(ids)
+    neighbor's newest entry younger than *removal_age*, ascending id,
+    read as one row."""
+    ids, version, sent, xy, ts = table.newest_row()
     live = now - sent <= removal_age
     return ids[live], version[live], sent[live], xy[live], ts[live]
 

@@ -45,9 +45,12 @@ from repro.util.errors import ViewError
 def history(state: NeighborState, receiver: int, sender: int) -> tuple[Hello, ...]:
     """Retained Hellos of one (receiver, sender) pair of *state*, oldest
     first, rebuilt entry by entry from the ring columns."""
-    slot = state._directory[receiver].get(sender)
-    if slot is None:
+    state.senders(receiver)  # any read applies the queued writes
+    key = (receiver << 32) + sender
+    at = int(np.searchsorted(state._keys, key))
+    if at == state._keys.size or state._keys[at] != key:
         return ()
+    slot = int(state._key_slots[at])
     writes, k = int(state._writes[slot]), state.k
     count = min(writes, k)
     sender = int(state._slot_sender[slot])

@@ -123,7 +123,9 @@ class TestPinnedReads:
                     state.release(read)
             elif kind == "prune":
                 state.prune(step[1], clock, step[2])
-            # A read not answered yet still reads what it read when pinned.
+            # Once a read applies the queued writes, a read not answered
+            # yet still reads what it read when pinned.
+            state.retained(0)
             for read, want in outstanding:
                 if read.members is None:
                     now = state.versioned_members(list(read.rows), list(read.versions))
@@ -141,9 +143,11 @@ class TestPinnedReads:
         other = state.pin((2,), (1,))
         # Version 1 at receiver 0 overwrites no version-0 entry (depth 2).
         state.record_batch(Hello(1, 1, (1.5, 0.0), 1.0, 1.0), np.array([0]))
+        state.retained(0)  # a read applies the queued writes
         assert kept.members is None
         # Version 1 at receiver 2 is what `other` reads.
         state.record_batch(Hello(1, 1, (1.5, 0.0), 1.0, 1.0), np.array([2]))
+        state.retained(0)
         assert other.members is not None
         assert other.members[1].tolist() == []
         # Version 2 at receiver 0 evicts sender 1's version-0 entry.
@@ -158,6 +162,7 @@ class TestPinnedReads:
             state.record_batch(Hello(1, v, (float(v), 0.0), v, v), np.array([0]))
         early, late = state.pin((0,), (0,)), state.pin((0, 0), (2, 2))
         state.record_batch(Hello(1, 5, (9.0, 0.0), 5.0, 5.0), np.array([0]))
+        state.retained(0)  # a read applies the queued write
         # Mixed versions: any write to the receiver answers both.
         assert early.members is not None and late.members is not None
         assert early.members[2].tolist() == [[0.0, 0.0]]
