@@ -222,6 +222,9 @@ CELLS = {
     # Fig. 9's fastest point at n=100: local SPT paths over several hops,
     # and every probe's redecision settles the Hello-time decisions.
     "spt2-view-sync-n100": Cell("spt2", "view-sync", n_nodes=100, spec={"mean_speed": 160.0}),
+    # The same point under MST: packet-time decisions of condition 3
+    # over the local minimum-spanning-tree path costs.
+    "mst-view-sync-n100": Cell("mst", "view-sync", n_nodes=100, spec={"mean_speed": 160.0}),
 }
 
 #: spacing of the lattice placement, the paper's 8100 m^2 per node
