@@ -315,30 +315,31 @@ DECISION_ENTRIES = ("decide", "gather", "settle")
 def _snapshot_digest():
     """Digest every node's decision as each world snapshot reads it.
 
-    Wraps ``NetworkWorld._snapshot_impl`` (every waiting decision has
-    settled by then); returns the running hash and a function that
-    unwraps.  A decision that no snapshot reads is left out, since a
-    commit may drop it unselected.
+    Wraps ``NetworkWorld.snapshot`` and reads the decisions once it
+    returns (every waiting decision has settled by then); returns the
+    running hash and a function that unwraps.  A decision that no
+    snapshot reads is left out, since a commit may drop it unselected.
     """
     from repro.sim.world import NetworkWorld
 
     digest = hashlib.sha256()
-    snapshot = vars(NetworkWorld)["_snapshot_impl"]
+    snapshot = vars(NetworkWorld)["snapshot"]
 
-    def digest_snapshot(self, now):
-        digest.update(repr((now, [
+    def digest_snapshot(self, t=None):
+        snap = snapshot(self, t)
+        digest.update(repr((self.engine.now, [
             None if d is None else (
                 d.owner, d.decided_at, sorted(d.logical_neighbors),
                 d.actual_range, d.extended_range,
             )
             for d in (node._decision for node in self.nodes)
         ])).encode())
-        return snapshot(self, now)
+        return snap
 
-    NetworkWorld._snapshot_impl = digest_snapshot
+    NetworkWorld.snapshot = digest_snapshot
 
     def undo() -> None:
-        NetworkWorld._snapshot_impl = snapshot
+        NetworkWorld.snapshot = snapshot
 
     return digest, undo
 

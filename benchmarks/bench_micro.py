@@ -110,7 +110,8 @@ def test_disarmed_telemetry_world_speed(benchmark):
 
     Tracks the disarmed-seam overhead: this run must stay within noise of
     the same scenario before the telemetry subsystem existed, because
-    every seam is one ``is None`` branch when no collector is armed.
+    every seam calls :data:`~repro.telemetry.NULL_TELEMETRY`, whose
+    methods do nothing, when no collector is armed.
     """
     cfg = ScenarioConfig(
         n_nodes=100,

@@ -306,10 +306,9 @@ class RunStats:
     telemetry: TelemetrySummary | None = None
 
     @classmethod
-    def from_world(
-        cls, world: NetworkWorld, telemetry: "Telemetry | None" = None
-    ) -> "RunStats":
-        """Collect every counter from a finished world."""
+    def from_world(cls, world: NetworkWorld) -> "RunStats":
+        """Collect every counter from a finished world, and the frozen
+        summary of its collector when it is armed."""
         return cls(
             **world.channel.stats.as_dict(),
             **world.manager.cache_info(),
@@ -318,7 +317,7 @@ class RunStats:
             faults_armed=world.fault_injector is not None,
             gossip_armed=world.gossip is not None,
             propagation=world.propagation.name,
-            telemetry=telemetry.summary() if telemetry is not None else None,
+            telemetry=world.telemetry.summary() if world.telemetry.enabled else None,
         )
 
     def as_dict(self) -> dict[str, int]:
@@ -425,33 +424,31 @@ def run_once(
     with :func:`repro.telemetry.use_telemetry`) to trace the run; its
     frozen summary is attached as ``result.stats.telemetry``.
     """
-    if telemetry is None:
-        telemetry = current_telemetry()
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
-    world = build_world(spec, seed, faults=faults, telemetry=telemetry)
+    world = build_world(
+        spec, seed, faults=faults,
+        telemetry=current_telemetry() if telemetry is None else telemetry,
+    )
+    tel = world.telemetry
     cfg = spec.config
     seeds = SeedSequenceFactory(seed)
     source_rng = seeds.rng("flood-sources")
     sample_times = np.arange(
         cfg.warmup, cfg.duration + 1e-9, 1.0 / cfg.sample_rate
     )
-    if telemetry is not None:
-        telemetry.event(
-            "run_start", t=0.0, seed=seed, label=spec.label,
-            n_nodes=cfg.n_nodes, duration=cfg.duration,
-        )
+    tel.event(
+        "run_start", t=0.0, seed=seed, label=spec.label,
+        n_nodes=cfg.n_nodes, duration=cfg.duration,
+    )
     delivery, act_rng, ext_rng, ldeg, pdeg, strict = [], [], [], [], [], []
     for t in sample_times:
         world.run_until(float(t))
         source = int(source_rng.integers(cfg.n_nodes))
         result = flood(world, source)
-        if telemetry is not None:
-            telemetry.count("floods")
-            telemetry.event(
-                "flood", t=float(t), node=source,
-                delivery_ratio=result.delivery_ratio,
-            )
+        tel.count("floods")
+        tel.event(
+            "flood", t=float(t), node=source,
+            delivery_ratio=result.delivery_ratio,
+        )
         delivery.append(result.delivery_ratio)
         snap = result.snapshot
         topo = sample_topology(snap)
@@ -460,11 +457,10 @@ def run_once(
         ldeg.append(topo.mean_logical_degree)
         pdeg.append(topo.mean_physical_degree)
         strict.append(strictly_connected(snap, world.manager.physical_neighbor_mode))
-    if telemetry is not None:
-        telemetry.event(
-            "run_end", t=float(cfg.duration), seed=seed,
-            samples=len(sample_times),
-        )
+    tel.event(
+        "run_end", t=float(cfg.duration), seed=seed,
+        samples=len(sample_times),
+    )
     return RunResult(
         spec=spec,
         seed=seed,
@@ -474,7 +470,7 @@ def run_once(
         mean_logical_degrees=np.asarray(ldeg),
         mean_physical_degrees=np.asarray(pdeg),
         strict_connected=np.asarray(strict, dtype=bool),
-        stats=RunStats.from_world(world, telemetry=telemetry),
+        stats=RunStats.from_world(world),
     )
 
 

@@ -50,6 +50,7 @@ from repro.core.consistency import (
 from repro.core.framework import SelectionResult
 from repro.core.tables import NeighborTable, live_unchanged
 from repro.protocols.base import TopologyControlProtocol
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.util.errors import ProtocolError, ViewError
 
 __all__ = ["NodeDecision", "GatheredDecisions", "MobilitySensitiveTopologyControl"]
@@ -173,9 +174,8 @@ class MobilitySensitiveTopologyControl:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_uncacheable = 0
-        # Armed telemetry or None (attach_telemetry); one None check on
-        # the decide() path when disarmed — the fault-seam pattern.
-        self._telemetry = None
+        # The collector in force (attach_telemetry), armed or not.
+        self._telemetry: Telemetry = NULL_TELEMETRY
         if self.mechanism.conservative and not protocol.supports_conservative:
             raise ProtocolError(
                 f"protocol {protocol.name!r} has no conservative mode; "
@@ -380,16 +380,15 @@ class MobilitySensitiveTopologyControl:
         fresh: Sequence[int],
         cached: bool,
     ) -> None:
-        """Count and trace one gather's decisions (armed telemetry only).
+        """Count and trace one gather's decisions.
 
         *hits* and *fresh* index *tables*: the owners served from the
         cache and those freshly decided (*cached* when the cache counted
         them as misses).  Events follow owner order, as one
-        :meth:`decide` per owner would emit them.
+        :meth:`decide` per owner would emit them; a disarmed collector
+        skips building them.
         """
         tel = self._telemetry
-        if tel is None:
-            return
         if cached:
             outcome = "miss"
         elif self.decision_cache_enabled:
@@ -400,6 +399,8 @@ class MobilitySensitiveTopologyControl:
             tel.count("decision_cache", len(hits), outcome="hit", phase=phase)
         if fresh:
             tel.count("decision_cache", len(fresh), outcome=outcome, phase=phase)
+        if not tel.enabled:
+            return
         for i, hit in sorted([(i, True) for i in hits] + [(i, False) for i in fresh]):
             if hit:
                 tel.event("decision_cache_hit", t=now, node=tables[i].owner)
@@ -409,18 +410,15 @@ class MobilitySensitiveTopologyControl:
     # ------------------------------------------------------------------ #
     # telemetry
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Install (or clear, with None) a telemetry collector.
+    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        """Install a telemetry collector (armed or not).
 
-        Armed, :meth:`decide` and :meth:`decide_many` mirror the cache
-        counters into the ``decision_cache{outcome=...,phase=hello|packet}``
-        series and append
-        ``decision_cache_hit`` / ``decision_cache_miss`` events; disarmed
-        (None or a :class:`~repro.telemetry.NullTelemetry`), the decide
-        path pays one ``None`` check.
+        :meth:`gather` mirrors the cache counters into the
+        ``decision_cache{outcome=...,phase=hello|packet}`` series and
+        appends ``decision_cache_hit`` / ``decision_cache_miss`` events;
+        a disarmed collector (:data:`~repro.telemetry.NULL_TELEMETRY`,
+        the default) records nothing.
         """
-        if telemetry is not None and not getattr(telemetry, "enabled", True):
-            telemetry = None
         self._telemetry = telemetry
 
     # ------------------------------------------------------------------ #

@@ -27,6 +27,7 @@ from repro.faults.schedule import (
     NodeOutage,
     PositionNoise,
 )
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 
 __all__ = ["FaultInjector"]
 
@@ -44,10 +45,11 @@ class FaultInjector:
         with equal ``(seed, schedule)`` replay bit-identically because
         draws happen in event-engine order, which is itself deterministic.
     telemetry:
-        Armed telemetry collector or None.  When armed, every counted
-        disturbance also lands in the structured event log as a ``fault``
-        event whose ``action`` field names the seam that fired; disarmed,
-        each seam pays one ``None`` check (the established pattern).
+        Telemetry collector, armed or not (default
+        :data:`~repro.telemetry.NULL_TELEMETRY`).  Every counted
+        disturbance is also counted under ``fault_events`` and lands in
+        the structured event log as a ``fault`` event whose ``action``
+        field names the seam that fired.
     """
 
     __slots__ = (
@@ -67,12 +69,10 @@ class FaultInjector:
         self,
         schedule: FaultSchedule,
         rng: np.random.Generator,
-        telemetry=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.schedule = schedule
         self._rng = rng
-        if telemetry is not None and not getattr(telemetry, "enabled", True):
-            telemetry = None
         self._telemetry = telemetry
         self._loss = [e for e in schedule if isinstance(e, HelloLossBurst)]
         self._outages = [e for e in schedule if isinstance(e, NodeOutage)]
@@ -95,7 +95,7 @@ class FaultInjector:
     # accounting seam
 
     def note(self, action: str, t: float, node: int | None = None, count: int = 1, **data) -> None:
-        """Count one disturbance under *action*; trace it when armed.
+        """Count one disturbance under *action* and trace it.
 
         This is the single accounting path for every injector counter —
         the world's outage seams call it too — so the ``fault_*`` stats
@@ -103,9 +103,8 @@ class FaultInjector:
         """
         self.stats[action] += count
         tel = self._telemetry
-        if tel is not None:
-            tel.count("fault_events", count, action=action)
-            tel.event("fault", t=t, node=node, action=action, count=count, **data)
+        tel.count("fault_events", count, action=action)
+        tel.event("fault", t=t, node=node, action=action, count=count, **data)
 
     # ------------------------------------------------------------------ #
     # outage queries

@@ -200,17 +200,16 @@ class GossipEngine:
                 peer,
                 push,
             )
-        tel = world._tel
-        if tel is not None:
-            tel.count("gossip_exchange")
-            tel.event(
-                "gossip_exchange",
-                t=now,
-                node=origin,
-                peer=peer,
-                pulled=pulled,
-                pushed=len(push),
-            )
+        tel = world.telemetry
+        tel.count("gossip_exchange")
+        tel.event(
+            "gossip_exchange",
+            t=now,
+            node=origin,
+            peer=peer,
+            pulled=pulled,
+            pushed=len(push),
+        )
 
     def _on_push(self, receiver: int, entries: tuple) -> None:
         world = self.world
@@ -232,10 +231,9 @@ class GossipEngine:
             self.world.engine.schedule_batch(
                 now + delay, self._on_mayday, peer, node_id
             )
-        tel = self.world._tel
-        if tel is not None:
-            tel.count("gossip_mayday")
-            tel.event("gossip_mayday", t=now, node=node_id, peers=len(peers))
+        tel = self.world.telemetry
+        tel.count("gossip_mayday")
+        tel.event("gossip_mayday", t=now, node=node_id, peers=len(peers))
 
     def _on_mayday(self, responder: int, requester: int) -> None:
         world = self.world

@@ -48,7 +48,7 @@ from repro.orchestrator.context import use_orchestrator
 from repro.orchestrator.results import result_from_dict, result_to_dict
 from repro.orchestrator.store import RunStore
 from repro.orchestrator.units import WorkUnit
-from repro.telemetry.core import Telemetry, TelemetrySummary
+from repro.telemetry.core import Telemetry, TelemetrySummary, collector
 from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.runtime import current_telemetry
 from repro.util.errors import OrchestrationError, UnitTimeoutError, WorkUnitError
@@ -288,9 +288,7 @@ class OrchestrationContext:
         if self.store is not None:
             self.store.register(list(unique.values()))
 
-        telemetry = current_telemetry()
-        if telemetry is not None and not telemetry.enabled:
-            telemetry = None
+        telemetry = collector(current_telemetry())
 
         results: dict[str, RunResult] = {}
         if self.store is not None and self.resume:
@@ -314,7 +312,7 @@ class OrchestrationContext:
                     "spec_json": unit.spec_json,
                     "seed": unit.seed,
                     "timeout": self.unit_timeout,
-                    "telemetry": telemetry is not None,
+                    "telemetry": telemetry.enabled,
                 }
                 for unit in to_run
             }
@@ -383,7 +381,7 @@ class OrchestrationContext:
         payloads: dict[str, dict],
         by_id: dict[str, WorkUnit],
         results: dict[str, RunResult],
-        telemetry: Telemetry | None,
+        telemetry: Telemetry,
     ) -> None:
         """Submit one batch and drain outcomes until the backend is done."""
         record = not backend.capabilities().writes_store
@@ -434,12 +432,12 @@ class OrchestrationContext:
 
     @staticmethod
     def _absorb(
-        telemetry: Telemetry | None,
+        telemetry: Telemetry,
         result: RunResult,
         events: tuple[TelemetryEvent, ...] = (),
     ) -> None:
         summary = result.stats.telemetry
-        if telemetry is not None and isinstance(summary, TelemetrySummary):
+        if isinstance(summary, TelemetrySummary):
             # The seed orders gauge resolution: merged gauges are then a
             # pure function of the unit set, not of completion order.
             telemetry.absorb(summary, source=result.seed, events=events)

@@ -27,6 +27,7 @@ import math
 from collections.abc import Callable
 from typing import Any
 
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.util.errors import ScheduleError
 
 __all__ = ["Engine", "EventHandle", "PeriodicTimer"]
@@ -99,9 +100,9 @@ class Engine:
         # timer churn never accumulate dead entries.
         self._tombstones = 0
         self._event_hook: Callable[[float], Any] | None = None
-        # Armed telemetry or None; the seam costs one None check per
-        # run()/step() call, never per event (see set_telemetry).
-        self._telemetry: Any | None = None
+        # The collector in force; called once per run() call, never per
+        # event (see set_telemetry).
+        self._telemetry: Telemetry = NULL_TELEMETRY
 
     @property
     def now(self) -> float:
@@ -129,18 +130,16 @@ class Engine:
         """
         self._event_hook = hook
 
-    def set_telemetry(self, telemetry: Any | None) -> None:
-        """Install (or clear, with None) a telemetry collector.
+    def set_telemetry(self, telemetry: Telemetry) -> None:
+        """Install a telemetry collector (armed or not).
 
-        When armed, each :meth:`run` segment is timed under the
-        ``engine_run`` span and the processed/pending event counts are
-        folded into the ``engine_events`` counter and the
-        ``engine_pending_events`` gauge.  Disarmed (None, or a
-        :class:`~repro.telemetry.NullTelemetry`), the only cost is one
-        ``None`` check per ``run`` call — nothing per event.
+        Each :meth:`run` segment is timed under the ``engine_run`` span
+        and the processed/pending event counts are folded into the
+        ``engine_events`` counter and the ``engine_pending_events``
+        gauge.  A disarmed collector
+        (:data:`~repro.telemetry.NULL_TELEMETRY`, the default) makes
+        these no-op calls, once per ``run`` call and never per event.
         """
-        if telemetry is not None and not getattr(telemetry, "enabled", True):
-            telemetry = None
         self._telemetry = telemetry
 
     def _note_cancelled(self) -> None:
@@ -203,9 +202,6 @@ class Engine:
         if self._running:
             raise ScheduleError("engine is already running (re-entrant run() call)")
         tel = self._telemetry
-        if tel is None:
-            self._run_segment(until)
-            return
         with tel.span("engine_run"):
             before = self._events_processed
             try:

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.geometry.grid import GraphBackend
 from repro.geometry.points import distances_from
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.util.validate import check_non_negative, check_probability
 
 __all__ = ["ChannelStats", "IdealChannel"]
@@ -98,10 +99,11 @@ class IdealChannel:
         rejected within-nominal-range candidates are counted as
         :attr:`ChannelStats.propagation_losses`.
     telemetry:
-        Armed telemetry collector or None (the
-        :class:`~repro.sim.world.NetworkWorld` installs this the same way
-        it installs *fault_filter*); drops are counted under the
-        ``hello_dropped`` series when armed, at zero cost otherwise.
+        Telemetry collector, armed or not (default
+        :data:`~repro.telemetry.NULL_TELEMETRY`; the
+        :class:`~repro.sim.world.NetworkWorld` installs its own the same
+        way it installs *fault_filter*); drops are counted under the
+        ``hello_dropped`` series.
     """
 
     def __init__(
@@ -123,7 +125,7 @@ class IdealChannel:
         self.propagation = (
             None if propagation is None or propagation.is_unit_disk else propagation
         )
-        self.telemetry = None
+        self.telemetry: Telemetry = NULL_TELEMETRY
         check_non_negative("propagation_delay", self.propagation_delay)
         check_probability("hello_loss_rate", self.hello_loss_rate)
         if self.hello_loss_rate > 0.0 and self.rng is None:
@@ -202,13 +204,11 @@ class IdealChannel:
         lost = int(np.count_nonzero(~ok & (d <= min(tx_range, query_r))))
         if lost:
             self.stats.propagation_losses += lost
-            tel = self.telemetry
-            if tel is not None:
-                tel.count("hello_dropped", lost, reason="propagation")
-                tel.event(
-                    "hello_dropped", t=now, node=sender,
-                    count=lost, reason="propagation",
-                )
+            self.telemetry.count("hello_dropped", lost, reason="propagation")
+            self.telemetry.event(
+                "hello_dropped", t=now, node=sender,
+                count=lost, reason="propagation",
+            )
         return cand[ok]
 
     def surviving_hello_receivers(
@@ -228,7 +228,7 @@ class IdealChannel:
             keep = self.rng.random(receivers.size) >= self.hello_loss_rate
             lost = int(receivers.size - keep.sum())
             self.stats.hello_losses += lost
-            if tel is not None and lost:
+            if lost:
                 tel.count("hello_dropped", lost, reason="loss")
                 tel.event(
                     "hello_dropped", t=now or 0.0, node=sender, count=lost, reason="loss"
@@ -239,7 +239,7 @@ class IdealChannel:
             receivers = self.fault_filter(now, sender, receivers)
             lost = before - int(receivers.size)
             self.stats.hello_losses += lost
-            if tel is not None and lost:
+            if lost:
                 tel.count("hello_dropped", lost, reason="fault")
                 tel.event(
                     "hello_dropped", t=now or 0.0, node=sender, count=lost, reason="fault"

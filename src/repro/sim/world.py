@@ -58,7 +58,7 @@ from repro.sim.hello_batch import HelloReceiverOracle
 from repro.sim.node import SimNode
 from repro.sim.propagation import make_propagation
 from repro.sim.radio import IdealChannel
-from repro.telemetry.core import NULL_TELEMETRY, Telemetry
+from repro.telemetry.core import Telemetry, collector
 from repro.util.errors import ConfigurationError, ViewError
 from repro.util.randomness import SeedSequenceFactory
 
@@ -298,10 +298,11 @@ class NetworkWorld:
         Optional :class:`~repro.telemetry.Telemetry` collector.  When
         armed, the world traces Hello traffic, decisions, range changes
         and per-phase timings (``hello_emit`` / ``decide`` / ``redecide``
-        / ``snapshot`` / ``engine_run`` spans); the disarmed default
-        (:data:`~repro.telemetry.NULL_TELEMETRY`) keeps every seam a
-        single ``is None`` branch, the same zero-cost pattern as the
-        fault seams.
+        / ``snapshot`` / ``engine_run`` spans).  None stands for the
+        disarmed :data:`~repro.telemetry.NULL_TELEMETRY`, whose calls do
+        nothing.  The world and its components call the collector
+        whether it is armed or not, and it decides nothing: an armed and
+        a disarmed world select and drop the same decisions.
     """
 
     def __init__(
@@ -327,12 +328,9 @@ class NetworkWorld:
         self.manager = manager
         self.engine = Engine()
         #: the collector in force (never None; NullTelemetry when disarmed)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Armed handle or None: every hot-path seam guards on this single
-        # reference, so a disarmed world pays one predictable branch.
-        self._tel: Telemetry | None = self.telemetry if self.telemetry.enabled else None
-        self.engine.set_telemetry(self._tel)
-        self.manager.attach_telemetry(self._tel)
+        self.telemetry = collector(telemetry)
+        self.engine.set_telemetry(self.telemetry)
+        self.manager.attach_telemetry(self.telemetry)
         seeds = SeedSequenceFactory(seed)
         #: PropagationModel in force (UnitDisk unless configured otherwise).
         self.propagation = make_propagation(
@@ -352,7 +350,7 @@ class NetworkWorld:
             rng=seeds.rng("channel-loss") if config.hello_loss_rate > 0 else None,
             propagation=self._propagation,
         )
-        self.channel.telemetry = self._tel
+        self.channel.telemetry = self.telemetry
         self.fault_injector: FaultInjector | None = None
         if faults is not None:
             for event in faults:
@@ -363,7 +361,7 @@ class NetworkWorld:
                         f"scenario has only {config.n_nodes} nodes"
                     )
             self.fault_injector = FaultInjector(
-                faults, seeds.rng("faults"), telemetry=self._tel
+                faults, seeds.rng("faults"), telemetry=self.telemetry
             )
             self.channel.fault_filter = self.fault_injector.filter_hello_receivers
         self.clocks = ClockSet(
@@ -556,83 +554,74 @@ class NetworkWorld:
         Returns None (and transmits nothing) while the sender is inside a
         :class:`~repro.faults.schedule.NodeOutage` window.
         """
-        tel = self._tel
-        if tel is None:
-            return self._emit_hello_impl(node_id, version, None)
+        tel = self.telemetry
         with tel.span("hello_emit"):
-            return self._emit_hello_impl(node_id, version, tel)
-
-    def _emit_hello_impl(
-        self, node_id: int, version: int, tel: Telemetry | None
-    ) -> Hello | None:
-        t = self.engine.now
-        inj = self.fault_injector
-        if inj is not None and inj.node_down(node_id, t):
-            inj.note("suppressed_sends", t, node=node_id)
-            return None
-        node = self.nodes[node_id]
-        oracle = self._oracle
-        before = oracle.propagation_losses
-        pos, hit = oracle.hello(node_id, t)
-        lost = oracle.propagation_losses - before
-        # GPS noise perturbs what the node *advertises* (and therefore its
-        # own record), never the true position the radio propagates from.
-        # Its draws come before the loss-burst draws below.
-        adv = pos if inj is None else inj.advertised_position(node_id, t, pos)
-        hello = Hello(
-            sender=node_id,
-            version=version,
-            position=(float(adv[0]), float(adv[1])),
-            sent_at=t,
-            timestamp=self.clocks.local_time(node_id, t),
-        )
-        node.table.record_own(hello)
-        node.hellos_sent += 1
-        stats = self.channel.stats
-        stats.hello_messages += 1
-        if lost:
-            # Fold the oracle's per-query propagation rejects into the
-            # channel counters.
-            stats.propagation_losses += lost
-            if tel is not None:
+            t = self.engine.now
+            inj = self.fault_injector
+            if inj is not None and inj.node_down(node_id, t):
+                inj.note("suppressed_sends", t, node=node_id)
+                return None
+            node = self.nodes[node_id]
+            oracle = self._oracle
+            before = oracle.propagation_losses
+            pos, hit = oracle.hello(node_id, t)
+            lost = oracle.propagation_losses - before
+            # GPS noise perturbs what the node *advertises* (and therefore its
+            # own record), never the true position the radio propagates from.
+            # Its draws come before the loss-burst draws below.
+            adv = pos if inj is None else inj.advertised_position(node_id, t, pos)
+            hello = Hello(
+                sender=node_id,
+                version=version,
+                position=(float(adv[0]), float(adv[1])),
+                sent_at=t,
+                timestamp=self.clocks.local_time(node_id, t),
+            )
+            node.table.record_own(hello)
+            node.hellos_sent += 1
+            stats = self.channel.stats
+            stats.hello_messages += 1
+            if lost:
+                # Fold the oracle's per-query propagation rejects into the
+                # channel counters.
+                stats.propagation_losses += lost
                 tel.count("hello_dropped", lost, reason="propagation")
                 tel.event(
                     "hello_dropped", t=t, node=node_id,
                     count=lost, reason="propagation",
                 )
-        receivers = self.channel.surviving_hello_receivers(
-            hit, sender=node_id, now=t
-        )
-        if self.config.hello_tx_duration > 0.0:
-            receivers = self._drop_collided(
-                t, node_id, pos, receivers, oracle.positions_of(receivers, t)
+            receivers = self.channel.surviving_hello_receivers(
+                hit, sender=node_id, now=t
             )
-        if tel is not None:
+            if self.config.hello_tx_duration > 0.0:
+                receivers = self._drop_collided(
+                    t, node_id, pos, receivers, oracle.positions_of(receivers, t)
+                )
             tel.count("hello_sent")
             tel.event(
                 "hello_sent", t=t, node=node_id, version=version,
                 receivers=int(receivers.size),
             )
-        stats.deliveries += int(receivers.size)
-        if not receivers.size:
-            return hello
-        arrival = self.channel.arrival_time(t)
-        if inj is None:
-            self.engine.schedule_batch(
-                arrival, self._receive_hello_batch, hello, receivers
+            stats.deliveries += int(receivers.size)
+            if not receivers.size:
+                return hello
+            arrival = self.channel.arrival_time(t)
+            if inj is None:
+                self.engine.schedule_batch(
+                    arrival, self._receive_hello_batch, hello, receivers
+                )
+                return hello
+            # Delivery delay: one event per distinct arrival time, scheduled
+            # in first-appearance order over the ascending receiver array.
+            arrivals = arrival + np.array(
+                [inj.delivery_delay(t, node_id, rid) for rid in receivers.tolist()]
             )
+            _, first = np.unique(arrivals, return_index=True)
+            for at in arrivals[np.sort(first)].tolist():
+                self.engine.schedule_batch(
+                    at, self._receive_hello_batch, hello, receivers[arrivals == at]
+                )
             return hello
-        # Delivery delay: one event per distinct arrival time, scheduled
-        # in first-appearance order over the ascending receiver array.
-        arrivals = arrival + np.array(
-            [inj.delivery_delay(t, node_id, rid) for rid in receivers.tolist()]
-        )
-        _, first = np.unique(arrivals, return_index=True)
-        for at in arrivals[np.sort(first)].tolist():
-            self.engine.schedule_batch(
-                at, self._receive_hello_batch, hello, receivers[arrivals == at]
-            )
-        return hello
 
     def _receive_hello_batch(self, hello: Hello, receivers: np.ndarray) -> None:
         """Record one Hello at every receiver that takes it (one splice).
@@ -660,14 +649,13 @@ class NetworkWorld:
             if not receivers.size:
                 return
         self._neighbor_state.record_batch(hello, receivers)
-        tel = self._tel
-        if tel is not None:
-            n = int(receivers.size)
-            tel.count("hello_received", n)
-            tel.event_batch(
-                "hello_received", n, t=now,
-                sender=hello.sender, version=hello.version, count=n,
-            )
+        n = int(receivers.size)
+        tel = self.telemetry
+        tel.count("hello_received", n)
+        tel.event_batch(
+            "hello_received", n, t=now,
+            sender=hello.sender, version=hello.version, count=n,
+        )
 
     def _drop_collided(
         self,
@@ -712,8 +700,8 @@ class NetworkWorld:
             collided = in_range.any(axis=0) | np.isin(receivers, on_air_ids)
             n_collided = int(collided.sum())
             self.channel.stats.collisions += n_collided
-            tel = self._tel
-            if tel is not None and n_collided:
+            if n_collided:
+                tel = self.telemetry
                 tel.count("hello_dropped", n_collided, reason="collision")
                 tel.event(
                     "hello_dropped", t=t, node=sender_id,
@@ -820,10 +808,8 @@ class NetworkWorld:
         change."""
         previous = node._decision
         node._decision = decision
-        tel = self._tel
-        if tel is not None and (
-            previous is None or previous.extended_range != decision.extended_range
-        ):
+        if previous is None or previous.extended_range != decision.extended_range:
+            tel = self.telemetry
             tel.count("range_changes")
             tel.event(
                 "range_change", t=t, node=node.node_id,
@@ -871,11 +857,8 @@ class NetworkWorld:
         before anything could.  A cache hit is served the decision its
         owner gathered before, so a hit drops nothing, and a decision a
         hit follows is no owner's latest: it waits to be settled.  Armed
-        telemetry reads every decision as it is adopted (a range change
-        is measured against the previous range), so an armed world drops
-        none."""
-        if self._tel is not None:
-            return
+        or not, a world drops the same decisions: telemetry sees a range
+        change only when a read adopts the decision (:meth:`_adopt`)."""
         unread = self._unread
         for owner in gathered.fresh_owners():
             key = unread.pop(owner, None)
@@ -926,49 +909,42 @@ class NetworkWorld:
         Traced as one ``redecide`` span with no per-node ``decide``
         spans.
         """
-        tel = self._tel
-        if tel is None:
-            self._redecide_all_impl(version)
-        else:
-            with tel.span("redecide"):
-                self._redecide_all_impl(version)
-
-    def _redecide_all_impl(self, version: int | None) -> None:
-        inj = self.fault_injector
-        now = self.engine.now
-        # Every decision below reads the tick's one vectorized mobility
-        # evaluation.
-        positions, _ = self._geometry(now)
-        # A crashed node forwards nothing and decides nothing.
-        nodes = [
-            node.node_id
-            for node in self.nodes
-            if inj is None or not inj.node_down(node.node_id, now)
-        ]
-        gathers = []
-        for lo in range(0, len(nodes), _REDECIDE_CHUNK):
-            ids = nodes[lo : lo + _REDECIDE_CHUNK]
-            gathered = self.manager.gather(
-                [self.nodes[i].table for i in ids], now,
-                list(map(tuple, positions[ids].tolist())), version,
-            )
-            self._supersede(gathered)
-            gathers.append(gathered)
-        # The decisions still waiting settle with the first chunk, before
-        # any hit that is served one of them (with no live node they keep
-        # waiting).
-        pending = self._take_pending() if gathers else []
-        for gathered in gathers:
-            settled = self.manager.settle(pending + [gathered])
-            self._adopt_pending(pending, settled)
-            pending = []
-            for node_id, decision in zip(gathered.owners, settled[-1]):
-                # None: a node that has never advertised cannot decide; it
-                # keeps (the absence of) its standing decision.
-                if decision is not None:
-                    node = self.nodes[node_id]
-                    self._adopt(node, decision, now)
-                    node.packet_decisions += 1
+        with self.telemetry.span("redecide"):
+            inj = self.fault_injector
+            now = self.engine.now
+            # Every decision below reads the tick's one vectorized mobility
+            # evaluation.
+            positions, _ = self._geometry(now)
+            # A crashed node forwards nothing and decides nothing.
+            nodes = [
+                node.node_id
+                for node in self.nodes
+                if inj is None or not inj.node_down(node.node_id, now)
+            ]
+            gathers = []
+            for lo in range(0, len(nodes), _REDECIDE_CHUNK):
+                ids = nodes[lo : lo + _REDECIDE_CHUNK]
+                gathered = self.manager.gather(
+                    [self.nodes[i].table for i in ids], now,
+                    list(map(tuple, positions[ids].tolist())), version,
+                )
+                self._supersede(gathered)
+                gathers.append(gathered)
+            # The decisions still waiting settle with the first chunk, before
+            # any hit that is served one of them (with no live node they keep
+            # waiting).
+            pending = self._take_pending() if gathers else []
+            for gathered in gathers:
+                settled = self.manager.settle(pending + [gathered])
+                self._adopt_pending(pending, settled)
+                pending = []
+                for node_id, decision in zip(gathered.owners, settled[-1]):
+                    # None: a node that has never advertised cannot decide; it
+                    # keeps (the absence of) its standing decision.
+                    if decision is not None:
+                        node = self.nodes[node_id]
+                        self._adopt(node, decision, now)
+                        node.packet_decisions += 1
 
     # ------------------------------------------------------------------ #
     # running & observing
@@ -999,52 +975,46 @@ class NetworkWorld:
                 f"can only snapshot the current time: t={t}, now={now}"
             )
         self._settle()
-        tel = self._tel
-        if tel is None:
-            return self._snapshot_impl(now)
-        with tel.span("snapshot"):
-            snap = self._snapshot_impl(now)
+        tel = self.telemetry
         tel.count("snapshots")
-        return snap
-
-    def _snapshot_impl(self, now: float) -> WorldSnapshot:
-        n = self.config.n_nodes
-        positions, backend = self._geometry(now)
-        actual = np.zeros(n)
-        extended = np.zeros(n)
-        # (owner, count, neighbor) index arrays become the CSR logical
-        # adjacency directly.
-        ids: list[int] = []
-        counts: list[int] = []
-        cols: list[int] = []
-        cols_extend = cols.extend
-        for node in self.nodes:
-            decision = node._decision
-            if decision is None:
-                continue
-            i = node.node_id
-            neighbors = decision.logical_neighbors
-            if neighbors:
-                ids.append(i)
-                counts.append(len(neighbors))
-                cols_extend(neighbors)
-            actual[i] = decision.actual_range
-            extended[i] = decision.extended_range
-        # logical_neighbors is a frozenset: rows arrive grouped but
-        # columns unordered, so from_edges' stable sort applies.
-        logical_csr = (
-            CSRGraph.from_edges(np.repeat(ids, counts), np.asarray(cols), n)
-            if ids
-            else CSRGraph.empty(n)
-        )
-        return WorldSnapshot(
-            time=now,
-            positions=positions,
-            logical_csr=logical_csr,
-            actual_ranges=actual,
-            extended_ranges=extended,
-            normal_range=self.config.normal_range,
-            backend=backend,
-            neighbor_source=lambda r, _t=now: self._sparse_neighbors(_t, r),
-            propagation=self._propagation,
-        )
+        with tel.span("snapshot"):
+            n = self.config.n_nodes
+            positions, backend = self._geometry(now)
+            actual = np.zeros(n)
+            extended = np.zeros(n)
+            # (owner, count, neighbor) index arrays become the CSR logical
+            # adjacency directly.
+            ids: list[int] = []
+            counts: list[int] = []
+            cols: list[int] = []
+            cols_extend = cols.extend
+            for node in self.nodes:
+                decision = node._decision
+                if decision is None:
+                    continue
+                i = node.node_id
+                neighbors = decision.logical_neighbors
+                if neighbors:
+                    ids.append(i)
+                    counts.append(len(neighbors))
+                    cols_extend(neighbors)
+                actual[i] = decision.actual_range
+                extended[i] = decision.extended_range
+            # logical_neighbors is a frozenset: rows arrive grouped but
+            # columns unordered, so from_edges' stable sort applies.
+            logical_csr = (
+                CSRGraph.from_edges(np.repeat(ids, counts), np.asarray(cols), n)
+                if ids
+                else CSRGraph.empty(n)
+            )
+            return WorldSnapshot(
+                time=now,
+                positions=positions,
+                logical_csr=logical_csr,
+                actual_ranges=actual,
+                extended_ranges=extended,
+                normal_range=self.config.normal_range,
+                backend=backend,
+                neighbor_source=lambda r, _t=now: self._sparse_neighbors(_t, r),
+                propagation=self._propagation,
+            )

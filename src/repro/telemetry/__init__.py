@@ -3,8 +3,9 @@
 Everything the paper's evaluation counts — Hello overhead, removed links,
 delivery under stale views — flows through here when a run is armed with a
 :class:`Telemetry` collector; the disarmed default (:class:`NullTelemetry`)
-costs nothing on the simulator's hot paths.  See ``docs/OBSERVABILITY.md``
-for the event taxonomy, span phases, and exporter formats.
+takes the same calls and records nothing, so arming changes no decision.
+See ``docs/OBSERVABILITY.md`` for the event taxonomy, span phases, and
+exporter formats.
 
 Quickstart
 ----------

@@ -4,10 +4,10 @@ A :class:`Telemetry` instance is what the simulator seams talk to: it
 bundles a :class:`~repro.telemetry.registry.MetricsRegistry`, a bounded
 :class:`~repro.telemetry.events.EventLog`, and nested monotonic-clock
 timing spans.  :class:`NullTelemetry` is the disarmed twin — every method
-is a no-op and ``enabled`` is False — so the world can hold a telemetry
-object unconditionally while its hot paths guard with one ``is None``
-check against the *armed* handle (exactly the fault-injection seam
-pattern; measured zero cost when disarmed).
+is a no-op and ``enabled`` is False — so the world and its components
+hold one collector, armed or not, and call it without branching
+(:func:`collector` turns a missing one into :data:`NULL_TELEMETRY`).  A
+disarmed call costs one no-op method call.
 
 Spans nest: entering ``span("decide")`` inside ``span("engine_run")``
 attributes the inner duration to both the inner span's *total* time and
@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from repro.telemetry.events import EventLog, TelemetryEvent
 from repro.telemetry.registry import Gauge, Histogram, MetricsRegistry
 
-__all__ = ["SpanStats", "TelemetrySummary", "Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
+__all__ = [
+    "SpanStats",
+    "TelemetrySummary",
+    "Telemetry",
+    "NullTelemetry",
+    "NULL_TELEMETRY",
+    "collector",
+]
 
 
 @dataclass
@@ -360,7 +367,8 @@ class NullTelemetry(Telemetry):
     """Disarmed telemetry: same interface, records nothing.
 
     The default for every seam.  All methods are no-ops; ``enabled`` is
-    False so callers that want a fast path can hoist one boolean check.
+    False, which a caller reads only to skip building a payload that
+    nothing would record.
     """
 
     enabled = False
@@ -412,3 +420,10 @@ _NULL_SPAN = _NullSpan()
 #: Shared disarmed instance; seams default to this so ``world.telemetry``
 #: is always a valid object even when nothing is being collected.
 NULL_TELEMETRY = NullTelemetry()
+
+
+def collector(telemetry: Telemetry | None) -> Telemetry:
+    """The collector in force: *telemetry*, or :data:`NULL_TELEMETRY`
+    when it is None.  Seams hold its result and call it unconditionally;
+    a disarmed collector records nothing and changes no route."""
+    return NULL_TELEMETRY if telemetry is None else telemetry

@@ -276,7 +276,9 @@ SPEC_CONFIG = ScenarioConfig(
 
 
 def _per_node_redecide(world, version):
-    """The per-node loop that ``redecide_all`` ran before batching."""
+    """The per-node loop that ``redecide_all`` ran before batching; its
+    decisions are adopted before it returns, as ``redecide_all`` adopts
+    its own (a waiting one would be dropped by the next redecision)."""
     inj = world.fault_injector
     now = world.engine.now
     for node in world.nodes:
@@ -287,6 +289,7 @@ def _per_node_redecide(world, version):
             node.packet_decisions += 1
         except ViewError:
             continue
+    world._settle()
 
 
 def _drive(mechanism, faults=None, reference=False):
@@ -297,7 +300,7 @@ def _drive(mechanism, faults=None, reference=False):
     tel = Telemetry()
     world = build_world(spec, seed=3, faults=faults, telemetry=tel)
     if reference:
-        world._redecide_all_impl = lambda version: _per_node_redecide(world, version)
+        world.redecide_all = lambda version=None: _per_node_redecide(world, version)
     sources = np.random.default_rng(3)
     trace = []
     for t in np.arange(1.0, 3.0 + 1e-9, 0.25):

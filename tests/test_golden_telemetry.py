@@ -8,7 +8,8 @@ decisions (view-sync), versioned decisions that hit the cache
 (proactive), rounds under outages and delayed Hellos (faulted
 reactive) and conservative decisions (weak).  Span timings and span
 counts are left out: they describe how the program is cut into calls,
-not what it decided.
+not what it decided.  Arming the collector changes no decision: an
+armed and a disarmed run select the same rows and give the same digest.
 
 To regenerate the pins, run this file as a script and write its output
 over the JSON file, then say so in the change log::
@@ -23,9 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiment import run_once
+from repro.analysis.experiment import RunResult, run_once
+from repro.core.consistency import ConsistencyMechanism
 from repro.telemetry import Telemetry
-from test_golden_digests import FAULTS, SEED, Cell, cell_spec
+from test_golden_digests import FAULTS, SEED, Cell, cell_spec, digest
 
 PINS_PATH = Path(__file__).resolve().parent / "golden" / "telemetry_counters.json"
 
@@ -40,16 +42,21 @@ CELLS = {
 }
 
 
-def counters(cell: str) -> dict[str, float]:
-    """The pinned counter series of one armed run at :data:`SEED`."""
+def cell_run(cell: str, telemetry: Telemetry | None = None) -> RunResult:
+    """One cell's run at :data:`SEED`, armed with *telemetry* if given."""
     c = CELLS[cell]
-    telemetry = Telemetry()
-    run_once(
+    return run_once(
         cell_spec(c.protocol, c.mechanism, c.n_nodes, c.spec, **c.config),
         seed=SEED,
         faults=c.faults,
         telemetry=telemetry,
     )
+
+
+def counters(cell: str) -> dict[str, float]:
+    """The pinned counter series of one armed run at :data:`SEED`."""
+    telemetry = Telemetry()
+    cell_run(cell, telemetry)
     return {
         key: value
         for key, value in telemetry.registry.counters_dict().items()
@@ -63,6 +70,24 @@ def test_armed_counters_reproduce_pins(cell):
     got = counters(cell)
     assert {key.partition("{")[0] for key in got} == set(SERIES)
     assert got == pinned[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_arming_selects_the_same_rows(cell, monkeypatch):
+    rows = []
+    select = ConsistencyMechanism.select
+
+    def counted(self, protocol, views):
+        rows.append(views.owners.size)
+        return select(self, protocol, views)
+
+    monkeypatch.setattr(ConsistencyMechanism, "select", counted)
+    disarmed = cell_run(cell)
+    disarmed_rows = sum(rows)
+    rows.clear()
+    armed = cell_run(cell, Telemetry())
+    assert sum(rows) == disarmed_rows
+    assert digest(armed) == digest(disarmed)
 
 
 def test_every_cell_is_pinned():
