@@ -310,6 +310,10 @@ HELLO_PROTOCOLS = ("mst", "rng", "spt4", "spt2")
 
 #: The manager's decision entry points, where a commit defines them.
 DECISION_ENTRIES = ("decide", "gather", "settle")
+#: The manager method that selects a list of gathers, the first a commit
+#: defines: ``_select`` where the manager queues its decisions, else
+#: ``settle`` (which took the list before the manager held the queue).
+SELECT_ENTRIES = ("_select", "settle")
 
 
 def _snapshot_digest():
@@ -358,10 +362,11 @@ def bench_hello_decisions(
     reads it, so a before/after pair shows both sides decided the same
     even where one drops decisions nothing reads.
 
-    Where the manager has ``settle``, the run's gathers are recorded and
-    replayed against the settled manager: each owner settled alone (a
-    ``select_batch`` block of one, as per-Hello selection did) and the
-    gathers in the batches the world settled, in ns per decision.
+    Where the manager selects lists of gathers (:data:`SELECT_ENTRIES`),
+    the run's gathers are recorded and replayed against the settled
+    manager: each owner selected alone (a ``select_batch`` block of one,
+    as per-Hello selection did) and the gathers in the batches the
+    manager selected together, in ns per decision.
     """
     cls = MobilitySensitiveTopologyControl
     scale = Scale(
@@ -379,31 +384,41 @@ def bench_hello_decisions(
     decided: list = []
     batches: list = []
     inside = [0.0, 0]  # seconds, call depth
+    select_attr = next((a for a in SELECT_ENTRIES if a in vars(cls)), None)
 
-    def timed(attr, original):
+    def timed(original):
         def wrapper(self, *args, **kwargs):
             inside[1] += 1
             t0 = time.perf_counter()
             try:
-                out = original(self, *args, **kwargs)
+                return original(self, *args, **kwargs)
             finally:
                 inside[1] -= 1
                 if not inside[1]:
                     inside[0] += time.perf_counter() - t0
-            if inside[1]:
-                return out
-            if attr == "settle":
+
+        return wrapper
+
+    def recorded(attr, original):
+        def wrapper(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            if attr == select_attr:
                 batches.append((self, list(args[0])))
                 decided.extend(d for ds in out for d in ds if d is not None)
-            elif attr == "decide" and not hasattr(cls, "settle"):
+            elif attr == "decide" and select_attr is None:
                 decided.append(out)
             return out
 
         return wrapper
 
-    originals = {attr: vars(cls)[attr] for attr in DECISION_ENTRIES if attr in vars(cls)}
+    originals = {
+        attr: vars(cls)[attr]
+        for attr in (*DECISION_ENTRIES, *SELECT_ENTRIES)
+        if attr in vars(cls)
+    }
     for attr, original in originals.items():
-        setattr(cls, attr, timed(attr, original))
+        wrapped = recorded(attr, original)
+        setattr(cls, attr, timed(wrapped) if attr in DECISION_ENTRIES else wrapped)
     read, undo = _snapshot_digest()
     try:
         t0 = time.perf_counter()
@@ -427,14 +442,15 @@ def bench_hello_decisions(
     )
     if batches:
         gathers = [(manager, g) for manager, batch in batches for g in batch]
+        select = originals[select_attr]
 
         def one_by_one() -> list:
-            return [d for manager, g in gathers for d in manager.settle([g])[0]]
+            return [d for manager, g in gathers for d in select(manager, [g])[0]]
 
         def as_settled() -> list:
             return [
                 d for manager, batch in batches
-                for ds in manager.settle(batch) for d in ds
+                for ds in select(manager, batch) for d in ds
             ]
 
         if one_by_one() != as_settled():
@@ -479,8 +495,8 @@ HELLO_PHASES = {
 
 #: What the ``hello_traffic`` row counts, as (module, class, method,
 #: amount per call): the manager's gathers, the view rows the neighbor
-#: store reads members for, the rows selected, the gathers a world
-#: drops unread, and the neighbor store's flushes that applied queued
+#: store reads members for, the rows selected, the gathers dropped
+#: unread (by the world's ``discard`` calls, or the manager's ``_drop``), and the neighbor store's flushes that applied queued
 #: deliveries and the (receiver, sender) pairs they applied (a method a
 #: commit lacks counts 0).
 HELLO_COUNTERS = {
@@ -493,8 +509,12 @@ HELLO_COUNTERS = {
     ],
     "rows_selected": [("repro.core.consistency", "ConsistencyMechanism", "select",
                        lambda self, protocol, views: int(views.owners.size))],
-    "superseded": [("repro.core.manager", "MobilitySensitiveTopologyControl", "discard",
-                    lambda self, gathered: len(gathered))],
+    "superseded": [
+        ("repro.core.manager", "MobilitySensitiveTopologyControl", "discard",
+         lambda self, gathered: len(gathered)),
+        ("repro.core.manager", "MobilitySensitiveTopologyControl", "_drop",
+         lambda self, key: 1),
+    ],
     "flushes": [("repro.core.neighbor_state", "NeighborState", "_flush",
                  lambda self: int(bool(self._queue)))],
     "pairs_flushed": [("repro.core.neighbor_state", "NeighborState", "_flush",

@@ -13,13 +13,16 @@ protocol with the three mobility mechanisms the paper proposes/evaluates:
 The object is simulator-agnostic: it turns a neighbor table + current
 position into a :class:`NodeDecision`.  A decision has two steps:
 :meth:`~MobilitySensitiveTopologyControl.gather` reads its inputs at the
-decision instant, and :meth:`~MobilitySensitiveTopologyControl.settle`
-selects many gathered decisions together later.  The simulator gathers
-at Hello time and settles when a decision is read; at packet time (for
-packet-recomputing mechanisms) it gathers and settles every node at
-once.  Library users call :meth:`~MobilitySensitiveTopologyControl.decide`
-or :meth:`~MobilitySensitiveTopologyControl.decide_many` on hand-built
-tables, which do both steps.
+decision instant and queues it, and
+:meth:`~MobilitySensitiveTopologyControl.settle` selects every waiting
+decision together later.  The queue is the manager's *decision lane*
+(one per manager, so one per world and protocol): a newer decision of
+the same owner that misses the cache drops its waiting one unread.  The
+simulator gathers at each Hello and at packet time and settles when a
+decision is read.  Library users call
+:meth:`~MobilitySensitiveTopologyControl.decide` or
+:meth:`~MobilitySensitiveTopologyControl.decide_many` on hand-built
+tables, which do both steps beside the lane, never touching it.
 
 Because the paper's decisions are made from *stale, asynchronously
 collected* views, many consecutive decisions at a node see identical
@@ -89,6 +92,10 @@ class NodeDecision:
 _UNDECIDED, _HIT, _FRESH = 0, 1, 2
 #: The errors of a gather in which every owner can decide.
 _NO_ERRORS: Mapping[int, ViewError] = MappingProxyType({})
+#: Owners a :meth:`MobilitySensitiveTopologyControl.settle` selects per
+#: pass at least (whole gathers, in order): at 10k nodes one pass's
+#: selection temporaries and fresh decisions are alive at a time.
+_SETTLE_OWNERS = 256
 
 
 class GatheredDecisions(NamedTuple):
@@ -101,7 +108,8 @@ class GatheredDecisions(NamedTuple):
     fresh selection from the next row of ``views`` (whose members, for
     versioned views, are read when they settle), at the next of
     ``versions``.  *stored* when the cache holds the fresh rows' stamps
-    and takes their decisions.
+    and takes their decisions; *phase* (``hello`` or ``packet``) labels
+    the decisions.
     """
 
     now: float
@@ -111,10 +119,7 @@ class GatheredDecisions(NamedTuple):
     versions: tuple[int | None, ...]
     errors: Mapping[int, ViewError]
     stored: bool
-
-    def fresh_owners(self) -> list[int]:
-        """The owners this gather decides afresh (cache misses)."""
-        return [o for o, kind in zip(self.owners, self.kinds) if kind == _FRESH]
+    phase: str
 
 
 class MobilitySensitiveTopologyControl:
@@ -176,6 +181,11 @@ class MobilitySensitiveTopologyControl:
         self.cache_uncacheable = 0
         # The collector in force (attach_telemetry), armed or not.
         self._telemetry: Telemetry = NULL_TELEMETRY
+        # The decision lane: waiting gathers in gather order (keyed by a
+        # running count), and each owner's latest waiting one-owner gather.
+        self._waiting: dict[int, GatheredDecisions] = {}
+        self._latest: dict[int, int] = {}
+        self._gathers = 0
         if self.mechanism.conservative and not protocol.supports_conservative:
             raise ProtocolError(
                 f"protocol {protocol.name!r} has no conservative mode; "
@@ -192,6 +202,11 @@ class MobilitySensitiveTopologyControl:
         """Whether Hello versions must be globally epoch-aligned."""
         return self.mechanism.synchronized_versions
 
+    @property
+    def waiting(self) -> int:
+        """Number of gathers waiting in the lane to be settled."""
+        return len(self._waiting)
+
     def decide(
         self,
         table: NeighborTable,
@@ -204,17 +219,17 @@ class MobilitySensitiveTopologyControl:
         *position* is the node's current position ``(x, y)``; it may be
         None where the mechanism does not read it
         (:meth:`~repro.core.consistency.ConsistencyMechanism.resolve`
-        says).  One :meth:`gather` and one :meth:`settle`, as
-        :meth:`decide_many` for one owner, counted in the ``hello``
-        phase; raises the owner's :class:`~repro.util.errors.ViewError`
-        when it cannot decide, and
+        says).  A gather and a selection of that gather alone, counted in
+        the ``hello`` phase; the lane's waiting decisions are neither
+        settled nor dropped.  Raises the owner's
+        :class:`~repro.util.errors.ViewError` when it cannot decide, and
         :class:`~repro.util.errors.ConfigurationError` when the mechanism
         reads a *position* that is None.
         """
-        gathered = self.gather([table], now, [position], version, phase="hello")
+        gathered = self._gather([table], now, [position], version, "hello")
         if gathered.errors:
             raise gathered.errors[0]
-        return self.settle([gathered])[0][0]
+        return self._select([gathered])[0][0]
 
     def decide_many(
         self,
@@ -225,11 +240,10 @@ class MobilitySensitiveTopologyControl:
     ) -> list[NodeDecision | None]:
         """:meth:`decide` for many owners at once — packet-time redecision.
 
-        One :meth:`gather` and one :meth:`settle`.  An owner whose view
-        cannot be built gets None and counts no miss, as if its
-        :meth:`decide` had raised :class:`ViewError`.
+        An owner whose view cannot be built gets None and counts no
+        miss, as if its :meth:`decide` had raised :class:`ViewError`.
         """
-        return self.settle([self.gather(tables, now, positions, version)])[0]
+        return self._select([self._gather(tables, now, positions, version, "packet")])[0]
 
     def gather(
         self,
@@ -239,7 +253,77 @@ class MobilitySensitiveTopologyControl:
         version: int | None = None,
         phase: str = "packet",
     ) -> GatheredDecisions:
-        """Read many owners' decision inputs at *now*; :meth:`settle`
+        """Read many owners' decision inputs at *now* and queue their
+        decisions in the lane; :meth:`settle` selects them later.
+
+        Returns the gather, whose ``errors`` name the owners that cannot
+        decide.  Each owner that misses the cache drops its latest
+        waiting decision unread, when that decision was gathered alone:
+        nothing has read it (a read settles the lane), and the fresh
+        decision replaces it before anything could.  A cache hit is
+        served the decision its owner gathered before, so a hit drops
+        nothing, and a decision that a hit follows is no owner's latest:
+        it waits to be settled, and gathers settle in order.  A dropped
+        decision releases its pinned reads and counts one
+        ``decisions_dropped``; its stamp and counters stand.  In a world
+        only packet-time decisions hit after a waiting one: its
+        Hello-time decisions follow the owner's own Hello, a write to
+        its table.
+        """
+        gathered = self._gather(tables, now, positions, version, phase)
+        latest = self._latest
+        for owner, kind in zip(gathered.owners, gathered.kinds):
+            if kind == _FRESH and owner in latest:
+                self._drop(latest.pop(owner))
+        if len(gathered.errors) < len(gathered.owners):
+            key = self._gathers
+            self._gathers += 1
+            self._waiting[key] = gathered
+            if len(gathered.owners) == 1:
+                latest[gathered.owners[0]] = key
+        return gathered
+
+    def settle(self) -> list[tuple[NodeDecision, str]]:
+        """Select every waiting decision; none waits afterwards.
+
+        Returns each decision with its phase, in gather order; a decision
+        names its owner and the instant it was gathered (``decided_at``).
+        Whole gathers are selected together, at least
+        :data:`_SETTLE_OWNERS` owners per pass, so the decisions waiting
+        before a packet-time redecision settle with its first chunk.
+        """
+        waiting = list(self._waiting.values())
+        self._waiting = {}
+        self._latest = {}
+        settled = []
+        lo = owners = 0
+        for hi, gathered in enumerate(waiting, 1):
+            owners += len(gathered.owners)
+            if owners < _SETTLE_OWNERS and hi < len(waiting):
+                continue
+            block = waiting[lo:hi]
+            for g, decisions in zip(block, self._select(block)):
+                settled += [(d, g.phase) for d in decisions if d is not None]
+            lo, owners = hi, 0
+        return settled
+
+    def _drop(self, key: int) -> None:
+        """Drop the waiting gather *key* unread: its pinned reads are
+        released."""
+        gathered = self._waiting.pop(key)
+        if isinstance(gathered.views, PendingViews):
+            gathered.views.release()
+        self._telemetry.count("decisions_dropped")
+
+    def _gather(
+        self,
+        tables: Sequence[NeighborTable],
+        now: float,
+        positions: Sequence[tuple[float, float] | None],
+        version: int | None,
+        phase: str,
+    ) -> GatheredDecisions:
+        """Read many owners' decision inputs at *now*; :meth:`_select`
         turns them into decisions later.
 
         The mechanism resolves each owner once
@@ -252,8 +336,8 @@ class MobilitySensitiveTopologyControl:
         and their stamps are stored, so the cache holds every gathered
         decision's stamp while its selection waits.  Latest and
         multi-version members are read now; versioned members (a
-        resolved version that is not None) are pinned now and read at
-        :meth:`settle`, as of now.  Hit/miss accounting
+        resolved version that is not None) are pinned now and read when
+        they are selected, as of now.  Hit/miss accounting
         and telemetry events happen here, per owner in order, with
         *phase* (``hello`` or ``packet``) as their label.
 
@@ -300,22 +384,22 @@ class MobilitySensitiveTopologyControl:
         versions = tuple([resolved[i][1] for i in fresh])
         # A gather waits until it settles: no empty dict per gather.
         return GatheredDecisions(
-            now, owners, tuple(kinds), views, versions, errors or _NO_ERRORS, stored
+            now, owners, tuple(kinds), views, versions, errors or _NO_ERRORS, stored, phase
         )
 
-    def settle(
+    def _select(
         self, gathered: Sequence[GatheredDecisions]
     ) -> list[list[NodeDecision | None]]:
-        """The decisions of every :meth:`gather` in *gathered*, in order.
+        """The decisions of every gather in *gathered*, in order (None
+        for an owner that cannot decide).
 
         The pinned versioned members of all of them are read in one call
         per neighbor store, and their fresh rows are selected in one
         :meth:`~repro.core.consistency.ConsistencyMechanism.select` pass
         (padded blocks for single-version mechanisms).  Each decision is
         made at its own gather's instant (``decided_at``); a cache hit
-        gets the standing decision refreshed to that instant.  Settle
-        gathers in the order they were made, since a hit is served the
-        decision of the owner's previous gather.
+        gets the decision of its owner's previous gather, refreshed to
+        that instant.
         """
         views = [g.views for g in gathered if _FRESH in g.kinds]
         selected = iter(
@@ -340,14 +424,6 @@ class MobilitySensitiveTopologyControl:
                 out.append(decision)
             settled.append(out)
         return settled
-
-    def discard(self, gathered: Sequence[GatheredDecisions]) -> None:
-        """Forget gathers that will never settle (newer decisions of the
-        same owners replace them): their pinned reads are released.
-        Their stamps and counters stand."""
-        for g in gathered:
-            if isinstance(g.views, PendingViews):
-                g.views.release()
 
     # ------------------------------------------------------------------ #
     # decision-cache stamps
@@ -414,9 +490,10 @@ class MobilitySensitiveTopologyControl:
         """Install a telemetry collector (armed or not).
 
         :meth:`gather` mirrors the cache counters into the
-        ``decision_cache{outcome=...,phase=hello|packet}`` series and
-        appends ``decision_cache_hit`` / ``decision_cache_miss`` events;
-        a disarmed collector (:data:`~repro.telemetry.NULL_TELEMETRY`,
+        ``decision_cache{outcome=...,phase=hello|packet}`` series,
+        appends ``decision_cache_hit`` / ``decision_cache_miss`` events
+        and counts the waiting decisions it drops in
+        ``decisions_dropped``; a disarmed collector (:data:`~repro.telemetry.NULL_TELEMETRY`,
         the default) records nothing.
         """
         self._telemetry = telemetry

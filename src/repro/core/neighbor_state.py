@@ -14,15 +14,13 @@ one (receiver, sender) pair and ``k`` is the retained history depth.
   contiguous run of keys (ascending sender), and new pairs are merged
   in once per flush, slotted in order of first appearance;
 - slots are never reused, so a receiver's *insertion order* is its
-  ascending slot order (a pair re-created after a prune goes last);
-  view members follow it;
+  ascending slot order; view members follow it;
 - a ring entry never written holds version :data:`NO_VERSION`, which no
   versioned read asks for;
 - per-pair histories are bounded rings of depth ``k`` (oldest evicted),
   the exact ``deque(maxlen=k)`` behaviour;
 - ``mutations`` / ``hellos_received`` counters live in flat per-node
-  arrays: every recorded Hello bumps both, a prune that drops anything
-  bumps ``mutations`` once.
+  arrays: every recorded Hello bumps both.
 
 Writes are *write-behind*.  :meth:`NeighborState.record_batch` (one
 Hello at many receivers) queues the Hello and counts it at once, since
@@ -51,8 +49,7 @@ A versioned read can be asked now and answered later, as of the instant
 it was asked (:meth:`pin`, :meth:`answer`): the decisions that read it
 are selected only when something reads them.  The members of (receiver,
 version ``v``) change only when a write to that receiver carries version
-``v`` or overwrites a ring entry of version ``v`` (or a prune drops a
-pair).  A pin records its place in the write queue; when a later queued
+``v`` or overwrites a ring entry of version ``v``.  A pin records its place in the write queue; when a later queued
 write would change a pinned read (under reads of several versions at
 one receiver, any write there does), the flush stops before that write's
 Hello and answers the reads pinned there.  With nothing pinned that
@@ -454,26 +451,6 @@ class NeighborState:
                 rows.append(r)
         return None if hit is None else (hit, rows)
 
-    def prune(self, receiver: int, now: float, expiry: float) -> bool:
-        """Drop *receiver*'s pairs not heard from within *expiry* seconds.
-
-        Returns True (and bumps the receiver's mutation counter once)
-        when anything was dropped.  Dropped slots are never reused, so a
-        later Hello from the same sender starts a fresh history.
-        """
-        self._flush()
-        lo, hi = self._row_bounds(int(receiver))
-        stale = now - self._latest_sent[self._key_slots[lo:hi]] > expiry
-        if not stale.any():
-            return False
-        if receiver in self._pins:
-            self._answer_at([receiver])
-        drop = lo + np.flatnonzero(stale)
-        self._keys = np.delete(self._keys, drop)
-        self._key_slots = np.delete(self._key_slots, drop)
-        self.mutations[receiver] += 1
-        return True
-
     # ------------------------------------------------------------------ #
     # deferred versioned reads
 
@@ -524,7 +501,7 @@ class NeighborState:
             else:
                 pinned[row] = _UNPINNED
 
-    def _answer_at(self, receivers: list[int], place: float = np.inf) -> None:
+    def _answer_at(self, receivers: list[int], place: int) -> None:
         """Answer every read pinned at any of *receivers* before the
         Hello numbered *place*."""
         reads = {

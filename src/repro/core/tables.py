@@ -123,10 +123,6 @@ class NeighborTable:
             raise ViewError("a node does not receive its own Hello")
         self._state.record_entries(self._row, hellos)
 
-    def prune(self, now: float) -> None:
-        """Drop neighbors not heard from within the expiry window."""
-        self._state.prune(self._row, now, self.expiry)
-
     # ------------------------------------------------------------------ #
     # introspection
 

@@ -6,8 +6,8 @@ Each round is a three-message push–pull exchange with ``fanout`` peers
 sampled (without replacement) from the nodes currently inside normal
 Hello range, plus two maintenance duties:
 
-1. **age-based peer removal** — the node prunes its table and never
-   relays entries older than ``removal_age``, so a silent peer's state
+1. **age-based peer removal** — the node never advertises or relays
+   entries older than ``removal_age``, so a silent peer's state
    ages out of circulation everywhere instead of bouncing between relays
    forever;
 2. **mayday recovery** — when the node's live view has been empty for
@@ -116,7 +116,7 @@ class GossipEngine:
         # Age-based peer removal happens at the dissemination layer: the
         # digest and delta filters stop advertising/relaying entries older
         # than removal_age, so a silent peer leaves circulation everywhere.
-        # The table itself is never pruned — retained-but-expired history
+        # No table is ever pruned — retained-but-expired history
         # is what the audit's ghost-neighbor invariant (and the freshness
         # oracle) reason over, exactly as under every other mechanism.
         table = world.nodes[node_id].table

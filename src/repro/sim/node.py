@@ -34,8 +34,9 @@ class SimNode:
     hellos_sent:
         Diagnostics counter.
     settle:
-        Settles the world's gathered decisions (None for a node outside
-        a world); called before :attr:`decision` is read or set.
+        Adopts the decisions waiting in the world's decision lane (None
+        for a node outside a world); called before :attr:`decision` is
+        read or set.
     """
 
     node_id: int
@@ -43,7 +44,7 @@ class SimNode:
     next_version: int = 1
     hellos_sent: int = 0
 
-    #: decisions recomputed on packet forwarding (view-sync / proactive)
+    #: packet-time decisions adopted: redecisions and forwarders' (view-sync / proactive)
     packet_decisions: int = field(default=0, repr=False)
     settle: Callable[[], None] | None = field(default=None, repr=False, compare=False)
     _decision: NodeDecision | None = field(default=None, init=False, repr=False)

@@ -163,7 +163,7 @@ class UnicastTraffic:
         if self.world.manager.recompute_on_packet:
             # packet events refresh the logical set (view synchronization)
             try:
-                self.world.decide_node(holder)
+                self.world.decide_node(holder, phase="packet")
             except ViewError:
                 pass  # bootstrap: the holder has not advertised the version
         ids, believed = self._believed_positions(holder)

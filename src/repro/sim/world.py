@@ -17,11 +17,12 @@
   split it into one event per arrival time, and an overtaken Hello is
   discarded at arrival;
 - **decisions** are made right after each Hello (the paper's Fig. 3
-  timing): their inputs are gathered then, and the selections of many
-  of them settle together in padded blocks when a decision is next read
-  (:meth:`decide_node`); one that a newer decision of the same node
-  replaces before any read is never selected.  Packet-recomputing
-  mechanisms decide again at packet time via :meth:`redecide_all`;
+  timing): :meth:`decide_node` gathers them into the manager's decision
+  lane, which selects many together in padded blocks when a decision is
+  next read, and the world adopts what it settles (one that a newer
+  decision of the same node replaces before any read is never
+  selected).  Packet-recomputing mechanisms decide again at packet time
+  via :meth:`redecide_all`;
 - **snapshots** freeze the directed effective topology at the current
   instant for the metrics layer, as CSR neighbor lists at every network
   size.
@@ -36,11 +37,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.manager import (
-    GatheredDecisions,
-    MobilitySensitiveTopologyControl,
-    NodeDecision,
-)
+from repro.core.manager import MobilitySensitiveTopologyControl, NodeDecision
 from repro.core.neighbor_state import NeighborState
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
@@ -64,9 +61,8 @@ from repro.util.randomness import SeedSequenceFactory
 
 __all__ = ["NetworkWorld", "WorldSnapshot"]
 
-# Nodes per gather and per settle in packet-time redecision.  Every
-# paper-sized world redecides in one chunk; at 10k nodes one chunk's
-# selection temporaries and fresh decisions are alive at a time.
+# Nodes per gather in packet-time redecision (the manager settles about
+# as many per pass).  Every paper-sized world redecides in one chunk.
 _REDECIDE_CHUNK = 256
 
 
@@ -285,7 +281,9 @@ class NetworkWorld:
         ``config.n_nodes``.
     manager:
         The mobility-sensitive topology control configuration every node
-        runs (protocol + consistency mechanism + buffer policy).
+        runs (protocol + consistency mechanism + buffer policy).  Its
+        decision lane holds this world's waiting decisions, so each world
+        needs a manager of its own.
     seed:
         Root seed for all per-world randomness (Hello jitter, clock skew,
         reactive flood emulation).
@@ -384,11 +382,6 @@ class NetworkWorld:
             config.normal_range,
             propagation=self._propagation,
         )
-        # Hello-time decisions gathered but not yet selected, in gather
-        # order (keyed by a running count), and each owner's latest key.
-        self._pending: dict[int, GatheredDecisions] = {}
-        self._unread: dict[int, int] = {}
-        self._gathers = 0
         settle = self._settle  # one bound method shared by every node
         self.nodes = [
             SimNode(
@@ -803,92 +796,61 @@ class NetworkWorld:
             return memo[1][node_id]
         return self._oracle.node_position(node_id, t)
 
-    def _adopt(self, node: SimNode, decision: NodeDecision, t: float) -> None:
-        """Install a new standing decision made at *t*, tracing a range
-        change."""
-        previous = node._decision
-        node._decision = decision
-        if previous is None or previous.extended_range != decision.extended_range:
-            tel = self.telemetry
-            tel.count("range_changes")
-            tel.event(
-                "range_change", t=t, node=node.node_id,
-                old=None if previous is None else previous.extended_range,
-                new=decision.extended_range,
-            )
+    def _adopt(self, settled: list[tuple[NodeDecision, str]]) -> None:
+        """Install settled decisions as their owners' standing ones, in
+        order, tracing each range change at the decision's instant and
+        counting each packet-phase decision in ``packet_decisions``."""
+        tel = self.telemetry
+        for decision, phase in settled:
+            node = self.nodes[decision.owner]
+            previous = node._decision
+            node._decision = decision
+            if phase == "packet":
+                node.packet_decisions += 1
+            if previous is None or previous.extended_range != decision.extended_range:
+                tel.count("range_changes")
+                tel.event(
+                    "range_change", t=decision.decided_at, node=node.node_id,
+                    old=None if previous is None else previous.extended_range,
+                    new=decision.extended_range,
+                )
 
     def decide_node(
         self,
         node_id: int,
         version: int | None = None,
         position: tuple[float, float] | None = None,
+        phase: str = "hello",
     ) -> None:
         """Run topology control at one node, updating its standing decision.
 
         *position* is the node's current position as the decision may
         read it: the one its Hello just advertised at Hello time, else
-        (None) its true position now.
-        The decision's inputs are gathered now, and a node that cannot
-        decide raises :class:`ViewError` now; the selection waits until
-        the decision is read: at :meth:`snapshot` and
-        :meth:`redecide_all`, or when any node's standing decision is
-        read or assigned.  It is made at this instant whenever it
-        settles.  A newer decision of the node that misses the cache
-        drops this one while it waits (:meth:`_supersede`), so each node
-        has at most one decision waiting unless cache hits follow it.
+        (None) its true position now.  *phase* is ``hello`` for a
+        Hello-time or reactive-round decision and ``packet`` for a
+        forwarder's.  The decision's inputs are gathered now into the
+        manager's lane, and a node that cannot decide raises
+        :class:`ViewError` now; the selection waits until a decision is
+        read: at :meth:`snapshot` and :meth:`redecide_all`, or when any
+        node's standing decision is read or assigned.  It is made at this
+        instant whenever it settles.
         """
-        node = self.nodes[node_id]
         t = self.engine.now
         if position is None:
             position = tuple(self._node_position(node_id, t).tolist())
-        gathered = self.manager.gather([node.table], t, [position], version, phase="hello")
+        table = self.nodes[node_id].table
+        gathered = self.manager.gather([table], t, [position], version, phase=phase)
         if gathered.errors:
             raise gathered.errors[0]
-        self._supersede(gathered)
-        key = self._gathers
-        self._gathers += 1
-        self._pending[key] = gathered
-        self._unread[node_id] = key
-
-    def _supersede(self, gathered: GatheredDecisions) -> None:
-        """Drop the latest waiting Hello-time decision of every owner that
-        *gathered* decides afresh: nothing has read it (a read settles
-        every waiting decision), and the fresh decision replaces it
-        before anything could.  A cache hit is served the decision its
-        owner gathered before, so a hit drops nothing, and a decision a
-        hit follows is no owner's latest: it waits to be settled.  Armed
-        or not, a world drops the same decisions: telemetry sees a range
-        change only when a read adopts the decision (:meth:`_adopt`)."""
-        unread = self._unread
-        for owner in gathered.fresh_owners():
-            key = unread.pop(owner, None)
-            if key is not None:
-                self.manager.discard([self._pending.pop(key)])
-
-    def _take_pending(self) -> list[GatheredDecisions]:
-        """The waiting Hello-time decisions, in gather order; none wait
-        afterwards."""
-        pending = list(self._pending.values())
-        self._pending = {}
-        self._unread = {}
-        return pending
-
-    def _adopt_pending(
-        self, pending: list[GatheredDecisions], settled: list[list[NodeDecision | None]]
-    ) -> None:
-        """Adopt settled Hello-time decisions, each at its gather's instant."""
-        for gathered, (decision,) in zip(pending, settled):
-            self._adopt(self.nodes[gathered.owners[0]], decision, gathered.now)
 
     def _settle(self) -> None:
-        """Select every waiting decision in one pass and adopt each, in
-        order, at the instant it was gathered (one ``decide`` span)."""
-        if not self._pending:
+        """Adopt every decision waiting in the manager's lane (one
+        ``decide`` span)."""
+        if not self.manager.waiting:
             return
-        pending = self._take_pending()
         with self.telemetry.span("decide"):
-            settled = self.manager.settle(pending)
-        self._adopt_pending(pending, settled)
+            settled = self.manager.settle()
+        self._adopt(settled)
 
     def redecide_all(self, version: int | None = None) -> None:
         """Re-decide every node *now* — packet-time recomputation.
@@ -901,13 +863,8 @@ class NetworkWorld:
         for reachability and keeps the hot path vectorizable: the live
         nodes are gathered with their true positions now, 256 per
         :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.gather`,
-        and every owner that misses the cache drops its waiting
-        Hello-time decision.  The chunks then settle one
-        :meth:`~repro.core.manager.MobilitySensitiveTopologyControl.settle`
-        each, the decisions still waiting ahead of the first chunk, since
-        a hit is served the decision of its owner's previous gather.
-        Traced as one ``redecide`` span with no per-node ``decide``
-        spans.
+        and the world adopts everything the lane then settles.  Traced as
+        one ``redecide`` span with no per-node ``decide`` spans.
         """
         with self.telemetry.span("redecide"):
             inj = self.fault_injector
@@ -921,30 +878,15 @@ class NetworkWorld:
                 for node in self.nodes
                 if inj is None or not inj.node_down(node.node_id, now)
             ]
-            gathers = []
             for lo in range(0, len(nodes), _REDECIDE_CHUNK):
                 ids = nodes[lo : lo + _REDECIDE_CHUNK]
-                gathered = self.manager.gather(
+                self.manager.gather(
                     [self.nodes[i].table for i in ids], now,
                     list(map(tuple, positions[ids].tolist())), version,
                 )
-                self._supersede(gathered)
-                gathers.append(gathered)
-            # The decisions still waiting settle with the first chunk, before
-            # any hit that is served one of them (with no live node they keep
-            # waiting).
-            pending = self._take_pending() if gathers else []
-            for gathered in gathers:
-                settled = self.manager.settle(pending + [gathered])
-                self._adopt_pending(pending, settled)
-                pending = []
-                for node_id, decision in zip(gathered.owners, settled[-1]):
-                    # None: a node that has never advertised cannot decide; it
-                    # keeps (the absence of) its standing decision.
-                    if decision is not None:
-                        node = self.nodes[node_id]
-                        self._adopt(node, decision, now)
-                        node.packet_decisions += 1
+            # A node that has never advertised cannot decide; it keeps
+            # (the absence of) its standing decision.
+            self._adopt(self.manager.settle())
 
     # ------------------------------------------------------------------ #
     # running & observing

@@ -18,8 +18,8 @@ predicate over whole runs.
 Weak consistency selects from arrays too: every live neighbor's retained
 positions, gathered straight from the store
 (:func:`~repro.core.tables.history_members`).  On random tables (depths
-1, 2, 3 and 5, wrapped rings, expired and pruned senders, private and
-shared stores) its decision must equal the protocol's
+1, 2, 3 and 5, wrapped rings, expired senders, private and shared
+stores) its decision must equal the protocol's
 ``select_conservative`` on the table's Hello-built ``multi_view``, for
 every protocol with a conservative mode.  So must one selection over
 the gather of more owners than a block holds, young rings and empty
@@ -274,9 +274,8 @@ OWNER = 6
 OTHER = 10
 EXPIRY = 1.0
 
-# One operation on the owner's table: a Hello (sender, version, x, y), an
-# own advertisement at (x, y), or a prune.  Time advances by 0.3 s per
-# operation, so a prune drops senders silent for more than three of them.
+# One operation on the owner's table: a Hello (sender, version, x, y) or
+# an own advertisement at (x, y).  Time advances by 0.3 s per operation.
 weak_hello_op = st.tuples(
     st.just("hello"),
     st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9]),
@@ -286,8 +285,7 @@ weak_hello_op = st.tuples(
 )
 weak_own_op = st.tuples(st.just("own"), coordinate, coordinate)
 weak_operations = st.lists(
-    st.one_of(weak_hello_op, weak_hello_op, weak_hello_op, weak_own_op,
-              st.tuples(st.just("prune"))),
+    st.one_of(weak_hello_op, weak_hello_op, weak_hello_op, weak_own_op),
     max_size=40,
 )
 
@@ -309,13 +307,10 @@ def _weak_tables(ops, k: int, normal_range: float):
             hello = Hello(sender, version, (x, y), t, t + 0.001)
             private.record_hello(hello)
             state.record_batch(hello, np.array([OWNER, OTHER]))
-        elif op[0] == "own":
+        else:
             own = Hello(OWNER, 1, (op[1], op[2]), t, t)
             private.record_own(own)
             shared.record_own(own)
-        else:
-            private.prune(t)
-            shared.prune(t)
     return private, shared, t
 
 
@@ -461,14 +456,14 @@ class TestWeakFromHistories:
     @pytest.mark.parametrize("name", sorted(CONSERVATIVE))
     def test_wrapped_rings_expiry_and_prune(self, name):
         # k=2: sender 1 writes five times (its ring wraps twice), sender 2
-        # once and then falls silent, sender 3 returns after a prune with
-        # a fresh history.
+        # once and then falls silent, sender 3 returns after falling
+        # silent.
         protocol = CONSERVATIVE[name]()
         ops = [
             ("own", 0.0, 0.0), ("hello", 1, 1, 10.0, 0.0), ("hello", 2, 1, 0.0, 20.0),
             ("hello", 3, 1, 40.0, 0.0), ("hello", 1, 2, 12.0, 3.0),
             ("hello", 1, 3, 14.0, 6.0), ("own", 2.0, 2.0), ("hello", 1, 4, 16.0, 9.0),
-            ("hello", 1, 5, 18.0, 12.0), ("prune",), ("hello", 3, 2, 30.0, 10.0),
+            ("hello", 1, 5, 18.0, 12.0), ("hello", 3, 2, 30.0, 10.0),
         ]
         for k in (1, 2, 5):
             *tables, t = _weak_tables(ops, k, 45.0)

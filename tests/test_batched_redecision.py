@@ -180,14 +180,11 @@ class TestLatestPositions:
 
 N_OWNERS = 40  # more than one select_batch block
 
-# (receiver, sender, version, x, y) Hellos and prunes, 0.2 s apart.
-gather_op = st.one_of(
-    st.tuples(
-        st.integers(0, N_OWNERS - 1), st.integers(0, N_OWNERS - 1),
-        st.integers(0, 3), st.integers(0, 200).map(float),
-        st.integers(0, 200).map(float),
-    ),
-    st.tuples(st.integers(0, N_OWNERS - 1)),
+# (receiver, sender, version, x, y) Hellos, 0.2 s apart.
+gather_op = st.tuples(
+    st.integers(0, N_OWNERS - 1), st.integers(0, N_OWNERS - 1),
+    st.integers(0, 3), st.integers(0, 200).map(float),
+    st.integers(0, 200).map(float),
 )
 
 
@@ -202,9 +199,7 @@ def _shared_tables(ops, k):
     t = 0.0
     for op in ops:
         t += 0.2
-        if len(op) == 1:
-            tables[op[0]].prune(t)
-        elif op[0] != op[1]:
+        if op[0] != op[1]:
             receiver, sender, version, x, y = op
             tables[receiver].record_hello(Hello(sender, version, (x, y), t, t))
     return tables, t
@@ -276,20 +271,20 @@ SPEC_CONFIG = ScenarioConfig(
 
 
 def _per_node_redecide(world, version):
-    """The per-node loop that ``redecide_all`` ran before batching; its
-    decisions are adopted before it returns, as ``redecide_all`` adopts
-    its own (a waiting one would be dropped by the next redecision)."""
+    """The per-node loop that ``redecide_all`` ran before batching, one
+    packet-phase gather per node; the decisions are adopted before it
+    returns, as ``redecide_all`` adopts its own (a waiting one would be
+    dropped by the next redecision)."""
     inj = world.fault_injector
     now = world.engine.now
     for node in world.nodes:
         if inj is not None and inj.node_down(node.node_id, now):
             continue
         try:
-            world.decide_node(node.node_id, version=version)
-            node.packet_decisions += 1
+            world.decide_node(node.node_id, version=version, phase="packet")
         except ViewError:
             continue
-    world._settle()
+    world._adopt(world.manager.settle())
 
 
 def _drive(mechanism, faults=None, reference=False):
@@ -321,18 +316,8 @@ def _assert_twins(mechanism, faults=None):
     assert sum(n.packet_decisions for n in world.nodes) > 0
     assert (RunStats.from_world(world).as_dict()
             == RunStats.from_world(ref_world).as_dict())
-    # The reference loop's decisions count as Hello-phase ones.
-    assert _phaseless(tel) == _phaseless(ref_tel)
+    assert tel.registry.counters_dict() == ref_tel.registry.counters_dict()
     assert tel.events.kind_counts() == ref_tel.events.kind_counts()
-
-
-def _phaseless(tel) -> dict[str, float]:
-    """Counters with the decision cache's ``phase`` label summed away."""
-    out: dict[str, float] = {}
-    for key, value in tel.registry.counters_dict().items():
-        key = key.replace(",phase=hello", "").replace(",phase=packet", "")
-        out[key] = out.get(key, 0) + value
-    return out
 
 
 class TestTwinWorlds:

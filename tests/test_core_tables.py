@@ -61,11 +61,6 @@ class TestExpiry:
         assert table.known_neighbors(now=10.0) == [2]
         assert table.known_neighbors() == [1, 2]
 
-    def test_prune_drops_stale_records(self, table):
-        table.record_hello(make_hello(1, (1, 0), sent_at=0.0))
-        table.prune(now=10.0)
-        assert history_of(table, 1) == ()
-
     def test_latest_view_excludes_expired(self, table):
         table.record_hello(make_hello(1, (1, 0), sent_at=0.0))
         table.record_hello(make_hello(2, (2, 0), sent_at=9.5))
@@ -155,9 +150,6 @@ class TestStorage:
         assert table.retained == 3
         view = versioned_view(table, 3.5, version=1)
         assert view.owner == 5 and set(view.neighbor_hellos) == {2, 7}
-        table.prune(now=3.5)
-        assert history_of(table, 7) == () and table.mutations == 5
-        assert table.retained == 2
 
     def test_shared_store_row_is_the_owner(self):
         state = NeighborState(8, history_depth=3)

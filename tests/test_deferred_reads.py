@@ -7,7 +7,7 @@ Two mechanisms let a world skip work no output depends on:
   decision settles, as of the instant it was asked: the store answers
   it early, before a write would change it.  The property test below
   interleaves pins with both write routes (``record_batch``,
-  ``record_entries``) and prunes, at depths 1-3, and checks every answer
+  ``record_entries``) at depths 1-3, and checks every answer
   against the read made when the pin was asked;
 - a Hello-time decision that a newer decision of the same node replaces
   before anything reads it is never selected.  The world tests compare
@@ -26,9 +26,9 @@ from hypothesis import given, settings, strategies as st
 from neighbor_oracles import history
 from repro.analysis.experiment import build_world, run_once
 from repro.core.consistency import available_mechanisms
-from repro.core.manager import MobilitySensitiveTopologyControl
 from repro.core.neighbor_state import NeighborState
 from repro.core.views import Hello
+from repro.telemetry import Telemetry
 from test_golden_digests import FAULTS, SEED, cell_spec, digest
 from test_settle_points import settle_every_gather
 
@@ -38,8 +38,7 @@ N_NODES = 3
 #: receivers, Hellos from several senders at one receiver, a pin of
 #: (receiver, version) pairs the store holds (each picked by index), a
 #: pin of receivers at the version the next write carries, a release or
-#: an answer of an outstanding pin (by index), or a prune of one
-#: receiver.  Each write carries the next version, as Hello versions
+#: or an answer of an outstanding pin (by index).  Each write carries the next version, as Hello versions
 #: grow: a read of a written version is changed only when a write evicts
 #: it, and a read of the coming one when the next write carries it.
 _nodes = st.integers(0, N_NODES - 1)
@@ -58,7 +57,6 @@ STEPS = st.lists(
         st.tuples(st.just("pin-next"), st.lists(_nodes, min_size=1, max_size=2)),
         st.tuples(st.just("release"), st.integers(0, 7)),
         st.tuples(st.just("answer"), st.integers(0, 7)),
-        st.tuples(st.just("prune"), _nodes, st.floats(0.5, 3.0)),
     ),
     min_size=4,
     max_size=50,
@@ -121,8 +119,6 @@ class TestPinnedReads:
                     check(read, want)
                 else:
                     state.release(read)
-            elif kind == "prune":
-                state.prune(step[1], clock, step[2])
             # Once a read applies the queued writes, a read not answered
             # yet still reads what it read when pinned.
             state.retained(0)
@@ -174,17 +170,9 @@ class TestPinnedReads:
 # worlds
 
 
-def _discards(monkeypatch) -> list[int]:
-    """Count the gathers a world drops unread."""
-    dropped = [0]
-    discard = MobilitySensitiveTopologyControl.discard
-
-    def counting(self, gathered):
-        dropped[0] += len(gathered)
-        return discard(self, gathered)
-
-    monkeypatch.setattr(MobilitySensitiveTopologyControl, "discard", counting)
-    return dropped
+def _dropped(telemetry: Telemetry) -> float:
+    """The decisions a world armed with *telemetry* dropped unread."""
+    return telemetry.registry.counters_dict().get("decisions_dropped", 0)
 
 
 #: Read instants of the callback probes: dense early on, then one read
@@ -192,8 +180,10 @@ def _discards(monkeypatch) -> list[int]:
 READ_TIMES = (0.31, 0.54, 0.77, 1.3, 4.0)
 
 
-def _read_decisions(mechanism: str, faults) -> list[list]:
-    world = build_world(cell_spec("rng", mechanism), seed=SEED, faults=faults)
+def _read_decisions(mechanism: str, faults, telemetry: Telemetry) -> list[list]:
+    world = build_world(
+        cell_spec("rng", mechanism), seed=SEED, faults=faults, telemetry=telemetry
+    )
     reads = []
     for t in READ_TIMES[:-1]:
         world.engine.schedule_at(
@@ -210,27 +200,26 @@ class TestSupersession:
     def test_runs_equal_settling_every_gather(self, mechanism, faulted, monkeypatch):
         faults = FAULTS if faulted else None
         spec = cell_spec("rng", mechanism)
-        dropped = _discards(monkeypatch)
-        deferred = run_once(spec, seed=SEED, faults=faults)
+        tel = Telemetry()
+        deferred = run_once(spec, seed=SEED, faults=faults, telemetry=tel)
         if mechanism in ("view-sync", "proactive"):
             # Each flood probe redecides every node, replacing the
             # decisions gathered since the last read.
-            assert dropped[0] > 0
+            assert _dropped(tel) > 0
         settle_every_gather(monkeypatch)
         eager = run_once(spec, seed=SEED, faults=faults)
         assert digest(deferred) == digest(eager)
-        assert deferred.stats == eager.stats
+        assert deferred.stats.as_dict() == eager.stats.as_dict()
 
     def test_callback_reads_equal_settling_every_gather(
         self, mechanism, faulted, monkeypatch
     ):
         faults = FAULTS if faulted else None
-        dropped = _discards(monkeypatch)
-        deferred = _read_decisions(mechanism, faults)
+        deferred_tel, eager_tel = Telemetry(), Telemetry()
+        deferred = _read_decisions(mechanism, faults, deferred_tel)
         # Between the last two reads every node sends a Hello or more.
-        assert dropped[0] > 0
+        assert _dropped(deferred_tel) > 0
         settle_every_gather(monkeypatch)
-        before = dropped[0]
-        assert _read_decisions(mechanism, faults) == deferred
-        assert dropped[0] == before
+        assert _read_decisions(mechanism, faults, eager_tel) == deferred
+        assert _dropped(eager_tel) == 0
         assert any(d is not None for d in deferred[-1])

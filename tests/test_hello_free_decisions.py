@@ -7,8 +7,7 @@ Three layers:
   row sits in a shared store, against the members of the reference
   :func:`versioned_view` and the
   ``next(h for h in history if h.version == v)`` rule — ring wrap-around,
-  repeated versions, pruned senders, a version nobody holds, an empty
-  directory;
+  repeated versions, a version nobody holds, an empty directory;
 - the reference :func:`versioned_view`, whose Hellos (one per matching
   sender, built from the retained histories) must be the ones in each
   history;
@@ -50,9 +49,9 @@ OWNER = 6
 EXPIRY = 1.0
 VERSIONS = range(-1, 6)
 
-# One operation on the receiver's table: a Hello (sender, version, x, y),
-# an own advertisement (version), or a prune.  Time advances by 0.3 s per
-# operation, so prunes drop senders silent for more than three of them.
+# One operation on the receiver's table: a Hello (sender, version, x, y)
+# or an own advertisement (version).  Time advances by 0.3 s per
+# operation.
 hello_op = st.tuples(
     st.just("hello"),
     st.integers(1, 5),
@@ -61,10 +60,7 @@ hello_op = st.tuples(
     st.integers(0, 60).map(float),
 )
 own_op = st.tuples(st.just("own"), st.integers(0, 4))
-prune_op = st.tuples(st.just("prune"))
-operations = st.lists(
-    st.one_of(hello_op, hello_op, hello_op, own_op, prune_op), max_size=40
-)
+operations = st.lists(st.one_of(hello_op, hello_op, hello_op, own_op), max_size=40)
 
 
 def _hello(sender, version, xy, t):
@@ -91,13 +87,10 @@ def _replay(ops, k):
             hello = _hello(sender, version, (x, y), t)
             alone.record_hello(hello)
             state.record_batch(hello, np.array([OWNER, 7]))
-        elif op[0] == "own":
+        else:
             own = _hello(OWNER, op[1], (0.0, 0.0), t)
             alone.record_own(own)
             shared.record_own(own)
-        else:
-            alone.prune(t)
-            shared.prune(t)
     return alone, shared, t
 
 
@@ -191,16 +184,6 @@ class TestVersionedPositions:
             assert _as_map(*_positions(table, 4)) == {2: (5.0, 0.0)}
             assert _as_map(*_positions(table, 9)) == {}
 
-    def test_pruned_sender_is_absent(self):
-        for table in self._tables():
-            table.record_hello(_hello(1, 1, (1, 0), 0.0))
-            table.record_hello(_hello(2, 1, (2, 0), 2.0))
-            table.prune(2.5)
-            assert _as_map(*_positions(table, 1)) == {2: (2.0, 0.0)}
-            # A returning sender starts a fresh history.
-            table.record_hello(_hello(1, 2, (7, 0), 2.6))
-            assert _as_map(*_positions(table, 1)) == {2: (2.0, 0.0)}
-            assert _as_map(*_positions(table, 2)) == {1: (7.0, 0.0)}
 
 
 # --------------------------------------------------------------------- #

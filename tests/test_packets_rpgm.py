@@ -83,7 +83,7 @@ class TestUnicastTraffic:
         world = world_for(speed=2.0, mechanism="view-sync")
         world.run_until(4.0)
 
-        def misconfigured(node_id, version=None, position=None):
+        def misconfigured(node_id, version=None, position=None, phase="hello"):
             raise ConfigurationError(f"node {node_id} is misconfigured")
 
         monkeypatch.setattr(world, "decide_node", misconfigured)

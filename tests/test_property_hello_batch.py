@@ -11,7 +11,7 @@ Pinned here:
   a delayed Hello overtaken by a fresher one is discarded, and delivery
   delays split one transmission into one event per arrival time;
 - the ``_drop_collided`` expiry boundary;
-- :class:`NeighborState` ring/prune semantics and its newest-version read;
+- :class:`NeighborState` ring semantics and its newest-version read;
 - the engine's handle-free ``schedule_batch``.
 
 End-to-end behaviour of faulted, log-distance and weak worlds is pinned
@@ -363,25 +363,6 @@ class TestNeighborState:
             len(history(one, 1, s)) for s in one.senders(1)
         )
 
-    def test_prune_drops_stale_and_restarts_history(self):
-        state = NeighborState(2, 3)
-        for v in range(3):
-            state.record_batch(_hello(1, v, float(v)), np.array([0], dtype=np.intp))
-        assert state.prune(0, now=10.0, expiry=2.5)
-        assert history(state, 0, 1) == ()
-        assert state.senders(0) == []
-        assert state.retained(0) == 0
-        assert state.mutations[0] == 4  # one bump per pruning pass with drops
-        # A later Hello starts a fresh depth-1 history, like a new deque.
-        state.record_batch(_hello(1, 9, 11.0), np.array([0], dtype=np.intp))
-        assert [h.version for h in history(state, 0, 1)] == [9]
-
-    def test_prune_without_stale_is_a_noop(self):
-        state = NeighborState(2, 3)
-        state.record_entries(0, [_hello(1, 0, 5.0)])
-        assert not state.prune(0, now=6.0, expiry=2.5)
-        assert state.mutations[0] == 1
-
     def test_newest_versions_reads_the_ring_head(self):
         state = NeighborState(4, history_depth=2)
         for v in (3, 7, 5):
@@ -394,8 +375,6 @@ class TestNeighborState:
             1, 5, NO_VERSION,
         ]
         assert state.newest(np.empty(0, dtype=np.intp), 1)[0].size == 0
-        state.prune(3, now=20.0, expiry=2.5)
-        assert state.newest(np.array([3]), 1)[0].tolist() == [NO_VERSION]
 
     def test_newest_is_the_last_retained_hello(self):
         state = NeighborState(3, history_depth=2)

@@ -9,7 +9,7 @@ equal decisions (``decided_at`` included) whenever a decision is read,
 including from engine callbacks between two Hellos and from packets
 forwarded inside engine events.  The reference adopts every decision,
 while the deferred world drops those that nothing read, so only the
-range changes differ: each one the deferred world reports is a range
+``decisions_dropped`` count and the range changes differ: each one the deferred world reports is a range
 the reference held at that instant.
 """
 
@@ -41,7 +41,7 @@ def settle_every_gather(monkeypatch) -> None:
             decide_node(self, *args, **kwargs)
         finally:
             self._settle()
-        assert not self._pending
+        assert not self.manager.waiting
 
     monkeypatch.setattr(NetworkWorld, "decide_node", decide_and_settle)
 
@@ -58,9 +58,9 @@ def record_adoptions(monkeypatch) -> set[tuple[int, float, float]]:
     adopted: set[tuple[int, float, float]] = set()
     adopt = NetworkWorld._adopt
 
-    def recorded(self, node, decision, t):
-        adopted.add((node.node_id, decision.decided_at, decision.extended_range))
-        adopt(self, node, decision, t)
+    def recorded(self, settled):
+        adopted.update((d.owner, d.decided_at, d.extended_range) for d, _ in settled)
+        adopt(self, settled)
 
     monkeypatch.setattr(NetworkWorld, "_adopt", recorded)
     return adopted
@@ -94,6 +94,9 @@ class TestSettlePoints:
         deferred_counts = deferred_tel.registry.counters_dict()
         eager_counts = eager_tel.registry.counters_dict()
         assert deferred_counts.pop("range_changes") <= eager_counts.pop("range_changes")
+        # The reference drops no decision.
+        assert "decisions_dropped" not in eager_counts
+        deferred_counts.pop("decisions_dropped", None)
         assert deferred_counts == eager_counts
         # A range change is reported at its decision's instant, whenever
         # the decision settles: the reference adopted a decision of the
@@ -140,14 +143,14 @@ def test_unicast_packets_read_the_same_decisions(mechanism, monkeypatch):
 def test_assigned_decision_outranks_pending_ones():
     world = build_world(cell_spec("rng", "baseline"), seed=SEED)
     world.run_until(2.95)
-    assert world._pending, "some Hello-time decisions wait to be settled"
+    assert world.manager.waiting, "some Hello-time decisions wait to be settled"
     node = world.nodes[0]
     mine = NodeDecision(
         owner=0, logical_neighbors=frozenset(), actual_range=0.0,
         extended_range=0.0, decided_at=world.engine.now,
     )
     node.decision = mine
-    assert not world._pending
+    assert not world.manager.waiting
     assert node.decision is mine
     snap = world.snapshot()
     assert snap.extended_ranges[0] == 0.0
@@ -158,9 +161,9 @@ def test_the_reference_settles_every_gather(monkeypatch):
     settles = []
     settle = MobilitySensitiveTopologyControl.settle
 
-    def counted(self, gathered):
-        settles.append(len(gathered))
-        return settle(self, gathered)
+    def counted(self):
+        settles.append(self.waiting)
+        return settle(self)
 
     monkeypatch.setattr(MobilitySensitiveTopologyControl, "settle", counted)
     settle_every_gather(monkeypatch)

@@ -3,7 +3,7 @@
 :meth:`NeighborState.record_batch` queues its Hello, and every read
 applies the queue in one flush (:mod:`repro.core.neighbor_state`).  The
 property test below interleaves both write routes, pins, releases,
-answers, prunes and every read at depths 1-3, with the flush bound
+answers and every read at depths 1-3, with the flush bound
 :data:`~repro.core.neighbor_state._FLUSH_PAIRS` at 1 (every write applied
 at once), a few pairs, and its default, and checks the store against an
 independent model: a dict of ``deque(maxlen=k)`` per receiver, written
@@ -95,16 +95,6 @@ class Model:
         for r, v in zip(read.rows, read.versions):
             self.pins.setdefault(r, []).append((read, v))
 
-    def prune(self, r: int, now: float, expiry: float) -> bool:
-        stale = [s for s, ring in self.rows[r].items() if now - ring[-1].sent_at > expiry]
-        if not stale:
-            return False
-        self.answer_at([r])
-        for s in stale:
-            del self.rows[r][s]
-        self.mutations[r] += 1
-        return True
-
     # reads, as the store returns them
 
     def _live(self, r, now, expiry):
@@ -174,7 +164,6 @@ STEPS = st.lists(
         st.tuples(st.just("pin"), st.lists(st.tuples(_nodes, VERSIONS), min_size=1, max_size=3)),
         st.tuples(st.just("release"), st.integers(0, 7)),
         st.tuples(st.just("answer"), st.integers(0, 7)),
-        st.tuples(st.just("prune"), _nodes, st.floats(0.5, 3.0)),
         # Reads often too: each applies what the writes before it queued.
         _read,
         _read,
@@ -228,7 +217,7 @@ def _check_read(state: NeighborState, model: Model, step, now: float) -> None:
     elif which == "retained":
         assert state.retained(r) == sum(len(ring) for ring in model.rows[r].values())
     elif which == "senders":
-        # Insertion order: a pair re-created after a prune goes last.
+        # Insertion order: senders in the order first heard.
         assert state.senders(r) == list(model.rows[r])
     else:
         then = [now - expiry * (i + 1) / 2 for i in range(len(rows))]
@@ -299,8 +288,6 @@ class TestAgainstModel:
                         excused.update(outstanding)
                     state.release(read)
                     model.release(read)
-            elif kind == "prune":
-                assert state.prune(step[1], clock, step[2]) == model.prune(step[1], clock, step[2])
             elif kind == "read":
                 _check_read(state, model, step, clock)
             # Counters are kept at the Hello, queued or not.
@@ -332,16 +319,6 @@ class TestFlushes:
         assert state.newest(0, [1])[1].tolist() == [4.0]
         assert state.retained(0) == 2
 
-    def test_a_pair_recreated_after_a_prune_goes_last(self):
-        state = NeighborState(4, 1)
-        for sender, t in ((1, 0.0), (2, 1.0), (3, 2.0)):
-            state.record_batch(Hello(sender, 0, (0.0, 0.0), t, t), np.array([0]))
-        assert state.prune(0, now=3.5, expiry=2.6)
-        assert state.senders(0) == [2, 3]
-        state.record_batch(Hello(1, 1, (0.0, 0.0), 4.0, 4.0), np.array([0]))
-        state.record_batch(Hello(2, 1, (0.0, 0.0), 4.1, 4.1), np.array([0]))
-        assert state.senders(0) == [2, 3, 1]
-        assert state.newest_row(0)[0].tolist() == [1, 2, 3]
 
     def test_a_pin_is_answered_before_the_queued_write_that_evicts_it(self):
         state = NeighborState(3, 1)
@@ -446,9 +423,8 @@ def test_flushes_answer_reads_between_queued_hellos(monkeypatch):
     cuts = []
     answer_at = NeighborState._answer_at
 
-    def counting(self, receivers, place=np.inf):
-        if place != np.inf:
-            cuts.append(place)
+    def counting(self, receivers, place):
+        cuts.append(place)
         return answer_at(self, receivers, place)
 
     monkeypatch.setattr(NeighborState, "_answer_at", counting)
