@@ -6,7 +6,8 @@ collector armed, and the counter series below must reproduce
 decision paths that telemetry counts: Hello-time and packet-time
 decisions (view-sync), versioned decisions that hit the cache
 (proactive), rounds under outages and delayed Hellos (faulted
-reactive) and conservative decisions (weak).  Span timings and span
+reactive) and conservative decisions (weak), and the waiting decisions
+each run drops unread.  Span timings and span
 counts are left out: they describe how the program is cut into calls,
 not what it decided.  Arming the collector changes no decision: an
 armed and a disarmed run select the same rows and give the same digest.
@@ -32,7 +33,7 @@ from test_golden_digests import FAULTS, SEED, Cell, cell_spec, digest
 PINS_PATH = Path(__file__).resolve().parent / "golden" / "telemetry_counters.json"
 
 #: Counter series that are pinned; every label combination of each.
-SERIES = ("decision_cache", "range_changes", "hello_sent", "snapshots")
+SERIES = ("decision_cache", "range_changes", "hello_sent", "snapshots", "decisions_dropped")
 
 CELLS = {
     "rng-view-sync": Cell("rng", "view-sync"),
